@@ -51,9 +51,10 @@ func BenchmarkEnumerateCombos(b *testing.B) {
 	for _, size := range []int{2, 3} {
 		opt := Options{MaxComboSize: size}.withDefaults()
 		b.Run(map[int]string{2: "eta2", 3: "eta3"}[size], func(b *testing.B) {
+			sc := s.newScratch()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if combos, _ := enumerateCombos(context.Background(), s, 0, cands, opt, time.Time{}); len(combos) == 0 {
+				if combos, _ := enumerateCombos(context.Background(), s, 0, cands, opt, time.Time{}, sc); len(combos) == 0 {
 					b.Fatal("no combinations enumerated")
 				}
 			}
@@ -110,15 +111,15 @@ func BenchmarkAdaptiveMerge(b *testing.B) {
 		cands[i] = 2 + 3*i
 	}
 	opt := Options{MaxComboSize: 2}.withDefaults()
-	combos, _ := enumerateCombos(context.Background(), s, 0, cands, opt, time.Time{})
+	combos, _ := enumerateCombos(context.Background(), s, 0, cands, opt, time.Time{}, s.newScratch())
 	if len(combos) == 0 {
 		b.Fatal("no combinations enumerated")
 	}
-	tel := coreTel{}
+	sc := s.newScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		adaptiveMerge(context.Background(), s, 0, combos, opt, tel.merges, time.Time{})
+		adaptiveMerge(context.Background(), s, 0, combos, opt, coreTel{}, time.Time{}, sc)
 	}
 }
 

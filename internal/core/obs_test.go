@@ -70,6 +70,9 @@ func TestInferRecordsTelemetry(t *testing.T) {
 	if res.Graph.NumEdges() > 0 && s.Counters["core/search/merges"] == 0 {
 		t.Fatal("edges inferred but no greedy merges counted")
 	}
+	if res.Graph.NumEdges() > 0 && s.Counters["core/search/probes"] == 0 {
+		t.Fatal("edges inferred but no merge probes counted")
+	}
 	for _, span := range []string{"core/infer", "core/imi", "core/threshold", "core/search"} {
 		ts, ok := s.Timings[span]
 		if !ok || ts.Count == 0 {
@@ -119,4 +122,61 @@ func statusesFromChain(t *testing.T, n, beta int, seed int64) *diffusion.StatusM
 		t.Fatal(err)
 	}
 	return res.Statuses
+}
+
+// dependentStatus builds β observations over n nodes in which node 0 is
+// infected, with probability 0.9, whenever any of nodes 1..4 is, plus 2%
+// background noise; every other node is an independent coin of weight 0.15.
+func dependentStatus(beta, n int, seed int64) *diffusion.StatusMatrix {
+	rng := rand.New(rand.NewSource(seed))
+	sm := diffusion.NewStatusMatrix(beta, n)
+	for p := 0; p < beta; p++ {
+		hit := false
+		for v := 1; v < n; v++ {
+			if rng.Float64() < 0.15 {
+				sm.Set(p, v, true)
+				hit = hit || v <= 4
+			}
+		}
+		if (hit && rng.Float64() < 0.9) || rng.Float64() < 0.02 {
+			sm.Set(p, 0, true)
+		}
+	}
+	return sm
+}
+
+// TestSearchParentsAllocsConstant pins the search's reuse of its scratch:
+// once a worker's scratch has grown, one node's search allocates only its
+// returned parent set, whatever β and however many merge probes it runs. A
+// per-combination or per-probe allocation would make the larger search
+// allocate more.
+func TestSearchParentsAllocsConstant(t *testing.T) {
+	ctx := context.Background()
+	opt := Options{}.withDefaults()
+	measure := func(beta, nCands int) (allocs float64, probes int64) {
+		s := NewScorer(dependentStatus(beta, 16, int64(beta)))
+		cands := make([]int, nCands)
+		for i := range cands {
+			cands[i] = i + 1
+		}
+		sc := s.newScratch()
+		rec := obs.New()
+		parents, reason := searchParents(ctx, s, 0, cands, opt, coreTel{probes: rec.Counter("probes")}, sc)
+		if len(parents) == 0 || reason != DegradeNone {
+			t.Fatalf("β=%d: search found parents %v (%v); the input should yield some", beta, parents, reason)
+		}
+		allocs = testing.AllocsPerRun(20, func() {
+			searchParents(ctx, s, 0, cands, opt, coreTel{}, sc)
+		})
+		return allocs, rec.Counter("probes").Value()
+	}
+	smallAllocs, smallProbes := measure(256, 6)
+	largeAllocs, largeProbes := measure(1024, 15)
+	if smallProbes >= largeProbes {
+		t.Fatalf("probe counts %d (β=256) and %d (β=1024) do not grow; the test needs them to", smallProbes, largeProbes)
+	}
+	if smallAllocs != largeAllocs || largeAllocs > 1 {
+		t.Fatalf("searchParents allocates %.1f times at β=256 (%d probes) and %.1f at β=1024 (%d probes); want the same, at most 1",
+			smallAllocs, smallProbes, largeAllocs, largeProbes)
+	}
 }

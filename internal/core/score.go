@@ -17,12 +17,21 @@ import (
 )
 
 // Scorer evaluates local scores g(v_i, F_i) against a fixed observation
-// matrix. Columns are kept bit-packed so that the joint counting behind
-// every score evaluation runs over machine words: for a parent set of size
-// k, the instance count of each of the 2^k status combinations is a string
-// of AND/ANDNOT + popcount operations. For large parent sets, where 2^k
-// word scans would cost more than one pass over the observations, a
-// per-process fallback path is used instead.
+// matrix. Columns are kept bit-packed, and a score evaluation takes one of
+// two exact paths, chosen by parent-set size k:
+//
+//   - packed: while 2^k masks of one column each cost no more than one pass
+//     over the β processes, the instance count of each of the 2^k status
+//     combinations is a string of AND/ANDNOT + popcount operations;
+//   - partition: otherwise, processes are grouped by their parent-status
+//     key. Processes no parent infected form the key-0 class, counted from
+//     the child's column total; the infected ones of the (sparse) parent
+//     columns are sorted by key and folded run by run. The greedy merge
+//     keeps this partition per node and moves only the processes a probed
+//     combination's new columns infect (see partition).
+//
+// Both fold the combinations in ascending key order, so every path yields
+// the same bits for the same parent set.
 type Scorer struct {
 	beta, n int
 	words   int        // 64-bit words per column
@@ -32,10 +41,10 @@ type Scorer struct {
 	ones    []int      // N₂ per node
 	logs    []float64  // logs[k] = log₂(k) for k in [0, β+1]; logs[0] unused
 	penalty PenaltyMode
-	// maskPool recycles the per-evaluation mask buffer of packedCombos;
-	// the scorer is shared by concurrent per-node searches, so the
-	// scratch cannot live on the struct directly.
-	maskPool sync.Pool
+	// scratchPool recycles scoring scratch for LocalScoreParts callers; the
+	// scorer is shared by concurrent per-node searches, so the scratch
+	// cannot live on the struct directly.
+	scratchPool sync.Pool
 }
 
 // PenaltyMode selects the statistical-error penalty of the local score.
@@ -80,10 +89,7 @@ func NewScorer(m *diffusion.StatusMatrix) *Scorer {
 	for k := 1; k <= beta+1; k++ {
 		s.logs[k] = math.Log2(float64(k))
 	}
-	s.maskPool.New = func() any {
-		buf := make([]uint64, s.words)
-		return &buf
-	}
+	s.scratchPool.New = func() any { return s.newScratch() }
 	for v := 0; v < n; v++ {
 		col := make([]uint64, words)
 		copy(col, m.Column(v))
@@ -175,27 +181,43 @@ func (s *Scorer) addCombo(parts *ScoreParts, k0, k1 int) {
 // LocalScoreParts evaluates the local score components of parent set
 // parents for node child. An empty parent set reproduces Eq. (18).
 func (s *Scorer) LocalScoreParts(child int, parents []int) ScoreParts {
+	sc := s.scratchPool.Get().(*scratch)
+	parts := s.scoreParts(child, parents, sc)
+	s.scratchPool.Put(sc)
+	return parts
+}
+
+// scoreParts is LocalScoreParts over the caller's scratch.
+func (s *Scorer) scoreParts(child int, parents []int, sc *scratch) ScoreParts {
 	k := len(parents)
 	if k > 63 {
 		panic("core: parent sets beyond 63 nodes are not representable")
 	}
 	var parts ScoreParts
-	// Packed path: 2^k masked popcount scans. Worth it while the total
-	// word traffic 2^k·k·words stays below the per-process fallback's
-	// β·k steps with its hashing overhead.
 	if s.packedWorthwhile(k) {
-		s.packedCombos(child, parents, &parts)
+		s.packedCombos(child, parents, &parts, sc)
 	} else {
-		s.genericCombos(child, parents, &parts)
+		s.genericCombos(child, parents, &parts, sc)
 	}
 	s.finishParts(k, &parts)
 	return parts
 }
 
 // packedWorthwhile reports whether the 2^k masked-popcount path beats the
-// per-process fallback for a parent set of size k.
+// partition path for a parent set of size k: the total word traffic
+// 2^k·words stays within one pass over the β processes.
 func (s *Scorer) packedWorthwhile(k int) bool {
 	return k <= 2 || (1<<uint(k))*s.words <= s.beta
+}
+
+// packedDepth returns the largest parent-set size up to maxSize that the
+// packed path scores.
+func (s *Scorer) packedDepth(maxSize int) int {
+	lim := 0
+	for lim < maxSize && s.packedWorthwhile(lim+1) {
+		lim++
+	}
+	return lim
 }
 
 // finishParts fills the derived fields of a score evaluation: φ_F and the
@@ -211,7 +233,7 @@ func (s *Scorer) finishParts(k int, parts *ScoreParts) {
 }
 
 // packedCombos enumerates all 2^k parent-status combinations as bit masks.
-func (s *Scorer) packedCombos(child int, parents []int, parts *ScoreParts) {
+func (s *Scorer) packedCombos(child int, parents []int, parts *ScoreParts, sc *scratch) {
 	k := len(parents)
 	childCol := s.cols[child]
 	if k == 0 {
@@ -219,9 +241,7 @@ func (s *Scorer) packedCombos(child int, parents []int, parts *ScoreParts) {
 		s.addCombo(parts, n1, s.ones[child])
 		return
 	}
-	bufp := s.maskPool.Get().(*[]uint64)
-	defer s.maskPool.Put(bufp)
-	mask := *bufp
+	mask := sc.mask
 	for combo := 0; combo < 1<<uint(k); combo++ {
 		for w := 0; w < s.words; w++ {
 			mask[w] = ^uint64(0)
@@ -248,42 +268,37 @@ func (s *Scorer) packedCombos(child int, parents []int, parts *ScoreParts) {
 	}
 }
 
-// genericCombos walks the observations once, bucketing processes by their
-// parent-status key.
-func (s *Scorer) genericCombos(child int, parents []int, parts *ScoreParts) {
-	counts := make(map[uint64][2]int)
-	cols := make([][]uint64, len(parents))
-	for i, p := range parents {
-		cols[i] = s.cols[p]
-	}
+// genericCombos scores a parent set too large for the packed path without
+// touching the processes no parent infected: they form the key-0 class,
+// whose child split follows from the child's column total. The infected
+// processes of the parent columns are gathered as key<<1|childBit, sorted,
+// and folded run by run after it — ascending key order, as packedCombos.
+func (s *Scorer) genericCombos(child int, parents []int, parts *ScoreParts, sc *scratch) {
 	childCol := s.cols[child]
-	for p := 0; p < s.beta; p++ {
-		w, b := p/64, uint(p%64)
-		var key uint64
-		for i := range cols {
-			if cols[i][w]&(1<<b) != 0 {
-				key |= 1 << uint(i)
+	keys := sc.keys[:0]
+	hit := 0 // child infections among the gathered processes
+	for w := 0; w < s.words; w++ {
+		var u uint64
+		for _, p := range parents {
+			u |= s.cols[p][w]
+		}
+		for u != 0 {
+			b := uint(bits.TrailingZeros64(u))
+			u &= u - 1
+			var key uint64
+			for i, p := range parents {
+				key |= (s.cols[p][w] >> b & 1) << uint(i)
 			}
+			cb := childCol[w] >> b & 1
+			hit += int(cb)
+			keys = append(keys, key<<1|cb)
 		}
-		cc := counts[key]
-		if childCol[w]&(1<<b) != 0 {
-			cc[1]++
-		} else {
-			cc[0]++
-		}
-		counts[key] = cc
 	}
-	// Accumulate in sorted-key order: addCombo sums floats, and map
-	// iteration order would otherwise make the result vary run to run.
-	keys := make([]uint64, 0, len(counts))
-	for key := range counts {
-		keys = append(keys, key)
-	}
+	k1 := s.ones[child] - hit
+	s.addCombo(parts, s.beta-len(keys)-k1, k1)
 	slices.Sort(keys)
-	for _, key := range keys {
-		cc := counts[key]
-		s.addCombo(parts, cc[0], cc[1])
-	}
+	s.foldRuns(parts, keys)
+	sc.keys = keys
 }
 
 // comboScratch is the reusable mask tree of a combination-enumeration
@@ -296,15 +311,12 @@ type comboScratch struct {
 }
 
 // newComboScratch sizes a scratch for combinations of up to maxSize
-// parents. Depths past the packed/generic crossover are never
-// materialized — the enumeration scores those via the per-process
-// fallback, which needs no masks — so the total footprint stays bounded
-// by O(maxSize·β) bits.
+// parents. Depths past the packed/partition crossover are never
+// materialized — the enumeration scores those via the partition path,
+// which needs no masks — so the total footprint stays bounded by
+// O(maxSize·β) bits.
 func (s *Scorer) newComboScratch(maxSize int) *comboScratch {
-	lim := 0
-	for lim < maxSize && s.packedWorthwhile(lim+1) {
-		lim++
-	}
+	lim := s.packedDepth(maxSize)
 	sc := &comboScratch{levels: make([][]uint64, lim+1)}
 	for d := 0; d <= lim; d++ {
 		sc.levels[d] = make([]uint64, (1<<uint(d))*s.words)
@@ -386,9 +398,11 @@ func (s *Scorer) BoundHolds(i int, setSize int, phi float64) bool {
 // TotalScore is the decomposable criterion g(T) of Eq. (12) for a full
 // topology expressed as parent sets per node.
 func (s *Scorer) TotalScore(parents [][]int) float64 {
+	sc := s.scratchPool.Get().(*scratch)
+	defer s.scratchPool.Put(sc)
 	var total float64
 	for i := 0; i < s.n; i++ {
-		total += s.LocalScore(i, parents[i])
+		total += s.scoreParts(i, parents[i], sc).Score()
 	}
 	return total
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -138,8 +139,8 @@ func naiveScoreParts(m *diffusion.StatusMatrix, child int, parents []int) ScoreP
 	return parts
 }
 
-// Both scoring paths (packed masks for small parent sets, per-process
-// bucketing for large ones) must agree with the naive definition.
+// Both scoring paths (packed masks for small parent sets, the sorted
+// partition for large ones) must agree with the naive definition.
 func TestScorePartsMatchNaive(t *testing.T) {
 	f := func(seed int64, betaRaw uint8, parentCount uint8) bool {
 		const n = 9
@@ -163,24 +164,164 @@ func TestScorePartsMatchNaive(t *testing.T) {
 	}
 }
 
+// referenceCombos is the per-process bucketing scorer the partition path
+// replaced: one map entry per observed parent-status key over all β
+// processes, folded in sorted-key order through the scorer's table-backed
+// addCombo. It is the oracle the exact paths are held to bit for bit.
+func referenceCombos(s *Scorer, child int, parents []int, parts *ScoreParts) {
+	counts := make(map[uint64][2]int)
+	childCol := s.cols[child]
+	for p := 0; p < s.beta; p++ {
+		w, b := p/64, uint(p%64)
+		var key uint64
+		for i, par := range parents {
+			if s.cols[par][w]&(1<<b) != 0 {
+				key |= 1 << uint(i)
+			}
+		}
+		cc := counts[key]
+		if childCol[w]&(1<<b) != 0 {
+			cc[1]++
+		} else {
+			cc[0]++
+		}
+		counts[key] = cc
+	}
+	keys := make([]uint64, 0, len(counts))
+	for key := range counts {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
+		s.addCombo(parts, counts[key][0], counts[key][1])
+	}
+}
+
+// referenceParts is LocalScoreParts computed through referenceCombos.
+func referenceParts(s *Scorer, child int, parents []int) ScoreParts {
+	var parts ScoreParts
+	referenceCombos(s, child, parents, &parts)
+	s.finishParts(len(parents), &parts)
+	return parts
+}
+
+// sameBits reports whether two evaluations agree to the bit.
+func sameBits(a, b ScoreParts) bool {
+	return math.Float64bits(a.LogLikelihood) == math.Float64bits(b.LogLikelihood) &&
+		math.Float64bits(a.Penalty) == math.Float64bits(b.Penalty) &&
+		a.Observed == b.Observed &&
+		math.Float64bits(a.Phi) == math.Float64bits(b.Phi)
+}
+
+// densityStatus builds a beta×n status matrix whose columns span densities
+// from empty to saturated: every fifth column is empty, every fifth full,
+// and the rest sparse, half-set, or of a random density.
+func densityStatus(beta, n int, rng *rand.Rand) *diffusion.StatusMatrix {
+	m := diffusion.NewStatusMatrix(beta, n)
+	for v := 0; v < n; v++ {
+		var d float64
+		switch v % 5 {
+		case 0:
+			d = 0
+		case 1:
+			d = 1
+		case 2:
+			d = 0.03
+		case 3:
+			d = 0.5
+		default:
+			d = rng.Float64()
+		}
+		for p := 0; p < beta; p++ {
+			if rng.Float64() < d {
+				m.Set(p, v, true)
+			}
+		}
+	}
+	return m
+}
+
+var oracleBetas = []int{1, 63, 64, 65, 130, 1024}
+
 // Force both internal paths explicitly across the word boundary (beta > 64)
-// and check they agree with each other.
+// and check they agree with each other and with the reference to the bit.
 func TestScorePathsAgreeAcrossWordBoundary(t *testing.T) {
 	for _, beta := range []int{63, 64, 65, 128, 130} {
 		m := randomStatus(beta, 10, int64(beta))
 		s := NewScorer(m)
+		sc := s.newScratch()
 		for k := 0; k <= 6; k++ {
 			parents := make([]int, 0, k)
 			for j := 1; j <= k; j++ {
 				parents = append(parents, j)
 			}
-			var packed, generic ScoreParts
-			s.packedCombos(0, parents, &packed)
-			s.genericCombos(0, parents, &generic)
-			if packed.Observed != generic.Observed ||
-				math.Abs(packed.LogLikelihood-generic.LogLikelihood) > 1e-9 ||
-				math.Abs(packed.Penalty-generic.Penalty) > 1e-9 {
-				t.Fatalf("beta=%d k=%d: packed=%+v generic=%+v", beta, k, packed, generic)
+			var packed, generic, ref ScoreParts
+			s.packedCombos(0, parents, &packed, sc)
+			s.genericCombos(0, parents, &generic, sc)
+			referenceCombos(s, 0, parents, &ref)
+			if !sameBits(packed, generic) || !sameBits(packed, ref) {
+				t.Fatalf("beta=%d k=%d: packed=%+v generic=%+v reference=%+v", beta, k, packed, generic, ref)
+			}
+		}
+	}
+}
+
+// LocalScoreParts must equal the map-based reference to the bit for every
+// parent-set size from 0 to 20 and columns from empty to saturated.
+func TestLocalScorePartsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n = 30
+	for _, beta := range oracleBetas {
+		s := NewScorer(densityStatus(beta, n, rng))
+		for trial := 0; trial < 40; trial++ {
+			perm := rng.Perm(n)
+			child := perm[0]
+			for k := 0; k <= 20; k++ {
+				parents := perm[1 : 1+k]
+				got := s.LocalScoreParts(child, parents)
+				if want := referenceParts(s, child, parents); !sameBits(got, want) {
+					t.Fatalf("beta=%d child=%d parents=%v: got %+v, reference %+v", beta, child, parents, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Random probe/accept sequences over one node's partition: every probe of
+// F ∪ W, with W adding up to four nodes, and every committed F must score
+// exactly as LocalScoreParts does from scratch, through both of the probe's
+// orderings (slot counting and sorting).
+func TestPartitionProbesMatchLocalScoreParts(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 40
+	for _, beta := range oracleBetas {
+		s := NewScorer(densityStatus(beta, n, rng))
+		sc := s.newScratch()
+		for trial := 0; trial < 12; trial++ {
+			perm := rng.Perm(n)
+			child, pool := perm[0], perm[1:]
+			pt := &sc.part
+			pt.reset(s, child)
+			var f []int
+			for len(pool) > 0 {
+				if got, want := pt.score(s), s.LocalScoreParts(child, f); !sameBits(got, want) {
+					t.Fatalf("beta=%d child=%d F=%v: partition %+v, LocalScoreParts %+v", beta, child, f, got, want)
+				}
+				w := min(1+rng.Intn(4), len(pool))
+				add := pool[:w]
+				union := slices.Concat(f, add)
+				want := s.LocalScoreParts(child, union)
+				for i, probe := range []func(*Scorer, []int) ScoreParts{pt.probe, pt.probeCounted, pt.probeSorted} {
+					if got := probe(s, add); !sameBits(got, want) {
+						t.Fatalf("beta=%d child=%d probe path %d, F∪W=%v: partition %+v, LocalScoreParts %+v", beta, child, i, union, got, want)
+					}
+				}
+				if rng.Intn(3) == 0 {
+					pt.accept(s, add)
+					f, pool = union, pool[w:]
+				} else {
+					rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+				}
 			}
 		}
 	}

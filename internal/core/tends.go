@@ -1,11 +1,12 @@
 package core
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -357,6 +358,7 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 	tel := coreTel{
 		combos: rec.Counter("core/search/combos"),
 		merges: rec.Counter("core/search/merges"),
+		probes: rec.Counter("core/search/probes"),
 	}
 	thresholdSpan := rec.StartSpan("core/threshold")
 	var autoTau float64
@@ -425,7 +427,7 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 		}
 	}
 	reasons := make([]DegradeReason, n)
-	searchNode := func(i int) {
+	searchNode := func(i int, sc *scratch) {
 		nodeTau := tau
 		if perNode {
 			nodeTau = res.NodeThresholds[i]
@@ -436,7 +438,7 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 			cands = cands[:opt.MaxCandidates]
 			sort.Ints(cands)
 		}
-		res.Parents[i], reasons[i] = searchParents(sctx, scorer, i, cands, opt, tel)
+		res.Parents[i], reasons[i] = searchParents(sctx, scorer, i, cands, opt, tel, sc)
 		// Only fully searched nodes reach the callback: a node cut short
 		// (degraded or cancelled) has a partial answer the journal must not
 		// record as complete.
@@ -455,6 +457,7 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 		workers = n
 	}
 	if workers <= 1 {
+		sc := scorer.newScratch()
 		for i := 0; i < n; i++ {
 			if !inShard(i) {
 				continue
@@ -466,7 +469,7 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 				reasons[i] = DegradeCancelled
 				continue
 			}
-			searchNode(i)
+			searchNode(i, sc)
 		}
 	} else {
 		// The per-node searches only read the scorer and IMI matrix;
@@ -478,6 +481,7 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				sc := scorer.newScratch()
 				for i := range next {
 					if sctx.Err() != nil {
 						// Drain the channel without working; in degrade
@@ -487,7 +491,7 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 						}
 						continue
 					}
-					searchNode(i)
+					searchNode(i, sc)
 				}
 			}()
 		}
@@ -547,6 +551,7 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 type coreTel struct {
 	combos *obs.Counter // combinations enumerated across all nodes
 	merges *obs.Counter // greedy merge steps accepted across all nodes
+	probes *obs.Counter // merge-phase score evaluations across all nodes
 }
 
 // searchParents runs the greedy most-probable-parent-set search for one
@@ -555,8 +560,9 @@ type coreTel struct {
 // cancelled context makes it bail out between phases with whatever partial
 // answer it has; without degradation enabled InferContext discards the
 // partial topology and surfaces the context error, with it the partial
-// answer is the node's result.
-func searchParents(ctx context.Context, s *Scorer, child int, cands []int, opt Options, tel coreTel) ([]int, DegradeReason) {
+// answer is the node's result. The search works in sc, which the caller
+// reuses from node to node.
+func searchParents(ctx context.Context, s *Scorer, child int, cands []int, opt Options, tel coreTel, sc *scratch) ([]int, DegradeReason) {
 	if len(cands) == 0 {
 		return nil, DegradeNone
 	}
@@ -567,7 +573,7 @@ func searchParents(ctx context.Context, s *Scorer, child int, cands []int, opt O
 	if opt.NodeDeadline > 0 {
 		deadline = time.Now().Add(opt.NodeDeadline)
 	}
-	combos, reason := enumerateCombos(ctx, s, child, cands, opt, deadline)
+	combos, reason := enumerateCombos(ctx, s, child, cands, opt, deadline, sc)
 	tel.combos.Add(int64(len(combos)))
 	if ctx.Err() != nil && reason == DegradeNone {
 		reason = DegradeCancelled
@@ -578,9 +584,9 @@ func searchParents(ctx context.Context, s *Scorer, child int, cands []int, opt O
 	var parents []int
 	var cut bool
 	if opt.StaticGreedy {
-		parents, cut = staticMerge(s, child, combos, opt, tel.merges, deadline)
+		parents, cut = staticMerge(s, child, combos, opt, tel, deadline, sc)
 	} else {
-		parents, cut = adaptiveMerge(ctx, s, child, combos, opt, tel.merges, deadline)
+		parents, cut = adaptiveMerge(ctx, s, child, combos, opt, tel, deadline, sc)
 	}
 	if reason == DegradeNone {
 		switch {
@@ -639,12 +645,14 @@ type combo struct {
 // that satisfies the Theorem-2 size condition |W| ≤ log₂(φ_W + δ_i)
 // (Algorithm 1 line 13), along with its local score.
 //
-// Scoring shares work along the DFS: the 2^d status masks of the current
-// combination are derived incrementally from its (d-1)-prefix's masks in a
-// comboScratch, one AND/ANDNOT per mask, instead of rebuilding every mask
-// from all d columns per combination as a fresh LocalScoreParts call
-// would. Past the packed/generic crossover the per-process fallback takes
-// over unchanged.
+// Scoring shares work along the DFS. Up to the packed depth (see Scorer),
+// the 2^d status masks of the current combination are derived from its
+// (d-1)-prefix's masks in a comboScratch, one AND/ANDNOT per mask, instead
+// of rebuilding every mask from all d columns per combination. Deeper
+// combinations are scored from scratch by the partition path.
+//
+// The combinations and their node lists live in sc and stay valid until
+// the next enumeration over it.
 //
 // Enumeration can be cut short three ways, reported through the returned
 // reason alongside whatever combinations were listed so far: context
@@ -652,76 +660,98 @@ type combo struct {
 // combination budget (when Options.ComboBudget > 0). All three are checked
 // at top-level subtree boundaries, so the budget cut is a deterministic
 // function of the enumeration order, not of timing.
-func enumerateCombos(ctx context.Context, s *Scorer, child int, cands []int, opt Options, deadline time.Time) ([]combo, DegradeReason) {
-	var out []combo
-	reason := DegradeNone
-	maxSize := opt.MaxComboSize
-	if maxSize > len(cands) {
-		maxSize = len(cands)
-	}
+func enumerateCombos(ctx context.Context, s *Scorer, child int, cands []int, opt Options, deadline time.Time, sc *scratch) ([]combo, DegradeReason) {
+	maxSize := min(opt.MaxComboSize, len(cands))
 	if maxSize < 1 {
 		return nil, DegradeNone
 	}
-	sc := s.newComboScratch(maxSize)
-	packedLim := sc.packedLimit()
-	cur := make([]int, 0, maxSize)
-	maskable := len(cands) <= 64
-	var curMask uint64
-	var rec func(start int)
-	rec = func(start int) {
-		if d := len(cur); d > 0 {
-			var parts ScoreParts
-			if d <= packedLim {
-				parts = s.scoreLevel(child, sc.levels[d], d)
-			} else {
-				parts = s.LocalScoreParts(child, cur)
+	levels := sc.comboLevels(s, maxSize)
+	e := enumerator{
+		ctx: ctx, s: s, sc: sc, levels: levels,
+		child: child, cands: cands, opt: opt, deadline: deadline,
+		maxSize: maxSize, packedLim: levels.packedLimit(), maskable: len(cands) <= 64,
+	}
+	sc.combos, sc.nodes, sc.cur = sc.combos[:0], sc.nodes[:0], sc.cur[:0]
+	e.rec(0)
+	// Growing the arena may have moved it; point every node list into its
+	// final backing array.
+	off := 0
+	for i := range sc.combos {
+		d := len(sc.combos[i].nodes)
+		sc.combos[i].nodes = sc.nodes[off : off+d : off+d]
+		off += d
+	}
+	return sc.combos, e.reason
+}
+
+// enumerator is the state of one node's combination DFS.
+type enumerator struct {
+	ctx       context.Context
+	s         *Scorer
+	sc        *scratch
+	levels    *comboScratch
+	child     int
+	cands     []int
+	opt       Options
+	deadline  time.Time
+	maxSize   int
+	packedLim int
+	maskable  bool
+	curMask   uint64
+	reason    DegradeReason
+}
+
+func (e *enumerator) rec(start int) {
+	sc := e.sc
+	if d := len(sc.cur); d > 0 {
+		var parts ScoreParts
+		if d <= e.packedLim {
+			parts = e.s.scoreLevel(e.child, e.levels.levels[d], d)
+		} else {
+			parts = e.s.scoreParts(e.child, sc.cur, sc)
+		}
+		if e.opt.DisableBound || e.s.BoundHolds(e.child, d, parts.Phi) {
+			sc.nodes = append(sc.nodes, sc.cur...)
+			sc.combos = append(sc.combos, combo{nodes: sc.nodes[len(sc.nodes)-d:], score: parts.Score(), mask: e.curMask})
+		}
+		// A combination the bound rejects does not end its subtree:
+		// supersets have larger |W|, but φ can grow with the set, so keep
+		// enumerating — the size cap keeps this cheap.
+	}
+	if len(sc.cur) == e.maxSize {
+		return
+	}
+	for k := start; k < len(e.cands); k++ {
+		// Check the cut conditions once per top-level subtree: a weak
+		// threshold can make a single node's enumeration combinatorial,
+		// and cancellation, the soft deadline and the combination budget
+		// must all be able to interrupt it mid-node.
+		if len(sc.cur) == 0 {
+			switch {
+			case e.ctx.Err() != nil:
+				e.reason = DegradeCancelled
+			case !e.deadline.IsZero() && time.Now().After(e.deadline):
+				e.reason = DegradeDeadline
+			case e.opt.ComboBudget > 0 && len(sc.combos) >= e.opt.ComboBudget:
+				e.reason = DegradeComboBudget
 			}
-			if opt.DisableBound || s.BoundHolds(child, d, parts.Phi) {
-				out = append(out, combo{nodes: append([]int(nil), cur...), score: parts.Score(), mask: curMask})
-			} else {
-				// Supersets only get larger; Theorem 2 will reject them
-				// too once φ growth stalls, but φ can grow with the set,
-				// so keep enumerating (no early cut here) — the size cap
-				// keeps this cheap.
+			if e.reason != DegradeNone {
+				return
 			}
 		}
-		if len(cur) == maxSize {
-			return
+		sc.cur = append(sc.cur, e.cands[k])
+		if e.maskable {
+			e.curMask |= 1 << uint(k)
 		}
-		for k := start; k < len(cands); k++ {
-			// Check the cut conditions once per top-level subtree: a weak
-			// threshold can make a single node's enumeration combinatorial,
-			// and cancellation, the soft deadline and the combination budget
-			// must all be able to interrupt it mid-node.
-			if len(cur) == 0 {
-				switch {
-				case ctx.Err() != nil:
-					reason = DegradeCancelled
-				case !deadline.IsZero() && time.Now().After(deadline):
-					reason = DegradeDeadline
-				case opt.ComboBudget > 0 && len(out) >= opt.ComboBudget:
-					reason = DegradeComboBudget
-				}
-				if reason != DegradeNone {
-					return
-				}
-			}
-			cur = append(cur, cands[k])
-			if maskable {
-				curMask |= 1 << uint(k)
-			}
-			if d := len(cur); d <= packedLim {
-				sc.extend(s, d, cands[k])
-			}
-			rec(k + 1)
-			cur = cur[:len(cur)-1]
-			if maskable {
-				curMask &^= 1 << uint(k)
-			}
+		if d := len(sc.cur); d <= e.packedLim {
+			e.levels.extend(e.s, d, e.cands[k])
+		}
+		e.rec(k + 1)
+		sc.cur = sc.cur[:len(sc.cur)-1]
+		if e.maskable {
+			e.curMask &^= 1 << uint(k)
 		}
 	}
-	rec(0)
-	return out, reason
 }
 
 // adaptiveMerge implements the greedy of Section IV-A's prose: starting
@@ -734,24 +764,30 @@ func enumerateCombos(ctx context.Context, s *Scorer, child int, cands []int, opt
 // heap top is re-evaluated against the grown F. Improvements shrink as F
 // absorbs the signal a combination carries, so stale heads re-sink and the
 // scan touches a small fraction of the combination pool per iteration.
+// Each re-evaluation is a probe of the node's partition (see partition),
+// bit-identical to scoring F ∪ W from scratch.
 //
 // When the node's soft deadline (nonzero) passes mid-merge, the loop stops
 // with the parents merged so far and reports cut = true; the caller keeps
 // the partial set as the node's degraded answer.
-func adaptiveMerge(ctx context.Context, s *Scorer, child int, combos []combo, opt Options, merges *obs.Counter, deadline time.Time) (parents []int, cut bool) {
-	st := newMergeState(combos)
-	curScore := s.LocalScore(child, nil)
+func adaptiveMerge(ctx context.Context, s *Scorer, child int, combos []combo, opt Options, tel coreTel, deadline time.Time, sc *scratch) (parents []int, cut bool) {
+	st, pt := &sc.merge, &sc.part
+	st.reset(combos)
+	pt.reset(s, child)
+	curScore := pt.score(s).Score()
 	emptyScore := curScore
 
-	h := make(comboHeap, 0, len(combos))
-	for _, c := range combos {
+	h := sc.heap[:0]
+	for i := range combos {
 		// Initial key: standalone score relative to the empty set.
-		h = append(h, lazyCombo{combo: c, gain: c.score - emptyScore, round: 0})
+		h = append(h, lazyCombo{c: &combos[i], gain: combos[i].score - emptyScore, round: 0})
 	}
-	heap.Init(&h)
+	h.init()
 
-	round := 0
-	for h.Len() > 0 && ctx.Err() == nil {
+	// probes counts the merge's score evaluations, the F = ∅ one above
+	// included.
+	round, probes := 0, 1
+	for len(h) > 0 && ctx.Err() == nil {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			cut = true
 			break
@@ -761,92 +797,124 @@ func adaptiveMerge(ctx context.Context, s *Scorer, child int, combos []combo, op
 			break
 		}
 		if top.round != round {
-			union := st.probeUnion(&top.combo)
+			union := st.probeUnion(top.c)
 			if union == nil {
-				heap.Pop(&h)
+				h.pop()
 				continue
 			}
-			parts := s.LocalScoreParts(child, union)
+			parts := pt.probe(s, union[len(st.parents):])
+			probes++
 			if !opt.DisableBound && !s.BoundHolds(child, len(union), parts.Phi) {
-				heap.Pop(&h)
+				h.pop()
 				continue
 			}
 			top.gain = parts.Score() - curScore
 			top.round = round
 			if top.gain <= 0 {
-				heap.Pop(&h)
+				h.pop()
 				continue
 			}
-			heap.Fix(&h, 0)
+			h.down(0, len(h))
 			continue
 		}
 		// Fresh top: accept it. The probe cannot fail here — a top at the
 		// current round either passed it this round or is an initial entry
 		// probed against the empty set.
-		union := st.probeUnion(&top.combo)
+		union := st.probeUnion(top.c)
 		if union == nil {
-			heap.Pop(&h)
+			h.pop()
 			continue
 		}
 		curScore += top.gain
-		st.accept(&top.combo, union)
-		heap.Pop(&h)
-		merges.Inc()
+		pt.accept(s, union[len(st.parents):])
+		st.accept(top.c, union)
+		h.pop()
+		tel.merges.Inc()
 		round++
 	}
-	sort.Ints(st.parents)
-	return st.parents, cut
+	sc.heap = h
+	tel.probes.Add(int64(probes))
+	return st.result(), cut
 }
 
 // lazyCombo is a heap entry: a combination with its last-computed score
 // improvement and the greedy round it was computed in.
 type lazyCombo struct {
-	combo
+	c     *combo
 	gain  float64
 	round int
 }
 
+// comboHeap is a max-heap on gain. init, pop and down follow container/heap's
+// Init, Pop and Fix(h, 0) step for step, so equal gains resolve in the same
+// order, without boxing each popped entry into an interface.
 type comboHeap []lazyCombo
 
-func (h comboHeap) Len() int           { return len(h) }
-func (h comboHeap) Less(i, j int) bool { return h[i].gain > h[j].gain }
-func (h comboHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *comboHeap) Push(x any)        { *h = append(*h, x.(lazyCombo)) }
-func (h *comboHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h comboHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+// pop removes the top entry.
+func (h *comboHeap) pop() {
+	n := len(*h) - 1
+	(*h)[0], (*h)[n] = (*h)[n], (*h)[0]
+	h.down(0, n)
+	*h = (*h)[:n]
+}
+
+// down sinks entry i0 within the first n entries.
+func (h comboHeap) down(i0, n int) {
+	i := i0
+	for {
+		j := 2*i + 1
+		if j >= n || j < 0 {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].gain > h[j].gain {
+			j = j2
+		}
+		if !(h[j].gain > h[i].gain) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // staticMerge is Algorithm 1 taken literally: walk combinations in
 // descending standalone score and merge each whose union with F keeps the
-// Theorem-2 bound. Like adaptiveMerge it stops at the node's soft deadline
-// with the parents merged so far, reporting cut = true.
-func staticMerge(s *Scorer, child int, combos []combo, opt Options, merges *obs.Counter, deadline time.Time) (parents []int, cut bool) {
-	sorted := append([]combo(nil), combos...)
-	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].score > sorted[b].score })
-	st := newMergeState(sorted)
-	for i := range sorted {
+// Theorem-2 bound. It reorders combos. Like adaptiveMerge it stops at the
+// node's soft deadline with the parents merged so far, reporting cut = true.
+func staticMerge(s *Scorer, child int, combos []combo, opt Options, tel coreTel, deadline time.Time, sc *scratch) (parents []int, cut bool) {
+	slices.SortStableFunc(combos, func(a, b combo) int { return cmp.Compare(b.score, a.score) })
+	st, pt := &sc.merge, &sc.part
+	st.reset(combos)
+	pt.reset(s, child)
+	probes := 0
+	for i := range combos {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			cut = true
 			break
 		}
-		c := &sorted[i]
+		c := &combos[i]
 		union := st.probeUnion(c)
 		if union == nil {
 			continue
 		}
-		parts := s.LocalScoreParts(child, union)
+		parts := pt.probe(s, union[len(st.parents):])
+		probes++
 		if !opt.DisableBound && !s.BoundHolds(child, len(union), parts.Phi) {
 			continue
 		}
+		pt.accept(s, union[len(st.parents):])
 		st.accept(c, union)
-		merges.Inc()
+		tel.merges.Inc()
 	}
-	sort.Ints(st.parents)
-	return st.parents, cut
+	tel.probes.Add(int64(probes))
+	return st.result(), cut
 }
 
 // mergeState tracks the greedy merges' growing parent set F without
@@ -862,12 +930,27 @@ type mergeState struct {
 	buf     []int
 }
 
-func newMergeState(combos []combo) *mergeState {
-	st := &mergeState{}
-	if len(combos) > 0 && combos[0].mask == 0 {
+// reset empties F for a merge over combos.
+func (st *mergeState) reset(combos []combo) {
+	st.mask, st.parents = 0, st.parents[:0]
+	switch {
+	case len(combos) == 0 || combos[0].mask != 0:
+		st.inF = nil
+	case st.inF == nil:
 		st.inF = make(map[int]bool)
+	default:
+		clear(st.inF)
 	}
-	return st
+}
+
+// result returns a sorted copy of F, nil when F is empty.
+func (st *mergeState) result() []int {
+	if len(st.parents) == 0 {
+		return nil
+	}
+	out := slices.Clone(st.parents)
+	slices.Sort(out)
+	return out
 }
 
 // probeUnion returns F ∪ W in scoring order — the current parents followed
