@@ -56,7 +56,11 @@ func (m *IMIMatrix) VisitPairValues(visit func(v float64, count int64)) {
 	}
 }
 
-func (m *IMIMatrix) valuePool() *valuePool { return poolFrom(m) }
+func (m *IMIMatrix) valuePool() *valuePool {
+	var b poolBuilder
+	m.VisitPairValues(b.add)
+	return b.finish()
+}
 
 // nodePool summarizes the values involving node i for the per-node
 // threshold selector.

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -115,108 +114,33 @@ func (c *IncrementalCounts) AppendRow(infected []int) error {
 // deterministic function of (β, ones, co-occurrence counts), and those are
 // integer-exact here, so the assembled engine is indistinguishable from the
 // batch-built one: identical At values, candidate sets, value pools, and
-// therefore thresholds and inferred topologies. Cost is O(n + coPairs·log +
-// C²) with C distinct infected counts — no pass over the observations.
-func (c *IncrementalCounts) Source() *SparseIMI {
+// therefore thresholds and inferred topologies: the rows go through the
+// batch build's own row stage and assembler, with n11 read from the maps
+// instead of a cascade walk. Cost is O(n + coPairs·log + V log V + C²) with
+// V distinct positive values and C distinct infected counts, spread over
+// every CPU — no pass over the observations.
+func (c *IncrementalCounts) Source() *SparseIMI { return c.source(0) }
+
+// source is Source on an explicit worker count (0 means GOMAXPROCS).
+func (c *IncrementalCounts) source(workers int) *SparseIMI {
 	s := &SparseIMI{
 		n: c.n, beta: c.beta, traditional: c.traditional,
 		mt:       cachedMITable(c.beta),
+		ones:     append([]int32(nil), c.ones...),
 		rowStart: make([]int64, c.n+1),
 	}
-	if c.n == 0 {
-		s.pool = (&poolBuilder{}).finish()
-		return s
-	}
-
-	// Infected counts and count classes, exactly as the batch build derives
-	// them from column popcounts.
-	s.ones = append([]int32(nil), c.ones...)
-	classIdx := make([]int32, c.beta+1)
-	for v := 0; v < c.n; v++ {
-		classIdx[s.ones[v]] = 1
-	}
-	for cv := 0; cv <= c.beta; cv++ {
-		if classIdx[cv] != 0 {
-			classIdx[cv] = int32(len(s.classVals) + 1)
-			s.classVals = append(s.classVals, int32(cv))
-		}
-	}
-	nClasses := len(s.classVals)
-	s.classOf = make([]int32, c.n)
-	s.classSize = make([]int64, nClasses)
-	for v := range s.ones {
-		k := classIdx[s.ones[v]] - 1
-		s.classOf[v] = k
-		s.classSize[k]++
-	}
-	s.classNodes = make([][]int32, nClasses)
-	for k := range s.classNodes {
-		s.classNodes[k] = make([]int32, 0, s.classSize[k])
-	}
-	for v := range s.ones {
-		s.classNodes[s.classOf[v]] = append(s.classNodes[s.classOf[v]], int32(v))
-	}
-
-	// CSR rows straight from the co-occurrence maps: neighbors ascending,
-	// values through the one shared pairValue expression.
 	for v := 0; v < c.n; v++ {
 		s.rowStart[v+1] = s.rowStart[v] + int64(len(c.nbr[v]))
 	}
-	s.nbr = make([]int32, s.rowStart[c.n])
-	s.val = make([]float64, s.rowStart[c.n])
-	s.coPairs = s.rowStart[c.n] / 2
-	tally := newClassTally(nClasses)
-	var b poolBuilder
-	for v := 0; v < c.n; v++ {
-		row := s.nbr[s.rowStart[v]:s.rowStart[v]]
-		for j := range c.nbr[v] {
+	// The row stage fails only on cancellation, and this context never ends.
+	_ = s.fillRows(context.TODO(), workers, func(v int, sc *sparseScratch, row []int32) []int32 {
+		for j, n11 := range c.nbr[v] {
 			row = append(row, j)
+			sc.cnt[j] = n11
 		}
 		slices.Sort(row)
-		ni := int(s.ones[v])
-		base := s.rowStart[v]
-		cv := s.classOf[v]
-		for k, j := range row {
-			val := pairValue(s.mt, c.traditional, c.beta, int(c.nbr[v][j]), ni, int(s.ones[j]))
-			s.val[base+int64(k)] = val
-			if int(j) > v {
-				tally.add(cv, s.classOf[j])
-				b.add(val, 1)
-			}
-		}
-	}
-
-	// Marginal runs for the never-co-occurring pairs, identical to the
-	// batch assembly (same class walk, same closed-form n11 = 0 value).
-	s.maxMarginal = make([]float64, nClasses)
-	for a := range s.maxMarginal {
-		s.maxMarginal[a] = math.Inf(-1)
-	}
-	for a := 0; a < nClasses; a++ {
-		for cc := a; cc < nClasses; cc++ {
-			var tot int64
-			if a == cc {
-				tot = s.classSize[a] * (s.classSize[a] - 1) / 2
-			} else {
-				tot = s.classSize[a] * s.classSize[cc]
-			}
-			zp := tot - tally.pairCount(a, cc)
-			if zp <= 0 {
-				continue
-			}
-			mv := pairValue(s.mt, c.traditional, c.beta, 0, int(s.classVals[a]), int(s.classVals[cc]))
-			s.marginalVals = append(s.marginalVals, mv)
-			s.marginalCnt = append(s.marginalCnt, zp)
-			b.add(mv, zp)
-			if mv > s.maxMarginal[a] {
-				s.maxMarginal[a] = mv
-			}
-			if mv > s.maxMarginal[cc] {
-				s.maxMarginal[cc] = mv
-			}
-		}
-	}
-	s.pool = b.finish()
+		return row
+	})
 	return s
 }
 

@@ -84,19 +84,6 @@ func (b *poolBuilder) finish() *valuePool {
 	}
 }
 
-// pairValueVisitor streams every unordered pairwise value with a
-// multiplicity; the visit order is unspecified and multiplicities for equal
-// values may arrive split across calls.
-type pairValueVisitor interface {
-	VisitPairValues(visit func(v float64, count int64))
-}
-
-func poolFrom(src pairValueVisitor) *valuePool {
-	var b poolBuilder
-	src.VisitPairValues(b.add)
-	return b.finish()
-}
-
 // twoMeansTau runs the pinned two-means selector over the pool.
 func (p *valuePool) twoMeansTau() float64 {
 	return stats.TwoMeansThresholdRuns(p.pos, p.posCnt, p.zeros, twoMeansMaxIter)

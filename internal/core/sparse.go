@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 
 	"tends/internal/diffusion"
-	"tends/internal/kernel"
 	"tends/internal/obs"
 )
 
@@ -19,17 +18,26 @@ import (
 // dense n(n−1)/2 triangle, it stores per-node CSR rows holding only the
 // neighbors each node co-occurs with in at least one diffusion process,
 // found through an inverted index over the bit-packed status columns
-// (cascade → infected-node list). A pair that never co-occurs has n11 = 0,
-// so its value depends only on the two marginal infected counts — a
-// closed-form function of at most (β+1)² count-class pairs, kept as
-// run-length "marginal runs" instead of per-pair storage.
+// (cascade → infected-node list). Walking a node's cascade lists visits
+// each co-occurring neighbor once per shared cascade, so the walk itself
+// counts the pair's joint infections n11; no column is read again. A pair
+// that never co-occurs has n11 = 0, so its value depends only on the two
+// marginal infected counts — a closed-form function of at most (β+1)²
+// count-class pairs, which enter the value pool as run-length "marginal
+// runs" and are otherwise computed on demand, never stored per pair.
 //
 // Every materialized or derived value goes through the same pairValue
 // arithmetic as the dense engine, so SparseIMI.At is bit-identical to
 // IMIMatrix.At for every pair, and the threshold selectors (which consume
-// the shared valuePool form) return bit-identical τ. The pairwise stage
-// drops from O(n²·β/64) to O(Σ_c |infected(c)|² + C²) with C count
-// classes.
+// the shared valuePool form) return bit-identical τ. A pair's value is a
+// function of its key (n11, ni, nj) alone, so each worker caches values by
+// key, and the pool is built from the co-pairs' values tallied by their
+// exact bits — the same multiset as one entry per pair. The pairwise stage
+// costs O(n·β/64 + Σ_c |infected(c)|²) for the walks, O(coPairs·log k) to
+// merge each row's k ascending cascade runs, O(coPairs) for the class-pair
+// counts, and O(V log V + C²) for the pool, with V distinct positive
+// values and C count classes; memory beyond the CSR itself is O(n + β + V)
+// per worker.
 type SparseIMI struct {
 	n, beta     int
 	traditional bool
@@ -49,14 +57,9 @@ type SparseIMI struct {
 	classSize  []int64
 	classNodes [][]int32
 
-	// Marginal runs: one (value, multiplicity) per unordered class pair
-	// with at least one never-co-occurring node pair, in (a, b) class
-	// order. marginalOf[a*C+b] (symmetric) is the run value, NaN when the
-	// class pair has no zero pair; maxMarginal[a] is the largest marginal
-	// value class a participates in (-Inf when none).
-	marginalVals []float64
-	marginalCnt  []int64
-	maxMarginal  []float64
+	// maxMarginal[a] is the largest value of a never-co-occurring pair
+	// with one end in class a (-Inf when there is none).
+	maxMarginal []float64
 
 	pool    *valuePool
 	coPairs int64
@@ -79,7 +82,6 @@ func ComputeSparseIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, tr
 	rowsC := rec.Counter("core/sparse/rows")
 	pairsC := rec.Counter("core/sparse/pairs")
 	skipC := rec.Counter("core/sparse/pairs_skipped")
-	tilesC := rec.Counter("core/kernel/tiles")
 
 	n, beta := sm.N(), sm.Beta()
 	words, data := sm.Words(), sm.ColumnData()
@@ -87,43 +89,10 @@ func ComputeSparseIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, tr
 		n: n, beta: beta, traditional: traditional,
 		mt:       cachedMITable(beta),
 		rowStart: make([]int64, n+1),
+		ones:     make([]int32, n),
 	}
-	if n == 0 {
-		s.pool = (&poolBuilder{}).finish()
-		return s, ctx.Err()
-	}
-
-	// Infected counts and count classes.
-	s.ones = make([]int32, n)
-	classIdx := make([]int32, beta+1)
 	for v := 0; v < n; v++ {
 		s.ones[v] = int32(sm.CountInfected(v))
-		classIdx[s.ones[v]] = 1
-	}
-	for c := 0; c <= beta; c++ {
-		if classIdx[c] != 0 {
-			classIdx[c] = int32(len(s.classVals) + 1)
-			s.classVals = append(s.classVals, int32(c))
-		}
-	}
-	nClasses := len(s.classVals)
-	s.classOf = make([]int32, n)
-	s.classSize = make([]int64, nClasses)
-	for v := range s.ones {
-		k := classIdx[s.ones[v]] - 1
-		s.classOf[v] = k
-		s.classSize[k]++
-	}
-	s.classNodes = make([][]int32, nClasses)
-	for k := range s.classNodes {
-		s.classNodes[k] = make([]int32, 0, s.classSize[k])
-	}
-	for v := range s.ones {
-		k := s.classOf[v]
-		s.classNodes[k] = append(s.classNodes[k], int32(v))
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 
 	// Inverted index: cascade → infected-node list, one counting pass and
@@ -157,70 +126,40 @@ func ComputeSparseIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, tr
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// parallelNodes runs body(v) for every node across the workers, claiming
-	// fixed-size chunks off a shared counter; each worker gets its own
-	// scratch. Bodies write disjoint per-node slots, so output is identical
-	// for any worker count.
-	const chunk = 256
-	parallelNodes := func(body func(v int, scratch *sparseScratch)) {
-		nChunks := (n + chunk - 1) / chunk
-		run := func(claim func() int) {
-			scratch := newSparseScratch(n)
-			for ctx.Err() == nil {
-				c := claim()
-				if c >= nChunks {
-					return
-				}
-				hi := (c + 1) * chunk
-				if hi > n {
-					hi = n
-				}
-				for v := c * chunk; v < hi; v++ {
-					body(v, scratch)
-				}
-			}
-		}
-		if workers == 1 {
-			next := 0
-			run(func() int { next++; return next - 1 })
-			return
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run(func() int { return int(next.Add(1)) - 1 })
-			}()
-		}
-		wg.Wait()
-	}
-
-	// Pass A: per-node co-occurrence degree, deduplicated with an epoch
-	// stamp (the node id itself, unique per mark).
-	deg := make([]int64, n)
-	parallelNodes(func(v int, sc *sparseScratch) {
-		cnt := int64(0)
+	// coOccur appends to row every node that shares a cascade with v, in
+	// first-hit order, and leaves each one's joint infected count n11 in
+	// sc.cnt. The nodes each cascade list hits first form an ascending run
+	// (the lists are ascending); sc.runs receives the offsets of the
+	// non-empty runs. sc.cnt must be all zero on entry; the caller resets the
+	// entries of row once read.
+	coOccur := func(v int, sc *sparseScratch, row []int32) []int32 {
+		sc.runs = sc.runs[:0]
 		forEachSetBit(v, func(p int) {
+			start := len(row)
 			for _, u := range cascNodes[cascOff[p]:cascOff[p+1]] {
-				if int(u) != v && sc.stamp[u] != int32(v) {
-					sc.stamp[u] = int32(v)
-					cnt++
+				if int(u) == v {
+					continue
 				}
+				if sc.cnt[u] == 0 {
+					row = append(row, u)
+				}
+				sc.cnt[u]++
+			}
+			if len(row) > start {
+				sc.runs = append(sc.runs, start)
 			}
 		})
-		deg[v] = cnt
+		return row
+	}
+
+	// Pass A: per-node co-occurrence degree, which sizes the CSR.
+	deg := make([]int64, n)
+	parallelNodes(ctx, n, workers, func(v int, sc *sparseScratch) {
+		sc.row = coOccur(v, sc, sc.row[:0])
+		for _, u := range sc.row {
+			sc.cnt[u] = 0
+		}
+		deg[v] = int64(len(sc.row))
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -228,175 +167,321 @@ func ComputeSparseIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, tr
 	for v := 0; v < n; v++ {
 		s.rowStart[v+1] = s.rowStart[v] + deg[v]
 	}
-	s.nbr = make([]int32, s.rowStart[n])
-	s.val = make([]float64, s.rowStart[n])
-	s.coPairs = s.rowStart[n] / 2
 
-	// Pass B: fill each row (neighbors sorted ascending), compute n11 via
-	// the gather kernel, derive values, and tally co-occurring class pairs
-	// (i<j once) for the marginal-run bookkeeping. Stamps use n+v so they
-	// can never collide with pass A marks on a reused scratch.
-	tallies := make([]*classTally, workers)
-	var tallySlot atomic.Int64
-	parallelNodes(func(v int, sc *sparseScratch) {
-		if sc.tally == nil {
-			sc.tally = newClassTally(nClasses)
-			tallies[int(tallySlot.Add(1))-1] = sc.tally
-		}
-		row := s.nbr[s.rowStart[v]:s.rowStart[v]]
-		mark := int32(n + v)
-		forEachSetBit(v, func(p int) {
-			for _, u := range cascNodes[cascOff[p]:cascOff[p+1]] {
-				if int(u) != v && sc.stamp[u] != mark {
-					sc.stamp[u] = mark
-					row = append(row, u)
+	// Pass B: the same walk straight into each CSR row, whose runs are then
+	// merged pairwise — O(len·log runs), and most rows are one or two runs.
+	if err := s.fillRows(ctx, workers, func(v int, sc *sparseScratch, row []int32) []int32 {
+		row = coOccur(v, sc, row)
+		sc.buf = mergeRuns(row, sc.buf, sc.runs)
+		return row
+	}); err != nil {
+		return nil, err
+	}
+
+	rowsC.Add(int64(n))
+	pairsC.Add(s.coPairs)
+	skipC.Add(s.TotalPairs() - s.coPairs)
+	return s, nil
+}
+
+// parallelNodes runs body(v) for every node v < n across workers goroutines
+// (0 means GOMAXPROCS), claiming fixed-size chunks off a shared counter, and
+// returns the per-worker scratches. Bodies write disjoint per-node slots, so
+// output is identical for any worker count. Workers stop claiming once ctx
+// is done.
+func parallelNodes(ctx context.Context, n, workers int, body func(v int, sc *sparseScratch)) []*sparseScratch {
+	const chunk = 256
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	nChunks := (n + chunk - 1) / chunk
+	scratches := make([]*sparseScratch, max(1, min(workers, nChunks)))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range scratches {
+		sc := &sparseScratch{cnt: make([]int32, n)}
+		scratches[w] = sc
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				c := int(next.Add(1)) - 1
+				if c >= nChunks {
+					return
+				}
+				for v := c * chunk; v < min((c+1)*chunk, n); v++ {
+					body(v, sc)
 				}
 			}
-		})
-		slices.Sort(row)
-		if cap(sc.n11) < len(row) {
-			sc.n11 = make([]int, len(row)+64)
-		}
-		n11 := sc.n11[:len(row)]
-		kernel.GatherAndCounts(n11, data, words, data[v*words:(v+1)*words], row)
-		tilesC.Inc()
-		ni := int(s.ones[v])
-		base := s.rowStart[v]
-		cv := s.classOf[v]
+		}()
+	}
+	wg.Wait()
+	return scratches
+}
+
+// fillRows fills the CSR rows whose extents s.rowStart holds, then
+// assembles the rest of s. gather appends node v's co-occurring neighbors,
+// ascending, to row and leaves each one's joint infected count n11 in
+// sc.cnt; fillRows reads and resets the counts, derives the values, and
+// tallies every upper-triangle value. It is the row stage of both the batch
+// build and IncrementalCounts.Source.
+func (s *SparseIMI) fillRows(ctx context.Context, workers int, gather func(v int, sc *sparseScratch, row []int32) []int32) error {
+	s.nbr = make([]int32, s.rowStart[s.n])
+	s.val = make([]float64, s.rowStart[s.n])
+	s.coPairs = s.rowStart[s.n] / 2
+	scratches := parallelNodes(ctx, s.n, workers, func(v int, sc *sparseScratch) {
+		lo := s.rowStart[v]
+		row := gather(v, sc, s.nbr[lo:lo:s.rowStart[v+1]])
+		ni := s.ones[v]
 		for k, j := range row {
-			s.val[base+int64(k)] = pairValue(s.mt, traditional, beta, n11[k], ni, int(s.ones[j]))
+			key := pairKey{sc.cnt[j], min(ni, s.ones[j]), max(ni, s.ones[j])}
+			sc.cnt[j] = 0
+			e := &sc.cache[key.hash()>>(64-valueCacheBits)]
+			if e.key != key {
+				sc.tally.add(e.v, e.n)
+				*e = cachedValue{key: key, v: pairValue(s.mt, s.traditional, s.beta, int(key.n11), int(key.lo), int(key.hi))}
+			}
+			s.val[lo+int64(k)] = e.v
 			if int(j) > v {
-				sc.tally.add(cv, s.classOf[j])
+				e.n++
 			}
 		}
 	})
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	tally := newClassTally(nClasses)
-	for _, t := range tallies {
-		if t != nil {
-			tally.merge(t)
+	distinct := 0
+	for _, sc := range scratches {
+		for _, e := range sc.cache {
+			sc.tally.add(e.v, e.n)
 		}
+		distinct += sc.tally.used
+	}
+	b := poolBuilder{vals: make([]float64, 0, distinct), cnts: make([]int64, 0, distinct)}
+	for _, sc := range scratches {
+		sc.tally.addTo(&b)
+	}
+	s.assemble(&b)
+	return nil
+}
+
+// sparseScratch is the per-worker state of the build passes.
+type sparseScratch struct {
+	cnt   []int32 // per-node joint infected count, all zero between rows
+	row   []int32 // pass A's neighbor list
+	runs  []int   // offsets of a row's ascending runs
+	buf   []int32 // mergeRuns' second buffer
+	cache [1 << valueCacheBits]cachedValue
+	tally valueTally
+}
+
+// mergeRuns sorts row in place, given that it is the concatenation of
+// ascending runs of distinct values starting at the offsets in runs
+// (runs[0] == 0), by merging neighboring runs pairwise through buf. It
+// returns buf, grown as needed, for reuse.
+func mergeRuns(row, buf []int32, runs []int) []int32 {
+	if len(runs) < 2 {
+		return buf
+	}
+	buf = slices.Grow(buf[:0], len(row))[:len(row)]
+	src, dst := row, buf
+	for len(runs) > 1 {
+		merged := runs[:0] // overwrites only entries already read
+		for i := 0; i < len(runs); i += 2 {
+			lo, mid, hi := runs[i], len(src), len(src)
+			if i+1 < len(runs) {
+				mid = runs[i+1]
+			}
+			if i+2 < len(runs) {
+				hi = runs[i+2]
+			}
+			a, b, out := src[lo:mid], src[mid:hi], dst[lo:hi]
+			for len(a) > 0 && len(b) > 0 {
+				if a[0] < b[0] {
+					out[0], a = a[0], a[1:]
+				} else {
+					out[0], b = b[0], b[1:]
+				}
+				out = out[1:]
+			}
+			copy(out[copy(out, a):], b)
+			merged = append(merged, lo)
+		}
+		runs = merged
+		src, dst = dst, src
+	}
+	if &src[0] != &row[0] {
+		copy(row, src)
+	}
+	return buf
+}
+
+// pairKey is everything pairValue reads from a pair besides β: its joint
+// infected count and its two marginal counts, canonicalized lo ≤ hi. Pairs
+// with equal keys have bit-identical values. The fields are full int32s
+// (counts are bounded by β, which the streaming service grows one row at a
+// time), so keys are exact for every β a status matrix can hold.
+type pairKey struct{ n11, lo, hi int32 }
+
+func (k pairKey) hash() uint64 {
+	return ((uint64(uint32(k.n11))<<32|uint64(uint32(k.lo)))*0x9E3779B97F4A7C15 + uint64(uint32(k.hi))) * 0xC2B2AE3D27D4EB4F
+}
+
+// valueCacheBits sizes each worker's direct-mapped cache of pair values,
+// which also counts the upper-triangle pairs of each cached key until the
+// key is evicted into the worker's valueTally. 1024 entries hold the few
+// hundred keys that cover almost every pair at scale; when most pairs have
+// keys of their own, as in small dense inputs, the tally's compact table
+// holds them instead. The zero key marks an empty entry, since a
+// co-occurring pair has n11 ≥ 1.
+const valueCacheBits = 10
+
+type cachedValue struct {
+	key pairKey
+	n   int64
+	v   float64
+}
+
+// valueTally is a worker's share of the value pool: positive values
+// counted by their exact bits in an open-addressed table (linear probing,
+// power-of-two size, at most three quarters full), zero and negative
+// values only counted, because the pool keeps nothing else of them. At
+// scale a few hundred distinct values cover millions of pairs.
+type valueTally struct {
+	slots      []valueSlot
+	used       int
+	shift      uint // 64 − log₂ len(slots)
+	zeros, neg int64
+	maxNeg     float64
+}
+
+type valueSlot struct {
+	bits uint64 // 0 marks an empty slot: no positive value has all-zero bits
+	n    int64
+}
+
+func (t *valueTally) add(v float64, c int64) {
+	if c == 0 {
+		return
+	}
+	if !(v > 0) {
+		if v == 0 {
+			t.zeros += c
+		} else {
+			if t.neg == 0 || v > t.maxNeg {
+				t.maxNeg = v
+			}
+			t.neg += c
+		}
+		return
+	}
+	if 4*(t.used+1) > 3*len(t.slots) {
+		old := t.slots
+		size := max(64, 2*len(old))
+		t.slots, t.used, t.shift = make([]valueSlot, size), 0, uint(64-bits.TrailingZeros(uint(size)))
+		for _, e := range old {
+			if e.bits != 0 {
+				t.add(math.Float64frombits(e.bits), e.n)
+			}
+		}
+	}
+	vb := math.Float64bits(v)
+	mask := len(t.slots) - 1
+	for i := int(vb * 0x9E3779B97F4A7C15 >> t.shift); ; i = (i + 1) & mask {
+		switch t.slots[i].bits {
+		case vb:
+			t.slots[i].n += c
+			return
+		case 0:
+			t.slots[i] = valueSlot{vb, c}
+			t.used++
+			return
+		}
+	}
+}
+
+// addTo adds the tallied values to b. Negative values move only the pool's
+// total and maximum, so they enter as one run at their maximum.
+func (t *valueTally) addTo(b *poolBuilder) {
+	b.add(0, t.zeros)
+	b.add(t.maxNeg, t.neg)
+	for _, e := range t.slots {
+		if e.bits != 0 {
+			b.add(math.Float64frombits(e.bits), e.n)
+		}
+	}
+}
+
+// assemble derives everything that depends only on the marginal counts
+// s.ones and the CSR rows: the count classes, the marginal runs of the
+// never-co-occurring pairs, which it adds to the co-occurring values already
+// in b, and the value pool. The batch build and IncrementalCounts.Source
+// both end here. Cost is O(n + β + coPairs + C²) for C count classes.
+func (s *SparseIMI) assemble(b *poolBuilder) {
+	classIdx := make([]int32, s.beta+1)
+	for _, c := range s.ones {
+		classIdx[c] = 1
+	}
+	for c := range classIdx {
+		if classIdx[c] != 0 {
+			classIdx[c] = int32(len(s.classVals) + 1)
+			s.classVals = append(s.classVals, int32(c))
+		}
+	}
+	nClasses := len(s.classVals)
+	s.classOf = make([]int32, s.n)
+	s.classSize = make([]int64, nClasses)
+	for v, c := range s.ones {
+		k := classIdx[c] - 1
+		s.classOf[v] = k
+		s.classSize[k]++
+	}
+	s.classNodes = make([][]int32, nClasses)
+	for k := range s.classNodes {
+		s.classNodes[k] = make([]int32, 0, s.classSize[k])
+	}
+	for v, k := range s.classOf {
+		s.classNodes[k] = append(s.classNodes[k], int32(v))
 	}
 
 	// Marginal runs: for every unordered class pair, the pairs that never
 	// co-occur share one closed-form value (n11 = 0). A class pair whose
 	// counts sum past β cannot have a zero pair (pigeonhole), and indeed
 	// its zero-pair multiplicity is always 0 here, so the n11 = 0 cell
-	// arithmetic below never sees negative counts.
+	// arithmetic below never sees negative counts. The co-occurring pairs
+	// of class a come from its nodes' rows: a pair with its other end in a
+	// class c > a is met once, a pair inside class a twice.
 	s.maxMarginal = make([]float64, nClasses)
 	for a := range s.maxMarginal {
 		s.maxMarginal[a] = math.Inf(-1)
 	}
-	var b poolBuilder
-	for v := 0; v < n; v++ {
-		for k := s.rowStart[v]; k < s.rowStart[v+1]; k++ {
-			if int(s.nbr[k]) > v {
-				b.add(s.val[k], 1)
+	coRow := make([]int64, nClasses)
+	for a, va := range s.classVals {
+		clear(coRow)
+		for _, v := range s.classNodes[a] {
+			for _, j := range s.nbr[s.rowStart[v]:s.rowStart[v+1]] {
+				coRow[s.classOf[j]]++
 			}
 		}
-	}
-	for a := 0; a < nClasses; a++ {
+		coRow[a] /= 2
 		for c := a; c < nClasses; c++ {
-			var tot int64
+			vc := s.classVals[c]
+			co := coRow[c]
+			tot := s.classSize[a] * s.classSize[c]
 			if a == c {
 				tot = s.classSize[a] * (s.classSize[a] - 1) / 2
-			} else {
-				tot = s.classSize[a] * s.classSize[c]
 			}
-			zp := tot - tally.pairCount(a, c)
+			zp := tot - co
 			if zp <= 0 {
 				continue
 			}
-			mv := pairValue(s.mt, traditional, beta, 0, int(s.classVals[a]), int(s.classVals[c]))
-			s.marginalVals = append(s.marginalVals, mv)
-			s.marginalCnt = append(s.marginalCnt, zp)
+			mv := pairValue(s.mt, s.traditional, s.beta, 0, int(va), int(vc))
 			b.add(mv, zp)
-			if mv > s.maxMarginal[a] {
-				s.maxMarginal[a] = mv
-			}
-			if mv > s.maxMarginal[c] {
-				s.maxMarginal[c] = mv
-			}
+			s.maxMarginal[a] = max(s.maxMarginal[a], mv)
+			s.maxMarginal[c] = max(s.maxMarginal[c], mv)
 		}
 	}
 	s.pool = b.finish()
-
-	rowsC.Add(int64(n))
-	pairsC.Add(s.coPairs)
-	totalPairs := int64(n) * int64(n-1) / 2
-	skipC.Add(totalPairs - s.coPairs)
-	return s, nil
-}
-
-// sparseScratch is the per-worker state of the build passes.
-type sparseScratch struct {
-	stamp []int32
-	n11   []int
-	tally *classTally
-}
-
-func newSparseScratch(n int) *sparseScratch {
-	st := &sparseScratch{stamp: make([]int32, n)}
-	for i := range st.stamp {
-		st.stamp[i] = -1
-	}
-	return st
-}
-
-// classTally counts co-occurring pairs per (unordered) class pair. Small
-// class counts use a dense C×C table; degenerate inputs with huge C fall
-// back to a map.
-type classTally struct {
-	c     int
-	dense []int64
-	m     map[uint64]int64
-}
-
-func newClassTally(c int) *classTally {
-	t := &classTally{c: c}
-	if c*c <= 1<<22 {
-		t.dense = make([]int64, c*c)
-	} else {
-		t.m = make(map[uint64]int64)
-	}
-	return t
-}
-
-func (t *classTally) add(a, b int32) {
-	if t.dense != nil {
-		t.dense[int(a)*t.c+int(b)]++
-		return
-	}
-	t.m[uint64(uint32(a))<<32|uint64(uint32(b))]++
-}
-
-func (t *classTally) merge(o *classTally) {
-	if t.dense != nil {
-		for i, v := range o.dense {
-			t.dense[i] += v
-		}
-		return
-	}
-	for k, v := range o.m {
-		t.m[k] += v
-	}
-}
-
-// pairCount returns the co-occurring pair count for the unordered class
-// pair (a, b), summing both tally orientations.
-func (t *classTally) pairCount(a, b int) int64 {
-	get := func(x, y int) int64 {
-		if t.dense != nil {
-			return t.dense[x*t.c+y]
-		}
-		return t.m[uint64(uint32(x))<<32|uint64(uint32(y))]
-	}
-	if a == b {
-		return get(a, a)
-	}
-	return get(a, b) + get(b, a)
 }
 
 // N returns the number of nodes.
@@ -490,22 +575,6 @@ func (s *SparseIMI) Candidates(i int, tau float64) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// VisitPairValues streams every unordered pairwise value: co-occurring
-// pairs individually and never-co-occurring pairs as class-pair runs with
-// their multiplicities.
-func (s *SparseIMI) VisitPairValues(visit func(v float64, count int64)) {
-	for v := 0; v < s.n; v++ {
-		for k := s.rowStart[v]; k < s.rowStart[v+1]; k++ {
-			if int(s.nbr[k]) > v {
-				visit(s.val[k], 1)
-			}
-		}
-	}
-	for r, mv := range s.marginalVals {
-		visit(mv, s.marginalCnt[r])
-	}
 }
 
 func (s *SparseIMI) valuePool() *valuePool { return s.pool }

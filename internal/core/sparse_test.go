@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tends/internal/diffusion"
@@ -327,8 +329,10 @@ func TestSparseEmptyAndDegenerate(t *testing.T) {
 }
 
 // TestSparseRecordsTelemetry checks the sparse engine's observability
-// contract: row/pair/skip counters that account for the full triangle, and
-// the shared kernel tile counter.
+// contract: row/pair/skip counters that account for the full triangle. The
+// sparse build counts n11 during its index walk and runs no popcount
+// kernel, so it records no kernel tiles (the dense engine's tests require
+// them).
 func TestSparseRecordsTelemetry(t *testing.T) {
 	sm := sparseRandomStatus(24, 40, 0.1, 8)
 	rec := obs.New()
@@ -348,7 +352,161 @@ func TestSparseRecordsTelemetry(t *testing.T) {
 	if pairs+skipped != sp.TotalPairs() {
 		t.Fatalf("pairs %d + skipped %d != total %d", pairs, skipped, sp.TotalPairs())
 	}
-	if s.Counters["core/kernel/tiles"] <= 0 {
-		t.Fatal("no kernel tiles recorded")
+	if got := s.Counters["core/kernel/tiles"]; got != 0 {
+		t.Fatalf("core/kernel/tiles = %d on the sparse path, want 0", got)
+	}
+}
+
+// samePool reports the first field in which two value pools differ, bit
+// for bit, or "" when they are identical.
+func samePool(a, b *valuePool) string {
+	switch {
+	case a.total != b.total:
+		return fmt.Sprintf("total %d vs %d", a.total, b.total)
+	case a.zeros != b.zeros:
+		return fmt.Sprintf("zeros %d vs %d", a.zeros, b.zeros)
+	case math.Float64bits(a.maxAll) != math.Float64bits(b.maxAll):
+		return fmt.Sprintf("maxAll %v vs %v", a.maxAll, b.maxAll)
+	case len(a.pos) != len(b.pos) || len(a.posCnt) != len(b.posCnt):
+		return fmt.Sprintf("run counts %d/%d vs %d/%d", len(a.pos), len(a.posCnt), len(b.pos), len(b.posCnt))
+	}
+	for r := range a.pos {
+		if math.Float64bits(a.pos[r]) != math.Float64bits(b.pos[r]) || a.posCnt[r] != b.posCnt[r] {
+			return fmt.Sprintf("run %d (%v,%d) vs (%v,%d)", r, a.pos[r], a.posCnt[r], b.pos[r], b.posCnt[r])
+		}
+	}
+	return ""
+}
+
+// TestPoolsAgreeDenseSparseIncremental checks that the three pairwise
+// engines reduce to the same value pool: the dense triangle folded value by
+// value, the batch sparse build's value tally, and IncrementalCounts.Source
+// over the same rows appended one at a time.
+func TestPoolsAgreeDenseSparseIncremental(t *testing.T) {
+	for _, beta := range []int{1, 63, 64, 65, 130} {
+		for di, density := range []float64{0.02, 0.1, 0.35, 0.6, 0.9} {
+			n := 7 + (beta+di*11)%37
+			sm := sparseRandomStatus(n, beta, density, int64(beta*10+di))
+			inc := NewIncrementalCounts(n, false)
+			incTrad := NewIncrementalCounts(n, true)
+			for p := 0; p < beta; p++ {
+				var row []int
+				for v := 0; v < n; v++ {
+					if sm.Get(p, v) {
+						row = append(row, v)
+					}
+				}
+				if err := inc.AppendRow(row); err != nil {
+					t.Fatal(err)
+				}
+				if err := incTrad.AppendRow(row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, traditional := range []bool{false, true} {
+				counts := inc
+				if traditional {
+					counts = incTrad
+				}
+				for _, workers := range []int{1, 4} {
+					dense := ComputeIMIWorkers(sm, traditional, workers).valuePool()
+					sp, err := ComputeSparseIMIContext(context.Background(), sm, traditional, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("β=%d density=%v n=%d trad=%v workers=%d", beta, density, n, traditional, workers)
+					if d := samePool(dense, sp.pool); d != "" {
+						t.Fatalf("%s: dense vs sparse pool: %s", name, d)
+					}
+					if d := samePool(dense, counts.source(workers).pool); d != "" {
+						t.Fatalf("%s: dense vs incremental pool: %s", name, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestValueCacheKeysExact runs the row stage at β = 2²² over pairs whose
+// counts agree below bit 21, where packing three counts into one 64-bit
+// word would alias their keys: every CSR value and the pool must match
+// pairValue computed pair by pair.
+func TestValueCacheKeysExact(t *testing.T) {
+	const beta = 1 << 22
+	counts := []int32{1, 1<<21 - 1, 1 << 21, 1<<21 + 1, beta - 1, beta}
+	var ones []int32
+	for rep := 0; rep < 4; rep++ {
+		ones = append(ones, counts...)
+	}
+	n := len(ones)
+	// n11 gives every pair a joint count that is valid for its marginals
+	// and varies with the pair, so equal marginals meet several n11.
+	n11 := func(v, j int) int32 {
+		a, b := ones[v], ones[j]
+		return min(max(counts[(v+j)%len(counts)], 1, a+b-beta), a, b)
+	}
+	s := &SparseIMI{n: n, beta: beta, mt: cachedMITable(beta), ones: ones, rowStart: make([]int64, n+1)}
+	for v := 0; v < n; v++ {
+		s.rowStart[v+1] = s.rowStart[v] + int64(n-1)
+	}
+	err := s.fillRows(context.Background(), 1, func(v int, sc *sparseScratch, row []int32) []int32 {
+		for j := 0; j < n; j++ {
+			if j != v {
+				row = append(row, int32(j))
+				sc.cnt[j] = n11(v, j)
+			}
+		}
+		return row
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want poolBuilder
+	for v := 0; v < n; v++ {
+		for k := s.rowStart[v]; k < s.rowStart[v+1]; k++ {
+			j := int(s.nbr[k])
+			val := pairValue(s.mt, false, beta, int(n11(v, j)), int(ones[v]), int(ones[j]))
+			if math.Float64bits(s.val[k]) != math.Float64bits(val) {
+				t.Fatalf("pair (%d,%d) counts (%d,%d,%d): value %v, want %v", v, j, n11(v, j), ones[v], ones[j], s.val[k], val)
+			}
+			if j > v {
+				want.add(val, 1)
+			}
+		}
+	}
+	// Every pair co-occurs, so the pool holds no marginal runs.
+	if d := samePool(want.finish(), s.pool); d != "" {
+		t.Fatalf("pool: %s", d)
+	}
+}
+
+// TestSparseBuildAllocsBounded keeps the sparse build's memory at the size
+// of its output: the CSR (a 4-byte neighbor and an 8-byte value per
+// direction of every co-occurring pair) plus O(n + β). Anything that grows
+// per pair beyond the CSR — a per-pair value pool, a per-pair n11 buffer —
+// breaks the bound.
+func TestSparseBuildAllocsBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 20k-node engine")
+	}
+	const n, beta = 20000, 64
+	sm := sparseRandomStatus(n, beta, 0.01, 5)
+	for _, workers := range []int{1, 4} {
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		sp, err := ComputeSparseIMIContext(context.Background(), sm, false, workers)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		csr := 12 * 2 * sp.CoPairs()
+		alloc := int64(m1.TotalAlloc - m0.TotalAlloc)
+		limit := csr*11/10 + 128*(n+beta) + 1<<16
+		t.Logf("workers=%d co-pairs=%d CSR=%d B allocated=%d B (%.3f× CSR) limit=%d B",
+			workers, sp.CoPairs(), csr, alloc, float64(alloc)/float64(csr), limit)
+		if alloc > limit {
+			t.Fatalf("workers=%d: build allocated %d B, over the %d B bound (CSR %d B)", workers, alloc, limit, csr)
+		}
 	}
 }

@@ -1,7 +1,8 @@
-// Package kernel holds the word-level popcount primitives of the pairwise
-// IMI stage. Everything operates on raw []uint64 bit columns (the layout of
-// diffusion.StatusMatrix.ColumnData) with no package dependencies, so the
-// hot loops can be fuzzed, benchmarked, and race-tested in isolation.
+// Package kernel holds the word-level popcount primitives of the dense
+// pairwise IMI stage. Everything operates on raw []uint64 bit columns (the
+// layout of diffusion.StatusMatrix.ColumnData) with no package
+// dependencies, so the hot loops can be fuzzed, benchmarked, and
+// race-tested in isolation.
 //
 // All functions are pure, allocation-free, and bit-exact: they compute
 // integer popcounts of ANDed words, so their results are identical across
@@ -39,16 +40,5 @@ func AndCount(a, b []uint64) int {
 func BlockAndCounts(dst []int, bases []uint64, probe []uint64, words int) {
 	for r := range dst {
 		dst[r] = AndCount(bases[r*words:(r+1)*words], probe)
-	}
-}
-
-// GatherAndCounts computes dst[k] = popcount(probe & column js[k]) where
-// column j occupies data[j·words : (j+1)·words]. This is the sparse engine's
-// row fill: probe is node i's column (cache-hot), js its co-occurrence
-// candidate list gathered from the inverted cascade index.
-func GatherAndCounts(dst []int, data []uint64, words int, probe []uint64, js []int32) {
-	for k, j := range js {
-		off := int(j) * words
-		dst[k] = AndCount(probe, data[off:off+words])
 	}
 }

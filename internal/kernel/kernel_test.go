@@ -69,26 +69,6 @@ func TestBlockAndCounts(t *testing.T) {
 	}
 }
 
-func TestGatherAndCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const words, cols = 5, 12
-	data := randWords(rng, cols*words)
-	probe := randWords(rng, words)
-	js := []int32{0, 3, 3, 11, 7}
-	dst := make([]int, len(js))
-	GatherAndCounts(dst, data, words, probe, js)
-	for k, j := range js {
-		want := naiveAndCount(probe, data[int(j)*words:(int(j)+1)*words])
-		if dst[k] != want {
-			t.Fatalf("GatherAndCounts[%d] (col %d) = %d, want %d", k, j, dst[k], want)
-		}
-	}
-}
-
-func TestGatherAndCountsEmpty(t *testing.T) {
-	GatherAndCounts(nil, nil, 4, []uint64{1, 2, 3, 4}, nil) // must not panic
-}
-
 func BenchmarkAndCount8Words(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	x := randWords(rng, 8)
