@@ -10,9 +10,9 @@
 //	benchfig -fig 4 -repeats 3 # average over 3 simulation repeats
 //	benchfig -fig 8 -csv out.csv
 //	benchfig -all -workers 8   # run up to 8 cells concurrently
-//	benchfig -fig 1 -checkpoint run.jsonl   # journal completed cells
-//	benchfig -fig 1 -resume run.jsonl       # skip cells already journaled
-//	benchfig -fig 1 -resume run.jsonl -resume-strict  # corrupt journal lines abort instead
+//	benchfig -fig 1 -checkpoint run.journal   # journal completed cells
+//	benchfig -fig 1 -resume run.journal       # skip cells already journaled
+//	benchfig -fig 1 -resume run.journal -resume-strict  # a damaged journal aborts instead
 //	benchfig -all -progress                 # throttled cells-done/ETA line
 //	benchfig -fig 4 -obs-json obs.json      # dump phase timings and counters
 //	benchfig -all -pprof localhost:6060     # live CPU/heap profiles
@@ -33,10 +33,10 @@
 // Scale-study mode (large-n LFR, sparse engine, optional sharding):
 //
 //	benchfig -scale -scale-n 100000 -sparse           # one big run end to end
-//	benchfig -scale -scale-n 100000 -sparse -shard 0/4 -checkpoint s0.jsonl
-//	benchfig -scale -scale-n 100000 -sparse -shard 1/4 -checkpoint s1.jsonl  # ... one process per shard
-//	benchfig -scale -scale-n 100000 -sparse -merge 'shards/*.jsonl'   # globs allowed
-//	benchfig -scale -scale-n 100000 -sparse -merge 'shards/*.jsonl' -merge-degraded  # partial set OK
+//	benchfig -scale -scale-n 100000 -sparse -shard 0/4 -checkpoint shard-0.journal
+//	benchfig -scale -scale-n 100000 -sparse -shard 1/4 -checkpoint shard-1.journal  # ... one process per shard
+//	benchfig -scale -scale-n 100000 -sparse -merge 'shards/*.journal'   # globs allowed
+//	benchfig -scale -scale-n 100000 -sparse -merge 'shards/*.journal' -merge-degraded  # partial set OK
 //
 // Every shard regenerates the identical workload from -seed and computes the
 // identical global threshold, so the merged topology is byte-identical to an
@@ -152,9 +152,9 @@ func main() {
 	flag.BoolVar(&o.quiet, "quiet", false, "suppress per-cell progress output")
 	flag.DurationVar(&o.cellTimeout, "cell-timeout", 0, "per-cell algorithm deadline, e.g. 2m (0 = none)")
 	flag.IntVar(&o.retries, "retries", 0, "re-run a failed cell repeat up to this many times with fresh derived seeds")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "append completed cells to this JSONL journal")
-	flag.StringVar(&o.resume, "resume", "", "restore completed cells from this JSONL journal and continue it")
-	flag.BoolVar(&o.resumeStrict, "resume-strict", false, "refuse to resume from a journal with corrupt lines (exit non-zero) instead of skipping and recomputing them")
+	flag.StringVar(&o.checkpoint, "checkpoint", "", "append completed cells to this checkpoint journal")
+	flag.StringVar(&o.resume, "resume", "", "restore completed cells from this checkpoint journal and continue it")
+	flag.BoolVar(&o.resumeStrict, "resume-strict", false, "refuse to resume from (or merge) a damaged journal (exit non-zero) instead of truncating the damage and recomputing it")
 	flag.StringVar(&o.obsJSON, "obs-json", "", "write an observability snapshot (counters, gauges, phase timings) as JSON to this file")
 	flag.BoolVar(&o.progress, "progress", false, "print a throttled cells-done/ETA line to stderr")
 	flag.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address, e.g. localhost:6060")
@@ -313,37 +313,32 @@ func runAblation(name string, seed int64) error {
 	return nil
 }
 
-// loadResume reads a checkpoint journal and validates its header against
-// the run's seed and repeats, so restored cells can never silently mix with
-// freshly computed ones from a different configuration. Corrupt lines (a
-// crash mid-append) are skipped by default, not fatal: each is reported to
-// stderr with its line number and byte offset plus a closing count, and the
-// count lands on the recorder (nil-safe) so an -obs-json snapshot records
-// how much of the journal was unusable. With strict set (-resume-strict)
-// the first corrupt line aborts the run instead — the same lenient/strict
-// split the streaming service applies to its write-ahead log.
-func loadResume(path string, seed int64, repeats int, strict bool, rec *obs.Recorder) (map[experiments.CellKey]experiments.Measurement, error) {
-	f, err := os.Open(path)
+// openResume reopens a checkpoint journal for a resumed run and validates
+// its header against the run's seed and repeats, so restored cells can
+// never silently mix with freshly computed ones from a different
+// configuration. Damage (a torn tail from a crash mid-append, or mid-file
+// corruption) is not fatal by default: it is reported to stderr with its
+// byte offset, truncated away so new cells append on a record boundary,
+// and the dropped byte count lands on the recorder (nil-safe) so an
+// -obs-json snapshot records the loss. With strict set (-resume-strict)
+// damage aborts the run instead and the file is left untouched — the same
+// lenient/strict split the streaming service applies to its write-ahead
+// log. The returned journal continues the file.
+func openResume(path string, seed int64, repeats int, strict bool, rec *obs.Recorder) (*experiments.Journal, map[experiments.CellKey]experiments.Measurement, error) {
+	j, header, cells, warn, err := experiments.OpenJournal(path, strict)
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("resume %s: %w", path, err)
 	}
-	defer f.Close()
-	header, cells, warnings, err := experiments.LoadJournal(f, strict)
-	for _, w := range warnings {
-		fmt.Fprintf(os.Stderr, "benchfig: %s: %s\n", path, w)
-	}
-	if len(warnings) > 0 {
-		fmt.Fprintf(os.Stderr, "benchfig: %s: skipped %d corrupt journal line(s); the cells they held will be recomputed\n", path, len(warnings))
-		rec.Counter("benchfig/journal_corrupt_lines").Add(int64(len(warnings)))
-	}
-	if err != nil {
-		return nil, fmt.Errorf("resume %s: %w", path, err)
+	if warn != nil {
+		fmt.Fprintf(os.Stderr, "benchfig: %s: dropped %s; the cells it held will be recomputed\n", path, warn)
+		rec.Counter("benchfig/journal_dropped_bytes").Add(warn.Dropped)
 	}
 	if header.Seed != seed || header.Repeats != repeats {
-		return nil, fmt.Errorf("resume %s: journal was written with seed %d, repeats %d; run has seed %d, repeats %d",
+		j.Close()
+		return nil, nil, fmt.Errorf("resume %s: journal was written with seed %d, repeats %d; run has seed %d, repeats %d",
 			path, header.Seed, header.Repeats, seed, repeats)
 	}
-	return cells, nil
+	return j, cells, nil
 }
 
 func run(ctx context.Context, o runOpts) (int, error) {
@@ -405,43 +400,32 @@ func run(ctx context.Context, o runOpts) (int, error) {
 	// The observability recorder is a pure side channel (measurements, CSV
 	// bytes, and the journal are identical with and without it), so it is
 	// created whenever any obs output was requested. It must exist before the
-	// resume journal is loaded so corrupt-line counts land on it.
+	// resume journal is loaded so dropped-byte counts land on it.
 	var rec *obs.Recorder
 	if o.obsJSON != "" || o.progress {
 		rec = obs.New()
 	}
 
-	var resumeCells map[experiments.CellKey]experiments.Measurement
-	if o.resume != "" {
-		var err error
-		resumeCells, err = loadResume(o.resume, o.seed, repeats, o.resumeStrict, rec)
-		if err != nil {
-			return exitErr, err
-		}
-	}
-
 	// The checkpoint journal: continued in place on -resume (restored cells
 	// are only recorded there, so a second journal would be incomplete),
 	// started fresh on -checkpoint alone.
+	var resumeCells map[experiments.CellKey]experiments.Measurement
 	var journal *experiments.Journal
 	switch {
 	case o.resume != "":
-		f, err := os.OpenFile(o.resume, os.O_WRONLY|os.O_APPEND, 0o644)
+		var err error
+		journal, resumeCells, err = openResume(o.resume, o.seed, repeats, o.resumeStrict, rec)
 		if err != nil {
 			return exitErr, err
 		}
-		defer f.Close()
-		journal = experiments.ResumeJournal(f)
+		defer journal.Close()
 	case o.checkpoint != "":
-		f, err := os.Create(o.checkpoint)
+		var err error
+		journal, err = experiments.NewJournal(o.checkpoint, o.seed, repeats)
 		if err != nil {
 			return exitErr, err
 		}
-		defer f.Close()
-		journal, err = experiments.NewJournal(f, o.seed, repeats)
-		if err != nil {
-			return exitErr, err
-		}
+		defer journal.Close()
 	}
 
 	var progress io.Writer

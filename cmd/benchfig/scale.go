@@ -65,7 +65,7 @@ func registerScaleFlags(s *scaleOpts) {
 	flag.Float64Var(&s.mu, "scale-mu", 0.08, "scale study: mean per-edge propagation probability (subcritical keeps co-pairs sparse)")
 	flag.BoolVar(&s.sparse, "sparse", false, "use the sparse candidate engine (bit-identical results, sub-quadratic pairwise stage)")
 	flag.StringVar(&s.shardSpec, "shard", "", `run one shard of the scale study, e.g. "0/4"; requires -checkpoint for the shard journal`)
-	flag.StringVar(&s.mergeSpec, "merge", "", `comma-separated shard journals (globs allowed, e.g. 'shards/*.jsonl') to merge into the final topology`)
+	flag.StringVar(&s.mergeSpec, "merge", "", `comma-separated shard journals (globs allowed, e.g. 'shards/*.journal') to merge into the final topology`)
 	flag.IntVar(&s.superviseK, "supervise", 0, "supervise k shard worker subprocesses end to end: launch, monitor, restart, resume, hedge, and merge (requires -scale)")
 	flag.DurationVar(&s.shardDeadline, "shard-deadline", 0, "supervise: kill and retry a shard attempt running longer than this (0 = none)")
 	flag.IntVar(&s.shardRetries, "shard-retries", 2, "supervise: restarts granted to a failed shard before the merge degrades without it")
@@ -144,90 +144,31 @@ func expandMergeSpec(spec string) ([]string, error) {
 	return paths, nil
 }
 
-// validateShardSet peeks at every journal's header (first line only) and
-// reports, up front, which shard indices of the set are missing — so an
-// operator learns "missing indices [2 5]" instead of a generic merge error
-// after minutes of parsing. Identity mismatches surface here too.
-func validateShardSet(paths []string) (present map[int][]string, count int, missing []int, err error) {
-	var ref *experiments.ShardHeader
-	present = make(map[int][]string)
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		h, herr := experiments.ReadShardHeader(f)
-		f.Close()
-		if herr != nil {
-			return nil, 0, nil, fmt.Errorf("%s: %w", path, herr)
-		}
-		if ref == nil {
-			ref = h
-		} else if !h.SameRun(*ref) {
-			return nil, 0, nil, fmt.Errorf("%s: shard %d/%d ran a different configuration than %d/%d",
-				path, h.ShardIndex, h.ShardCount, ref.ShardIndex, ref.ShardCount)
-		}
-		present[h.ShardIndex] = append(present[h.ShardIndex], path)
-	}
-	for i := 0; i < ref.ShardCount; i++ {
-		if len(present[i]) == 0 {
-			missing = append(missing, i)
-		}
-	}
-	return present, ref.ShardCount, missing, nil
-}
-
-// loadShardJournals parses full shard journals, lenient by default (each
-// skipped line reported to stderr with its position), strict under
-// -resume-strict.
-func loadShardJournals(paths []string, strict bool) ([]*experiments.ShardHeader, []map[int][]int, error) {
+// loadShardJournals reads shard journals for a merge. A torn tail keeps
+// the journal's intact records (reported to stderr with its byte offset)
+// unless strict (-resume-strict). Any other damage, a missing header, or a
+// record that does not decode refuses the merge; with degraded set that
+// journal is instead dropped with a stderr warning, so the merge report
+// lists its nodes as missing.
+func loadShardJournals(paths []string, strict, degraded bool) ([]*experiments.ShardHeader, []map[int][]int, error) {
 	var headers []*experiments.ShardHeader
 	var nodes []map[int][]int
 	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		h, ns, warnings, err := experiments.LoadShardJournal(f, strict)
-		f.Close()
-		for _, w := range warnings {
-			fmt.Fprintf(os.Stderr, "benchfig: %s: %s\n", path, w)
+		h, ns, warn, err := experiments.LoadShardJournal(path, strict)
+		if err != nil && degraded {
+			fmt.Fprintf(os.Stderr, "benchfig: degraded merge: dropping %s: %v\n", path, err)
+			continue
 		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", path, err)
+		}
+		if warn != nil {
+			fmt.Fprintf(os.Stderr, "benchfig: %s: ignoring %s\n", path, warn)
 		}
 		headers = append(headers, h)
 		nodes = append(nodes, ns)
 	}
 	return headers, nodes, nil
-}
-
-// loadShardJournalsDegraded parses shard journals for a degraded merge:
-// journals that fail to load at all are dropped with a stderr warning
-// instead of failing the merge, and per-line damage is reported the same
-// way the lenient loader always does.
-func loadShardJournalsDegraded(paths []string) ([]*experiments.ShardHeader, []map[int][]int) {
-	var headers []*experiments.ShardHeader
-	var nodes []map[int][]int
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchfig: degraded merge: dropping %s: %v\n", path, err)
-			continue
-		}
-		h, ns, warnings, lerr := experiments.LoadShardJournal(f, false)
-		f.Close()
-		for _, w := range warnings {
-			fmt.Fprintf(os.Stderr, "benchfig: %s: %s\n", path, w)
-		}
-		if lerr != nil {
-			fmt.Fprintf(os.Stderr, "benchfig: degraded merge: dropping %s: %v\n", path, lerr)
-			continue
-		}
-		headers = append(headers, h)
-		nodes = append(nodes, ns)
-	}
-	return headers, nodes
 }
 
 // runScale executes the scale study in one of four modes: a full run, one
@@ -281,10 +222,11 @@ func runScale(ctx context.Context, o runOpts, s scaleOpts) (int, error) {
 		if s.mergeDegraded {
 			// The degraded merge tolerates what the strict path rejects:
 			// journals that never got a header (a worker killed before its
-			// search started leaves an empty file), truncated journals, and
-			// absent shards. Unloadable journals are dropped with a warning;
-			// the report accounts for every node they would have carried.
-			headers, nodes := loadShardJournalsDegraded(paths)
+			// search started leaves a header-only file), damaged journals,
+			// truncated journals, and absent shards. Unloadable journals are
+			// dropped with a warning; the report accounts for every node they
+			// would have carried.
+			headers, nodes, _ := loadShardJournals(paths, false, true)
 			if len(headers) == 0 {
 				return exitErr, fmt.Errorf("merge: none of the %d journals is usable", len(paths))
 			}
@@ -298,15 +240,7 @@ func runScale(ctx context.Context, o runOpts, s scaleOpts) (int, error) {
 			}
 			return exitFailedCells, writeObs()
 		}
-		present, count, missing, err := validateShardSet(paths)
-		if err != nil {
-			return exitErr, err
-		}
-		if len(missing) > 0 {
-			return exitErr, fmt.Errorf("merge: shard set incomplete: have %d of %d shards, missing indices %v (pass -merge-degraded to merge the partial topology)",
-				len(present), count, missing)
-		}
-		headers, nodes, err := loadShardJournals(paths, o.resumeStrict)
+		headers, nodes, err := loadShardJournals(paths, o.resumeStrict, false)
 		if err != nil {
 			return exitErr, err
 		}

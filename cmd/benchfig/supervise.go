@@ -114,7 +114,7 @@ func runSupervised(ctx context.Context, o runOpts, s scaleOpts, cfg experiments.
 		Shards: s.superviseK,
 		N:      s.n,
 		JournalPath: func(shard int) string {
-			return filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", shard))
+			return filepath.Join(dir, fmt.Sprintf("shard-%d.journal", shard))
 		},
 		Launch: supervise.ProcLauncher{
 			Command: func(a supervise.Attempt) []string {
@@ -168,7 +168,7 @@ func runSupervised(ctx context.Context, o runOpts, s scaleOpts, cfg experiments.
 		writeSuperviseReport(s.superviseReport, buildSuperviseReport(s, result, nil, nil, injector, rec))
 		return exitErr, errors.New("supervise: no shard completed; nothing to merge")
 	}
-	headers, nodes, err := loadShardJournals(paths, false)
+	headers, nodes, err := loadShardJournals(paths, false, false)
 	if err != nil {
 		return exitErr, err
 	}

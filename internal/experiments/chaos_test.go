@@ -186,11 +186,7 @@ func TestChaosCheckpointAppendFault(t *testing.T) {
 	for _, kind := range []chaos.Kind{chaos.KindError, chaos.KindPanic} {
 		fig := tinyFigure([]Algorithm{AlgoLIFT})
 		in := chaos.New(4, []chaos.Rule{{Site: chaos.SiteCheckpointAppend, Kind: kind, Rate: 1}})
-		var buf bytes.Buffer
-		j, err := NewJournal(&buf, 36, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		j, _ := newTestJournal(t, 36, 1)
 		ms, _, err := RunContext(context.Background(), fig, Config{Seed: 36, Workers: 2, Chaos: in, Checkpoint: j}, nil)
 		if err == nil || !strings.Contains(err.Error(), "checkpoint journal") {
 			t.Fatalf("kind=%v: err = %v, want checkpoint journal error", kind, err)
@@ -358,15 +354,11 @@ func TestDegradationThreadedThroughHarness(t *testing.T) {
 		t.Fatalf("CSV degraded_nodes = %q, want %q (row: %s)", got, want, lines[1])
 	}
 
-	var jbuf bytes.Buffer
-	j, err := NewJournal(&jbuf, 40, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, path := newTestJournal(t, 40, 2)
 	if err := j.Append(0, base[0]); err != nil {
 		t.Fatal(err)
 	}
-	_, cells, _, err := LoadJournal(bytes.NewReader(jbuf.Bytes()), false)
+	_, cells, _, err := loadJournal(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}

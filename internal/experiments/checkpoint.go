@@ -1,18 +1,14 @@
 package experiments
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"sync"
 	"time"
-)
 
-// JournalVersion is the checkpoint format version written to headers and
-// required on load.
-const JournalVersion = 1
+	"tends/internal/journal"
+)
 
 // CellKey identifies one (figure, point, algorithm) cell across runs. The
 // point is keyed by index, not label, so resume stays exact even if two
@@ -27,17 +23,14 @@ type CellKey struct {
 // must match the header's seed and repeats, otherwise restored cells would
 // be silently inconsistent with freshly computed ones.
 type JournalHeader struct {
-	Type    string `json:"type"` // "header"
-	Version int    `json:"version"`
-	Seed    int64  `json:"seed"`
-	Repeats int    `json:"repeats"`
+	Seed    int64 `json:"seed"`
+	Repeats int   `json:"repeats"`
 }
 
 // journalCell is one completed (point, algorithm) cell, serialized as a
-// JSONL record. Floats round-trip exactly through encoding/json (shortest
+// JSON record. Floats round-trip exactly through encoding/json (shortest
 // representation), so a restored cell reproduces the original report bytes.
 type journalCell struct {
-	Type          string  `json:"type"` // "cell"
 	Figure        string  `json:"figure"`
 	PointIndex    int     `json:"point_index"`
 	Point         string  `json:"point"`
@@ -51,42 +44,99 @@ type journalCell struct {
 	FailedRepeats int     `json:"failed_repeats"`
 	DegradedNodes int     `json:"degraded_nodes,omitempty"`
 	Error         string  `json:"error,omitempty"`
-	// Scenario identity (see Measurement); omitempty keeps legacy clean-IC
-	// records byte-identical to journals from before scenario support, and
-	// WriteCSV re-normalizes the empty values on output.
+	// Scenario identity (see Measurement); omitempty keeps clean-IC records
+	// compact, and WriteCSV re-normalizes the empty values on output.
 	Model     string  `json:"model,omitempty"`
 	Delay     string  `json:"delay,omitempty"`
 	Missing   float64 `json:"missing,omitempty"`
 	Uncertain float64 `json:"uncertain,omitempty"`
 	// Phase breakdown (see Measurement); omitempty keeps records from runs
-	// without timings compact, and old readers ignore the unknown keys.
+	// without timings compact.
 	WorkloadNS int64 `json:"workload_ns,omitempty"`
 	InferNS    int64 `json:"infer_ns,omitempty"`
 	MetricsNS  int64 `json:"metrics_ns,omitempty"`
 }
 
-// Journal appends completed-cell records to a checkpoint stream, one JSON
-// object per line. Appends are serialized and unbuffered: each record
-// reaches the underlying writer before Append returns, so a run killed
+// checkpointTag is the journal format tag of checkpoint journals.
+const checkpointTag = "ckpt"
+
+// ErrJournalCorrupt reports checkpoint or shard journal damage a load
+// refuses: any damage in strict mode, and records that pass the checksum
+// but do not decode. It is journal.ErrCorrupt, so errors.Is matches either.
+var ErrJournalCorrupt = journal.ErrCorrupt
+
+// Journal appends completed-cell records to a checkpoint journal
+// (internal/journal, tag "ckpt"): a JournalHeader record, then one
+// journalCell record per completed cell, each JSON. Appends are safe for
+// concurrent use and reach the file before Append returns, so a run killed
 // mid-sweep loses at most the cells still in flight.
 type Journal struct {
-	mu sync.Mutex
-	w  io.Writer
+	w *journal.Writer
 }
 
-// NewJournal starts a fresh checkpoint journal on w by writing its header.
-func NewJournal(w io.Writer, seed int64, repeats int) (*Journal, error) {
+// NewJournal starts a fresh checkpoint journal at path by writing its
+// header.
+func NewJournal(path string, seed int64, repeats int) (*Journal, error) {
+	w, err := journal.Create(path, checkpointTag)
+	if err != nil {
+		return nil, err
+	}
 	j := &Journal{w: w}
-	if err := j.writeRecord(JournalHeader{Type: "header", Version: JournalVersion, Seed: seed, Repeats: repeats}); err != nil {
+	if err := appendJSON(j.w, JournalHeader{Seed: seed, Repeats: repeats}); err != nil {
+		w.Close()
 		return nil, fmt.Errorf("write header: %w", err)
 	}
 	return j, nil
 }
 
-// ResumeJournal continues an existing journal on w (opened for append);
-// the header is already present, so none is written.
-func ResumeJournal(w io.Writer) *Journal {
-	return &Journal{w: w}
+// OpenJournal reopens the checkpoint journal at path to resume a run. It
+// restores the header and every intact cell (a later record for the same
+// cell wins) and returns the journal positioned to append after the last
+// intact record. Damage — a torn tail from a kill, or mid-file corruption —
+// is truncated away and described by the returned warning, so the cells it
+// held are recomputed and appends never land on a partial record. In
+// strict mode damage is instead an error wrapping ErrJournalCorrupt and
+// the file is untouched. A record that passes its checksum but does not
+// decode, or a missing header, is an error in either mode.
+func OpenJournal(path string, strict bool) (*Journal, *JournalHeader, map[CellKey]Measurement, *journal.Warning, error) {
+	var header *JournalHeader
+	cells := make(map[CellKey]Measurement)
+	w, warn, err := journal.Open(path, checkpointTag, strict, func(rec []byte) error {
+		if header == nil {
+			header = new(JournalHeader)
+			if err := decodeRecord(rec, header); err != nil {
+				return fmt.Errorf("checkpoint header: %w", err)
+			}
+			return nil
+		}
+		var c journalCell
+		if err := decodeRecord(rec, &c); err != nil {
+			return fmt.Errorf("checkpoint cell: %w", err)
+		}
+		if c.PointIndex < 0 || c.Figure == "" || c.Algorithm == "" {
+			return fmt.Errorf("%w: checkpoint cell with invalid identity", ErrJournalCorrupt)
+		}
+		m := c.measurement()
+		cells[CellKey{Figure: c.Figure, PointIndex: c.PointIndex, Algorithm: m.Algorithm}] = m
+		return nil
+	})
+	if err != nil {
+		return nil, nil, nil, warn, err
+	}
+	if header == nil {
+		w.Close()
+		return nil, nil, nil, warn, fmt.Errorf("%w: checkpoint journal has no header record", ErrJournalCorrupt)
+	}
+	return &Journal{w: w}, header, cells, warn, nil
+}
+
+// Close syncs and closes the journal file.
+func (j *Journal) Close() error {
+	if err := j.w.Sync(); err != nil {
+		j.w.Close()
+		return err
+	}
+	return j.w.Close()
 }
 
 // Append records one completed cell. pointIndex is the cell's position in
@@ -94,7 +144,6 @@ func ResumeJournal(w io.Writer) *Journal {
 // figure/algorithm identity.
 func (j *Journal) Append(pointIndex int, m Measurement) error {
 	rec := journalCell{
-		Type:          "cell",
 		Figure:        m.Figure,
 		PointIndex:    pointIndex,
 		Point:         m.Point,
@@ -115,7 +164,7 @@ func (j *Journal) Append(pointIndex int, m Measurement) error {
 		Missing:       m.Missing,
 		Uncertain:     m.Uncertain,
 	}
-	// Keep legacy clean-IC records identical to pre-scenario journals.
+	// Clean-IC cells leave the scenario fields empty.
 	if rec.Model == "ic" {
 		rec.Model = ""
 	}
@@ -125,167 +174,59 @@ func (j *Journal) Append(pointIndex int, m Measurement) error {
 	if m.Err != nil {
 		rec.Error = m.Err.Error()
 	}
-	return j.writeRecord(rec)
+	return appendJSON(j.w, rec)
 }
 
-func (j *Journal) writeRecord(rec any) error {
+// decodeRecord unmarshals one JSON journal record into v. Unknown fields
+// are refused, so a record of one kind never decodes as another.
+func decodeRecord(rec []byte, v any) error {
+	d := json.NewDecoder(bytes.NewReader(rec))
+	d.DisallowUnknownFields()
+	if err := d.Decode(v); err != nil {
+		return fmt.Errorf("%w: %v", ErrJournalCorrupt, err)
+	}
+	return nil
+}
+
+// appendJSON appends rec to w as one JSON record.
+func appendJSON(w *journal.Writer, rec any) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	_, err = j.w.Write(b)
-	return err
+	return w.Append(b)
 }
 
-// maxJournalLine bounds a single journal record; real records are a few
-// hundred bytes, so anything larger is corruption.
-const maxJournalLine = 1 << 20
-
-// ErrJournalCorrupt reports a journal line a strict load refuses to skip.
-// It is the checkpoint analogue of the streaming service's strict-WAL
-// policy: lenient tooling truncates or skips damage and reports where,
-// strict tooling stops so an operator can decide.
-var ErrJournalCorrupt = errors.New("checkpoint journal corrupt")
-
-// JournalWarning pinpoints one skipped journal line: its 1-based line
-// number, the byte offset of the line start (assuming \n line endings, the
-// only kind the journal writer emits), and why it was skipped. The offsets
-// let tooling excise or inspect the damage with dd/sed rather than
-// re-deriving positions from a count.
-type JournalWarning struct {
-	Line   int
-	Offset int64
-	Reason string
-}
-
-func (w JournalWarning) String() string {
-	return fmt.Sprintf("line %d (byte %d): %s", w.Line, w.Offset, w.Reason)
-}
-
-// LoadJournal parses a checkpoint journal. Corrupt or truncated lines —
-// the expected tail state of a journal cut off by a kill — are skipped,
-// each reported with its exact position in the returned warnings; a later
-// record for the same cell wins. In strict mode the first such line is
-// instead a hard error wrapping ErrJournalCorrupt (mirroring the service
-// WAL's strict-open policy). Always-hard errors, either mode: an
-// unreadable stream and a missing or incompatible header, which make
-// every record untrustworthy.
-func LoadJournal(r io.Reader, strict bool) (*JournalHeader, map[CellKey]Measurement, []JournalWarning, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxJournalLine)
-	var header *JournalHeader
-	cells := make(map[CellKey]Measurement)
-	var warnings []JournalWarning
-	lineNo := 0
-	var offset, lineStart int64
-	skip := func(format string, a ...any) error {
-		w := JournalWarning{Line: lineNo, Offset: lineStart, Reason: fmt.Sprintf(format, a...)}
-		if strict {
-			return fmt.Errorf("%w: line %d (byte %d): %s", ErrJournalCorrupt, w.Line, w.Offset, w.Reason)
-		}
-		warnings = append(warnings, w)
-		return nil
+// measurement restores the Measurement a cell record was written from.
+func (c *journalCell) measurement() Measurement {
+	m := Measurement{
+		Figure:        c.Figure,
+		Point:         c.Point,
+		Algorithm:     Algorithm(c.Algorithm),
+		F:             c.F,
+		FStd:          c.FStd,
+		Precision:     c.Precision,
+		Recall:        c.Recall,
+		Runtime:       time.Duration(c.RuntimeNS),
+		Completed:     c.Completed,
+		FailedRepeats: c.FailedRepeats,
+		DegradedNodes: c.DegradedNodes,
+		PhaseWorkload: time.Duration(c.WorkloadNS),
+		PhaseInfer:    time.Duration(c.InferNS),
+		PhaseMetrics:  time.Duration(c.MetricsNS),
+		Model:         c.Model,
+		Delay:         c.Delay,
+		Missing:       c.Missing,
+		Uncertain:     c.Uncertain,
 	}
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		lineStart = offset
-		offset += int64(len(line)) + 1
-		if len(line) == 0 {
-			continue
-		}
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			if err := skip("skipping corrupt record: %v", err); err != nil {
-				return header, cells, warnings, err
-			}
-			continue
-		}
-		switch probe.Type {
-		case "header":
-			var h JournalHeader
-			if err := json.Unmarshal(line, &h); err != nil {
-				if err := skip("skipping corrupt header: %v", err); err != nil {
-					return header, cells, warnings, err
-				}
-				continue
-			}
-			if header != nil {
-				if err := skip("ignoring duplicate header"); err != nil {
-					return header, cells, warnings, err
-				}
-				continue
-			}
-			if h.Version != JournalVersion {
-				return nil, nil, warnings, fmt.Errorf("checkpoint journal version %d, want %d", h.Version, JournalVersion)
-			}
-			header = &h
-		case "cell":
-			var c journalCell
-			if err := json.Unmarshal(line, &c); err != nil {
-				if err := skip("skipping corrupt cell: %v", err); err != nil {
-					return header, cells, warnings, err
-				}
-				continue
-			}
-			if header == nil {
-				if err := skip("skipping cell before header"); err != nil {
-					return header, cells, warnings, err
-				}
-				continue
-			}
-			if c.PointIndex < 0 || c.Figure == "" || c.Algorithm == "" {
-				if err := skip("skipping cell with invalid identity"); err != nil {
-					return header, cells, warnings, err
-				}
-				continue
-			}
-			m := Measurement{
-				Figure:        c.Figure,
-				Point:         c.Point,
-				Algorithm:     Algorithm(c.Algorithm),
-				F:             c.F,
-				FStd:          c.FStd,
-				Precision:     c.Precision,
-				Recall:        c.Recall,
-				Runtime:       time.Duration(c.RuntimeNS),
-				Completed:     c.Completed,
-				FailedRepeats: c.FailedRepeats,
-				DegradedNodes: c.DegradedNodes,
-				PhaseWorkload: time.Duration(c.WorkloadNS),
-				PhaseInfer:    time.Duration(c.InferNS),
-				PhaseMetrics:  time.Duration(c.MetricsNS),
-				Model:         c.Model,
-				Delay:         c.Delay,
-				Missing:       c.Missing,
-				Uncertain:     c.Uncertain,
-			}
-			if m.Model == "" {
-				m.Model = "ic"
-			}
-			if m.Delay == "" {
-				m.Delay = "exp"
-			}
-			if c.Error != "" {
-				m.Err = errors.New(c.Error)
-			}
-			cells[CellKey{Figure: c.Figure, PointIndex: c.PointIndex, Algorithm: m.Algorithm}] = m
-		default:
-			if err := skip("skipping unknown record type %q", probe.Type); err != nil {
-				return header, cells, warnings, err
-			}
-		}
+	if m.Model == "" {
+		m.Model = "ic"
 	}
-	if err := sc.Err(); err != nil {
-		return header, cells, warnings, fmt.Errorf("read checkpoint journal: %w", err)
+	if m.Delay == "" {
+		m.Delay = "exp"
 	}
-	if header == nil {
-		return nil, nil, warnings, errors.New("checkpoint journal has no header record")
+	if c.Error != "" {
+		m.Err = errors.New(c.Error)
 	}
-	return header, cells, warnings, nil
+	return m
 }

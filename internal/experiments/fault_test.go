@@ -242,24 +242,20 @@ func TestRunContextCancelled(t *testing.T) {
 // and a partially resumed run re-executes only the missing cells.
 func TestCheckpointResumeRoundTrip(t *testing.T) {
 	fig := tinyFigure([]Algorithm{AlgoTENDS, AlgoLIFT})
-	var buf bytes.Buffer
-	j, err := NewJournal(&buf, 27, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, path := newTestJournal(t, 27, 2)
 	full, _, err := RunContext(context.Background(), fig, Config{Seed: 27, Repeats: 2, Checkpoint: j}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	header, cells, warnings, err := LoadJournal(bytes.NewReader(buf.Bytes()), false)
+	header, cells, warn, err := loadJournal(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(warnings) != 0 {
-		t.Fatalf("clean journal produced warnings: %v", warnings)
+	if warn != nil {
+		t.Fatalf("clean journal produced a warning: %v", warn)
 	}
-	if header.Seed != 27 || header.Repeats != 2 || header.Version != JournalVersion {
+	if header.Seed != 27 || header.Repeats != 2 {
 		t.Fatalf("header round-trip: %+v", header)
 	}
 	if len(cells) != len(full) {
@@ -331,18 +327,14 @@ func TestCheckpointResumeAfterCancel(t *testing.T) {
 		}
 		return res, err
 	})
-	var buf bytes.Buffer
-	j, err := NewJournal(&buf, 28, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, path := newTestJournal(t, 28, 2)
 	_, _, err = RunContext(ctx, fig, Config{Seed: 28, Repeats: 2, Workers: 1, Checkpoint: j}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	algoHooks = nil // restore the real TENDS for the resumed run
 
-	_, cells, _, err := LoadJournal(bytes.NewReader(buf.Bytes()), false)
+	_, cells, _, err := loadJournal(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -301,55 +301,17 @@ func RunShardWorker(ctx context.Context, cfg ScaleConfig, path string, resume bo
 			return nil, err
 		}
 	}
-	f, err := os.Create(path)
+	j, err := CreateShardJournal(path)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Journal = OpenShardJournal(f)
+	cfg.Journal = j
 	cfg.ResumeHeader, cfg.ResumeNodes = nil, nil
 	res, err := RunScale(ctx, cfg)
-	if cerr := f.Close(); err == nil && cerr != nil {
+	if cerr := j.Close(); err == nil && cerr != nil {
 		return nil, cerr
 	}
 	return res, err
-}
-
-// WriteShardJournal records one shard's slice of a scale run.
-func WriteShardJournal(j *ShardJournal, cfg ScaleConfig, res *ScaleResult) error {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return err
-	}
-	for i, parents := range res.Inference.Parents {
-		if cfg.ShardCount > 1 && i%cfg.ShardCount != cfg.ShardIndex {
-			continue
-		}
-		if err := j.AppendNode(i, parents); err != nil {
-			return fmt.Errorf("scale: journal node %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// ShardHeaderFor builds the journal header identifying one shard run.
-func ShardHeaderFor(cfg ScaleConfig, res *ScaleResult) (ShardHeader, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return ShardHeader{}, err
-	}
-	count := cfg.ShardCount
-	if count < 1 {
-		count = 1
-	}
-	return ShardHeader{
-		ShardIndex: cfg.ShardIndex,
-		ShardCount: count,
-		N:          cfg.N,
-		Beta:       cfg.Beta,
-		Seed:       cfg.Seed,
-		Sparse:     cfg.Sparse,
-		Threshold:  res.Inference.Threshold,
-	}, nil
 }
 
 // MergedScaleResult is a sharded run reassembled into a full topology and

@@ -105,11 +105,7 @@ func TestScenarioResumeIdentity(t *testing.T) {
 	fig := scenarioFigure()
 	cfg := Config{Seed: 11, Repeats: 2, Workers: 2}
 
-	var journal bytes.Buffer
-	j, err := NewJournal(&journal, cfg.Seed, cfg.Repeats)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j, path := newTestJournal(t, cfg.Seed, cfg.Repeats)
 	jcfg := cfg
 	jcfg.Checkpoint = j
 	full, err := Run(fig, jcfg, nil)
@@ -118,12 +114,12 @@ func TestScenarioResumeIdentity(t *testing.T) {
 	}
 	fullCSV := scenarioCSV(t, full)
 
-	_, cells, warnings, err := LoadJournal(bytes.NewReader(journal.Bytes()), true)
+	_, cells, warn, err := loadJournal(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(warnings) != 0 {
-		t.Fatalf("clean journal produced warnings: %v", warnings)
+	if warn != nil {
+		t.Fatalf("clean journal produced a warning: %v", warn)
 	}
 	// Drop one SIS cell and one dirty-stage cell so both a model family and
 	// the missing pipeline re-execute while everything else restores.

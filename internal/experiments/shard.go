@@ -1,14 +1,10 @@
 package experiments
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"sort"
-	"strings"
+
+	"tends/internal/journal"
 )
 
 // ShardHeader is the first record of a shard journal — one shard's slice of
@@ -19,8 +15,6 @@ import (
 // cross-checks that all shards agree bit-for-bit before trusting that their
 // parent sets compose into the unsharded topology.
 type ShardHeader struct {
-	Type       string  `json:"type"` // "shard_header"
-	Version    int     `json:"version"`
 	ShardIndex int     `json:"shard_index"`
 	ShardCount int     `json:"shard_count"`
 	N          int     `json:"n"`
@@ -41,43 +35,37 @@ func (h ShardHeader) SameRun(o ShardHeader) bool {
 // shardNode is one node's inferred parent set. Only nodes owned by the
 // shard (node % shard_count == shard_index) appear.
 type shardNode struct {
-	Type    string `json:"type"` // "node"
-	Node    int    `json:"node"`
-	Parents []int  `json:"parents"`
+	Node    int   `json:"node"`
+	Parents []int `json:"parents"`
 }
 
-// ShardJournal streams one shard's results as JSONL, reusing the checkpoint
-// journal's record writer (serialized, unbuffered appends).
+// shardTag is the journal format tag of shard journals.
+const shardTag = "shard"
+
+// ShardJournal streams one shard's results to a journal (internal/journal,
+// tag "shard"): a ShardHeader record, then one shardNode record per node,
+// each JSON. Appends are safe for concurrent use.
 type ShardJournal struct {
-	j *Journal
+	w *journal.Writer
 }
 
-// OpenShardJournal wraps w as a shard journal without writing anything.
-// Callers that learn the threshold mid-run (the incremental journaling path:
-// core's OnSearchStart hook fires once τ is selected) open first and call
-// WriteHeader from the hook; callers continuing an existing journal never
-// write a header at all.
-func OpenShardJournal(w io.Writer) *ShardJournal {
-	return &ShardJournal{j: ResumeJournal(w)}
+// CreateShardJournal starts an empty shard journal at path. The header
+// record comes later, from WriteHeader: the incremental journaling path
+// learns the threshold only once core's OnSearchStart hook fires.
+func CreateShardJournal(path string) (*ShardJournal, error) {
+	w, err := journal.Create(path, shardTag)
+	if err != nil {
+		return nil, err
+	}
+	return &ShardJournal{w: w}, nil
 }
 
-// WriteHeader appends the journal's header record, stamping type/version.
+// WriteHeader appends the journal's header record.
 func (s *ShardJournal) WriteHeader(h ShardHeader) error {
-	h.Type = "shard_header"
-	h.Version = JournalVersion
-	if err := s.j.writeRecord(h); err != nil {
+	if err := appendJSON(s.w, h); err != nil {
 		return fmt.Errorf("write shard header: %w", err)
 	}
 	return nil
-}
-
-// NewShardJournal starts a shard journal on w by writing its header.
-func NewShardJournal(w io.Writer, h ShardHeader) (*ShardJournal, error) {
-	s := OpenShardJournal(w)
-	if err := s.WriteHeader(h); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // AppendNode records one node's parent set.
@@ -85,180 +73,80 @@ func (s *ShardJournal) AppendNode(node int, parents []int) error {
 	if parents == nil {
 		parents = []int{}
 	}
-	return s.j.writeRecord(shardNode{Type: "node", Node: node, Parents: parents})
+	return appendJSON(s.w, shardNode{Node: node, Parents: parents})
 }
 
-// tornTailPrefix marks the warning a lenient load attaches to an
-// unparseable final line — the signature of a journal cut off mid-append by
-// a kill. Resume tooling (ShardResumeOffset) treats exactly this case as
-// recoverable: truncate at the warning's offset and continue appending.
-const tornTailPrefix = "torn tail"
+// Close closes the journal file without an fsync, as a worker's exit
+// should not wait on the disk: the merge reads the file after the worker
+// exits, and records an OS crash loses read as damage that a resume
+// recomputes.
+func (s *ShardJournal) Close() error { return s.w.Close() }
 
-// LoadShardJournal parses one shard journal. Shard journals feed a topology
-// merge, so damage matters more than in checkpoint journals — but the
-// supervisor must still resume a journal whose writer was killed mid-append.
-// The lenient mode (strict=false) therefore skips damaged lines, reporting
-// each with its exact line and byte position; an unparseable final line is
-// classified "torn tail" (see ShardResumeOffset), anything else is genuine
-// corruption the caller should refuse to resume from. In strict mode the
-// first damaged line is a hard error wrapping ErrJournalCorrupt. Both modes
-// hard-error on an unreadable stream, a missing header, and an incompatible
-// header version or shard identity — those make every record untrustworthy.
-func LoadShardJournal(r io.Reader, strict bool) (*ShardHeader, map[int][]int, []JournalWarning, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxJournalLine)
-	var header *ShardHeader
-	nodes := make(map[int][]int)
-	var warnings []JournalWarning
-	lineNo := 0
-	var offset, lineStart int64
-	// parseFail marks warnings caused by an unparseable line; only those can
-	// be a torn tail (a line that parses but carries bad values was written
-	// whole — that is corruption, not a cut-off append).
-	var parseFail []bool
-	skip := func(unparseable bool, format string, a ...any) error {
-		w := JournalWarning{Line: lineNo, Offset: lineStart, Reason: fmt.Sprintf(format, a...)}
-		if strict {
-			return fmt.Errorf("%w: shard journal line %d (byte %d): %s", ErrJournalCorrupt, w.Line, w.Offset, w.Reason)
-		}
-		warnings = append(warnings, w)
-		parseFail = append(parseFail, unparseable)
-		return nil
-	}
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		lineStart = offset
-		offset += int64(len(line)) + 1
-		if len(line) == 0 {
-			continue
-		}
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			if err := skip(true, "skipping corrupt record: %v", err); err != nil {
-				return header, nodes, warnings, err
-			}
-			continue
-		}
-		switch probe.Type {
-		case "shard_header":
-			var h ShardHeader
-			if err := json.Unmarshal(line, &h); err != nil {
-				if err := skip(true, "skipping corrupt header: %v", err); err != nil {
-					return header, nodes, warnings, err
-				}
-				continue
-			}
-			if header != nil {
-				if err := skip(false, "ignoring duplicate header"); err != nil {
-					return header, nodes, warnings, err
-				}
-				continue
-			}
-			if h.Version != JournalVersion {
-				return nil, nil, warnings, fmt.Errorf("shard journal version %d, want %d", h.Version, JournalVersion)
-			}
-			if h.ShardCount < 1 || h.ShardIndex < 0 || h.ShardIndex >= h.ShardCount ||
-				h.N < 1 {
-				return nil, nil, warnings, fmt.Errorf("shard journal: invalid shard identity %d/%d (n=%d)", h.ShardIndex, h.ShardCount, h.N)
-			}
-			header = &h
-		case "node":
-			if header == nil {
-				if err := skip(false, "skipping node record before header"); err != nil {
-					return header, nodes, warnings, err
-				}
-				continue
-			}
-			var rec shardNode
-			if err := json.Unmarshal(line, &rec); err != nil {
-				if err := skip(true, "skipping corrupt node record: %v", err); err != nil {
-					return header, nodes, warnings, err
-				}
-				continue
-			}
-			if rec.Node < 0 || rec.Node >= header.N {
-				if err := skip(false, "node %d out of range [0,%d)", rec.Node, header.N); err != nil {
-					return header, nodes, warnings, err
-				}
-				continue
-			}
-			if rec.Node%header.ShardCount != header.ShardIndex {
-				if err := skip(false, "node %d does not belong to shard %d/%d",
-					rec.Node, header.ShardIndex, header.ShardCount); err != nil {
-					return header, nodes, warnings, err
-				}
-				continue
-			}
-			if rec.Parents == nil {
-				rec.Parents = []int{}
-			}
-			nodes[rec.Node] = rec.Parents
-		default:
-			if err := skip(false, "skipping unknown record type %q", probe.Type); err != nil {
-				return header, nodes, warnings, err
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return header, nodes, warnings, fmt.Errorf("read shard journal: %w", err)
-	}
-	// An unparseable final line is the expected tail of a killed writer;
-	// relabel it so resume tooling can tell it apart from mid-file damage.
-	if n := len(warnings); n > 0 && parseFail[n-1] && warnings[n-1].Line == lineNo {
-		warnings[n-1].Reason = tornTailPrefix + ": " + warnings[n-1].Reason
-	}
-	if header == nil {
-		return nil, nodes, warnings, errors.New("shard journal has no header record")
-	}
-	return header, nodes, warnings, nil
+// shardLoad accumulates a shard journal's records as they replay.
+type shardLoad struct {
+	header *ShardHeader
+	nodes  map[int][]int
 }
 
-// ShardResumeOffset reports whether a lenient load's warnings describe only
-// a torn tail — a single unparseable final line — and if so the byte offset
-// at which truncating the file leaves a clean journal to append to. Any
-// other warning set means mid-file damage: records were lost in a way a
-// resume cannot make whole, so the shard must restart from scratch.
-func ShardResumeOffset(warnings []JournalWarning) (int64, bool) {
-	if len(warnings) == 1 && strings.HasPrefix(warnings[0].Reason, tornTailPrefix) {
-		return warnings[0].Offset, true
-	}
-	return 0, false
-}
-
-// ReadShardHeader reads only the journal's header record — the first
-// non-empty line — without parsing node records, for cheap up-front
-// validation of a shard set (which indices are present, do identities
-// match) before the expensive full loads.
-func ReadShardHeader(r io.Reader) (*ShardHeader, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxJournalLine)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+// record decodes one replayed record: the first is the header, every later
+// one a node the shard owns. A record that passed its checksum but fails
+// these checks was written wrong, so it is corruption, never skipped.
+func (l *shardLoad) record(rec []byte) error {
+	if l.header == nil {
 		var h ShardHeader
-		if err := json.Unmarshal(line, &h); err != nil {
-			return nil, fmt.Errorf("shard journal header: %w", err)
-		}
-		if h.Type != "shard_header" {
-			return nil, fmt.Errorf("shard journal starts with %q record, want shard_header", h.Type)
-		}
-		if h.Version != JournalVersion {
-			return nil, fmt.Errorf("shard journal version %d, want %d", h.Version, JournalVersion)
+		if err := decodeRecord(rec, &h); err != nil {
+			return fmt.Errorf("shard journal header: %w", err)
 		}
 		if h.ShardCount < 1 || h.ShardIndex < 0 || h.ShardIndex >= h.ShardCount || h.N < 1 {
-			return nil, fmt.Errorf("shard journal: invalid shard identity %d/%d (n=%d)", h.ShardIndex, h.ShardCount, h.N)
+			return fmt.Errorf("%w: shard journal: invalid shard identity %d/%d (n=%d)", ErrJournalCorrupt, h.ShardIndex, h.ShardCount, h.N)
 		}
-		return &h, nil
+		l.header = &h
+		return nil
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("read shard journal: %w", err)
+	var rn shardNode
+	if err := decodeRecord(rec, &rn); err != nil {
+		return fmt.Errorf("shard journal node: %w", err)
 	}
-	return nil, errors.New("shard journal has no header record")
+	h := l.header
+	if rn.Node < 0 || rn.Node >= h.N {
+		return fmt.Errorf("%w: shard journal: node %d out of range [0,%d)", ErrJournalCorrupt, rn.Node, h.N)
+	}
+	if rn.Node%h.ShardCount != h.ShardIndex {
+		return fmt.Errorf("%w: shard journal: node %d does not belong to shard %d/%d", ErrJournalCorrupt, rn.Node, h.ShardIndex, h.ShardCount)
+	}
+	if rn.Parents == nil {
+		rn.Parents = []int{}
+	}
+	l.nodes[rn.Node] = rn.Parents
+	return nil
+}
+
+// check applies the shard policy after a lenient replay: a torn tail (the
+// normal state after a killed writer) keeps the intact records, but
+// mid-file damage lost records in a way nothing can make whole, so the
+// journal is refused. A journal must also have its header.
+func (l *shardLoad) check(warn *journal.Warning) error {
+	if warn != nil && !warn.Torn {
+		return fmt.Errorf("%w: %s", ErrJournalCorrupt, warn)
+	}
+	if l.header == nil {
+		return fmt.Errorf("%w: shard journal has no header record", ErrJournalCorrupt)
+	}
+	return nil
+}
+
+// LoadShardJournal reads the shard journal at path without modifying it.
+// Shard journals feed a topology merge, so only a torn tail is tolerated:
+// it comes back as the warning with the intact records (strict mode
+// refuses it too). Mid-file damage, a record that does not decode, and a
+// missing header are errors wrapping ErrJournalCorrupt in either mode.
+func LoadShardJournal(path string, strict bool) (*ShardHeader, map[int][]int, *journal.Warning, error) {
+	l := shardLoad{nodes: make(map[int][]int)}
+	warn, err := journal.Read(path, shardTag, strict, l.record)
+	if err == nil {
+		err = l.check(warn)
+	}
+	return l.header, l.nodes, warn, err
 }
 
 // ResumedShard is a partial shard journal reopened for node-level
@@ -272,63 +160,33 @@ type ResumedShard struct {
 	TruncatedBytes int64
 
 	Journal *ShardJournal
-	f       *os.File
 }
 
 // Close closes the underlying journal file.
-func (r *ResumedShard) Close() error { return r.f.Close() }
+func (r *ResumedShard) Close() error { return r.Journal.Close() }
 
 // OpenShardResume reopens a partial shard journal for continuation. A torn
-// final line — the normal tail of a worker killed mid-append — is truncated
-// away so the continuation starts on a record boundary; any other damage
-// (mid-file corruption, a missing header) is an error wrapping
-// ErrJournalCorrupt, and the caller should restart the shard from scratch.
+// tail — the normal state after a worker was killed mid-append — is
+// truncated away so the continuation starts on a record boundary; any
+// other damage (mid-file corruption, a missing header) is an error
+// wrapping ErrJournalCorrupt, and the caller should restart the shard from
+// scratch.
 func OpenShardResume(path string) (*ResumedShard, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	header, nodes, warnings, err := LoadShardJournal(f, false)
-	if err != nil {
-		f.Close()
-		if header == nil {
-			return nil, fmt.Errorf("%w: resume %s: %v", ErrJournalCorrupt, path, err)
+	l := shardLoad{nodes: make(map[int][]int)}
+	w, warn, err := journal.Open(path, shardTag, false, l.record)
+	if err == nil {
+		if err = l.check(warn); err != nil {
+			w.Close()
 		}
+	}
+	if err != nil {
 		return nil, fmt.Errorf("resume %s: %w", path, err)
 	}
-	if header == nil {
-		f.Close()
-		return nil, fmt.Errorf("%w: resume %s: journal has no header record", ErrJournalCorrupt, path)
+	rs := &ResumedShard{Header: l.header, Nodes: l.nodes, Journal: &ShardJournal{w: w}}
+	if warn != nil {
+		rs.TruncatedBytes = warn.Dropped
 	}
-	var cut int64
-	if len(warnings) > 0 {
-		off, torn := ShardResumeOffset(warnings)
-		if !torn {
-			f.Close()
-			return nil, fmt.Errorf("%w: resume %s: %s", ErrJournalCorrupt, path, warnings[0])
-		}
-		end, serr := f.Seek(0, io.SeekEnd)
-		if serr != nil {
-			f.Close()
-			return nil, serr
-		}
-		if err := f.Truncate(off); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("resume %s: truncate torn tail: %w", path, err)
-		}
-		cut = end - off
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &ResumedShard{
-		Header:         header,
-		Nodes:          nodes,
-		TruncatedBytes: cut,
-		Journal:        OpenShardJournal(f),
-		f:              f,
-	}, nil
+	return rs, nil
 }
 
 // MergeShardJournals validates a set of parsed shard journals and composes
@@ -338,49 +196,24 @@ func OpenShardResume(path string) (*ResumedShard, error) {
 // means the shards did not run the same pairwise stage), exactly the shard
 // indices {0..k-1} with no duplicates, and a parent set for every node.
 func MergeShardJournals(headers []*ShardHeader, nodes []map[int][]int) ([][]int, *ShardHeader, error) {
-	if len(headers) == 0 {
-		return nil, nil, errors.New("merge: no shard journals")
-	}
-	if len(headers) != len(nodes) {
-		return nil, nil, fmt.Errorf("merge: %d headers but %d node sets", len(headers), len(nodes))
-	}
-	ref := headers[0]
 	seen := make(map[int]bool, len(headers))
 	for _, h := range headers {
-		if !h.SameRun(*ref) {
-			return nil, nil, fmt.Errorf("merge: shard %d/%d ran a different configuration than shard %d/%d",
-				h.ShardIndex, h.ShardCount, ref.ShardIndex, ref.ShardCount)
-		}
-		if h.Threshold != ref.Threshold {
-			return nil, nil, fmt.Errorf("merge: shard %d selected threshold %v, shard %d selected %v — pairwise stages disagree",
-				h.ShardIndex, h.Threshold, ref.ShardIndex, ref.Threshold)
-		}
 		if seen[h.ShardIndex] {
 			return nil, nil, fmt.Errorf("merge: duplicate shard index %d", h.ShardIndex)
 		}
 		seen[h.ShardIndex] = true
 	}
-	if len(headers) != ref.ShardCount {
-		missing := make([]int, 0, ref.ShardCount)
-		for i := 0; i < ref.ShardCount; i++ {
-			if !seen[i] {
-				missing = append(missing, i)
-			}
-		}
-		sort.Ints(missing)
-		return nil, nil, fmt.Errorf("merge: have %d of %d shards, missing indices %v", len(headers), ref.ShardCount, missing)
-	}
-	parents := make([][]int, ref.N)
-	for si, h := range headers {
-		for node, ps := range nodes[si] {
-			parents[node] = ps
-		}
-		// Each shard owns ceil/floor of N/k nodes; verify it reported all.
-		owned := ShardOwnedNodes(ref.N, h.ShardIndex, ref.ShardCount)
-		if len(nodes[si]) != owned {
-			return nil, nil, fmt.Errorf("merge: shard %d reported %d nodes, owns %d — journal truncated?",
-				h.ShardIndex, len(nodes[si]), owned)
-		}
+	parents, ref, rep, err := MergeShardJournalsDegraded(headers, nodes)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case len(rep.MissingShards) > 0:
+		return nil, nil, fmt.Errorf("merge: shard set incomplete: have %d of %d shards, missing indices %v (a degraded merge accepts a partial set)",
+			len(rep.PresentShards), rep.ShardCount, rep.MissingShards)
+	case len(rep.MissingNodes) > 0:
+		v := rep.MissingNodes[0]
+		return nil, nil, fmt.Errorf("merge: %d nodes missing, first node %d of shard %d — journal truncated?",
+			len(rep.MissingNodes), v, v%rep.ShardCount)
 	}
 	return parents, ref, nil
 }

@@ -1,11 +1,77 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"tends/internal/journal"
 )
+
+// writeShardJournal journals a finished shard run to path the way an
+// uninterrupted worker would: the header, then every owned node in order.
+func writeShardJournal(t *testing.T, path string, cfg ScaleConfig, res *ScaleResult) {
+	t.Helper()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := max(cfg.ShardCount, 1)
+	j, err := CreateShardJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.WriteHeader(ShardHeader{ShardIndex: cfg.ShardIndex, ShardCount: count, N: cfg.N,
+		Beta: cfg.Beta, Seed: cfg.Seed, Sparse: cfg.Sparse, Threshold: res.Inference.Threshold}); err != nil {
+		t.Fatal(err)
+	}
+	for i, parents := range res.Inference.Parents {
+		if i%count == cfg.ShardIndex {
+			if err := j.AppendNode(i, parents); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// shardJournalFile runs shard of k and returns the path of its complete
+// journal.
+func shardJournalFile(t *testing.T, cfg ScaleConfig, shard, k int) string {
+	t.Helper()
+	cfg.ShardIndex, cfg.ShardCount = shard, k
+	res, err := RunScale(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("shard %d/%d: %v", shard, k, err)
+	}
+	path := filepath.Join(t.TempDir(), "shard.journal")
+	writeShardJournal(t, path, cfg, res)
+	return path
+}
+
+// frameStarts returns the journal at path and the byte offset at which
+// each of its records' frames starts, followed by the end of the last.
+func frameStarts(t *testing.T, path string) ([]byte, []int) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var starts []int
+	end, _, err := journal.Scan(data, shardTag, func(rec []byte) error {
+		starts = append(starts, cap(data)-cap(rec)-8) // 8: the frame's len|crc
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, append(starts, int(end))
+}
 
 // runShardedScale runs a k-way sharded scale run entirely through the
 // journal round-trip: each shard infers, journals, and the journals are
@@ -21,24 +87,14 @@ func runShardedScale(t *testing.T, cfg ScaleConfig, k int) *MergedScaleResult {
 		if err != nil {
 			t.Fatalf("shard %d/%d: %v", shard, k, err)
 		}
-		var buf bytes.Buffer
-		hdr, err := ShardHeaderFor(scfg, res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, err := NewShardJournal(&buf, hdr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteShardJournal(j, scfg, res); err != nil {
-			t.Fatal(err)
-		}
-		h, nodes, warnings, err := LoadShardJournal(&buf, true)
+		path := filepath.Join(t.TempDir(), "shard.journal")
+		writeShardJournal(t, path, scfg, res)
+		h, nodes, warn, err := LoadShardJournal(path, true)
 		if err != nil {
 			t.Fatalf("load shard %d/%d: %v", shard, k, err)
 		}
-		if len(warnings) != 0 {
-			t.Fatalf("load shard %d/%d: unexpected warnings %v", shard, k, warnings)
+		if warn != nil {
+			t.Fatalf("load shard %d/%d: unexpected warning %v", shard, k, warn)
 		}
 		headers = append(headers, h)
 		nodeSets = append(nodeSets, nodes)
@@ -126,26 +182,12 @@ func TestBuildScaleWorkloadDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardJournalValidation covers the merge's refusal paths.
+// TestShardJournalValidation covers the merge's refusal paths and the
+// load-time checks on node records.
 func TestShardJournalValidation(t *testing.T) {
-	cfg := ScaleConfig{N: 20, Beta: 16, Seeds: 2, Seed: 3, ShardCount: 2}
+	cfg := ScaleConfig{N: 20, Beta: 16, Seeds: 2, Seed: 3}
 	load := func(shard int) (*ShardHeader, map[int][]int) {
-		scfg := cfg
-		scfg.ShardIndex = shard
-		res, err := RunScale(context.Background(), scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		hdr, _ := ShardHeaderFor(scfg, res)
-		j, err := NewShardJournal(&buf, hdr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteShardJournal(j, scfg, res); err != nil {
-			t.Fatal(err)
-		}
-		h, nodes, _, err := LoadShardJournal(&buf, true)
+		h, nodes, _, err := LoadShardJournal(shardJournalFile(t, cfg, shard, 2), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,16 +229,38 @@ func TestShardJournalValidation(t *testing.T) {
 		t.Fatalf("valid merge failed: %v", err)
 	}
 
-	// Wrong-shard node records are rejected at load time.
-	var buf bytes.Buffer
-	j, err := NewShardJournal(&buf, ShardHeader{ShardIndex: 0, ShardCount: 2, N: 20, Beta: 16, Seed: 3})
+	// Node records that pass their checksum but break the shard's contract
+	// are corruption in either mode: a foreign or out-of-range node never
+	// reaches a merge, and nil parents load as empty.
+	for _, c := range []struct {
+		node int
+		want string
+	}{{1, "does not belong"}, {20, "out of range"}, {-2, "out of range"}} {
+		path := filepath.Join(t.TempDir(), "bad.journal")
+		j, err := CreateShardJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.WriteHeader(ShardHeader{ShardIndex: 0, ShardCount: 2, N: 20, Beta: 16, Seed: 3})
+		j.AppendNode(0, nil)
+		j.AppendNode(c.node, []int{3})
+		j.Close()
+		for _, strict := range []bool{false, true} {
+			_, _, _, err := LoadShardJournal(path, strict)
+			if !errors.Is(err, ErrJournalCorrupt) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("node %d strict=%v: err = %v, want %q", c.node, strict, err, c.want)
+			}
+		}
+	}
+	path := filepath.Join(t.TempDir(), "nil.journal")
+	j, err := CreateShardJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendNode(1, nil); err != nil { // node 1 belongs to shard 1
-		t.Fatal(err)
-	}
-	if _, _, _, err := LoadShardJournal(&buf, true); err == nil || !strings.Contains(err.Error(), "does not belong") {
-		t.Fatalf("foreign node record not detected: %v", err)
+	j.WriteHeader(ShardHeader{ShardIndex: 0, ShardCount: 2, N: 20, Beta: 16, Seed: 3})
+	j.AppendNode(2, nil)
+	j.Close()
+	if _, nodes, _, err := LoadShardJournal(path, true); err != nil || nodes[2] == nil || len(nodes[2]) != 0 {
+		t.Fatalf("nil parents: nodes %v, err %v", nodes, err)
 	}
 }

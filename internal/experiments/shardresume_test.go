@@ -11,97 +11,127 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"tends/internal/journal"
+	"tends/internal/obs"
 )
 
-// journalBytes runs one shard and returns its complete journal bytes.
-func journalBytes(t *testing.T, cfg ScaleConfig, shard, k int) []byte {
+// writeFile writes data to a fresh file in a test directory.
+func writeFile(t *testing.T, name string, data []byte) string {
 	t.Helper()
-	scfg := cfg
-	scfg.ShardIndex, scfg.ShardCount = shard, k
-	res, err := RunScale(context.Background(), scfg)
-	if err != nil {
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	hdr, err := ShardHeaderFor(scfg, res)
-	if err != nil {
-		t.Fatal(err)
+	return path
+}
+
+// flipParentDigit flips the last digit of the first parent id in the
+// first non-final node record that has parents. The JSON still parses and
+// still names an owned node with in-range parents, so only the checksum
+// can catch the change. It returns the damaged copy and the offset of the
+// damaged record's frame.
+func flipParentDigit(t *testing.T, data []byte, starts []int) ([]byte, int) {
+	t.Helper()
+	const key = `"parents":[`
+	for k := 1; k < len(starts)-2; k++ {
+		i := bytes.Index(data[starts[k]:starts[k+1]], []byte(key))
+		at := starts[k] + i + len(key)
+		if i < 0 || data[at] == ']' {
+			continue
+		}
+		for data[at+1] >= '0' && data[at+1] <= '9' {
+			at++
+		}
+		data = bytes.Clone(data)
+		data[at] ^= 0x01
+		return data, starts[k]
 	}
-	j, err := NewShardJournal(&buf, hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteShardJournal(j, scfg, res); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	t.Fatal("no non-final node record with parents to damage")
+	return nil, 0
 }
 
 // TestLoadShardJournalTornTail checks the torn-tail/corruption distinction:
-// an unparseable final line is recoverable (ShardResumeOffset reports where
-// to truncate), mid-file damage is not, and strict mode hard-errors with the
-// exact line and byte position either way.
+// a record cut off at the end of the file keeps the records before it, a
+// damaged record with records after it refuses the journal, and strict
+// mode refuses both with the byte position. Loading never modifies the
+// file.
 func TestLoadShardJournalTornTail(t *testing.T) {
-	cfg := ScaleConfig{N: 20, Beta: 16, Seeds: 2, Seed: 3}
-	full := journalBytes(t, cfg, 0, 2)
+	cfg := ScaleConfig{N: 30, Beta: 48, Seeds: 2, Seed: 7}
+	full, starts := frameStarts(t, shardJournalFile(t, cfg, 0, 2))
+	last := starts[len(starts)-2]
 
-	// A kill mid-append leaves a partial final line.
-	cut := bytes.LastIndexByte(full[:len(full)-1], '\n') + 1
-	torn := append(append([]byte(nil), full...)[:cut], []byte(`{"type":"node","no`)...)
-
-	h, nodes, warnings, err := LoadShardJournal(bytes.NewReader(torn), false)
+	// A kill mid-append leaves a partial final record.
+	torn := writeFile(t, "torn.journal", full[:last+5])
+	h, nodes, warn, err := LoadShardJournal(torn, false)
 	if err != nil || h == nil {
 		t.Fatalf("lenient load of torn journal failed: %v", err)
 	}
-	if len(warnings) != 1 || !strings.HasPrefix(warnings[0].Reason, "torn tail") {
-		t.Fatalf("torn tail not classified: %v", warnings)
-	}
-	off, ok := ShardResumeOffset(warnings)
-	if !ok || off != int64(cut) {
-		t.Fatalf("ShardResumeOffset = (%d, %v), want (%d, true)", off, ok, cut)
+	if warn == nil || !warn.Torn || warn.Offset != int64(last) {
+		t.Fatalf("torn tail not classified: %+v", warn)
 	}
 	if len(nodes) != ShardOwnedNodes(cfg.N, 0, 2)-1 {
 		t.Fatalf("torn journal kept %d nodes, want %d", len(nodes), ShardOwnedNodes(cfg.N, 0, 2)-1)
 	}
-
-	// The same damage mid-file (records after it) is corruption, not a tail.
-	mid := append(append([]byte(nil), torn...), '\n')
-	mid = append(mid, full[cut:]...)
-	_, _, warnings, err = LoadShardJournal(bytes.NewReader(mid), false)
-	if err != nil {
-		t.Fatalf("lenient load of mid-file damage: %v", err)
-	}
-	if _, ok := ShardResumeOffset(warnings); ok {
-		t.Fatalf("mid-file damage misclassified as torn tail: %v", warnings)
+	if b, _ := os.ReadFile(torn); len(b) != last+5 {
+		t.Fatal("load modified the journal")
 	}
 
-	// Strict mode refuses the damaged line with its position.
-	_, _, _, err = LoadShardJournal(bytes.NewReader(torn), true)
-	if !errors.Is(err, ErrJournalCorrupt) || !strings.Contains(err.Error(), "byte") {
+	// Damage with records after it is corruption, in either mode.
+	flipped, at := flipParentDigit(t, full, starts)
+	mid := writeFile(t, "mid.journal", flipped)
+	for _, strict := range []bool{false, true} {
+		_, _, warn, err = LoadShardJournal(mid, strict)
+		if !errors.Is(err, ErrJournalCorrupt) || warn == nil || warn.Torn || warn.Offset != int64(at) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("mid-file damage at byte %d", at)) {
+			t.Fatalf("strict=%v: mid-file damage: warn %+v, err %v", strict, warn, err)
+		}
+	}
+
+	// Strict mode refuses the torn tail with its position.
+	_, _, _, err = LoadShardJournal(torn, true)
+	if !errors.Is(err, ErrJournalCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("torn tail at byte %d", last)) {
 		t.Fatalf("strict load error = %v, want ErrJournalCorrupt with byte offset", err)
 	}
 }
 
-// TestReadShardHeader checks the cheap header peek used for up-front
-// shard-set validation.
+// TestReadShardHeader checks the header record every shard journal load
+// reads first: its identity round-trips, and a journal without one, one
+// whose first record is a node, one with an invalid identity, or one in
+// the old JSONL format is refused.
 func TestReadShardHeader(t *testing.T) {
 	cfg := ScaleConfig{N: 20, Beta: 16, Seeds: 2, Seed: 3}
-	full := journalBytes(t, cfg, 1, 2)
-	h, err := ReadShardHeader(bytes.NewReader(full))
+	h, _, _, err := LoadShardJournal(shardJournalFile(t, cfg, 1, 2), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.ShardIndex != 1 || h.ShardCount != 2 || h.N != 20 {
+	if h.ShardIndex != 1 || h.ShardCount != 2 || h.N != 20 || h.Beta != 16 || h.Seed != 3 {
 		t.Fatalf("header = %+v", h)
 	}
-	if _, err := ReadShardHeader(strings.NewReader("")); err == nil {
-		t.Fatal("empty journal accepted")
+	raw := func(recs ...string) string {
+		path := filepath.Join(t.TempDir(), "raw.journal")
+		w, err := journal.Create(path, shardTag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			w.Append([]byte(r))
+		}
+		w.Close()
+		return path
 	}
-	if _, err := ReadShardHeader(strings.NewReader(`{"type":"node","node":1}`)); err == nil || !strings.Contains(err.Error(), "shard_header") {
-		t.Fatalf("node-first journal accepted: %v", err)
+	for name, path := range map[string]string{
+		"header only":      raw(),
+		"node first":       raw(`{"node":1,"parents":[]}`),
+		"invalid identity": raw(`{"shard_index":2,"shard_count":2,"n":5}`),
+	} {
+		if _, _, _, err := LoadShardJournal(path, false); !errors.Is(err, ErrJournalCorrupt) {
+			t.Errorf("%s: err = %v, want ErrJournalCorrupt", name, err)
+		}
 	}
-	if _, err := ReadShardHeader(strings.NewReader(`{"type":"shard_header","version":999,"shard_index":0,"shard_count":1,"n":5}`)); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("version mismatch accepted: %v", err)
+	old := writeFile(t, "old.jsonl", []byte(`{"type":"shard_header","version":1,"shard_index":0,"shard_count":1,"n":5}`+"\n"))
+	if _, _, _, err := LoadShardJournal(old, false); !errors.Is(err, journal.ErrOldFormat) {
+		t.Fatalf("old JSONL journal: err = %v, want ErrOldFormat", err)
 	}
 }
 
@@ -109,37 +139,30 @@ func TestReadShardHeader(t *testing.T) {
 // truncated away and appending afterwards yields journal bytes identical to
 // an uninterrupted run.
 func TestOpenShardResume(t *testing.T) {
-	cfg := ScaleConfig{N: 20, Beta: 16, Seeds: 2, Seed: 3}
-	full := journalBytes(t, cfg, 0, 2)
-	lines := bytes.Split(bytes.TrimSuffix(full, []byte("\n")), []byte("\n"))
-	if len(lines) < 4 {
-		t.Fatalf("journal too short to cut: %d lines", len(lines))
+	cfg := ScaleConfig{N: 30, Beta: 48, Seeds: 2, Seed: 7}
+	fullPath := shardJournalFile(t, cfg, 0, 2)
+	full, starts := frameStarts(t, fullPath)
+	if len(starts) < 5 {
+		t.Fatalf("journal too short to cut: %d records", len(starts)-1)
 	}
 
 	// Keep the header and all but the last two nodes, then a torn fragment.
-	keep := bytes.Join(lines[:len(lines)-2], []byte("\n"))
-	keep = append(keep, '\n')
-	partial := append(append([]byte(nil), keep...), []byte(`{"type":"nod`)...)
-
-	dir := t.TempDir()
-	path := filepath.Join(dir, "shard-0.jsonl")
-	if err := os.WriteFile(path, partial, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	keep := starts[len(starts)-3]
+	path := writeFile(t, "shard-0.journal", full[:keep+6])
 	rs, err := OpenShardResume(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.TruncatedBytes != int64(len(partial)-len(keep)) {
-		t.Fatalf("TruncatedBytes = %d, want %d", rs.TruncatedBytes, len(partial)-len(keep))
+	if rs.TruncatedBytes != 6 {
+		t.Fatalf("TruncatedBytes = %d, want 6", rs.TruncatedBytes)
 	}
-	// Append the two missing node records by replaying the full journal's
-	// records for nodes the partial set lacks.
-	_, allNodes, _, err := LoadShardJournal(bytes.NewReader(full), true)
+	// Append the two missing node records from the full journal, in the
+	// ascending order it wrote them, for byte identity.
+	_, allNodes, _, err := LoadShardJournal(fullPath, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	missing := []int{}
+	var missing []int
 	for n := range allNodes {
 		if _, ok := rs.Nodes[n]; !ok {
 			missing = append(missing, n)
@@ -148,11 +171,7 @@ func TestOpenShardResume(t *testing.T) {
 	if len(missing) != 2 {
 		t.Fatalf("resume found %d missing nodes, want 2", len(missing))
 	}
-	// The full journal appended nodes in ascending order; replay in the same
-	// order for byte identity.
-	if missing[0] > missing[1] {
-		missing[0], missing[1] = missing[1], missing[0]
-	}
+	slices.Sort(missing)
 	for _, n := range missing {
 		if err := rs.Journal.AppendNode(n, allNodes[n]); err != nil {
 			t.Fatal(err)
@@ -161,50 +180,49 @@ func TestOpenShardResume(t *testing.T) {
 	if err := rs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, full) {
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, full) {
 		t.Fatal("resumed journal is not byte-identical to an uninterrupted one")
 	}
 
 	// Corruption beyond a torn tail refuses to resume.
-	bad := append([]byte("garbage not json\n"), full...)
-	badPath := filepath.Join(dir, "bad.jsonl")
-	if err := os.WriteFile(badPath, bad, 0o644); err != nil {
-		t.Fatal(err)
+	flipped, _ := flipParentDigit(t, full, starts)
+	for name, bad := range map[string][]byte{
+		"mid-file damage": flipped,
+		"not a journal":   append([]byte("garbage not json\n"), full...),
+		"header only":     full[:journal.HeaderSize],
+	} {
+		if _, err := OpenShardResume(writeFile(t, "bad.journal", bad)); !errors.Is(err, ErrJournalCorrupt) {
+			t.Fatalf("%s: resume error = %v, want ErrJournalCorrupt", name, err)
+		}
 	}
-	if _, err := OpenShardResume(badPath); !errors.Is(err, ErrJournalCorrupt) {
-		t.Fatalf("corrupt journal resume error = %v, want ErrJournalCorrupt", err)
-	}
-	if _, err := OpenShardResume(filepath.Join(dir, "absent.jsonl")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := OpenShardResume(filepath.Join(t.TempDir(), "absent.journal")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("absent journal resume error = %v, want ErrNotExist", err)
 	}
 }
 
-// sameJournal reports how a shard journal's content differs from want's, or
-// "" when it does not. Content is what the resume contract promises: the
-// header, and each owned node journaled exactly once with the same parents.
-// Record order is not part of it — search workers journal nodes in
-// completion order, so two clean runs may order the same records
+// sameJournal reports how the shard journal at got differs from the one at
+// want, or "" when it does not. Content is what the resume contract
+// promises: the header, and each owned node journaled exactly once with the
+// same parents. Record order is not part of it — search workers journal
+// nodes in completion order, so two clean runs may order the same records
 // differently, and the merge sorts them.
-func sameJournal(t *testing.T, got, want []byte) string {
+func sameJournal(t *testing.T, got, want string) string {
 	t.Helper()
-	decode := func(b []byte) (*ShardHeader, map[int][]int, int) {
-		h, nodes, warnings, err := LoadShardJournal(bytes.NewReader(b), true)
-		if err != nil || len(warnings) > 0 {
-			t.Fatalf("journal does not load cleanly: %v %v", err, warnings)
+	decode := func(path string) (*ShardHeader, map[int][]int, int) {
+		h, nodes, warn, err := LoadShardJournal(path, true)
+		if err != nil || warn != nil {
+			t.Fatalf("journal does not load cleanly: %v %v", err, warn)
 		}
-		return h, nodes, bytes.Count(b, []byte("\n"))
+		_, starts := frameStarts(t, path)
+		return h, nodes, len(starts) - 1
 	}
-	gh, gn, glines := decode(got)
-	wh, wn, wlines := decode(want)
+	gh, gn, grecs := decode(got)
+	wh, wn, wrecs := decode(want)
 	switch {
 	case *gh != *wh:
 		return fmt.Sprintf("header %+v, want %+v", *gh, *wh)
-	case glines != wlines:
-		return fmt.Sprintf("%d records, want %d", glines, wlines)
+	case grecs != wrecs:
+		return fmt.Sprintf("%d records, want %d", grecs, wrecs)
 	case !maps.EqualFunc(gn, wn, slices.Equal[[]int]):
 		return fmt.Sprintf("node parents %v, want %v", gn, wn)
 	}
@@ -214,39 +232,25 @@ func sameJournal(t *testing.T, got, want []byte) string {
 // TestRunShardWorkerResume checks the worker-level contract the supervisor
 // depends on: a shard whose journal was cut mid-run continues node-for-node
 // and ends with the same header and node records as an uninterrupted worker
-// run.
+// run, and a journal with mid-file damage restarts fresh.
 func TestRunShardWorkerResume(t *testing.T) {
 	cfg := ScaleConfig{N: 30, Beta: 24, Seeds: 2, Seed: 7, ShardIndex: 1, ShardCount: 3}
 	dir := t.TempDir()
 
-	clean := filepath.Join(dir, "clean.jsonl")
+	clean := filepath.Join(dir, "clean.journal")
 	if _, err := RunShardWorker(context.Background(), cfg, clean, false); err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(clean)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, starts := frameStarts(t, clean)
 
-	// A "killed" worker: the clean journal cut after a few records, with a
-	// torn fragment appended.
-	lines := bytes.Split(bytes.TrimSuffix(want, []byte("\n")), []byte("\n"))
-	keep := bytes.Join(lines[:3], []byte("\n"))
-	keep = append(keep, '\n')
-	partial := append(append([]byte(nil), keep...), []byte(`{"ty`)...)
-	resumed := filepath.Join(dir, "resumed.jsonl")
-	if err := os.WriteFile(resumed, partial, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// A "killed" worker: the clean journal cut after three records (the
+	// header and two nodes), with a torn fragment of the fourth.
+	resumed := writeFile(t, "resumed.journal", want[:starts[3]+4])
 	res, err := RunShardWorker(context.Background(), cfg, resumed, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := sameJournal(t, got, want); diff != "" {
+	if diff := sameJournal(t, resumed, clean); diff != "" {
 		t.Fatalf("resumed worker journal differs from an uninterrupted run: %s", diff)
 	}
 
@@ -260,20 +264,20 @@ func TestRunShardWorkerResume(t *testing.T) {
 		t.Fatal("resumed worker topology differs from a plain shard run")
 	}
 
-	// Corrupt-beyond-torn-tail self-heals: the worker restarts fresh and
-	// still produces the same journal content.
-	corrupt := filepath.Join(dir, "corrupt.jsonl")
-	if err := os.WriteFile(corrupt, append([]byte("garbage\n"), want[:40]...), 0o644); err != nil {
+	// Mid-file damage — a byte flip after which the JSON still parses —
+	// self-heals: the worker restarts fresh, counts it, and still produces
+	// the same journal content.
+	flipped, _ := flipParentDigit(t, want, starts)
+	corrupt := writeFile(t, "corrupt.journal", flipped)
+	ccfg := cfg
+	ccfg.Obs = obs.New()
+	if _, err := RunShardWorker(context.Background(), ccfg, corrupt, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunShardWorker(context.Background(), cfg, corrupt, true); err != nil {
-		t.Fatal(err)
+	if got := ccfg.Obs.Snapshot().Counters["scale/resume/corrupt_restart"]; got != 1 {
+		t.Fatalf("scale/resume/corrupt_restart = %d, want 1", got)
 	}
-	got, err = os.ReadFile(corrupt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := sameJournal(t, got, want); diff != "" {
+	if diff := sameJournal(t, corrupt, clean); diff != "" {
 		t.Fatalf("self-healed worker journal differs from an uninterrupted run: %s", diff)
 	}
 }
@@ -287,7 +291,7 @@ func TestMergeShardJournalsDegraded(t *testing.T) {
 	var headers []*ShardHeader
 	var nodeSets []map[int][]int
 	for shard := 0; shard < k; shard++ {
-		h, nodes, _, err := LoadShardJournal(bytes.NewReader(journalBytes(t, cfg, shard, k)), true)
+		h, nodes, _, err := LoadShardJournal(shardJournalFile(t, cfg, shard, k), true)
 		if err != nil {
 			t.Fatal(err)
 		}

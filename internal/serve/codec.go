@@ -12,10 +12,6 @@ import (
 // all as uvarints. The encoding is canonical — a batch has exactly one
 // byte representation — which keeps WAL replay and snapshot diffs exact.
 
-// maxBatchPayload bounds one batch frame. A torn or corrupt length field
-// must never make the reader allocate gigabytes.
-const maxBatchPayload = 1 << 26 // 64 MiB
-
 // batch is one ingest unit: the client id used for dedup and the rows.
 type batch struct {
 	id   uint64

@@ -230,8 +230,8 @@ func New(cfg Config) (*Server, ReplayStats, error) {
 		if err != nil {
 			return nil, st, err
 		}
-		if st.Truncated > 0 {
-			cfg.Logf("serve: truncated %d torn bytes from WAL tail", st.Truncated)
+		if st.Damage != nil {
+			cfg.Logf("serve: truncated WAL %s", st.Damage)
 		}
 		if st.Rows > 0 {
 			cfg.Logf("serve: replayed %d rows (%d batches, %d duplicate batches) from WAL", st.Rows, st.Batches, st.Duplicate)
@@ -692,7 +692,7 @@ func (s *Server) Kill() {
 	<-s.ingestDone
 	s.loopCancel()
 	<-s.recomputeDone
-	s.wal.f.Close()
+	s.wal.Close()
 }
 
 // Quiesce blocks until the queue is empty and the topology covers every

@@ -3,34 +3,33 @@ package serve
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
-	"path/filepath"
 	"slices"
 
 	"tends/internal/core"
+	"tends/internal/journal"
 )
 
 // The snapshot is the service's compaction artifact: the full acked row
-// history, the batch-id dedup set, and the last computed topology, written
-// atomically (tmp + fsync + rename + dir fsync). On restart the snapshot
+// history, the batch-id dedup set, and the last computed topology. It is a
+// journal (internal/journal) tagged "snap" holding exactly one record,
+// written through the journal's atomic replace (tmp + fsync + rename + dir
+// fsync), so the journal's CRC-32C covers it. On restart the snapshot
 // restores state in one read and the WAL replays only the suffix; after a
 // snapshot is durable the WAL resets to an empty generation.
 //
-// Layout (little endian, trailing CRC-32C over everything before it):
+// Record layout (little endian):
 //
-//	magic "TENDSNAP" | version u32 | n u32 | flags u8
+//	n u32 | flags u8
 //	rowCount u64 | rows: rowCount × (size uvarint + id-delta uvarints)
 //	ids: count uvarint + sorted delta uvarints
 //	topology (flags&snapHasTopo): epoch u64 | rows u64 | threshold f64 bits
 //	  | n × (parentCount uvarint + parent-delta uvarints)
 //	  | degraded: count uvarint × (node uvarint + reason u8)
-//	crc u32
 
 const (
-	snapMagic   = "TENDSNAP"
-	snapVersion = 1
+	snapTag = "snap"
 
 	snapTraditional = 1 << 0
 	snapHasTopo     = 1 << 1
@@ -54,11 +53,9 @@ type snapshot struct {
 	topo        *topology
 }
 
-// encodeSnapshot renders the canonical byte form.
+// encodeSnapshot renders the canonical record.
 func encodeSnapshot(s *snapshot) []byte {
 	buf := make([]byte, 0, 64+len(s.rows)*8)
-	buf = append(buf, snapMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, snapVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.n))
 	var flags byte
 	if s.traditional {
@@ -115,7 +112,7 @@ func encodeSnapshot(s *snapshot) []byte {
 		}
 	}
 
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
+	return buf
 }
 
 // snapReader walks the encoded form with uniform short-buffer errors.
@@ -166,21 +163,23 @@ func (r *snapReader) uvarint() uint64 {
 	return v
 }
 
+// decodeSnapshot decodes a snapshot file image: a journal holding exactly
+// one intact snapshot record, with no damage after it.
 func decodeSnapshot(data []byte) (*snapshot, error) {
-	if len(data) < len(snapMagic)+4+4+1+8+4 {
-		return nil, fmt.Errorf("serve: snapshot too short (%d bytes)", len(data))
+	var recs [][]byte
+	_, warn, err := journal.Scan(data, snapTag, func(rec []byte) error {
+		recs = append(recs, rec)
+		return nil
+	})
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("serve: snapshot: %w", err)
+	case warn != nil:
+		return nil, fmt.Errorf("serve: snapshot: %w: %s", journal.ErrCorrupt, warn)
+	case len(recs) != 1:
+		return nil, fmt.Errorf("serve: snapshot: %w: %d records, want 1", journal.ErrCorrupt, len(recs))
 	}
-	if string(data[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("serve: bad snapshot magic %q", data[:len(snapMagic)])
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(tail) {
-		return nil, fmt.Errorf("serve: snapshot CRC mismatch")
-	}
-	r := &snapReader{buf: body[len(snapMagic):]}
-	if v := r.u32(); v != snapVersion {
-		return nil, fmt.Errorf("serve: snapshot version %d, want %d", v, snapVersion)
-	}
+	r := &snapReader{buf: recs[0]}
 	s := &snapshot{n: int(r.u32())}
 	flagsB := r.take(1)
 	if r.err != nil {
@@ -283,35 +282,14 @@ func decodeSnapshot(data []byte) (*snapshot, error) {
 	return s, nil
 }
 
-// writeSnapshot persists atomically: tmp file, fsync, rename, dir fsync.
-// A crash at any point leaves either the old snapshot or the new one, never
-// a torn mix.
+// writeSnapshot persists atomically: a crash at any point leaves either
+// the old snapshot or the new one, never a torn mix.
 func writeSnapshot(path string, s *snapshot) error {
-	data := encodeSnapshot(s)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	w, err := journal.Replace(path, snapTag, encodeSnapshot(s))
 	if err != nil {
-		return fmt.Errorf("serve: create snapshot: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
 		return fmt.Errorf("serve: write snapshot: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("serve: sync snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("serve: close snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("serve: publish snapshot: %w", err)
-	}
-	return syncDir(path)
+	return w.Close()
 }
 
 // readSnapshot loads and decodes a snapshot; (nil, nil) when absent.
@@ -324,17 +302,4 @@ func readSnapshot(path string) (*snapshot, error) {
 		return nil, fmt.Errorf("serve: read snapshot: %w", err)
 	}
 	return decodeSnapshot(data)
-}
-
-// syncDir fsyncs the directory containing path, making a rename durable.
-func syncDir(path string) error {
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return fmt.Errorf("serve: open dir for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("serve: sync dir: %w", err)
-	}
-	return nil
 }

@@ -3,81 +3,71 @@ package serve
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 
 	"tends/internal/chaos"
+	"tends/internal/journal"
 	"tends/internal/obs"
 )
 
 // The write-ahead log is the service's durability floor: a batch is acked
-// only after its frame is on disk (group fsync), so any acked row survives
+// only after its record is on disk (group fsync), so any acked row survives
 // kill -9 and is replayed byte-identically on restart.
 //
-// Layout:
+// The log is a journal (internal/journal) tagged "wal". Its records:
 //
-//	header:  magic "TENDSWAL" | version u32 | n u32 | baseRow u64 | crc u32
-//	record:  payloadLen u32 | crc u32 (Castagnoli over payload) | payload
-//	payload: canonical batch encoding (codec.go)
+//	header (first record): n u32 | baseRow u64
+//	batch (every later record): canonical batch encoding (codec.go)
 //
 // baseRow is how many rows were already durable in the snapshot when this
 // WAL generation was created; replay starts feeding state at that offset.
-// The tail is allowed to be torn — a crash mid-write leaves a frame with a
-// short or CRC-failing payload — and replay truncates it away, restoring
-// the exact acked prefix. Frames never reference each other, so truncation
-// can only drop un-acked suffix bytes.
+// The journal's framing (length, CRC-32C) detects a torn or damaged tail,
+// and lenient replay truncates it away. A torn tail holds only bytes that
+// were never acked (an ack waits for the fsync), so truncating it restores
+// the exact acked prefix.
 
 const (
-	walMagic      = "TENDSWAL"
-	walVersion    = 1
-	walHeaderSize = 8 + 4 + 4 + 8 + 4
+	walTag        = "wal"
+	walHeaderSize = 4 + 8
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// ErrWALCorrupt reports a non-clean WAL tail in strict mode; errors.Is
-// works through the wrapped detail.
-var ErrWALCorrupt = errors.New("serve: WAL corrupt")
+// ErrWALCorrupt reports a damaged WAL in strict mode, or a WAL whose
+// checksummed records do not decode; errors.Is works through the wrapped
+// detail.
+var ErrWALCorrupt = journal.ErrCorrupt
 
 // WAL is the append side of the log. Appends and syncs are serialized by
 // the caller (the service's single ingest loop).
 type WAL struct {
-	f       *os.File
+	j       *journal.Writer
 	path    string
 	n       int
 	baseRow uint64
-	off     int64 // end offset of the last fully-written frame
 	rows    int64 // rows framed in this generation (appended + replayed)
 	buf     []byte
+}
+
+func walHeader(n int, baseRow uint64) []byte {
+	hdr := binary.LittleEndian.AppendUint32(make([]byte, 0, walHeaderSize), uint32(n))
+	return binary.LittleEndian.AppendUint64(hdr, baseRow)
 }
 
 // CreateWAL starts a fresh log at path for n nodes, with baseRow rows
 // already durable in the snapshot. An existing file is truncated.
 func CreateWAL(path string, n int, baseRow uint64) (*WAL, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	j, err := journal.Create(path, walTag)
 	if err != nil {
 		return nil, fmt.Errorf("serve: create WAL: %w", err)
 	}
-	w := &WAL{f: f, path: path, n: n, baseRow: baseRow}
-	hdr := make([]byte, 0, walHeaderSize)
-	hdr = append(hdr, walMagic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, walVersion)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(n))
-	hdr = binary.LittleEndian.AppendUint64(hdr, baseRow)
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(hdr, crcTable))
-	if _, err := f.WriteAt(hdr, 0); err != nil {
-		f.Close()
+	if err := j.Append(walHeader(n, baseRow)); err != nil {
+		j.Close()
 		return nil, fmt.Errorf("serve: write WAL header: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	if err := j.Sync(); err != nil {
+		j.Close()
 		return nil, fmt.Errorf("serve: sync WAL header: %w", err)
 	}
-	w.off = walHeaderSize
-	return w, nil
+	return &WAL{j: j, path: path, n: n, baseRow: baseRow}, nil
 }
 
 // ReplayStats reports what OpenWAL recovered.
@@ -86,11 +76,13 @@ type ReplayStats struct {
 	Rows      int64 // rows fed to apply (after the baseRow/skip window)
 	Skipped   int64 // rows skipped because the snapshot already held them
 	Duplicate int   // batches skipped because their id was already applied
-	Truncated int64 // torn-tail bytes truncated from the end of the log
+	Truncated int64 // damaged tail bytes truncated from the end of the log
+	// Damage describes what was truncated (nil on a clean log).
+	Damage *journal.Warning
 }
 
-// OpenWAL opens an existing log, replays every intact frame, and positions
-// the WAL for appending after the last good frame.
+// OpenWAL opens an existing log, replays every intact record, and positions
+// the WAL for appending after the last good record.
 //
 // skipRows rows at the head of the log are already part of the caller's
 // snapshot and are not re-applied (their batches still count as seen —
@@ -98,130 +90,77 @@ type ReplayStats struct {
 // additionally consults seen so retried batches recorded twice in the log
 // apply exactly once). apply receives each surviving batch in log order.
 //
-// A torn or corrupt tail is truncated in place (and synced) unless strict
-// is set, in which case OpenWAL fails with ErrWALCorrupt and touches
-// nothing.
+// A damaged tail is truncated in place (and synced) unless strict is set,
+// in which case OpenWAL fails with ErrWALCorrupt and touches nothing.
 func OpenWAL(ctx context.Context, path string, n int, strict bool,
 	skipRows uint64, seen func(id uint64) bool, apply func(b batch) error) (*WAL, ReplayStats, error) {
 
 	var st ReplayStats
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, st, fmt.Errorf("serve: open WAL: %w", err)
-	}
-	w := &WAL{f: f, path: path, n: n}
-
-	hdr := make([]byte, walHeaderSize)
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		f.Close()
-		return nil, st, fmt.Errorf("%w: short header: %v", ErrWALCorrupt, err)
-	}
-	if string(hdr[:8]) != walMagic {
-		f.Close()
-		return nil, st, fmt.Errorf("%w: bad magic %q", ErrWALCorrupt, hdr[:8])
-	}
-	if got := binary.LittleEndian.Uint32(hdr[walHeaderSize-4:]); got != crc32.Checksum(hdr[:walHeaderSize-4], crcTable) {
-		f.Close()
-		return nil, st, fmt.Errorf("%w: header CRC mismatch", ErrWALCorrupt)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != walVersion {
-		f.Close()
-		return nil, st, fmt.Errorf("serve: WAL version %d, want %d", v, walVersion)
-	}
-	if hn := int(binary.LittleEndian.Uint32(hdr[12:])); hn != n {
-		f.Close()
-		return nil, st, fmt.Errorf("serve: WAL holds %d-node observations, server configured for %d", hn, n)
-	}
-	w.baseRow = binary.LittleEndian.Uint64(hdr[16:])
-	if w.baseRow > skipRows {
-		f.Close()
-		return nil, st, fmt.Errorf("serve: WAL base row %d is past the snapshot's %d rows — snapshot and log are from different histories", w.baseRow, skipRows)
-	}
-	skip := skipRows - w.baseRow
-
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		f.Close()
-		return nil, st, fmt.Errorf("serve: seek WAL: %w", err)
-	}
-	w.off = walHeaderSize
-
-	var frame [8]byte
-	var corrupt error
+	w := &WAL{path: path, n: n}
+	header := false
+	var skip uint64
 	applied := make(map[uint64]bool)
-	for w.off < size {
-		if _, err := f.ReadAt(frame[:], w.off); err != nil {
-			corrupt = fmt.Errorf("torn frame header at offset %d", w.off)
-			break
+	j, warn, err := journal.Open(path, walTag, strict, func(rec []byte) error {
+		if !header {
+			if len(rec) != walHeaderSize {
+				return fmt.Errorf("%w: %d-byte WAL header record", ErrWALCorrupt, len(rec))
+			}
+			if hn := int(binary.LittleEndian.Uint32(rec)); hn != n {
+				return fmt.Errorf("WAL holds %d-node observations, server configured for %d", hn, n)
+			}
+			w.baseRow = binary.LittleEndian.Uint64(rec[4:])
+			if w.baseRow > skipRows {
+				return fmt.Errorf("WAL base row %d is past the snapshot's %d rows — snapshot and log are from different histories", w.baseRow, skipRows)
+			}
+			header, skip = true, skipRows-w.baseRow
+			return nil
 		}
-		plen := int64(binary.LittleEndian.Uint32(frame[:4]))
-		want := binary.LittleEndian.Uint32(frame[4:])
-		if plen > maxBatchPayload || w.off+8+plen > size {
-			corrupt = fmt.Errorf("torn frame at offset %d (payload %d bytes)", w.off, plen)
-			break
-		}
-		payload := make([]byte, plen)
-		if _, err := f.ReadAt(payload, w.off+8); err != nil {
-			corrupt = fmt.Errorf("torn payload at offset %d", w.off)
-			break
-		}
-		if crc32.Checksum(payload, crcTable) != want {
-			corrupt = fmt.Errorf("payload CRC mismatch at offset %d", w.off)
-			break
-		}
-		b, err := decodeBatchPayload(payload, n)
+		b, err := decodeBatchPayload(rec, n)
 		if err != nil {
-			corrupt = fmt.Errorf("undecodable frame at offset %d: %v", w.off, err)
-			break
+			return fmt.Errorf("%w: undecodable batch record: %v", ErrWALCorrupt, err)
 		}
-		w.off += 8 + plen
 		w.rows += int64(len(b.rows))
 
 		// The snapshot window: rows the snapshot already folded. Snapshots
 		// are cut at batch boundaries, so the window always ends exactly at
-		// a frame edge; anything else means the files are mismatched.
+		// a record edge; anything else means the files are mismatched.
 		if skip > 0 {
 			if uint64(len(b.rows)) > skip {
-				f.Close()
-				return nil, st, fmt.Errorf("serve: snapshot row count lands inside WAL batch %d — snapshot and log are from different histories", b.id)
+				return fmt.Errorf("snapshot row count lands inside WAL batch %d — snapshot and log are from different histories", b.id)
 			}
 			skip -= uint64(len(b.rows))
 			st.Skipped += int64(len(b.rows))
-			continue
+			return nil
 		}
 		// A batch acked after an fsync failure gets retried by the client
 		// and framed twice; only the first occurrence applies. seen covers
 		// batches the caller's snapshot already folded.
 		if applied[b.id] || (seen != nil && seen(b.id)) {
 			st.Duplicate++
-			continue
+			return nil
 		}
 		applied[b.id] = true
 		if err := apply(b); err != nil {
-			f.Close()
-			return nil, st, fmt.Errorf("serve: replay batch %d: %w", b.id, err)
+			return fmt.Errorf("replay batch %d: %w", b.id, err)
 		}
 		st.Batches++
 		st.Rows += int64(len(b.rows))
+		return nil
+	})
+	if err == nil && !header {
+		j.Close()
+		err = fmt.Errorf("%w: no header record", ErrWALCorrupt)
 	}
+	if err != nil {
+		return nil, st, fmt.Errorf("serve: open WAL %s: %w", path, err)
+	}
+	w.j = j
 	if skip > 0 {
-		f.Close()
+		j.Close()
 		return nil, st, fmt.Errorf("serve: snapshot holds %d more rows than the WAL — snapshot and log are from different histories", skip)
 	}
-	if corrupt != nil {
-		if strict {
-			f.Close()
-			return nil, st, fmt.Errorf("%w: %v", ErrWALCorrupt, corrupt)
-		}
-		st.Truncated = size - w.off
-		if err := f.Truncate(w.off); err != nil {
-			f.Close()
-			return nil, st, fmt.Errorf("serve: truncate torn WAL tail: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, st, fmt.Errorf("serve: sync truncated WAL: %w", err)
-		}
+	if warn != nil {
+		st.Truncated, st.Damage = warn.Dropped, warn
 	}
 	rec := obs.From(ctx)
 	rec.Counter("serve/wal/replayed").Add(st.Rows)
@@ -229,45 +168,33 @@ func OpenWAL(ctx context.Context, path string, n int, strict bool,
 	return w, st, nil
 }
 
-// Append frames one batch at the end of the log. The frame is written but
+// Append frames one batch at the end of the log. The record is written but
 // NOT durable until Sync; callers must not ack before a successful Sync.
 // On any failure (injected or organic) the log is rewound to the last good
-// frame boundary, so a half-written frame can never precede later appends.
+// record, so a half-written frame can never precede later appends.
 func (w *WAL) Append(ctx context.Context, id uint64, rows [][]int32) error {
 	if err := chaos.Maybe(ctx, chaos.SiteWALAppend); err != nil {
 		obs.From(ctx).Counter("serve/wal/append_errors").Inc()
 		return err
 	}
-	w.buf = w.buf[:0]
-	w.buf = append(w.buf, 0, 0, 0, 0, 0, 0, 0, 0)
-	w.buf = appendBatchPayload(w.buf, id, rows)
-	payload := w.buf[8:]
-	binary.LittleEndian.PutUint32(w.buf[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(w.buf[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := w.f.WriteAt(w.buf, w.off); err != nil {
+	w.buf = appendBatchPayload(w.buf[:0], id, rows)
+	if err := w.j.Append(w.buf); err != nil {
 		obs.From(ctx).Counter("serve/wal/append_errors").Inc()
-		// Self-heal: drop whatever partial frame made it out. If even the
-		// truncate fails the file still ends in a CRC-failing frame, which
-		// replay treats as a torn tail — durability is unaffected either way.
-		if terr := w.f.Truncate(w.off); terr != nil {
-			return fmt.Errorf("serve: WAL append failed (%v) and rewind failed: %w", err, terr)
-		}
 		return fmt.Errorf("serve: WAL append: %w", err)
 	}
-	w.off += int64(len(w.buf))
 	w.rows += int64(len(rows))
 	obs.From(ctx).Counter("serve/wal/appends").Inc()
 	return nil
 }
 
-// Sync makes every appended frame durable. Group commit: the ingest loop
+// Sync makes every appended record durable. Group commit: the ingest loop
 // appends a whole batch group, then syncs once and acks them together.
 func (w *WAL) Sync(ctx context.Context) error {
 	if err := chaos.Maybe(ctx, chaos.SiteWALSync); err != nil {
 		obs.From(ctx).Counter("serve/wal/sync_errors").Inc()
 		return err
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := w.j.Sync(); err != nil {
 		obs.From(ctx).Counter("serve/wal/sync_errors").Inc()
 		return fmt.Errorf("serve: WAL sync: %w", err)
 	}
@@ -281,41 +208,35 @@ func (w *WAL) Rows() int64 { return w.rows }
 // BaseRow returns the snapshot row offset this generation starts at.
 func (w *WAL) BaseRow() uint64 { return w.baseRow }
 
-// Size returns the current end offset — header plus intact frames.
-func (w *WAL) Size() int64 { return w.off }
+// Size returns the current end offset — header plus intact records.
+func (w *WAL) Size() int64 { return w.j.Size() }
 
 // Reset replaces the log with an empty generation starting at baseRow.
 // Called after a snapshot has been durably persisted: every logged row is
-// now in the snapshot, so the frames are dead weight. The swap is a fresh
-// file renamed over the old one — a crash before the rename leaves the old
-// log intact, and replay's skip window already handles a snapshot newer
-// than the log's baseRow, so there is no unsafe ordering.
+// now in the snapshot, so the records are dead weight. The swap is an
+// atomic replace (journal.Replace) — a crash before the rename leaves the
+// old log intact, and replay's skip window already handles a snapshot
+// newer than the log's baseRow, so there is no unsafe ordering.
 func (w *WAL) Reset(baseRow uint64) error {
-	fresh, err := CreateWAL(w.path+".tmp", w.n, baseRow)
+	fresh, err := journal.Replace(w.path, walTag, walHeader(w.n, baseRow))
 	if err != nil {
-		return err
+		return fmt.Errorf("serve: reset WAL: %w", err)
 	}
-	if err := os.Rename(w.path+".tmp", w.path); err != nil {
-		fresh.f.Close()
-		return fmt.Errorf("serve: swap reset WAL: %w", err)
-	}
-	if err := syncDir(w.path); err != nil {
-		fresh.f.Close()
-		return err
-	}
-	w.f.Close()
-	w.f = fresh.f
+	w.j.Close() // the old generation is superseded by the durable snapshot
+	w.j = fresh
 	w.baseRow = baseRow
-	w.off = walHeaderSize
 	w.rows = 0
 	return nil
 }
 
 // Close syncs and closes the file.
 func (w *WAL) Close() error {
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
+	if err := w.j.Sync(); err != nil {
+		w.j.Close()
 		return fmt.Errorf("serve: close WAL: %w", err)
 	}
-	return w.f.Close()
+	if err := w.j.Close(); err != nil {
+		return fmt.Errorf("serve: close WAL: %w", err)
+	}
+	return nil
 }

@@ -7,7 +7,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"tends/internal/journal"
 )
+
+// emptyWALSize is the size of a WAL generation with no batches: the
+// journal header plus the framed (8-byte len|crc) WAL header record.
+const emptyWALSize = journal.HeaderSize + 8 + walHeaderSize
 
 func walAppend(t *testing.T, w *WAL, id uint64, rows [][]int32) {
 	t.Helper()
@@ -142,7 +148,7 @@ func TestWALCorruptMidFrame(t *testing.T) {
 	walAppend(t, w, 2, [][]int32{{3, 4}})
 	w.Close()
 	data, _ := os.ReadFile(path)
-	data[walHeaderSize+10] ^= 0xff
+	data[emptyWALSize+10] ^= 0xff
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +176,8 @@ func TestWALHeaderValidation(t *testing.T) {
 	if _, _, _, err := replayAll(t, path, 12, false, 0, nil); err == nil {
 		t.Fatal("node mismatch accepted")
 	}
-	// A flipped header byte fails the header CRC even in lenient mode.
+	// A flipped journal header byte (the version) is refused even in
+	// lenient mode.
 	data, _ := os.ReadFile(path)
 	data[9] ^= 0x01
 	bad := filepath.Join(dir, "bad.log")
@@ -226,7 +233,7 @@ func TestWALReset(t *testing.T) {
 	if err := w.Reset(3); err != nil {
 		t.Fatal(err)
 	}
-	if w.BaseRow() != 3 || w.Rows() != 0 || w.Size() != walHeaderSize {
+	if w.BaseRow() != 3 || w.Rows() != 0 || w.Size() != emptyWALSize {
 		t.Fatalf("after reset: base %d rows %d size %d", w.BaseRow(), w.Rows(), w.Size())
 	}
 	walAppend(t, w, 2, [][]int32{{4}})

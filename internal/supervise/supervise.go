@@ -32,6 +32,7 @@ import (
 
 	"tends/internal/chaos"
 	"tends/internal/experiments"
+	"tends/internal/journal"
 	"tends/internal/obs"
 )
 
@@ -230,33 +231,24 @@ type journalState struct {
 	corrupt bool
 }
 
-// inspect reads a journal leniently and classifies it for the restart
-// decision. Never errors: an unreadable or damaged journal is simply not
-// resumable.
+// inspect reads a journal without modifying it and classifies it for the
+// restart decision. Never errors: an unreadable or damaged journal is
+// simply not resumable.
 func inspect(path string, n, shard, count int) journalState {
-	f, err := os.Open(path)
-	if err != nil {
-		return journalState{}
-	}
-	defer f.Close()
-	if fi, err := f.Stat(); err == nil && fi.Size() == 0 {
+	fi, err := os.Stat(path)
+	if err != nil || fi.Size() <= journal.HeaderSize {
 		// A worker killed before its threshold selection finished leaves an
-		// empty file — the journal header only lands once the search starts.
-		// Nothing to resume, and nothing corrupt either.
+		// empty or header-only file — the first record only lands once the
+		// search starts. Nothing to resume, and nothing corrupt either.
 		return journalState{}
 	}
-	header, nodes, warnings, err := experiments.LoadShardJournal(f, false)
+	header, nodes, _, err := experiments.LoadShardJournal(path, false)
 	st := journalState{exists: true, header: header != nil, nodes: len(nodes)}
-	if err != nil || header == nil {
+	if err != nil {
 		st.corrupt = true
 		return st
 	}
-	if len(warnings) > 0 {
-		if _, torn := experiments.ShardResumeOffset(warnings); !torn {
-			st.corrupt = true
-		}
-	}
-	st.complete = !st.corrupt && len(nodes) == experiments.ShardOwnedNodes(n, shard, count)
+	st.complete = len(nodes) == experiments.ShardOwnedNodes(n, shard, count)
 	return st
 }
 

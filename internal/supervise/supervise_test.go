@@ -40,12 +40,7 @@ func mergeOutcomes(t *testing.T, cfg experiments.ScaleConfig, res *Result) *expe
 		if !out.Completed {
 			continue
 		}
-		f, err := os.Open(out.Journal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, nodes, _, err := experiments.LoadShardJournal(f, false)
-		f.Close()
+		h, nodes, _, err := experiments.LoadShardJournal(out.Journal, false)
 		if err != nil {
 			t.Fatalf("load %s: %v", out.Journal, err)
 		}
@@ -82,7 +77,7 @@ func TestSuperviseCleanRun(t *testing.T) {
 		res, err := Run(context.Background(), Options{
 			Shards:      3,
 			N:           cfg.N,
-			JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", s)) },
+			JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.journal", s)) },
 			Launch:      workerLauncher(cfg),
 			Retries:     0,
 			Seed:        cfg.Seed,
@@ -124,7 +119,7 @@ func TestSuperviseCrashResume(t *testing.T) {
 		res, err := Run(context.Background(), Options{
 			Shards:      3,
 			N:           cfg.N,
-			JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", s)) },
+			JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.journal", s)) },
 			Launch:      workerLauncher(cfg),
 			Retries:     25,
 			Seed:        cfg.Seed,
@@ -168,7 +163,7 @@ func TestSuperviseDegradedOutcome(t *testing.T) {
 	res, err := Run(context.Background(), Options{
 		Shards:      3,
 		N:           cfg.N,
-		JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", s)) },
+		JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.journal", s)) },
 		Launch:      launch,
 		Retries:     2,
 		Seed:        cfg.Seed,
@@ -195,12 +190,7 @@ func TestSuperviseDegradedOutcome(t *testing.T) {
 		if !out.Completed {
 			continue
 		}
-		f, err := os.Open(out.Journal)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, nodes, _, lerr := experiments.LoadShardJournal(f, false)
-		f.Close()
+		h, nodes, _, lerr := experiments.LoadShardJournal(out.Journal, false)
 		if lerr != nil {
 			t.Fatal(lerr)
 		}
@@ -244,7 +234,7 @@ func TestSuperviseHedge(t *testing.T) {
 	res, err := Run(context.Background(), Options{
 		Shards:      2,
 		N:           cfg.N,
-		JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", s)) },
+		JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.journal", s)) },
 		Launch:      launch,
 		Retries:     0,
 		HedgeAfter:  20 * time.Millisecond,
@@ -259,7 +249,7 @@ func TestSuperviseHedge(t *testing.T) {
 		t.Fatalf("failed shards %v", res.Failed)
 	}
 	out := res.Outcomes[0]
-	if out.Hedges != 1 || out.Journal != filepath.Join(dir, "shard-0.jsonl.hedge") {
+	if out.Hedges != 1 || out.Journal != filepath.Join(dir, "shard-0.journal.hedge") {
 		t.Fatalf("shard 0 outcome: %+v", out)
 	}
 	if rec.Snapshot().Counters["supervise/hedge_wins"] < 1 {
@@ -288,7 +278,7 @@ func TestSuperviseStallKill(t *testing.T) {
 	res, err := Run(context.Background(), Options{
 		Shards:       2,
 		N:            cfg.N,
-		JournalPath:  func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", s)) },
+		JournalPath:  func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.journal", s)) },
 		Launch:       launch,
 		Retries:      1,
 		StallTimeout: 25 * time.Millisecond,
@@ -329,7 +319,7 @@ func TestSuperviseDeadlineKill(t *testing.T) {
 	res, err := Run(context.Background(), Options{
 		Shards:        1,
 		N:             cfg.N,
-		JournalPath:   func(s int) string { return filepath.Join(dir, "shard-0.jsonl") },
+		JournalPath:   func(s int) string { return filepath.Join(dir, "shard-0.journal") },
 		Launch:        launch,
 		Retries:       1,
 		ShardDeadline: 30 * time.Millisecond,
@@ -366,7 +356,7 @@ func TestSuperviseChaosKillBalance(t *testing.T) {
 	res, err := Run(context.Background(), Options{
 		Shards:      2,
 		N:           cfg.N,
-		JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.jsonl", s)) },
+		JournalPath: func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.journal", s)) },
 		Launch:      workerLauncher(cfg),
 		Retries:     40,
 		PollEvery:   2 * time.Millisecond,
@@ -427,7 +417,7 @@ func TestSuperviseInterrupted(t *testing.T) {
 	res, err := Run(ctx, Options{
 		Shards:      1,
 		N:           10,
-		JournalPath: func(int) string { return filepath.Join(dir, "s.jsonl") },
+		JournalPath: func(int) string { return filepath.Join(dir, "s.journal") },
 		Launch:      launch,
 		PollEvery:   2 * time.Millisecond,
 	})
@@ -436,5 +426,53 @@ func TestSuperviseInterrupted(t *testing.T) {
 	}
 	if res == nil || len(res.Outcomes) != 1 || res.Outcomes[0].Completed {
 		t.Fatalf("interrupted result: %+v", res)
+	}
+}
+
+// TestSuperviseHeaderOnlyJournal: a worker killed after creating its journal
+// but before the first record leaves only the file header. The supervisor
+// must treat it like an empty file — nothing to resume, not corrupt — and
+// run the shard fresh; anything beyond the header that holds no intact
+// shard header record is corruption.
+func TestSuperviseHeaderOnlyJournal(t *testing.T) {
+	cfg := testCfg(1)
+	dir := t.TempDir()
+	path := func(s int) string { return filepath.Join(dir, fmt.Sprintf("shard-%d.journal", s)) }
+	j, err := experiments.CreateShardJournal(path(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if st := inspect(path(0), cfg.N, 0, 2); st != (journalState{}) {
+		t.Fatalf("header-only journal: %+v, want nothing to resume", st)
+	}
+	if err := os.WriteFile(path(1), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st := inspect(path(1), cfg.N, 1, 2); st != (journalState{}) {
+		t.Fatalf("empty journal: %+v, want nothing to resume", st)
+	}
+	header, _ := os.ReadFile(path(0))
+	torn := filepath.Join(dir, "torn.journal")
+	if err := os.WriteFile(torn, append(header, 9, 0, 0, 0, 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st := inspect(torn, cfg.N, 0, 2); !st.exists || !st.corrupt {
+		t.Fatalf("torn first record: %+v, want corrupt", st)
+	}
+
+	rec := obs.New()
+	res, err := Run(context.Background(), Options{
+		Shards: 2, N: cfg.N, JournalPath: path, Launch: workerLauncher(cfg), Seed: cfg.Seed, Obs: rec,
+	})
+	if err != nil || !res.Complete() {
+		t.Fatalf("run over header-only journals: %v, failed %v", err, res.Failed)
+	}
+	c := rec.Snapshot().Counters
+	if c["supervise/journal_corrupt"] != 0 || c["supervise/resumes"] != 0 || c["supervise/launches"] != 2 {
+		t.Fatalf("counters %v: want two fresh launches, no resumes, nothing corrupt", c)
+	}
+	if merged := mergeOutcomes(t, cfg, res); merged.Graph.String() != unshardedTopology(t, cfg) {
+		t.Fatal("topology differs from unsharded")
 	}
 }
