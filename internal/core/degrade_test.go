@@ -173,8 +173,9 @@ func (c *flipCtx) Err() error {
 }
 
 // Mid-search cancellation in degrade mode completes with DegradeCancelled
-// nodes instead of failing, and the nodes searched before the cut keep
-// exactly the parents the unconstrained run finds. Cancellation landing
+// nodes instead of failing, and every other node keeps exactly the parents
+// the unconstrained run finds: each node is either searched in full or
+// reported cancelled once, at one worker or several. Cancellation landing
 // before the search stage still errors.
 func TestDegradeCancelledKeepsPartialTopology(t *testing.T) {
 	g := graph.Chain(12)
@@ -184,48 +185,55 @@ func TestDegradeCancelledKeepsPartialTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A huge NodeDeadline arms degrade mode without ever cutting a node
-	// itself, so every degradation below is attributable to the flip.
-	opt := Options{Workers: 1, NodeDeadline: time.Hour}
-
-	// A context cancelled from the start must fail before the search stage.
-	pre, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := InferContext(pre, sm, opt); err == nil {
-		t.Fatal("pre-cancelled context should error even in degrade mode")
+	// Every node has parents in the full run, so a node the search lost
+	// (neither searched nor reported) shows up as an empty parent set.
+	for i, ps := range full.Parents {
+		if len(ps) == 0 {
+			t.Fatalf("full run: node %d has no parents; a lost node would go unnoticed", i)
+		}
 	}
+	for _, workers := range []int{1, 4} {
+		// A huge NodeDeadline arms degrade mode without ever cutting a
+		// node itself, so every degradation below is attributable to the
+		// flip.
+		opt := Options{Workers: workers, NodeDeadline: time.Hour}
 
-	// Sweep the flip point forward until it lands inside the search stage:
-	// early flips error at IMI (skip), late flips never cancel (stop).
-	for after := int64(1); ; after += 3 {
-		ctx := &flipCtx{Context: context.Background(), after: after}
-		res, err := InferContext(ctx, sm, opt)
-		if err != nil {
-			continue
+		// A context cancelled from the start must fail before the search
+		// stage.
+		pre, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := InferContext(pre, sm, opt); err == nil {
+			t.Fatalf("Workers=%d: pre-cancelled context should error even in degrade mode", workers)
 		}
-		if len(res.Degraded) == 0 {
-			t.Fatal("flip never landed inside the search stage; no cancellation was observed")
-		}
-		cut := make(map[int]bool)
-		for _, d := range res.Degraded {
-			if d.Reason != DegradeCancelled {
-				t.Fatalf("node %d degraded with %v, want cancelled", d.Node, d.Reason)
-			}
-			cut[d.Node] = true
-		}
-		for i := range res.Parents {
-			if cut[i] {
+
+		// Sweep the flip point forward until it lands inside the search
+		// stage: early flips error at IMI (skip), late flips never cancel
+		// (stop).
+		for after := int64(1); ; after += 3 {
+			ctx := &flipCtx{Context: context.Background(), after: after}
+			res, err := InferContext(ctx, sm, opt)
+			if err != nil {
 				continue
 			}
-			if len(res.Parents[i]) != len(full.Parents[i]) {
-				t.Fatalf("uncut node %d parents %v differ from full run %v", i, res.Parents[i], full.Parents[i])
+			if len(res.Degraded) == 0 {
+				t.Fatalf("Workers=%d: flip never landed inside the search stage; no cancellation was observed", workers)
 			}
-			for k := range res.Parents[i] {
-				if res.Parents[i][k] != full.Parents[i][k] {
-					t.Fatalf("uncut node %d parents %v differ from full run %v", i, res.Parents[i], full.Parents[i])
+			cut := make(map[int]bool)
+			for _, d := range res.Degraded {
+				if d.Reason != DegradeCancelled {
+					t.Fatalf("Workers=%d: node %d degraded with %v, want cancelled", workers, d.Node, d.Reason)
+				}
+				if cut[d.Node] {
+					t.Fatalf("Workers=%d: node %d reported cancelled twice", workers, d.Node)
+				}
+				cut[d.Node] = true
+			}
+			for i := range res.Parents {
+				if !cut[i] && !equalParents(res.Parents[i], full.Parents[i]) {
+					t.Fatalf("Workers=%d: uncut node %d parents %v differ from full run %v", workers, i, res.Parents[i], full.Parents[i])
 				}
 			}
+			break
 		}
-		return
 	}
 }

@@ -17,33 +17,35 @@ func TestInferSkipNodes(t *testing.T) {
 	g := graph.Chain(12)
 	g.Symmetrize()
 	sm := simulateOn(t, g, 0.4, 0.1, 1000, 3)
-	full, err := Infer(sm, Options{})
+	full, err := Infer(sm, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	skip := map[int]bool{0: true, 5: true, 11: true, 99: true} // 99 out of range: ignored
-	res, err := Infer(sm, Options{SkipNodes: skip})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Parents {
-		if skip[i] {
-			if len(res.Parents[i]) != 0 {
-				t.Fatalf("skipped node %d has parents %v", i, res.Parents[i])
+	for _, workers := range []int{1, 4} {
+		res, err := Infer(sm, Options{Workers: workers, SkipNodes: skip})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range res.Parents {
+			if skip[i] {
+				if len(res.Parents[i]) != 0 {
+					t.Fatalf("workers=%d: skipped node %d has parents %v", workers, i, res.Parents[i])
+				}
+				continue
 			}
-			continue
+			if !equalParents(res.Parents[i], full.Parents[i]) {
+				t.Fatalf("workers=%d node %d: parents %v with skips, %v without", workers, i, res.Parents[i], full.Parents[i])
+			}
 		}
-		if !equalParents(res.Parents[i], full.Parents[i]) {
-			t.Fatalf("node %d: parents %v with skips, %v without", i, res.Parents[i], full.Parents[i])
+		for _, d := range res.Degraded {
+			if skip[d.Node] {
+				t.Fatalf("workers=%d: skipped node %d reported degraded (%v)", workers, d.Node, d.Reason)
+			}
 		}
-	}
-	for _, d := range res.Degraded {
-		if skip[d.Node] {
-			t.Fatalf("skipped node %d reported degraded (%v)", d.Node, d.Reason)
+		if res.Threshold != full.Threshold {
+			t.Fatalf("workers=%d: threshold changed under SkipNodes: %v vs %v", workers, res.Threshold, full.Threshold)
 		}
-	}
-	if res.Threshold != full.Threshold {
-		t.Fatalf("threshold changed under SkipNodes: %v vs %v", res.Threshold, full.Threshold)
 	}
 }
 

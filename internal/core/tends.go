@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tends/internal/chaos"
@@ -456,51 +457,41 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
+	// Workers claim one node at a time from a shared counter, so load
+	// balances node by node without a channel handoff per node. The
+	// per-node searches only read the scorer and IMI matrix; each worker
+	// writes a disjoint slot of res.Parents (and reasons), so the output is
+	// identical for any worker count.
+	var nextNode atomic.Int64
+	searchRange := func() {
 		sc := scorer.newScratch()
-		for i := 0; i < n; i++ {
+		for {
+			i := int(nextNode.Add(1)) - 1
+			if i >= n {
+				return
+			}
 			if !inShard(i) {
 				continue
 			}
 			if sctx.Err() != nil {
-				if !degrade {
-					break
+				// Claim the rest without working; in degrade mode the
+				// skipped node is reported, not lost.
+				if degrade {
+					reasons[i] = DegradeCancelled
 				}
-				reasons[i] = DegradeCancelled
 				continue
 			}
 			searchNode(i, sc)
 		}
+	}
+	if workers <= 1 {
+		searchRange()
 	} else {
-		// The per-node searches only read the scorer and IMI matrix;
-		// each worker writes a disjoint slot of res.Parents (and reasons),
-		// so the output is identical for any worker count.
 		var wg sync.WaitGroup
-		next := make(chan int)
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := scorer.newScratch()
-				for i := range next {
-					if sctx.Err() != nil {
-						// Drain the channel without working; in degrade
-						// mode the skipped node is reported, not lost.
-						if degrade {
-							reasons[i] = DegradeCancelled
-						}
-						continue
-					}
-					searchNode(i, sc)
-				}
-			}()
+			go func() { defer wg.Done(); searchRange() }()
 		}
-		for i := 0; i < n; i++ {
-			if inShard(i) {
-				next <- i
-			}
-		}
-		close(next)
 		wg.Wait()
 	}
 	searchSpan.End()

@@ -68,3 +68,34 @@ func BenchmarkJointCounts(b *testing.B) {
 		m.JointCounts(i%200, (i+7)%200)
 	}
 }
+
+// seedSink keeps BenchmarkSeedDraw's results live.
+var seedSink []int
+
+// BenchmarkSeedDraw times one process's seed draw at n=10⁵, k=10: the
+// allocating rand.Perm, permPrefix, and the bare n Int31 draws both make,
+// which is the floor while the golden fixtures pin the RNG stream.
+func BenchmarkSeedDraw(b *testing.B) {
+	const n, k = 100000, 10
+	buf := make([]int, k)
+	b.Run("perm", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < b.N; i++ {
+			seedSink = rng.Perm(n)[:k]
+		}
+	})
+	b.Run("prefix", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < b.N; i++ {
+			seedSink = permPrefix(rng, n, k, buf)
+		}
+	})
+	b.Run("draws", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < n; j++ {
+				rng.Int31()
+			}
+		}
+	})
+}

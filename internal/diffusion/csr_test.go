@@ -94,6 +94,8 @@ func TestSimulateMatchesMapReference(t *testing.T) {
 		{"sparse", graph.GNM(60, 240, rand.New(rand.NewSource(1))), 0.3, Config{Alpha: 0.15, Beta: 40}, 101},
 		{"dense", graph.GNM(50, 1200, rand.New(rand.NewSource(2))), 0.1, Config{Alpha: 0.1, Beta: 30}, 202},
 		{"chain", chainSym(40), 0.4, Config{Alpha: 0.1, Beta: 50}, 303},
+		// n ≫ seeds: almost every seed draw lands in permPrefix's tail.
+		{"tail", graph.GNM(3000, 9000, rand.New(rand.NewSource(4))), 0.2, Config{Alpha: 0.001, Beta: 20}, 404},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -25,6 +25,7 @@ package diffusion
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"tends/internal/graph"
@@ -185,10 +186,11 @@ func Simulate(ep *EdgeProbs, cfg Config, rng *rand.Rand) (*Result, error) {
 }
 
 // SimulateContext is Simulate under a context. The simulation itself is
-// never cancelled (it is cheap relative to inference, and partial
-// observation data is useless); the context only carries the observability
-// recorder (see internal/obs), which tallies processes, infections and
-// diffusion rounds and times the whole run, and the chaos injector.
+// never cancelled: partial observation data is useless, even though at
+// n=10⁵ simulating can cost more than inferring. The context only carries
+// the observability recorder (see internal/obs), which tallies processes,
+// infections and diffusion rounds and times the whole run, and the chaos
+// injector.
 // Results are identical to Simulate's for the same inputs.
 //
 // It is the zero-Scenario entry point of the scenario engine (see
@@ -203,21 +205,24 @@ func SimulateContext(ctx context.Context, ep *EdgeProbs, cfg Config, rng *rand.R
 	return sr.Result, nil
 }
 
-// simScratch holds the per-process working state of runProcess, allocated
-// once per Simulate call and reused across its β cascades. Only the cascade
-// trace itself (which escapes into the Result) is allocated per process.
+// simScratch holds the per-process working state of the process runners,
+// allocated once per Simulate call and reused across its β cascades. Only
+// the cascade trace itself (which escapes into the Result) is allocated per
+// process.
 type simScratch struct {
-	perm     []int     // seed permutation buffer
+	perm     []int     // seed buffer: the numSeeds-long prefix of the permutation
 	infected []bool    // cleared after each process via the infection list
 	times    []float64 // valid only for nodes infected in the current process
 	frontier []int
 	next     []int
-	state    []uint8 // S/I/R compartments; allocated only for SIR/SIS runs
+	state    []uint8   // S/I/R compartments; allocated only for SIR/SIS runs
+	thresh   []float64 // LT node thresholds, redrawn every process; LT only
+	accum    []float64 // LT accumulated in-weights, cleared per process; LT only
 }
 
-func newSimScratch(n int) *simScratch {
+func newSimScratch(n, numSeeds int) *simScratch {
 	return &simScratch{
-		perm:     make([]int, n),
+		perm:     make([]int, numSeeds),
 		infected: make([]bool, n),
 		times:    make([]float64, n),
 		frontier: make([]int, 0, n),
@@ -225,19 +230,60 @@ func newSimScratch(n int) *simScratch {
 	}
 }
 
-// runProcess executes a single independent-cascade process.
-func runProcess(ep *EdgeProbs, numSeeds int, delay DelaySampler, rng *rand.Rand, sc *simScratch) Cascade {
-	n := len(sc.perm)
-	// In-place Fisher–Yates with the same Intn draw sequence as rng.Perm(n)
-	// — including the i=0 self-swap draw rand.Perm makes — so fixed-seed
-	// cascades are byte-identical to the allocating version.
-	perm := sc.perm
-	for i := 0; i < n; i++ {
+// permPrefix returns rng.Perm(n)[:k] in buf (len ≥ k) and leaves rng in
+// exactly the state rng.Perm(n) would: it makes all n of Perm's
+// Intn(i+1) draws, the i=0 self-swap draw included, reproducing Int31n's
+// power-of-two mask and rejection loop. Only the prefix is stored. For
+// i ≥ k, Perm's swap sets slot j to i and copies slot j into slot i ≥ k,
+// which no later swap can move back into the prefix; so a draw j < k sets
+// prefix slot j = i and any other draw changes nothing the caller sees.
+// Skipping the n-element array keeps the tail to one draw and at most one
+// division per i — the draws themselves are pinned by the golden fixtures.
+func permPrefix(rng *rand.Rand, n, k int, buf []int) []int {
+	perm := buf[:k]
+	for i := 0; i < k; i++ {
 		j := rng.Intn(i + 1)
 		perm[i] = perm[j]
 		perm[j] = i
 	}
-	seeds := perm[:numSeeds]
+	end := n
+	if end > math.MaxInt32 {
+		end = math.MaxInt32 // Intn leaves Int31n beyond here
+	}
+	for i := k; i < end; i++ {
+		m := int32(i + 1)
+		v := rng.Int31()
+		if m&(m-1) == 0 {
+			v &= m - 1
+		} else {
+			// Int31n rejects v > 2³¹−1 − 2³¹ mod m. As 2³¹ mod m < m, every
+			// v ≤ 2³¹−1 − m is accepted, so the bound's modulus is needed
+			// only above that line.
+			if v > math.MaxInt32-m {
+				max := int32((1 << 31) - 1 - (1<<31)%uint32(m))
+				for v > max {
+					v = rng.Int31()
+				}
+			}
+			v %= m
+		}
+		if int(v) < k {
+			perm[v] = i
+		}
+	}
+	for i := end; i < n; i++ {
+		if j := rng.Intn(i + 1); j < k {
+			perm[j] = i
+		}
+	}
+	return perm
+}
+
+// runProcess executes a single independent-cascade process.
+func runProcess(ep *EdgeProbs, numSeeds int, delay DelaySampler, rng *rand.Rand, sc *simScratch) Cascade {
+	// The seeds are rng.Perm(n)[:numSeeds] with Perm's full draw sequence,
+	// so fixed-seed cascades are byte-identical to the allocating version.
+	seeds := permPrefix(rng, len(sc.infected), numSeeds, sc.perm)
 	infected, times := sc.infected, sc.times
 	var cascade Cascade
 	cascade.Seeds = append([]int(nil), seeds...)

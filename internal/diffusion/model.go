@@ -222,11 +222,12 @@ func SimulateScenarioContext(ctx context.Context, ep *EdgeProbs, cfg Config, sc 
 		Statuses: NewStatusMatrix(cfg.Beta, n),
 		Cascades: make([]Cascade, cfg.Beta),
 	}
-	st := newSimScratch(n)
+	st := newSimScratch(n, numSeeds)
 	var ltWeights []map[int]float64
 	switch sc.Model {
 	case ModelLT:
 		ltWeights = ltInWeights(ep)
+		st.thresh, st.accum = make([]float64, n), make([]float64, n)
 	case ModelSIR, ModelSIS:
 		st.state = make([]uint8, n)
 	}
@@ -237,7 +238,7 @@ func SimulateScenarioContext(ctx context.Context, ep *EdgeProbs, cfg Config, sc 
 		case ModelIC:
 			cascade = runProcess(ep, numSeeds, delay, rng, st)
 		case ModelLT:
-			cascade = runLTProcess(ep.g, ltWeights, numSeeds, delay, rng)
+			cascade = runLTProcess(ltWeights, numSeeds, delay, rng, st)
 		default:
 			cascade = runSIRProcess(ep, numSeeds, sc, sc.Model == ModelSIS, delay, rng, st, &reinf)
 		}

@@ -15,7 +15,7 @@ const (
 // process. Structure and RNG discipline mirror runProcess exactly so the
 // degenerate corners collapse onto the simpler models bit-for-bit:
 //
-//   - Seeds come from the same in-place Fisher–Yates permutation draws.
+//   - Seeds come from the same permPrefix draws.
 //   - Each round, every active (infectious) node attempts to infect its
 //     susceptible CSR children with one Float64 trial per child; successes
 //     draw one delay sample, in the same order IC would.
@@ -31,14 +31,7 @@ const (
 // re-entering I from S) keep their original trace entry and timestamp and
 // are tallied into *reinf.
 func runSIRProcess(ep *EdgeProbs, numSeeds int, sc Scenario, sis bool, delay DelaySampler, rng *rand.Rand, st *simScratch, reinf *int64) Cascade {
-	n := len(st.perm)
-	perm := st.perm
-	for i := 0; i < n; i++ {
-		j := rng.Intn(i + 1)
-		perm[i] = perm[j]
-		perm[j] = i
-	}
-	seeds := perm[:numSeeds]
+	seeds := permPrefix(rng, len(st.infected), numSeeds, st.perm)
 	ever, times, state := st.infected, st.times, st.state
 	var cascade Cascade
 	cascade.Seeds = append([]int(nil), seeds...)

@@ -55,24 +55,23 @@ func ltInWeights(ep *EdgeProbs) []map[int]float64 {
 	return weights
 }
 
-func runLTProcess(g interface {
-	NumNodes() int
-	Parents(int) []int
-}, weights []map[int]float64, numSeeds int, delay DelaySampler, rng *rand.Rand) Cascade {
-	n := g.NumNodes()
-	thresholds := make([]float64, n)
+// runLTProcess executes one Linear Threshold process in st, drawing the n
+// thresholds before the seed permutation. The thresholds are overwritten and
+// the infected marks and accumulators cleared every process, so st carries
+// nothing from one process to the next.
+func runLTProcess(weights []map[int]float64, numSeeds int, delay DelaySampler, rng *rand.Rand, st *simScratch) Cascade {
+	n := len(st.infected)
+	thresholds, infected, accum, times := st.thresh, st.infected, st.accum, st.times
 	for v := range thresholds {
 		thresholds[v] = rng.Float64()
 	}
-	infected := make([]bool, n)
-	accum := make([]float64, n)
 	var cascade Cascade
-	seeds := rng.Perm(n)[:numSeeds]
+	seeds := permPrefix(rng, n, numSeeds, st.perm)
 	cascade.Seeds = append([]int(nil), seeds...)
-	times := make([]float64, n)
 	frontier := make([]int, 0, numSeeds)
 	for _, s := range seeds {
 		infected[s] = true
+		times[s] = 0
 		cascade.Infections = append(cascade.Infections, Infection{Node: s, Round: 0, Time: 0, Parent: -1})
 		frontier = append(frontier, s)
 	}
@@ -114,5 +113,9 @@ func runLTProcess(g interface {
 		}
 		frontier = next
 	}
+	for _, inf := range cascade.Infections {
+		infected[inf.Node] = false
+	}
+	clear(accum)
 	return cascade
 }

@@ -18,8 +18,11 @@ import (
 // (vaccinate, suspend, patch) so that expected outbreak spread drops the
 // most.
 
-// permInto replicates rand.Perm(n) into buf (reused across samples) with
-// the exact same draw sequence, avoiding the per-sample allocation.
+// permInto writes a uniform random permutation of [0, n) into buf (reused
+// across samples), avoiding rand.Perm's per-sample allocation. It is not
+// rand.Perm's draw sequence: the loop starts at i=1 and skips Perm's i=0
+// draw. It stays that way because changing its draws would change
+// SpreadWithBlocked's outputs.
 func permInto(buf []int, n int, rng *rand.Rand) []int {
 	buf = buf[:0]
 	for i := 0; i < n; i++ {
