@@ -9,7 +9,9 @@
 // -sparse switches the pairwise stage to the sparse candidate engine: only
 // node pairs that co-occur in at least one cascade are enumerated, which is
 // sub-quadratic on sparse diffusion data. The inferred topology is
-// bit-identical to the dense engine's.
+// bit-identical to the dense engine's. With -verbose it also reports how
+// many pairs co-occur and how many of them the engine kept above the
+// pruning threshold.
 //
 // -workers bounds the goroutines used by the IMI stage and the per-node
 // parent-set searches (0 = all CPUs, 1 = serial); the inferred topology is
@@ -188,12 +190,25 @@ func run(ctx context.Context, inPath, outPath string, combo int, scale, threshol
 	if threshold >= 0 {
 		opt.FixedThreshold = &threshold
 	}
+	// -verbose reads the sparse engine's pair counters, so it needs a
+	// recorder even without -obs-json.
+	rec := obs.From(ctx)
+	if verbose && sparse && rec == nil {
+		rec = obs.New()
+		ctx = obs.With(ctx, rec)
+	}
 	res, err := core.InferContext(ctx, sm, opt)
 	if err != nil {
 		return err
 	}
 	if verbose {
 		fmt.Fprintf(os.Stderr, "observations: beta=%d n=%d\n", sm.Beta(), sm.N())
+		if sparse {
+			c := rec.Snapshot().Counters
+			coPairs, kept := c["core/sparse/pairs"], c["core/sparse/kept"]
+			fmt.Fprintf(os.Stderr, "sparse pairs: co-occurring=%d kept=%d kept/co-occurring=%.4g\n",
+				coPairs, kept, float64(kept)/float64(max(coPairs, 1)))
+		}
 		fmt.Fprintf(os.Stderr, "auto tau=%.6f used threshold=%.6f\n", res.AutoTau, res.Threshold)
 		fmt.Fprintf(os.Stderr, "inferred edges=%d score g(T)=%.3f\n", res.Graph.NumEdges(), res.Score)
 	}

@@ -123,17 +123,13 @@ func (c *IncrementalCounts) Source() *SparseIMI { return c.source(0) }
 
 // source is Source on an explicit worker count (0 means GOMAXPROCS).
 func (c *IncrementalCounts) source(workers int) *SparseIMI {
-	s := &SparseIMI{
-		n: c.n, beta: c.beta, traditional: c.traditional,
-		mt:       cachedMITable(c.beta),
-		ones:     append([]int32(nil), c.ones...),
-		rowStart: make([]int64, c.n+1),
-	}
+	s := newSparseIMI(c.n, c.beta, c.traditional, slices.Clone(c.ones))
 	for v := 0; v < c.n; v++ {
 		s.rowStart[v+1] = s.rowStart[v] + int64(len(c.nbr[v]))
 	}
+	scs := newScratches(c.n, workers)
 	// The row stage fails only on cancellation, and this context never ends.
-	_ = s.fillRows(context.TODO(), workers, func(v int, sc *sparseScratch, row []int32) []int32 {
+	_ = s.fillRows(context.TODO(), scs, true, func(v int, sc *sparseScratch, row []int32) []int32 {
 		for j, n11 := range c.nbr[v] {
 			row = append(row, j)
 			sc.cnt[j] = n11
@@ -141,6 +137,7 @@ func (c *IncrementalCounts) source(workers int) *SparseIMI {
 		slices.Sort(row)
 		return row
 	})
+	s.finishTally(scs)
 	return s
 }
 
@@ -213,8 +210,10 @@ func InferFromSource(ctx context.Context, sm *diffusion.StatusMatrix, src *Spars
 	rec.Counter("core/sparse/rows").Add(int64(src.n))
 	rec.Counter("core/sparse/pairs").Add(src.CoPairs())
 	rec.Counter("core/sparse/pairs_skipped").Add(src.TotalPairs() - src.CoPairs())
+	rec.Counter("core/sparse/kept").Add(src.kept())
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: IMI stage: %w", err)
 	}
-	return inferStages(ctx, sm, src, opt)
+	autoTau, tau := selectThreshold(ctx, src, sm.Beta(), opt)
+	return inferStages(ctx, sm, src, opt, autoTau, tau)
 }

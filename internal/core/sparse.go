@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"fmt"
 	"math"
 	"math/bits"
 	"runtime"
@@ -15,7 +17,7 @@ import (
 )
 
 // SparseIMI is the sparse pairwise engine: instead of materializing the
-// dense n(n−1)/2 triangle, it stores per-node CSR rows holding only the
+// dense n(n−1)/2 triangle, it stores per-node CSR rows holding only
 // neighbors each node co-occurs with in at least one diffusion process,
 // found through an inverted index over the bit-packed status columns
 // (cascade → infected-node list). Walking a node's cascade lists visits
@@ -26,26 +28,35 @@ import (
 // count-class pairs, which enter the value pool as run-length "marginal
 // runs" and are otherwise computed on demand, never stored per pair.
 //
-// Every materialized or derived value goes through the same pairValue
-// arithmetic as the dense engine, so SparseIMI.At is bit-identical to
-// IMIMatrix.At for every pair, and the threshold selectors (which consume
-// the shared valuePool form) return bit-identical τ. A pair's value is a
+// The build walks the index twice. Walk 1 only tallies: a pair's value is a
 // function of its key (n11, ni, nj) alone, so each worker caches values by
-// key, and the pool is built from the co-pairs' values tallied by their
-// exact bits — the same multiset as one entry per pair. The pairwise stage
-// costs O(n·β/64 + Σ_c |infected(c)|²) for the walks, O(coPairs·log k) to
-// merge each row's k ascending cascade runs, O(coPairs) for the class-pair
-// counts, and O(V log V + C²) for the pool, with V distinct positive
-// values and C count classes; memory beyond the CSR itself is O(n + β + V)
-// per worker.
+// key and counts the upper-triangle pairs of each cached key, which move
+// into two compact tallies when the key leaves the cache — the values by
+// their exact bits (the value pool's multiset, with no entry per pair) and
+// the co-pairs per pair of marginal counts (which the marginal runs need).
+// Walk 2 fills the CSR. A full engine stores every co-occurring pair;
+// inference, which knows its threshold τ between the walks, keeps only the
+// pairs whose value clears it (see buildSparse), so its memory grows with
+// the search candidates rather than with the co-pairs.
+//
+// Every materialized or derived value goes through the same pairValue
+// arithmetic as the dense engine, so a full SparseIMI's At is bit-identical
+// to IMIMatrix.At for every pair, and the threshold selectors (which
+// consume the shared valuePool form) return bit-identical τ. The pairwise
+// stage costs O(n·β/64 + Σ_c |infected(c)|²) for the walks, O(coPairs·log
+// k) to merge a full row's k ascending cascade runs, and O(V log V + C²)
+// for the pool, with V distinct positive values and C count classes;
+// memory beyond the stored rows is O(n + β + V) per worker.
 type SparseIMI struct {
 	n, beta     int
 	traditional bool
 	mt          *miTable
 	ones        []int32 // infected count per node
 
-	// Symmetric CSR over co-occurring pairs: row i holds the ascending
-	// neighbor list of node i with the pair values alongside.
+	// Symmetric CSR: row i holds the ascending neighbor list of node i with
+	// the pair values alongside — every co-occurring pair when floor is
+	// −Inf, otherwise only the pairs whose value exceeds floor.
+	floor    float64
 	rowStart []int64
 	nbr      []int32
 	val      []float64
@@ -65,6 +76,18 @@ type SparseIMI struct {
 	coPairs int64
 }
 
+// newSparseIMI returns a full engine over the given marginal counts with
+// no rows yet.
+func newSparseIMI(n, beta int, traditional bool, ones []int32) *SparseIMI {
+	return &SparseIMI{
+		n: n, beta: beta, traditional: traditional,
+		mt:       cachedMITable(beta),
+		ones:     ones,
+		floor:    math.Inf(-1),
+		rowStart: make([]int64, n+1),
+	}
+}
+
 // ComputeSparseIMI builds the sparse pairwise engine from observations,
 // using every CPU. It is the sparse counterpart of ComputeIMI.
 func ComputeSparseIMI(sm *diffusion.StatusMatrix, traditional bool) *SparseIMI {
@@ -75,29 +98,31 @@ func ComputeSparseIMI(sm *diffusion.StatusMatrix, traditional bool) *SparseIMI {
 // ComputeSparseIMIContext is ComputeSparseIMI with an explicit worker count
 // and cooperative cancellation (checked between node chunks). Like the
 // dense engine, every row is computed independently from the same inputs,
-// so the result is bit-identical for any worker count.
+// so the result is bit-identical for any worker count. The engine stores
+// every co-occurring pair.
 func ComputeSparseIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditional bool, workers int) (*SparseIMI, error) {
-	rec := obs.From(ctx)
-	defer rec.StartSpan("core/imi").End()
-	rowsC := rec.Counter("core/sparse/rows")
-	pairsC := rec.Counter("core/sparse/pairs")
-	skipC := rec.Counter("core/sparse/pairs_skipped")
+	return buildSparse(ctx, sm, traditional, workers, nil)
+}
 
+// buildSparse runs the batch build. With selectFloor nil it builds a full
+// engine. Otherwise selectFloor is called between the walks, when the
+// value pool and the marginal maxima are known, and walk 2 keeps only the
+// pairs whose value exceeds the floor it returns.
+func buildSparse(ctx context.Context, sm *diffusion.StatusMatrix, traditional bool, workers int, selectFloor func(*SparseIMI) float64) (*SparseIMI, error) {
+	rec := obs.From(ctx)
+	span := rec.StartSpan("core/imi")
+	defer func() { span.End() }()
 	n, beta := sm.N(), sm.Beta()
-	words, data := sm.Words(), sm.ColumnData()
-	s := &SparseIMI{
-		n: n, beta: beta, traditional: traditional,
-		mt:       cachedMITable(beta),
-		rowStart: make([]int64, n+1),
-		ones:     make([]int32, n),
+	ones := make([]int32, n)
+	for v := range ones {
+		ones[v] = int32(sm.CountInfected(v))
 	}
-	for v := 0; v < n; v++ {
-		s.ones[v] = int32(sm.CountInfected(v))
-	}
+	s := newSparseIMI(n, beta, traditional, ones)
 
 	// Inverted index: cascade → infected-node list, one counting pass and
 	// one fill pass over the bit columns. Filling in ascending node order
 	// leaves every cascade list sorted.
+	words, data := sm.Words(), sm.ColumnData()
 	cascCnt := make([]int64, beta)
 	forEachSetBit := func(v int, f func(p int)) {
 		col := data[v*words : (v+1)*words]
@@ -151,56 +176,92 @@ func ComputeSparseIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, tr
 		})
 		return row
 	}
-
-	// Pass A: per-node co-occurrence degree, which sizes the CSR.
-	deg := make([]int64, n)
-	parallelNodes(ctx, n, workers, func(v int, sc *sparseScratch) {
-		sc.row = coOccur(v, sc, sc.row[:0])
-		for _, u := range sc.row {
-			sc.cnt[u] = 0
-		}
-		deg[v] = int64(len(sc.row))
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for v := 0; v < n; v++ {
-		s.rowStart[v+1] = s.rowStart[v] + deg[v]
-	}
-
-	// Pass B: the same walk straight into each CSR row, whose runs are then
-	// merged pairwise — O(len·log runs), and most rows are one or two runs.
-	if err := s.fillRows(ctx, workers, func(v int, sc *sparseScratch, row []int32) []int32 {
-		row = coOccur(v, sc, row)
-		sc.buf = mergeRuns(row, sc.buf, sc.runs)
+	// upper is coOccur restricted to the nodes u > v, unordered and without
+	// runs: it reads each cascade list from its end down to v, so every
+	// co-occurring pair is met from its lower end only.
+	upper := func(v int, sc *sparseScratch, row []int32) []int32 {
+		forEachSetBit(v, func(p int) {
+			list := cascNodes[cascOff[p]:cascOff[p+1]]
+			for k := len(list) - 1; k >= 0 && int(list[k]) > v; k-- {
+				u := list[k]
+				if sc.cnt[u] == 0 {
+					row = append(row, u)
+				}
+				sc.cnt[u]++
+			}
+		})
 		return row
-	}); err != nil {
+	}
+	scs := newScratches(n, workers)
+
+	// Walk 1. A full engine also needs each row's length to size the CSR,
+	// so it walks whole rows; inference walks only the upper triangle.
+	var deg []int64
+	gather1 := upper
+	if selectFloor == nil {
+		deg = make([]int64, n)
+		gather1 = coOccur
+	}
+	if err := s.tally(ctx, scs, deg, gather1); err != nil {
 		return nil, err
 	}
 
-	rowsC.Add(int64(n))
-	pairsC.Add(s.coPairs)
-	skipC.Add(s.TotalPairs() - s.coPairs)
+	// Walk 2: merge each full row's ascending runs pairwise, or keep the
+	// pairs above the floor.
+	var err error
+	if selectFloor == nil {
+		for v, d := range deg {
+			s.rowStart[v+1] = s.rowStart[v] + d
+		}
+		err = s.fillRows(ctx, scs, false, func(v int, sc *sparseScratch, row []int32) []int32 {
+			row = coOccur(v, sc, row)
+			sc.buf = mergeRuns(row, sc.buf, sc.runs)
+			return row
+		})
+	} else {
+		// The floor's selection is timed under its own spans, not core/imi.
+		span.End()
+		floor := selectFloor(s)
+		span = rec.StartSpan("core/imi")
+		err = s.keepRows(ctx, scs, floor, upper)
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	rec.Counter("core/sparse/rows").Add(int64(n))
+	rec.Counter("core/sparse/pairs").Add(s.coPairs)
+	rec.Counter("core/sparse/pairs_skipped").Add(s.TotalPairs() - s.coPairs)
+	rec.Counter("core/sparse/kept").Add(s.kept())
 	return s, nil
 }
 
-// parallelNodes runs body(v) for every node v < n across workers goroutines
-// (0 means GOMAXPROCS), claiming fixed-size chunks off a shared counter, and
-// returns the per-worker scratches. Bodies write disjoint per-node slots, so
-// output is identical for any worker count. Workers stop claiming once ctx
-// is done.
-func parallelNodes(ctx context.Context, n, workers int, body func(v int, sc *sparseScratch)) []*sparseScratch {
-	const chunk = 256
+// newScratches returns one build scratch per worker (0 workers means
+// GOMAXPROCS), never more than there are node chunks to claim.
+func newScratches(n, workers int) []*sparseScratch {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	nChunks := (n + chunk - 1) / chunk
-	scratches := make([]*sparseScratch, max(1, min(workers, nChunks)))
+	scs := make([]*sparseScratch, max(1, min(workers, (n+nodeChunk-1)/nodeChunk)))
+	for w := range scs {
+		scs[w] = &sparseScratch{cnt: make([]int32, n)}
+	}
+	return scs
+}
+
+// nodeChunk is the number of consecutive nodes a worker claims at once.
+const nodeChunk = 256
+
+// parallelNodes runs body(v) for every node v < n, one goroutine per
+// scratch, claiming fixed-size chunks off a shared counter. Each worker
+// visits its nodes in ascending order. Bodies write disjoint per-node slots
+// or their own scratch, so output is identical for any worker count.
+// Workers stop claiming once ctx is done.
+func parallelNodes(ctx context.Context, n int, scs []*sparseScratch, body func(v int, sc *sparseScratch)) {
+	nChunks := (n + nodeChunk - 1) / nodeChunk
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := range scratches {
-		sc := &sparseScratch{cnt: make([]int32, n)}
-		scratches[w] = sc
+	for _, sc := range scs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -209,70 +270,194 @@ func parallelNodes(ctx context.Context, n, workers int, body func(v int, sc *spa
 				if c >= nChunks {
 					return
 				}
-				for v := c * chunk; v < min((c+1)*chunk, n); v++ {
+				for v := c * nodeChunk; v < min((c+1)*nodeChunk, n); v++ {
 					body(v, sc)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	return scratches
 }
 
-// fillRows fills the CSR rows whose extents s.rowStart holds, then
-// assembles the rest of s. gather appends node v's co-occurring neighbors,
-// ascending, to row and leaves each one's joint infected count n11 in
-// sc.cnt; fillRows reads and resets the counts, derives the values, and
-// tallies every upper-triangle value. It is the row stage of both the batch
-// build and IncrementalCounts.Source.
-func (s *SparseIMI) fillRows(ctx context.Context, workers int, gather func(v int, sc *sparseScratch, row []int32) []int32) error {
-	s.nbr = make([]int32, s.rowStart[s.n])
-	s.val = make([]float64, s.rowStart[s.n])
-	s.coPairs = s.rowStart[s.n] / 2
-	scratches := parallelNodes(ctx, s.n, workers, func(v int, sc *sparseScratch) {
-		lo := s.rowStart[v]
-		row := gather(v, sc, s.nbr[lo:lo:s.rowStart[v+1]])
-		ni := s.ones[v]
-		for k, j := range row {
-			key := pairKey{sc.cnt[j], min(ni, s.ones[j]), max(ni, s.ones[j])}
-			sc.cnt[j] = 0
-			e := &sc.cache[key.hash()>>(64-valueCacheBits)]
-			if e.key != key {
-				sc.tally.add(e.v, e.n)
-				*e = cachedValue{key: key, v: pairValue(s.mt, s.traditional, s.beta, int(key.n11), int(key.lo), int(key.hi))}
-			}
-			s.val[lo+int64(k)] = e.v
-			if int(j) > v {
+// sparseScratch is the per-worker state of the build walks.
+type sparseScratch struct {
+	cnt   []int32 // per-node joint infected count, all zero between rows
+	row   []int32 // the walked row
+	runs  []int   // offsets of a row's ascending runs
+	buf   []int32 // mergeRuns' second buffer
+	kept  []keptPair
+	cache [1 << valueCacheBits]cachedValue
+	tally valueTally
+	// classPairs counts the co-pairs per pair of marginal counts, keyed by
+	// classPairKey.
+	classPairs countTable
+}
+
+// keptPair is an upper-triangle pair walk 2 keeps, v < u.
+type keptPair struct {
+	v, u int32
+	val  float64
+}
+
+// lookup returns the worker's cache entry for the pair of v and u, whose
+// joint infected count it reads from sc.cnt and resets. On a miss it
+// computes the value and first moves the evicted key's upper-triangle count
+// into the worker's tallies.
+func (s *SparseIMI) lookup(sc *sparseScratch, v int, u int32) *cachedValue {
+	ni, nu := s.ones[v], s.ones[u]
+	key := pairKey{sc.cnt[u], min(ni, nu), max(ni, nu)}
+	sc.cnt[u] = 0
+	e := &sc.cache[key.hash()>>(64-valueCacheBits)]
+	if e.key != key {
+		sc.flush(e)
+		*e = cachedValue{key: key, v: pairValue(s.mt, s.traditional, s.beta, int(key.n11), int(key.lo), int(key.hi))}
+	}
+	return e
+}
+
+// flush moves e's count of upper-triangle pairs into the worker's tallies.
+func (sc *sparseScratch) flush(e *cachedValue) {
+	if e.n == 0 {
+		return
+	}
+	sc.tally.add(e.v, e.n)
+	sc.classPairs.add(classPairKey(e.key.lo, e.key.hi), e.n)
+	e.n = 0
+}
+
+// classPairKey packs a pair of marginal counts lo ≤ hi. lo ≥ 1 for a
+// co-occurring pair, so the key is never 0.
+func classPairKey(lo, hi int32) uint64 { return uint64(uint32(lo))<<32 | uint64(uint32(hi)) }
+
+// tally is walk 1: gather appends nodes that co-occur with v to row and
+// leaves each one's n11 in sc.cnt. tally counts the pairs with u > v into
+// the workers' caches, records len(row) in deg when deg is non-nil, and
+// then assembles the classes, marginal runs and value pool.
+func (s *SparseIMI) tally(ctx context.Context, scs []*sparseScratch, deg []int64, gather func(v int, sc *sparseScratch, row []int32) []int32) error {
+	parallelNodes(ctx, s.n, scs, func(v int, sc *sparseScratch) {
+		sc.row = gather(v, sc, sc.row[:0])
+		for _, u := range sc.row {
+			e := s.lookup(sc, v, u)
+			if int(u) > v {
 				e.n++
 			}
+		}
+		if deg != nil {
+			deg[v] = int64(len(sc.row))
 		}
 	})
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	distinct := 0
-	for _, sc := range scratches {
-		for _, e := range sc.cache {
-			sc.tally.add(e.v, e.n)
-		}
-		distinct += sc.tally.used
-	}
-	b := poolBuilder{vals: make([]float64, 0, distinct), cnts: make([]int64, 0, distinct)}
-	for _, sc := range scratches {
-		sc.tally.addTo(&b)
-	}
-	s.assemble(&b)
+	s.finishTally(scs)
 	return nil
 }
 
-// sparseScratch is the per-worker state of the build passes.
-type sparseScratch struct {
-	cnt   []int32 // per-node joint infected count, all zero between rows
-	row   []int32 // pass A's neighbor list
-	runs  []int   // offsets of a row's ascending runs
-	buf   []int32 // mergeRuns' second buffer
-	cache [1 << valueCacheBits]cachedValue
-	tally valueTally
+// finishTally flushes the workers' caches, merges their tallies, and
+// assembles the classes, marginal runs and value pool from them.
+func (s *SparseIMI) finishTally(scs []*sparseScratch) {
+	distinct := 0
+	classPairs := &scs[0].classPairs
+	for w, sc := range scs {
+		for i := range sc.cache {
+			sc.flush(&sc.cache[i])
+		}
+		distinct += sc.tally.counts.used
+		if w > 0 {
+			for _, e := range sc.classPairs.slots {
+				if e.key != 0 {
+					classPairs.add(e.key, e.n)
+				}
+			}
+			sc.classPairs = countTable{}
+		}
+	}
+	for _, e := range classPairs.slots {
+		s.coPairs += e.n
+	}
+	b := poolBuilder{vals: make([]float64, 0, distinct), cnts: make([]int64, 0, distinct)}
+	for _, sc := range scs {
+		sc.tally.addTo(&b)
+		sc.tally = valueTally{}
+	}
+	s.assemble(&b, classPairs)
+	*classPairs = countTable{}
+}
+
+// fillRows fills the full CSR rows whose extents s.rowStart holds. gather
+// appends node v's co-occurring neighbors, ascending, to row and leaves
+// each one's n11 in sc.cnt; fillRows reads and resets the counts and
+// derives the values through the workers' caches. With count set it also
+// counts the pairs with u > v there, as tally does, for a finishTally to
+// follow; IncrementalCounts.Source fills and tallies in this one pass.
+func (s *SparseIMI) fillRows(ctx context.Context, scs []*sparseScratch, count bool, gather func(v int, sc *sparseScratch, row []int32) []int32) error {
+	s.nbr = make([]int32, s.rowStart[s.n])
+	s.val = make([]float64, s.rowStart[s.n])
+	parallelNodes(ctx, s.n, scs, func(v int, sc *sparseScratch) {
+		lo := s.rowStart[v]
+		row := gather(v, sc, s.nbr[lo:lo:s.rowStart[v+1]])
+		for k, u := range row {
+			e := s.lookup(sc, v, u)
+			s.val[lo+int64(k)] = e.v
+			if count && int(u) > v {
+				e.n++
+			}
+		}
+	})
+	return ctx.Err()
+}
+
+// keepRows is the filtered walk 2: gather appends the nodes u > v that
+// co-occur with v, and only the pairs whose value exceeds floor are kept.
+// Each worker keeps its pairs in node order, sorted by u within a node;
+// scattering them in ascending v then leaves every row ascending, because
+// row v receives its lower neighbors (from earlier nodes) before its own
+// upper ones.
+func (s *SparseIMI) keepRows(ctx context.Context, scs []*sparseScratch, floor float64, gather func(v int, sc *sparseScratch, row []int32) []int32) error {
+	s.floor = floor
+	parallelNodes(ctx, s.n, scs, func(v int, sc *sparseScratch) {
+		sc.row = gather(v, sc, sc.row[:0])
+		start := len(sc.kept)
+		for _, u := range sc.row {
+			if val := s.lookup(sc, v, u).v; val > floor {
+				sc.kept = append(sc.kept, keptPair{int32(v), u, val})
+			}
+		}
+		slices.SortFunc(sc.kept[start:], func(a, b keptPair) int { return cmp.Compare(a.u, b.u) })
+	})
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for _, sc := range scs {
+		for _, p := range sc.kept {
+			s.rowStart[p.v+1]++
+			s.rowStart[p.u+1]++
+		}
+	}
+	for v := 0; v < s.n; v++ {
+		s.rowStart[v+1] += s.rowStart[v]
+	}
+	s.nbr = make([]int32, s.rowStart[s.n])
+	s.val = make([]float64, s.rowStart[s.n])
+	cursor := slices.Clone(s.rowStart[:s.n])
+	put := func(i, j int32, val float64) {
+		s.nbr[cursor[i]], s.val[cursor[i]] = j, val
+		cursor[i]++
+	}
+	pos := make([]int, len(scs))
+	for v := int32(0); v < int32(s.n); v++ {
+		for w, sc := range scs {
+			for ; pos[w] < len(sc.kept) && sc.kept[pos[w]].v == v; pos[w]++ {
+				p := sc.kept[pos[w]]
+				put(p.v, p.u, p.val)
+				put(p.u, p.v, p.val)
+			}
+		}
+	}
+	for _, sc := range scs {
+		sc.kept = nil
+	}
+	return nil
 }
 
 // mergeRuns sorts row in place, given that it is the concatenation of
@@ -329,10 +514,10 @@ func (k pairKey) hash() uint64 {
 
 // valueCacheBits sizes each worker's direct-mapped cache of pair values,
 // which also counts the upper-triangle pairs of each cached key until the
-// key is evicted into the worker's valueTally. 1024 entries hold the few
+// key is evicted into the worker's tallies. 1024 entries hold the few
 // hundred keys that cover almost every pair at scale; when most pairs have
-// keys of their own, as in small dense inputs, the tally's compact table
-// holds them instead. The zero key marks an empty entry, since a
+// keys of their own, as in small dense inputs, the tallies' compact tables
+// hold them instead. The zero key marks an empty entry, since a
 // co-occurring pair has n11 ≥ 1.
 const valueCacheBits = 10
 
@@ -342,61 +527,82 @@ type cachedValue struct {
 	v   float64
 }
 
+// countTable counts by nonzero 64-bit keys in an open-addressed table
+// (linear probing, power-of-two size, at most three quarters full).
+type countTable struct {
+	slots []countSlot
+	used  int
+	shift uint // 64 − log₂ len(slots)
+}
+
+type countSlot struct {
+	key uint64 // 0 marks an empty slot
+	n   int64
+}
+
+func (t *countTable) add(key uint64, c int64) {
+	if 4*(t.used+1) > 3*len(t.slots) {
+		old := t.slots
+		size := max(64, 2*len(old))
+		t.slots, t.used, t.shift = make([]countSlot, size), 0, uint(64-bits.TrailingZeros(uint(size)))
+		for _, e := range old {
+			if e.key != 0 {
+				t.add(e.key, e.n)
+			}
+		}
+	}
+	mask := len(t.slots) - 1
+	for i := int(key * 0x9E3779B97F4A7C15 >> t.shift); ; i = (i + 1) & mask {
+		switch t.slots[i].key {
+		case key:
+			t.slots[i].n += c
+			return
+		case 0:
+			t.slots[i] = countSlot{key, c}
+			t.used++
+			return
+		}
+	}
+}
+
+// get returns the count of key, 0 when it was never added.
+func (t *countTable) get(key uint64) int64 {
+	if len(t.slots) == 0 {
+		return 0
+	}
+	mask := len(t.slots) - 1
+	for i := int(key * 0x9E3779B97F4A7C15 >> t.shift); ; i = (i + 1) & mask {
+		switch t.slots[i].key {
+		case key:
+			return t.slots[i].n
+		case 0:
+			return 0
+		}
+	}
+}
+
 // valueTally is a worker's share of the value pool: positive values
-// counted by their exact bits in an open-addressed table (linear probing,
-// power-of-two size, at most three quarters full), zero and negative
-// values only counted, because the pool keeps nothing else of them. At
-// scale a few hundred distinct values cover millions of pairs.
+// counted by their exact bits (no positive value has all-zero bits), zero
+// and negative values only counted, because the pool keeps nothing else of
+// them. At scale a few hundred distinct values cover millions of pairs.
 type valueTally struct {
-	slots      []valueSlot
-	used       int
-	shift      uint // 64 − log₂ len(slots)
+	counts     countTable
 	zeros, neg int64
 	maxNeg     float64
 }
 
-type valueSlot struct {
-	bits uint64 // 0 marks an empty slot: no positive value has all-zero bits
-	n    int64
-}
-
 func (t *valueTally) add(v float64, c int64) {
-	if c == 0 {
-		return
-	}
-	if !(v > 0) {
-		if v == 0 {
-			t.zeros += c
-		} else {
-			if t.neg == 0 || v > t.maxNeg {
-				t.maxNeg = v
-			}
-			t.neg += c
+	switch {
+	case c == 0:
+	case v > 0:
+		t.counts.add(math.Float64bits(v), c)
+	case v == 0:
+		t.zeros += c
+	default:
+		if t.neg == 0 || v > t.maxNeg {
+			t.maxNeg = v
 		}
-		return
-	}
-	if 4*(t.used+1) > 3*len(t.slots) {
-		old := t.slots
-		size := max(64, 2*len(old))
-		t.slots, t.used, t.shift = make([]valueSlot, size), 0, uint(64-bits.TrailingZeros(uint(size)))
-		for _, e := range old {
-			if e.bits != 0 {
-				t.add(math.Float64frombits(e.bits), e.n)
-			}
-		}
-	}
-	vb := math.Float64bits(v)
-	mask := len(t.slots) - 1
-	for i := int(vb * 0x9E3779B97F4A7C15 >> t.shift); ; i = (i + 1) & mask {
-		switch t.slots[i].bits {
-		case vb:
-			t.slots[i].n += c
-			return
-		case 0:
-			t.slots[i] = valueSlot{vb, c}
-			t.used++
-			return
-		}
+		t.neg += c
 	}
 }
 
@@ -405,19 +611,19 @@ func (t *valueTally) add(v float64, c int64) {
 func (t *valueTally) addTo(b *poolBuilder) {
 	b.add(0, t.zeros)
 	b.add(t.maxNeg, t.neg)
-	for _, e := range t.slots {
-		if e.bits != 0 {
-			b.add(math.Float64frombits(e.bits), e.n)
+	for _, e := range t.counts.slots {
+		if e.key != 0 {
+			b.add(math.Float64frombits(e.key), e.n)
 		}
 	}
 }
 
 // assemble derives everything that depends only on the marginal counts
-// s.ones and the CSR rows: the count classes, the marginal runs of the
-// never-co-occurring pairs, which it adds to the co-occurring values already
-// in b, and the value pool. The batch build and IncrementalCounts.Source
-// both end here. Cost is O(n + β + coPairs + C²) for C count classes.
-func (s *SparseIMI) assemble(b *poolBuilder) {
+// s.ones and the co-pair counts per pair of marginal counts: the count
+// classes, the marginal runs of the never-co-occurring pairs, which it adds
+// to the co-occurring values already in b, and the value pool. It reads no
+// CSR row. Cost is O(n + β + C²) for C count classes.
+func (s *SparseIMI) assemble(b *poolBuilder, classPairs *countTable) {
 	classIdx := make([]int32, s.beta+1)
 	for _, c := range s.ones {
 		classIdx[c] = 1
@@ -448,30 +654,19 @@ func (s *SparseIMI) assemble(b *poolBuilder) {
 	// co-occur share one closed-form value (n11 = 0). A class pair whose
 	// counts sum past β cannot have a zero pair (pigeonhole), and indeed
 	// its zero-pair multiplicity is always 0 here, so the n11 = 0 cell
-	// arithmetic below never sees negative counts. The co-occurring pairs
-	// of class a come from its nodes' rows: a pair with its other end in a
-	// class c > a is met once, a pair inside class a twice.
+	// arithmetic below never sees negative counts.
 	s.maxMarginal = make([]float64, nClasses)
 	for a := range s.maxMarginal {
 		s.maxMarginal[a] = math.Inf(-1)
 	}
-	coRow := make([]int64, nClasses)
 	for a, va := range s.classVals {
-		clear(coRow)
-		for _, v := range s.classNodes[a] {
-			for _, j := range s.nbr[s.rowStart[v]:s.rowStart[v+1]] {
-				coRow[s.classOf[j]]++
-			}
-		}
-		coRow[a] /= 2
 		for c := a; c < nClasses; c++ {
 			vc := s.classVals[c]
-			co := coRow[c]
 			tot := s.classSize[a] * s.classSize[c]
 			if a == c {
 				tot = s.classSize[a] * (s.classSize[a] - 1) / 2
 			}
-			zp := tot - co
+			zp := tot - classPairs.get(classPairKey(va, vc))
 			if zp <= 0 {
 				continue
 			}
@@ -484,12 +679,34 @@ func (s *SparseIMI) assemble(b *poolBuilder) {
 	s.pool = b.finish()
 }
 
+// keepFloor is the floor below which walk 2 may drop pairs for a search
+// that prunes at tau: tau itself when no never-co-occurring pair clears
+// tau (so every candidate is a stored pair) and the search reads no
+// per-node pool; −Inf, a full engine, otherwise.
+func (s *SparseIMI) keepFloor(tau float64, perNode bool) float64 {
+	if perNode {
+		return math.Inf(-1)
+	}
+	for _, mv := range s.maxMarginal {
+		if tau < mv {
+			return math.Inf(-1)
+		}
+	}
+	return tau
+}
+
+// filtered reports whether walk 2 dropped the pairs at or below s.floor.
+func (s *SparseIMI) filtered() bool { return s.floor > math.Inf(-1) }
+
 // N returns the number of nodes.
 func (s *SparseIMI) N() int { return s.n }
 
 // CoPairs returns the number of unordered node pairs that co-occur in at
-// least one diffusion process — the pairs the engine materialized.
+// least one diffusion process — the pairs a full engine stores.
 func (s *SparseIMI) CoPairs() int64 { return s.coPairs }
+
+// kept returns the number of unordered pairs the CSR stores.
+func (s *SparseIMI) kept() int64 { return s.rowStart[s.n] / 2 }
 
 // TotalPairs returns n(n−1)/2.
 func (s *SparseIMI) TotalPairs() int64 { return int64(s.n) * int64(s.n-1) / 2 }
@@ -506,13 +723,17 @@ func (s *SparseIMI) find(i int, j int32) (int64, bool) {
 }
 
 // At returns the pairwise value for (i, j), i != j — bit-identical to the
-// dense IMIMatrix.At for the same observations.
+// dense IMIMatrix.At for the same observations. A filtered engine knows
+// only the values above its floor and panics on any other pair.
 func (s *SparseIMI) At(i, j int) float64 {
 	if i == j {
 		panic("core: IMI is undefined for a node with itself")
 	}
 	if k, ok := s.find(i, int32(j)); ok {
 		return s.val[k]
+	}
+	if s.filtered() {
+		panic(fmt.Sprintf("core: pair (%d,%d) is not above the filtered engine's floor %v", i, j, s.floor))
 	}
 	// Never co-occurring: closed-form marginal-only value. n11 = 0 forces
 	// ones[i]+ones[j] ≤ β (otherwise the pair would co-occur), so the cell
@@ -526,8 +747,12 @@ func (s *SparseIMI) At(i, j int) float64 {
 // never-co-occurring pair's value is provably ≤ 0 ≤ τ) touches only node
 // i's CSR row; the general path additionally scans the count classes whose
 // marginal value clears tau, which supports the traditional-MI ablation and
-// negative fixed thresholds.
+// negative fixed thresholds. A filtered engine panics for tau below its
+// floor, where it would miss the dropped pairs.
 func (s *SparseIMI) Candidates(i int, tau float64) []int {
+	if tau < s.floor {
+		panic(fmt.Sprintf("core: Candidates at %v, below the filtered engine's floor %v", tau, s.floor))
+	}
 	lo, hi := s.rowStart[i], s.rowStart[i+1]
 	count := 0
 	for k := lo; k < hi; k++ {
@@ -582,8 +807,12 @@ func (s *SparseIMI) valuePool() *valuePool { return s.pool }
 // nodePool summarizes the values involving node i for the per-node
 // threshold selector: row values individually plus one marginal run per
 // count class, weighted by how many of that class's nodes never co-occur
-// with i. Bit-identical to the dense nodePool (same value multiset).
+// with i. Bit-identical to the dense nodePool (same value multiset). It
+// needs the full row, so a filtered engine panics.
 func (s *SparseIMI) nodePool(i int) *valuePool {
+	if s.filtered() {
+		panic("core: per-node pool of a filtered engine")
+	}
 	var b poolBuilder
 	lo, hi := s.rowStart[i], s.rowStart[i+1]
 	perClass := make([]int64, len(s.classVals))
@@ -609,8 +838,12 @@ func (s *SparseIMI) nodePool(i int) *valuePool {
 
 // PairValues materializes the full dense triangle, row-major like
 // IMIMatrix.PairValues. Compatibility/debug surface for small n: it
-// allocates the O(n²) slice the sparse engine otherwise avoids.
+// allocates the O(n²) slice the sparse engine otherwise avoids. A filtered
+// engine panics.
 func (s *SparseIMI) PairValues() []float64 {
+	if s.filtered() {
+		panic("core: PairValues of a filtered engine")
+	}
 	out := make([]float64, int64(s.n)*int64(s.n-1)/2)
 	for i := 0; i < s.n; i++ {
 		base := i * (2*s.n - i - 1) / 2

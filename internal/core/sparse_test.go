@@ -6,9 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"tends/internal/diffusion"
+	"tends/internal/graph"
 	"tends/internal/obs"
 )
 
@@ -148,34 +150,81 @@ func TestSparseDenseCandidatesAndPools(t *testing.T) {
 	}
 }
 
+// evictingStatus simulates cascades over a random 400-node network: its
+// co-pairs carry about 2000 distinct (n11, ni, nj) keys, twice the slots of
+// a worker's value cache, so the build evicts entries into its tallies
+// mid-walk, and every threshold method selects a τ that keeps edges.
+func evictingStatus(t *testing.T) *diffusion.StatusMatrix {
+	return simulateOn(t, graph.GNM(400, 800, newTestRand(3)), 0.3, 0.02, 256, 4)
+}
+
 // TestSparseDenseInferIdentical runs the full pipeline both ways across
-// threshold methods and worker counts and requires identical graphs,
-// thresholds, and scores.
+// threshold methods, scales, worker counts and shards and requires
+// identical graphs, thresholds, and scores. The second input has enough
+// distinct pair keys to evict the build's value-cache entries; on it the
+// global methods must run the filtered build (fewer pairs kept than
+// co-occur), while the per-node method keeps every pair.
 func TestSparseDenseInferIdentical(t *testing.T) {
-	sm := sparseRandomStatus(30, 60, 0.12, 42)
+	inputs := []*diffusion.StatusMatrix{
+		sparseRandomStatus(30, 60, 0.12, 42),
+		evictingStatus(t),
+	}
 	methods := []ThresholdMethod{ThresholdAuto, ThresholdKMeans, ThresholdKMeansPerNode, ThresholdFDR}
-	for _, method := range methods {
-		for _, workers := range []int{1, 4} {
-			base := Options{ThresholdMethod: method, Workers: workers}
-			sparse := base
-			sparse.Sparse = true
-			dr, err := Infer(sm, base)
-			if err != nil {
-				t.Fatalf("dense method=%d: %v", method, err)
-			}
-			sr, err := Infer(sm, sparse)
-			if err != nil {
-				t.Fatalf("sparse method=%d: %v", method, err)
-			}
-			if !dr.Graph.Equal(sr.Graph) {
-				t.Fatalf("method=%d workers=%d: graphs differ", method, workers)
-			}
-			if dr.Threshold != sr.Threshold || dr.AutoTau != sr.AutoTau {
-				t.Fatalf("method=%d: thresholds differ: dense (%v,%v) sparse (%v,%v)",
-					method, dr.Threshold, dr.AutoTau, sr.Threshold, sr.AutoTau)
-			}
-			if dr.Score != sr.Score {
-				t.Fatalf("method=%d: scores differ: %v vs %v", method, dr.Score, sr.Score)
+	for si, sm := range inputs {
+		for _, method := range methods {
+			for _, scale := range []float64{0, 0.5} {
+				for _, workers := range []int{1, 4} {
+					base := Options{ThresholdMethod: method, ThresholdScale: scale, Workers: workers}
+					sparse := base
+					sparse.Sparse = true
+					name := fmt.Sprintf("input %d method=%d scale=%v workers=%d", si, method, scale, workers)
+					dr, err := Infer(sm, base)
+					if err != nil {
+						t.Fatalf("%s: dense: %v", name, err)
+					}
+					rec := obs.New()
+					sr, err := InferContext(obs.With(context.Background(), rec), sm, sparse)
+					if err != nil {
+						t.Fatalf("%s: sparse: %v", name, err)
+					}
+					if !dr.Graph.Equal(sr.Graph) {
+						t.Fatalf("%s: graphs differ", name)
+					}
+					if dr.Threshold != sr.Threshold || dr.AutoTau != sr.AutoTau {
+						t.Fatalf("%s: thresholds differ: dense (%v,%v) sparse (%v,%v)",
+							name, dr.Threshold, dr.AutoTau, sr.Threshold, sr.AutoTau)
+					}
+					if dr.Score != sr.Score {
+						t.Fatalf("%s: scores differ: %v vs %v", name, dr.Score, sr.Score)
+					}
+					c := rec.Snapshot().Counters
+					kept, pairs := c["core/sparse/kept"], c["core/sparse/pairs"]
+					if si == 1 && (kept < pairs) == (method == ThresholdKMeansPerNode) {
+						t.Fatalf("%s: kept %d of %d co-pairs", name, kept, pairs)
+					}
+					if si == 0 || scale != 0 || method == ThresholdKMeansPerNode {
+						continue
+					}
+					for _, k := range []int{2, 4} {
+						merged := make([][]int, sm.N())
+						for shard := 0; shard < k; shard++ {
+							opt := sparse
+							opt.ShardIndex, opt.ShardCount = shard, k
+							res, err := Infer(sm, opt)
+							if err != nil {
+								t.Fatalf("%s shard %d/%d: %v", name, shard, k, err)
+							}
+							for i := shard; i < sm.N(); i += k {
+								merged[i] = res.Parents[i]
+							}
+						}
+						for i := range merged {
+							if !equalIntSlices(merged[i], dr.Parents[i]) {
+								t.Fatalf("%s k=%d: node %d parents %v, dense %v", name, k, i, merged[i], dr.Parents[i])
+							}
+						}
+					}
+				}
 			}
 		}
 	}
@@ -239,43 +288,43 @@ func TestShardOptionsValidation(t *testing.T) {
 }
 
 // TestSparseFixedAndScaledThresholds covers the fixed/scaled threshold
-// paths through the sparse engine.
+// paths through the sparse engine, on a small input and on one with enough
+// distinct pair keys to evict the build's value-cache entries.
 func TestSparseFixedAndScaledThresholds(t *testing.T) {
-	sm := sparseRandomStatus(18, 40, 0.2, 11)
-	fixed := 0.01
-	for _, opt := range []Options{
-		{FixedThreshold: &fixed},
-		{ThresholdScale: 2},
-		{TraditionalMI: true},
+	for si, sm := range []*diffusion.StatusMatrix{
+		sparseRandomStatus(18, 40, 0.2, 11),
+		evictingStatus(t),
 	} {
-		sparse := opt
-		sparse.Sparse = true
-		dr, err := Infer(sm, opt)
-		if err != nil {
-			t.Fatal(err)
+		fixed := 0.01
+		// Negative fixed threshold: every pair (including never-co-occurring
+		// ones, whose IMI is ≤ 0) can become a candidate; the sparse engine
+		// must fall back to its marginal-class enumeration.
+		neg := -10.0
+		for _, opt := range []Options{
+			{FixedThreshold: &fixed},
+			{ThresholdScale: 2},
+			{ThresholdScale: 0.5},
+			{TraditionalMI: true},
+			{FixedThreshold: &neg, MaxCandidates: 4},
+		} {
+			sparse := opt
+			sparse.Sparse = true
+			dr, err := Infer(sm, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr, err := Infer(sm, sparse)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !dr.Graph.Equal(sr.Graph) {
+				t.Fatalf("input %d opts %+v: graphs differ", si, opt)
+			}
+			if dr.Threshold != sr.Threshold || dr.AutoTau != sr.AutoTau {
+				t.Fatalf("input %d opts %+v: thresholds differ: dense (%v,%v) sparse (%v,%v)",
+					si, opt, dr.Threshold, dr.AutoTau, sr.Threshold, sr.AutoTau)
+			}
 		}
-		sr, err := Infer(sm, sparse)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !dr.Graph.Equal(sr.Graph) {
-			t.Fatalf("opts %+v: graphs differ", opt)
-		}
-	}
-	// Negative fixed threshold: every pair (including never-co-occurring
-	// ones, whose IMI is ≤ 0) can become a candidate; the sparse engine
-	// must fall back to its marginal-class enumeration.
-	neg := -10.0
-	dr, err := Infer(sm, Options{FixedThreshold: &neg, MaxCandidates: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, err := Infer(sm, Options{FixedThreshold: &neg, MaxCandidates: 4, Sparse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dr.Graph.Equal(sr.Graph) {
-		t.Fatal("negative fixed threshold: graphs differ")
 	}
 }
 
@@ -352,6 +401,9 @@ func TestSparseRecordsTelemetry(t *testing.T) {
 	if pairs+skipped != sp.TotalPairs() {
 		t.Fatalf("pairs %d + skipped %d != total %d", pairs, skipped, sp.TotalPairs())
 	}
+	if got := s.Counters["core/sparse/kept"]; got != pairs {
+		t.Fatalf("core/sparse/kept = %d on the full build, want every co-pair (%d)", got, pairs)
+	}
 	if got := s.Counters["core/kernel/tiles"]; got != 0 {
 		t.Fatalf("core/kernel/tiles = %d on the sparse path, want 0", got)
 	}
@@ -378,10 +430,67 @@ func samePool(a, b *valuePool) string {
 	return ""
 }
 
+// referencePool derives a full engine's value pool and marginal maxima
+// from its CSR rows: the co-occurring values one by one, and the co-pairs
+// of each class pair counted row by row. The build takes both from its
+// walk-1 tallies instead.
+func referencePool(s *SparseIMI) (*valuePool, []float64) {
+	nc := len(s.classVals)
+	co := make([]int64, nc*nc)
+	var b poolBuilder
+	for v := 0; v < s.n; v++ {
+		for k := s.rowStart[v]; k < s.rowStart[v+1]; k++ {
+			if j := s.nbr[k]; int(j) > v {
+				b.add(s.val[k], 1)
+				a, c := s.classOf[v], s.classOf[j]
+				co[min(a, c)*int32(nc)+max(a, c)]++
+			}
+		}
+	}
+	maxMarginal := make([]float64, nc)
+	for a := range maxMarginal {
+		maxMarginal[a] = math.Inf(-1)
+	}
+	for a := 0; a < nc; a++ {
+		for c := a; c < nc; c++ {
+			tot := s.classSize[a] * s.classSize[c]
+			if a == c {
+				tot = s.classSize[a] * (s.classSize[a] - 1) / 2
+			}
+			zp := tot - co[a*nc+c]
+			if zp <= 0 {
+				continue
+			}
+			mv := pairValue(s.mt, s.traditional, s.beta, 0, int(s.classVals[a]), int(s.classVals[c]))
+			b.add(mv, zp)
+			maxMarginal[a] = max(maxMarginal[a], mv)
+			maxMarginal[c] = max(maxMarginal[c], mv)
+		}
+	}
+	return b.finish(), maxMarginal
+}
+
+// sameRows reports the first difference between two engines' CSR rows, bit
+// for bit, or "" when they are identical.
+func sameRows(a, b *SparseIMI) string {
+	if !slices.Equal(a.rowStart, b.rowStart) {
+		return "row extents differ"
+	}
+	for k := range a.nbr {
+		if a.nbr[k] != b.nbr[k] || math.Float64bits(a.val[k]) != math.Float64bits(b.val[k]) {
+			return fmt.Sprintf("entry %d: (%d,%v) vs (%d,%v)", k, a.nbr[k], a.val[k], b.nbr[k], b.val[k])
+		}
+	}
+	return ""
+}
+
 // TestPoolsAgreeDenseSparseIncremental checks that the three pairwise
 // engines reduce to the same value pool: the dense triangle folded value by
 // value, the batch sparse build's value tally, and IncrementalCounts.Source
-// over the same rows appended one at a time.
+// over the same rows appended one at a time. Each sparse engine's pool and
+// marginal maxima, which come from its walk-1 tallies, must also equal the
+// ones its own rows give, and the upper-triangle walks inference runs must
+// scatter the full build's rows exactly.
 func TestPoolsAgreeDenseSparseIncremental(t *testing.T) {
 	for _, beta := range []int{1, 63, 64, 65, 130} {
 		for di, density := range []float64{0.02, 0.1, 0.35, 0.6, 0.9} {
@@ -418,8 +527,32 @@ func TestPoolsAgreeDenseSparseIncremental(t *testing.T) {
 					if d := samePool(dense, sp.pool); d != "" {
 						t.Fatalf("%s: dense vs sparse pool: %s", name, d)
 					}
-					if d := samePool(dense, counts.source(workers).pool); d != "" {
+					src := counts.source(workers)
+					if d := samePool(dense, src.pool); d != "" {
 						t.Fatalf("%s: dense vs incremental pool: %s", name, d)
+					}
+					// The same rows scattered from the upper-triangle walks
+					// that inference runs, at a floor that drops nothing.
+					up, err := buildSparse(context.Background(), sm, traditional, workers, func(*SparseIMI) float64 { return math.Inf(-1) })
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d := sameRows(sp, up); d != "" {
+						t.Fatalf("%s: full vs scattered rows: %s", name, d)
+					}
+					for _, e := range []struct {
+						name string
+						s    *SparseIMI
+					}{{"sparse", sp}, {"scattered", up}, {"incremental", src}} {
+						pool, maxMarginal := referencePool(e.s)
+						if d := samePool(pool, e.s.pool); d != "" {
+							t.Fatalf("%s: %s pool vs its rows: %s", name, e.name, d)
+						}
+						for a := range maxMarginal {
+							if math.Float64bits(maxMarginal[a]) != math.Float64bits(e.s.maxMarginal[a]) {
+								t.Fatalf("%s: %s maxMarginal[%d] = %v, rows give %v", name, e.name, a, e.s.maxMarginal[a], maxMarginal[a])
+							}
+						}
 					}
 				}
 			}
@@ -445,11 +578,8 @@ func TestValueCacheKeysExact(t *testing.T) {
 		a, b := ones[v], ones[j]
 		return min(max(counts[(v+j)%len(counts)], 1, a+b-beta), a, b)
 	}
-	s := &SparseIMI{n: n, beta: beta, mt: cachedMITable(beta), ones: ones, rowStart: make([]int64, n+1)}
-	for v := 0; v < n; v++ {
-		s.rowStart[v+1] = s.rowStart[v] + int64(n-1)
-	}
-	err := s.fillRows(context.Background(), 1, func(v int, sc *sparseScratch, row []int32) []int32 {
+	s := newSparseIMI(n, beta, false, ones)
+	gather := func(v int, sc *sparseScratch, row []int32) []int32 {
 		for j := 0; j < n; j++ {
 			if j != v {
 				row = append(row, int32(j))
@@ -457,10 +587,15 @@ func TestValueCacheKeysExact(t *testing.T) {
 			}
 		}
 		return row
-	})
-	if err != nil {
+	}
+	for v := 0; v < n; v++ {
+		s.rowStart[v+1] = s.rowStart[v] + int64(n-1)
+	}
+	scs := newScratches(n, 1)
+	if err := s.fillRows(context.Background(), scs, true, gather); err != nil {
 		t.Fatal(err)
 	}
+	s.finishTally(scs)
 	var want poolBuilder
 	for v := 0; v < n; v++ {
 		for k := s.rowStart[v]; k < s.rowStart[v+1]; k++ {
@@ -507,6 +642,106 @@ func TestSparseBuildAllocsBounded(t *testing.T) {
 			workers, sp.CoPairs(), csr, alloc, float64(alloc)/float64(csr), limit)
 		if alloc > limit {
 			t.Fatalf("workers=%d: build allocated %d B, over the %d B bound (CSR %d B)", workers, alloc, limit, csr)
+		}
+	}
+}
+
+// mustPanic fails t unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestFilteredEngineGuards checks that an engine whose walk 2 kept only the
+// pairs above τ refuses every question it can no longer answer — the value
+// of a dropped pair, candidates below its floor, a per-node pool — and
+// answers the rest like the full engine, while an engine built at a floor
+// of −Inf still agrees with the dense one on every pair.
+func TestFilteredEngineGuards(t *testing.T) {
+	ctx := context.Background()
+	sm := evictingStatus(t)
+	full := ComputeSparseIMI(sm, false)
+	_, tau := selectThreshold(ctx, full, sm.Beta(), Options{}.withDefaults())
+	filt, err := buildSparse(ctx, sm, false, 2, func(s *SparseIMI) float64 { return s.keepFloor(tau, false) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filt.floor != tau || filt.kept() >= filt.CoPairs() || filt.CoPairs() != full.CoPairs() {
+		t.Fatalf("floor %v (τ %v), kept %d of %d co-pairs (full engine: %d)", filt.floor, tau, filt.kept(), filt.CoPairs(), full.CoPairs())
+	}
+	if d := samePool(full.pool, filt.pool); d != "" {
+		t.Fatalf("pool: %s", d)
+	}
+	dropped := false
+	for i := 0; i < sm.N(); i++ {
+		if !slices.Equal(full.Candidates(i, tau), filt.Candidates(i, tau)) {
+			t.Fatalf("Candidates(%d, τ) differ", i)
+		}
+		for k := full.rowStart[i]; k < full.rowStart[i+1]; k++ {
+			j := int(full.nbr[k])
+			if full.val[k] > tau {
+				if filt.At(i, j) != full.val[k] {
+					t.Fatalf("At(%d,%d) = %v, full engine %v", i, j, filt.At(i, j), full.val[k])
+				}
+			} else if !dropped {
+				dropped = true
+				mustPanic(t, fmt.Sprintf("At(%d,%d) on a dropped pair", i, j), func() { filt.At(i, j) })
+			}
+		}
+	}
+	if !dropped {
+		t.Fatal("no co-pair was dropped")
+	}
+	mustPanic(t, "Candidates below the floor", func() { filt.Candidates(0, math.Nextafter(tau, math.Inf(-1))) })
+	mustPanic(t, "nodePool", func() { filt.nodePool(0) })
+	mustPanic(t, "PairValues", func() { filt.PairValues() })
+
+	all, err := buildSparse(ctx, sm, false, 2, func(*SparseIMI) float64 { return math.Inf(-1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := ComputeIMI(sm, false)
+	for i := 0; i < sm.N(); i++ {
+		for j := 0; j < sm.N(); j++ {
+			if i != j && math.Float64bits(all.At(i, j)) != math.Float64bits(dense.At(i, j)) {
+				t.Fatalf("floor −Inf: At(%d,%d) = %v, dense %v", i, j, all.At(i, j), dense.At(i, j))
+			}
+		}
+	}
+}
+
+// TestSparseInferAllocsBounded keeps sparse inference's memory off the
+// co-pairs: walk 2 stores only the pairs above τ, so the whole inference
+// allocates under a quarter of the full CSR (a 4-byte neighbor and an
+// 8-byte value per direction of every co-occurring pair) plus O(n + β).
+// Storing every co-pair, as the full build does, breaks the bound.
+func TestSparseInferAllocsBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("infers over a 20k-node engine")
+	}
+	const n, beta = 20000, 64
+	sm := sparseRandomStatus(n, beta, 0.01, 5)
+	csr := 12 * 2 * ComputeSparseIMI(sm, false).CoPairs()
+	for _, workers := range []int{1, 4} {
+		runtime.GC()
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		res, err := InferContext(context.Background(), sm, Options{Sparse: true, Workers: workers})
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc := int64(m1.TotalAlloc - m0.TotalAlloc)
+		limit := csr/4 + 128*(n+beta) + 1<<16
+		t.Logf("workers=%d CSR=%d B allocated=%d B (%.3f× CSR) limit=%d B edges=%d τ=%v",
+			workers, csr, alloc, float64(alloc)/float64(csr), limit, res.Graph.NumEdges(), res.Threshold)
+		if alloc > limit {
+			t.Fatalf("workers=%d: inference allocated %d B, over the %d B bound (CSR %d B)", workers, alloc, limit, csr)
 		}
 	}
 }

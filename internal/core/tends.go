@@ -304,9 +304,17 @@ func InferContext(ctx context.Context, sm *diffusion.StatusMatrix, opt Options) 
 	rec := obs.From(ctx)
 	defer rec.StartSpan("core/infer").End()
 
-	var imi pairSource
+	var (
+		imi          pairSource
+		autoTau, tau float64
+	)
 	if opt.Sparse {
-		sp, serr := ComputeSparseIMIContext(ctx, sm, opt.TraditionalMI, opt.Workers)
+		// τ is selected between the build's two walks, so the second keeps
+		// only the pairs the search can use.
+		sp, serr := buildSparse(ctx, sm, opt.TraditionalMI, opt.Workers, func(s *SparseIMI) float64 {
+			autoTau, tau = selectThreshold(ctx, s, sm.Beta(), opt)
+			return s.keepFloor(tau, opt.perNode())
+		})
 		if serr != nil {
 			return nil, fmt.Errorf("core: IMI stage: %w", serr)
 		}
@@ -317,8 +325,9 @@ func InferContext(ctx context.Context, sm *diffusion.StatusMatrix, opt Options) 
 			return nil, fmt.Errorf("core: IMI stage: %w", derr)
 		}
 		imi = dense
+		autoTau, tau = selectThreshold(ctx, dense, sm.Beta(), opt)
 	}
-	return inferStages(ctx, sm, imi, opt)
+	return inferStages(ctx, sm, imi, opt, autoTau, tau)
 }
 
 // validateOptions rejects inconsistent inference inputs; it is shared by
@@ -346,39 +355,54 @@ func validateOptions(sm *diffusion.StatusMatrix, opt Options) error {
 	if opt.ShardCount == 0 && opt.ShardIndex != 0 {
 		return fmt.Errorf("core: ShardIndex %d set without ShardCount", opt.ShardIndex)
 	}
+	if opt.ThresholdMethod < ThresholdAuto || opt.ThresholdMethod > ThresholdFDR {
+		return fmt.Errorf("core: unknown threshold method %d", opt.ThresholdMethod)
+	}
 	return nil
 }
 
-// inferStages runs everything after the pairwise stage — threshold
-// selection, the per-node parent search, degradation reporting, and scoring
-// — over any pairwise source. The dense, sparse, and incremental-count
-// engines all produce bit-identical sources, so the stages (and therefore
-// the inferred topology) are engine-independent.
-func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource, opt Options) (*Result, error) {
+// perNode reports whether the search prunes each node at its own τ_i.
+func (o Options) perNode() bool {
+	return o.FixedThreshold == nil && o.ThresholdMethod == ThresholdKMeansPerNode
+}
+
+// selectThreshold is the global threshold stage of paper §IV-B: it returns
+// the automatically selected τ over the engine's value pool, and the
+// threshold the search prunes with after scaling or a fixed override. The
+// automatic τ is selected even when a fixed threshold overrides it, so
+// Result.AutoTau always reports it.
+func selectThreshold(ctx context.Context, imi interface{ valuePool() *valuePool }, beta int, opt Options) (autoTau, tau float64) {
+	defer obs.From(ctx).StartSpan("core/threshold").End()
+	// Every selector consumes the same run-length value pool; no second
+	// O(n²) triangle is materialized.
+	pool := imi.valuePool()
+	switch opt.ThresholdMethod {
+	case ThresholdAuto:
+		autoTau = max(pool.twoMeansTau(), pool.fdrTau(beta, opt.FDRAlpha))
+	case ThresholdFDR:
+		autoTau = pool.fdrTau(beta, opt.FDRAlpha)
+	default: // ThresholdKMeans, ThresholdKMeansPerNode; validateOptions rejects the rest
+		autoTau = pool.twoMeansTau()
+	}
+	tau = autoTau * opt.ThresholdScale
+	if opt.FixedThreshold != nil {
+		tau = *opt.FixedThreshold
+	}
+	return autoTau, tau
+}
+
+// inferStages runs everything after the global threshold stage — per-node
+// thresholds, the per-node parent search, degradation reporting, and
+// scoring — over any pairwise source, pruning at tau (autoTau is reported
+// as Result.AutoTau). The dense, sparse, and incremental-count engines all
+// produce bit-identical sources, so the stages (and therefore the inferred
+// topology) are engine-independent.
+func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource, opt Options, autoTau, tau float64) (*Result, error) {
 	rec := obs.From(ctx)
 	tel := coreTel{
 		combos: rec.Counter("core/search/combos"),
 		merges: rec.Counter("core/search/merges"),
 		probes: rec.Counter("core/search/probes"),
-	}
-	thresholdSpan := rec.StartSpan("core/threshold")
-	var autoTau float64
-	switch opt.ThresholdMethod {
-	case ThresholdAuto:
-		// Both selectors consume the same run-length value pool (no second
-		// O(n²) triangle is materialized); build it once and share it.
-		pool := imi.valuePool()
-		autoTau = max(pool.twoMeansTau(), pool.fdrTau(sm.Beta(), opt.FDRAlpha))
-	case ThresholdFDR:
-		autoTau = imi.valuePool().fdrTau(sm.Beta(), opt.FDRAlpha)
-	case ThresholdKMeans, ThresholdKMeansPerNode:
-		autoTau = imi.valuePool().twoMeansTau()
-	default:
-		return nil, fmt.Errorf("core: unknown threshold method %d", opt.ThresholdMethod)
-	}
-	tau := autoTau * opt.ThresholdScale
-	if opt.FixedThreshold != nil {
-		tau = *opt.FixedThreshold
 	}
 
 	scorer := NewScorer(sm)
@@ -390,14 +414,15 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 		AutoTau:   autoTau,
 		Parents:   make([][]int, n),
 	}
-	perNode := opt.FixedThreshold == nil && opt.ThresholdMethod == ThresholdKMeansPerNode
+	perNode := opt.perNode()
 	if perNode {
+		thresholdSpan := rec.StartSpan("core/threshold")
 		res.NodeThresholds = make([]float64, n)
 		for i := 0; i < n; i++ {
 			res.NodeThresholds[i] = imi.nodePool(i).twoMeansTau() * opt.ThresholdScale
 		}
+		thresholdSpan.End()
 	}
-	thresholdSpan.End()
 	if opt.OnSearchStart != nil {
 		if err := opt.OnSearchStart(tau); err != nil {
 			return nil, fmt.Errorf("core: search start: %w", err)
