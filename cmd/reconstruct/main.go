@@ -239,9 +239,11 @@ func estimateProbs(ctx context.Context, sm *diffusion.StatusMatrix, g *graph.Dir
 	if err != nil {
 		return nil, err
 	}
+	// Summed in edge order: a map walk's random order would move the
+	// mean's last bits from run to run.
 	mean := 0.0
-	for _, p := range est.Probs {
-		mean += p
+	for _, e := range g.Edges() {
+		mean += est.Probs[e]
 	}
 	if len(est.Probs) > 0 {
 		mean /= float64(len(est.Probs))

@@ -47,18 +47,18 @@ func (m *IMIMatrix) PairValues() []float64 {
 	return out
 }
 
-// VisitPairValues streams every unordered pairwise value (multiplicity 1)
-// without materializing a copy of the triangle; it is how the threshold
-// selectors consume the matrix.
-func (m *IMIMatrix) VisitPairValues(visit func(v float64, count int64)) {
-	for _, v := range m.vals {
-		visit(v, 1)
-	}
-}
-
+// valuePool tallies the triangle's values by their bits and sorts only the
+// distinct ones: the values are functions of β-bounded counts, so a few
+// tens of thousands of distinct values cover the n(n−1)/2 pairs. The
+// sparse build's walk 1 feeds the same valueTally, so both engines reach
+// the pool through one canonicalization.
 func (m *IMIMatrix) valuePool() *valuePool {
-	var b poolBuilder
-	m.VisitPairValues(b.add)
+	var t valueTally
+	for _, v := range m.vals {
+		t.add(v, 1)
+	}
+	b := poolBuilder{vals: make([]float64, 0, t.counts.used), cnts: make([]int64, 0, t.counts.used)}
+	t.addTo(&b)
 	return b.finish()
 }
 

@@ -581,10 +581,11 @@ func (t *countTable) get(key uint64) int64 {
 	}
 }
 
-// valueTally is a worker's share of the value pool: positive values
-// counted by their exact bits (no positive value has all-zero bits), zero
-// and negative values only counted, because the pool keeps nothing else of
-// them. At scale a few hundred distinct values cover millions of pairs.
+// valueTally is a share of the value pool — a sparse worker's, or the whole
+// dense triangle's: positive values counted by their exact bits (no
+// positive value has all-zero bits), zero and negative values only counted,
+// because the pool keeps nothing else of them. At scale a few hundred
+// distinct values cover millions of pairs.
 type valueTally struct {
 	counts     countTable
 	zeros, neg int64

@@ -60,7 +60,8 @@ func TestRunContextObsCounters(t *testing.T) {
 	sm := synthNoisyOR(t, 400, 0.2, probs, g, 10)
 	rec := obs.New()
 	ctx := obs.With(context.Background(), rec)
-	if _, err := RunContext(ctx, sm, g, Options{Workers: 2}); err != nil {
+	est, err := RunContext(ctx, sm, g, Options{Workers: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if nodes := rec.Counter("probest/nodes").Value(); nodes != 12 {
@@ -70,6 +71,25 @@ func TestRunContextObsCounters(t *testing.T) {
 	// Every node runs at least one EM sweep; the cap bounds the total.
 	if iters < 12 || iters > int64(12*2000) {
 		t.Fatalf("probest/em_iters = %d out of [12, 24000]", iters)
+	}
+	// Every node's positive cases are its infected processes.
+	var infected int64
+	for v := 0; v < 12; v++ {
+		infected += int64(sm.CountInfected(v))
+	}
+	if cases := rec.Counter("probest/cases").Value(); cases != infected {
+		t.Fatalf("probest/cases = %d, want %d", cases, infected)
+	}
+	if fit := rec.Snapshot().Timings["probest/fit"]; fit.Count != 1 {
+		t.Fatalf("probest/fit span recorded %d times, want 1", fit.Count)
+	}
+	// The recorder is a side channel: the estimate is the same without it.
+	plain, err := RunContext(context.Background(), sm, g, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(est, plain) {
+		t.Fatal("estimate differs with and without a recorder")
 	}
 }
 

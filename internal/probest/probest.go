@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -42,7 +43,8 @@ type Options struct {
 	// early once no parameter moves by more than 1e-8.
 	Iterations int
 	// MinProb floors estimated probabilities away from 0/1 for numerical
-	// stability; 0 means 1e-4.
+	// stability; 0 means 1e-4. It must lie in (0, 0.5): at 0.5 or above the
+	// floor would sit above the ceiling 1−MinProb.
 	MinProb float64
 	// Workers bounds the goroutines fitting nodes: 0 means GOMAXPROCS, 1
 	// forces serial. fitNode is deterministic (no RNG), so the estimate is
@@ -76,9 +78,10 @@ func Run(sm *diffusion.StatusMatrix, g *graph.Directed, opt Options) (*Estimate,
 
 // RunContext is Run with cancellation and observability: node fits run on a
 // bounded worker pool (Options.Workers), the context aborts remaining nodes,
-// and the context's obs recorder receives probest/nodes and
-// probest/em_iters counters. fitNode is deterministic, so the estimate is
-// byte-identical at any worker count.
+// and the context's obs recorder receives a probest/fit span around the
+// fits and probest/nodes, probest/em_iters and probest/cases counters.
+// fitNode is deterministic, so the estimate is byte-identical at any worker
+// count.
 func RunContext(ctx context.Context, sm *diffusion.StatusMatrix, g *graph.Directed, opt Options) (*Estimate, error) {
 	opt = opt.withDefaults()
 	n := g.NumNodes()
@@ -91,6 +94,9 @@ func RunContext(ctx context.Context, sm *diffusion.StatusMatrix, g *graph.Direct
 	if opt.Iterations < 0 {
 		return nil, fmt.Errorf("probest: negative Iterations")
 	}
+	if !(opt.MinProb > 0 && opt.MinProb < 0.5) {
+		return nil, fmt.Errorf("probest: MinProb %v outside (0, 0.5)", opt.MinProb)
+	}
 	est := &Estimate{
 		Probs: make(map[graph.Edge]float64, g.NumEdges()),
 		Leaks: make([]float64, n),
@@ -102,21 +108,29 @@ func RunContext(ctx context.Context, sm *diffusion.StatusMatrix, g *graph.Direct
 	if workers > n {
 		workers = n
 	}
-	// Per-node results land in slices indexed by node (the Probs map is
-	// not safe for concurrent writes); merged serially below.
-	nodeProbs := make([][]float64, n)
-	var emIters atomic.Int64
+	// Per-node results land in one flat slice, node v's parents at
+	// [probOff[v], probOff[v+1]) (the Probs map is not safe for concurrent
+	// writes); merged serially below.
+	probOff := make([]int, n+1)
+	for v := 0; v < n; v++ {
+		probOff[v+1] = probOff[v] + len(g.Parents(v))
+	}
+	flat := make([]float64, probOff[n])
+	rcd := obs.From(ctx)
+	span := rcd.StartSpan("probest/fit")
+	var emIters, cases atomic.Int64
 	var nextNode atomic.Int64
 	fitRange := func() {
+		var sc fitScratch
 		for ctx.Err() == nil {
 			v := int(nextNode.Add(1)) - 1
 			if v >= n {
 				return
 			}
-			probs, leak, iters := fitNode(sm, v, g.Parents(v), opt)
-			nodeProbs[v] = probs
+			leak, iters, nc := sc.fitNode(sm, v, g.Parents(v), opt, flat[probOff[v]:probOff[v+1]])
 			est.Leaks[v] = leak
 			emIters.Add(int64(iters))
+			cases.Add(int64(nc))
 		}
 	}
 	if workers <= 1 {
@@ -129,17 +143,18 @@ func RunContext(ctx context.Context, sm *diffusion.StatusMatrix, g *graph.Direct
 		}
 		wg.Wait()
 	}
+	span.End()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	for v := 0; v < n; v++ {
 		for i, u := range g.Parents(v) {
-			est.Probs[graph.Edge{From: u, To: v}] = nodeProbs[v][i]
+			est.Probs[graph.Edge{From: u, To: v}] = flat[probOff[v]+i]
 		}
 	}
-	rcd := obs.From(ctx)
 	rcd.Counter("probest/nodes").Add(int64(n))
 	rcd.Counter("probest/em_iters").Add(emIters.Load())
+	rcd.Counter("probest/cases").Add(cases.Load())
 	return est, nil
 }
 
@@ -166,6 +181,16 @@ func (e *Estimate) EdgeProbs(g *graph.Directed, floor float64) (*diffusion.EdgeP
 	return diffusion.EdgeProbsFromMap(g, clamped)
 }
 
+// fitScratch is one worker's fit state, reused from node to node.
+type fitScratch struct {
+	p, acc      []float64
+	activeCount []int
+	// The positive cases as a CSR: case c's infected parents are
+	// idx[off[c]:off[c+1]], as indices j+1 into p.
+	off []int
+	idx []int32
+}
+
 // fitNode maximizes the noisy-OR likelihood of one node's column given its
 // parents' columns with the standard latent-variable EM: each active cause
 // u (the leak is cause 0, active in every case) carries a hidden "fired"
@@ -173,58 +198,69 @@ func (e *Estimate) EdgeProbs(g *graph.Directed, floor float64) (*diffusion.EdgeP
 // active set A, P(z_u = 1) = p_u / (1 - prod_{w in A}(1 - p_w)); on outcome
 // 0 every z_u is 0. The M-step averages the posteriors, which increases the
 // likelihood monotonically with no step size to tune.
-func fitNode(sm *diffusion.StatusMatrix, v int, parents []int, opt Options) ([]float64, float64, int) {
-	beta := sm.Beta()
+//
+// A case whose child is uninfected adds nothing to the E-step, so only the
+// positive cases are materialized, in ascending process order; a cause's
+// active count is its column's popcount (β for the leak). Each EM sweep
+// costs O(Σ active causes over the positive cases). fitNode writes the
+// parents' estimates to probs and returns the leak, the EM iterations and
+// the number of positive cases.
+func (sc *fitScratch) fitNode(sm *diffusion.StatusMatrix, v int, parents []int, opt Options, probs []float64) (float64, int, int) {
 	k := len(parents)
+	words := sm.Words()
+	data := sm.ColumnData()
 	// p[0] is the leak; p[j+1] belongs to parents[j].
-	p := make([]float64, k+1)
+	p := slices.Grow(sc.p[:0], k+1)[:k+1]
+	acc := slices.Grow(sc.acc[:0], k+1)[:k+1]
+	activeCount := slices.Grow(sc.activeCount[:0], k+1)[:k+1]
+	sc.p, sc.acc, sc.activeCount = p, acc, activeCount
 	for j := range p {
 		p[j] = 0.2
 	}
-
-	// Materialize the active-cause sets per observation once.
-	type obs struct {
-		active  []int // indices into p (0 = leak, j+1 = parents[j])
-		outcome bool
+	activeCount[0] = sm.Beta()
+	for j, u := range parents {
+		activeCount[j+1] = sm.CountInfected(u)
 	}
-	cases := make([]obs, beta)
-	activeCount := make([]int, k+1)
-	for pi := 0; pi < beta; pi++ {
-		active := []int{0}
-		for j, u := range parents {
-			if sm.Get(pi, u) {
-				active = append(active, j+1)
+
+	off, idx := append(sc.off[:0], 0), sc.idx[:0]
+	for w, word := range data[v*words : (v+1)*words] {
+		for word != 0 {
+			bit := word & -word
+			word &^= bit
+			for j, u := range parents {
+				if data[u*words+w]&bit != 0 {
+					idx = append(idx, int32(j+1))
+				}
 			}
+			off = append(off, len(idx))
 		}
-		for _, j := range active {
-			activeCount[j]++
-		}
-		cases[pi] = obs{active: active, outcome: sm.Get(pi, v)}
 	}
+	sc.off, sc.idx = off, idx
+	nCases := len(off) - 1
 
-	acc := make([]float64, k+1)
 	iters := 0
 	for iter := 0; iter < opt.Iterations; iter++ {
 		iters++
-		for j := range acc {
-			acc[j] = 0
-		}
-		for _, c := range cases {
-			if !c.outcome {
-				continue // all posteriors are 0
-			}
-			q := 1.0
-			for _, j := range c.active {
+		clear(acc)
+		// The leak, cause 0, is active in every case; it is kept out of
+		// idx and its sum stays in a register, added in the same order.
+		p0, acc0 := p[0], 0.0
+		for c := 0; c < nCases; c++ {
+			active := idx[off[c]:off[c+1]]
+			q := 1 - p0 // = 1.0 · (1 − p0) exactly
+			for _, j := range active {
 				q *= 1 - p[j]
 			}
 			denom := 1 - q
 			if denom < 1e-12 {
 				denom = 1e-12
 			}
-			for _, j := range c.active {
+			acc0 += p0 / denom
+			for _, j := range active {
 				acc[j] += p[j] / denom
 			}
 		}
+		acc[0] = acc0
 		maxDelta := 0.0
 		for j := range p {
 			if activeCount[j] == 0 {
@@ -246,7 +282,6 @@ func fitNode(sm *diffusion.StatusMatrix, v int, parents []int, opt Options) ([]f
 			break
 		}
 	}
-	probs := make([]float64, k)
 	for j := 0; j < k; j++ {
 		if activeCount[j+1] == 0 {
 			probs[j] = 0 // parent never infected: no evidence at all
@@ -258,5 +293,5 @@ func fitNode(sm *diffusion.StatusMatrix, v int, parents []int, opt Options) ([]f
 	if leak <= opt.MinProb {
 		leak = 0
 	}
-	return probs, leak, iters
+	return leak, iters, nCases
 }
