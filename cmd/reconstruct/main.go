@@ -172,6 +172,9 @@ func run(ctx context.Context, o runOpts) error {
 		if err != nil {
 			return err
 		}
+		if truth.NumNodes() != inferred.NumNodes() {
+			return fmt.Errorf("truth graph %s has %d nodes, the inferred graph has %d", o.truthPath, truth.NumNodes(), inferred.NumNodes())
+		}
 		prf := metrics.Score(truth, inferred)
 		rep.Truth = &truthReport{F: prf.F, Precision: prf.Precision, Recall: prf.Recall, TrueEdges: truth.NumEdges()}
 		fmt.Fprintf(os.Stderr, "%s: F=%.3f precision=%.3f recall=%.3f (%d inferred, %d true)\n",

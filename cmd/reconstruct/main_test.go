@@ -3,9 +3,11 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tends/internal/diffusion"
@@ -168,6 +170,36 @@ func TestRunFusedPipelineCancellation(t *testing.T) {
 	o.k = 2
 	if err := run(ctx, o); err == nil {
 		t.Fatal("cancelled context should abort the pipeline")
+	}
+}
+
+// A truth graph over a different node set is refused with both counts named,
+// instead of panicking inside the scorer.
+func TestRunTruthNodeCountMismatch(t *testing.T) {
+	dir, _, status, _, _ := fixture(t)
+	for _, n := range []int{5, 50} {
+		small := filepath.Join(dir, "other.txt")
+		f, err := os.Create(small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := graph.Write(f, graph.Chain(n)); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		o := baseOpts()
+		o.algo = "tends"
+		o.statusPath = status
+		o.truthPath = small
+		err = run(context.Background(), o)
+		if err == nil {
+			t.Fatalf("truth with %d nodes: expected error", n)
+		}
+		for _, want := range []string{fmt.Sprintf("%d nodes", n), "has 12"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %q", err, want)
+			}
+		}
 	}
 }
 

@@ -52,9 +52,11 @@ func (g *Directed) Reciprocity() float64 {
 		return 0
 	}
 	mutual := 0
-	for e := range g.edgeSet {
-		if g.HasEdge(e.To, e.From) {
-			mutual++
+	for u, children := range g.out {
+		for _, v := range children {
+			if g.HasEdge(v, u) {
+				mutual++
+			}
 		}
 	}
 	return float64(mutual) / float64(g.numEdges)

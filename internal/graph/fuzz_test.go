@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -72,4 +73,108 @@ func FuzzWriteRoundTrip(f *testing.F) {
 			t.Fatalf("serialization not byte-stable:\nfirst:\n%s\nsecond:\n%s", first.Bytes(), second.Bytes())
 		}
 	})
+}
+
+// FuzzGraphOps drives a graph through a fuzzed sequence of AddEdge,
+// RemoveEdge and HasEdge calls and checks it after every step against a
+// plain edge-set model: return values, NumEdges, Edges, and sorted Children
+// and Parents. At the end Clone must be Equal and independent, and
+// Reciprocity must match the model.
+func FuzzGraphOps(f *testing.F) {
+	f.Add(uint8(4), []byte{0, 0x01, 0, 0x01, 2, 0x01, 1, 0x01, 1, 0x01})
+	f.Add(uint8(3), []byte{0, 0x00, 0, 0x12, 0, 0x21, 2, 0x12, 1, 0x21})
+	f.Add(uint8(8), []byte{0, 0x07, 0, 0x70, 0, 0x17, 0, 0x71, 1, 0x07, 2, 0x70})
+	f.Fuzz(func(t *testing.T, size uint8, ops []byte) {
+		n := 1 + int(size%16)
+		g := New(n)
+		model := map[Edge]bool{}
+		for i := 0; i+1 < len(ops); i += 2 {
+			from, to := int(ops[i+1]>>4)%n, int(ops[i+1]&15)%n
+			e := Edge{from, to}
+			switch ops[i] % 3 {
+			case 0:
+				want := from != to && !model[e]
+				if got := g.AddEdge(from, to); got != want {
+					t.Fatalf("step %d: AddEdge(%d, %d) = %v, want %v", i/2, from, to, got, want)
+				}
+				if want {
+					model[e] = true
+				}
+			case 1:
+				want := model[e]
+				if got := g.RemoveEdge(from, to); got != want {
+					t.Fatalf("step %d: RemoveEdge(%d, %d) = %v, want %v", i/2, from, to, got, want)
+				}
+				delete(model, e)
+			case 2:
+				if got := g.HasEdge(from, to); got != model[e] {
+					t.Fatalf("step %d: HasEdge(%d, %d) = %v, want %v", i/2, from, to, got, model[e])
+				}
+			}
+			checkAgainstModel(t, g, model)
+		}
+
+		c := g.Clone()
+		if !c.Equal(g) || !g.Equal(c) {
+			t.Fatal("clone not Equal to the original")
+		}
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if !c.RemoveEdge(u, v) {
+					c.AddEdge(u, v)
+				}
+			}
+		}
+		checkAgainstModel(t, g, model)
+		if n > 1 && c.Equal(g) {
+			t.Fatal("complemented clone still Equal to the original")
+		}
+
+		mutual := 0
+		for e := range model {
+			if model[Edge{e.To, e.From}] {
+				mutual++
+			}
+		}
+		want := 0.0
+		if len(model) > 0 {
+			want = float64(mutual) / float64(len(model))
+		}
+		if got := g.Reciprocity(); got != want {
+			t.Fatalf("Reciprocity = %v, want %v", got, want)
+		}
+	})
+}
+
+// checkAgainstModel compares every edge view of g with the model edge set.
+func checkAgainstModel(t *testing.T, g *Directed, model map[Edge]bool) {
+	t.Helper()
+	if g.NumEdges() != len(model) {
+		t.Fatalf("NumEdges = %d, model has %d", g.NumEdges(), len(model))
+	}
+	var want []Edge
+	children := make([][]int, g.NumNodes())
+	parents := make([][]int, g.NumNodes())
+	for u := 0; u < g.NumNodes(); u++ {
+		for v := 0; v < g.NumNodes(); v++ {
+			if model[Edge{u, v}] {
+				want = append(want, Edge{u, v})
+				children[u] = append(children[u], v)
+			}
+			if model[Edge{v, u}] {
+				parents[u] = append(parents[u], v)
+			}
+		}
+	}
+	if got := g.Edges(); !slices.Equal(got, want) {
+		t.Fatalf("Edges = %v, want %v", got, want)
+	}
+	for u := 0; u < g.NumNodes(); u++ {
+		if !slices.Equal(g.Children(u), children[u]) {
+			t.Fatalf("Children(%d) = %v, want %v", u, g.Children(u), children[u])
+		}
+		if !slices.Equal(g.Parents(u), parents[u]) {
+			t.Fatalf("Parents(%d) = %v, want %v", u, g.Parents(u), parents[u])
+		}
+	}
 }

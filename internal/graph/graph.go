@@ -6,13 +6,15 @@
 // directed; an edge (u, v) means u has an influence relationship to v, i.e.
 // an infected u may infect v. The representation keeps both out- and
 // in-adjacency so that simulators (which walk children) and inference code
-// (which reasons about parents) are equally cheap.
+// (which reasons about parents) are equally cheap. The two sorted adjacency
+// lists are the only edge store: membership is a binary search, so an edge
+// costs two ints and no index beside them.
 package graph
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Edge is a directed edge from From to To.
@@ -30,7 +32,6 @@ type Directed struct {
 	n        int
 	out      [][]int // children per node, kept sorted
 	in       [][]int // parents per node, kept sorted
-	edgeSet  map[Edge]struct{}
 	numEdges int
 }
 
@@ -39,12 +40,7 @@ func New(n int) *Directed {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative node count %d", n))
 	}
-	return &Directed{
-		n:       n,
-		out:     make([][]int, n),
-		in:      make([][]int, n),
-		edgeSet: make(map[Edge]struct{}),
-	}
+	return &Directed{n: n, out: make([][]int, n), in: make([][]int, n)}
 }
 
 // NumNodes returns the number of nodes.
@@ -63,7 +59,11 @@ func (g *Directed) check(v int) {
 func (g *Directed) HasEdge(from, to int) bool {
 	g.check(from)
 	g.check(to)
-	_, ok := g.edgeSet[Edge{from, to}]
+	if len(g.out[from]) <= len(g.in[to]) {
+		_, ok := slices.BinarySearch(g.out[from], to)
+		return ok
+	}
+	_, ok := slices.BinarySearch(g.in[to], from)
 	return ok
 }
 
@@ -75,13 +75,13 @@ func (g *Directed) AddEdge(from, to int) bool {
 	if from == to {
 		return false
 	}
-	e := Edge{from, to}
-	if _, ok := g.edgeSet[e]; ok {
+	i, ok := slices.BinarySearch(g.out[from], to)
+	if ok {
 		return false
 	}
-	g.edgeSet[e] = struct{}{}
-	g.out[from] = insertSorted(g.out[from], to)
-	g.in[to] = insertSorted(g.in[to], from)
+	g.out[from] = slices.Insert(g.out[from], i, to)
+	j, _ := slices.BinarySearch(g.in[to], from)
+	g.in[to] = slices.Insert(g.in[to], j, from)
 	g.numEdges++
 	return true
 }
@@ -91,13 +91,13 @@ func (g *Directed) AddEdge(from, to int) bool {
 func (g *Directed) RemoveEdge(from, to int) bool {
 	g.check(from)
 	g.check(to)
-	e := Edge{from, to}
-	if _, ok := g.edgeSet[e]; !ok {
+	i, ok := slices.BinarySearch(g.out[from], to)
+	if !ok {
 		return false
 	}
-	delete(g.edgeSet, e)
-	g.out[from] = removeSorted(g.out[from], to)
-	g.in[to] = removeSorted(g.in[to], from)
+	g.out[from] = slices.Delete(g.out[from], i, i+1)
+	j, _ := slices.BinarySearch(g.in[to], from)
+	g.in[to] = slices.Delete(g.in[to], j, j+1)
 	g.numEdges--
 	return true
 }
@@ -143,9 +143,11 @@ func (g *Directed) Edges() []Edge {
 // Clone returns a deep copy of g.
 func (g *Directed) Clone() *Directed {
 	c := New(g.n)
-	for e := range g.edgeSet {
-		c.AddEdge(e.From, e.To)
+	for v := 0; v < g.n; v++ {
+		c.out[v] = slices.Clone(g.out[v])
+		c.in[v] = slices.Clone(g.in[v])
 	}
+	c.numEdges = g.numEdges
 	return c
 }
 
@@ -166,8 +168,8 @@ func (g *Directed) Equal(h *Directed) bool {
 	if g.n != h.n || g.numEdges != h.numEdges {
 		return false
 	}
-	for e := range g.edgeSet {
-		if _, ok := h.edgeSet[e]; !ok {
+	for v := 0; v < g.n; v++ {
+		if !slices.Equal(g.out[v], h.out[v]) {
 			return false
 		}
 	}
@@ -228,21 +230,5 @@ func degreeStats(adj [][]int) DegreeStats {
 		variance = 0
 	}
 	s.StdDev = math.Sqrt(variance)
-	return s
-}
-
-func insertSorted(s []int, v int) []int {
-	i := sort.SearchInts(s, v)
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func removeSorted(s []int, v int) []int {
-	i := sort.SearchInts(s, v)
-	if i < len(s) && s[i] == v {
-		return append(s[:i], s[i+1:]...)
-	}
 	return s
 }

@@ -225,7 +225,9 @@ func Generate(p Params, rng *rand.Rand) (*Result, error) {
 		extStubs[v] = d - id
 	}
 
-	und := newUndirected(p.N)
+	// The undirected edges accumulate as (lo, hi) pairs in a graph, whose
+	// sorted adjacency lists answer the wiring loops' duplicate checks.
+	und := graph.New(p.N)
 	// Wire internal edges per community via configuration model.
 	for c := 0; c < nc; c++ {
 		wireStubs(und, communities[c], func(v int) int { return intStubs[v] }, rng)
@@ -234,18 +236,19 @@ func Generate(p Params, rng *rand.Rand) (*Result, error) {
 	// pairs when possible.
 	wireExternal(und, membership, extStubs, rng)
 
-	g := graph.New(p.N)
-	for _, e := range und.edges() {
-		if p.Directed {
+	g := und
+	if p.Directed {
+		// Edges() is sorted, so the orientation draws follow a fixed order.
+		g = graph.New(p.N)
+		for _, e := range und.Edges() {
 			if rng.Intn(2) == 0 {
 				g.AddEdge(e.From, e.To)
 			} else {
 				g.AddEdge(e.To, e.From)
 			}
-		} else {
-			g.AddEdge(e.From, e.To)
-			g.AddEdge(e.To, e.From)
 		}
+	} else {
+		g.Symmetrize()
 	}
 	return &Result{Graph: g, Communities: communities, Membership: membership}, nil
 }
@@ -258,57 +261,19 @@ func internalDegree(d int, mixing float64) int {
 	return id
 }
 
-// undirected is a minimal undirected multigraph-free edge accumulator.
-type undirected struct {
-	n   int
-	set map[graph.Edge]struct{}
-}
-
-func newUndirected(n int) *undirected {
-	return &undirected{n: n, set: make(map[graph.Edge]struct{})}
-}
-
-func norm(u, v int) graph.Edge {
-	if u > v {
-		u, v = v, u
+// addUndirected records the undirected edge {a, b} as (lo, hi) in und and
+// reports whether it was new; self-loops and duplicates are rejected.
+func addUndirected(und *graph.Directed, a, b int) bool {
+	if a > b {
+		a, b = b, a
 	}
-	return graph.Edge{From: u, To: v}
-}
-
-func (u *undirected) has(a, b int) bool {
-	_, ok := u.set[norm(a, b)]
-	return ok
-}
-
-func (u *undirected) add(a, b int) bool {
-	if a == b || u.has(a, b) {
-		return false
-	}
-	u.set[norm(a, b)] = struct{}{}
-	return true
-}
-
-func (u *undirected) edges() []graph.Edge {
-	out := make([]graph.Edge, 0, len(u.set))
-	for e := range u.set {
-		out = append(out, e)
-	}
-	// Map iteration order is randomized; sort so downstream consumers that
-	// draw randomness per edge (Directed orientation) or stream edges into
-	// RNG-seeded weights see a deterministic sequence.
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
-	return out
+	return und.AddEdge(a, b)
 }
 
 // wireStubs pairs stubs among the given nodes configuration-model style.
 // Duplicate/self pairs are retried a bounded number of times and then
 // dropped; LFR tolerates slight degree-sequence deviations.
-func wireStubs(und *undirected, nodes []int, stubCount func(int) int, rng *rand.Rand) {
+func wireStubs(und *graph.Directed, nodes []int, stubCount func(int) int, rng *rand.Rand) {
 	total := 0
 	for _, v := range nodes {
 		total += stubCount(v)
@@ -325,7 +290,7 @@ func wireStubs(und *undirected, nodes []int, stubCount func(int) int, rng *rand.
 	}
 	for i := 0; i+1 < len(stubs); i += 2 {
 		a, b := stubs[i], stubs[i+1]
-		if und.add(a, b) {
+		if addUndirected(und, a, b) {
 			continue
 		}
 		// Retry with random later partners (bounded rewiring repair).
@@ -337,7 +302,7 @@ func wireStubs(und *undirected, nodes []int, stubCount func(int) int, rng *rand.
 			// Swap b with a later stub and try again.
 			stubs[i+1], stubs[j] = stubs[j], stubs[i+1]
 			b = stubs[i+1]
-			if und.add(a, b) {
+			if addUndirected(und, a, b) {
 				break
 			}
 		}
@@ -347,7 +312,7 @@ func wireStubs(und *undirected, nodes []int, stubCount func(int) int, rng *rand.
 // wireExternal pairs inter-community stubs, preferring partners from other
 // communities; after bounded retries it accepts any legal pair so that the
 // target edge count is approached even for extreme mixing values.
-func wireExternal(und *undirected, membership []int, extStubs []int, rng *rand.Rand) {
+func wireExternal(und *graph.Directed, membership []int, extStubs []int, rng *rand.Rand) {
 	total := 0
 	for _, c := range extStubs {
 		total += c
@@ -364,7 +329,7 @@ func wireExternal(und *undirected, membership []int, extStubs []int, rng *rand.R
 	}
 	for i := 0; i+1 < len(stubs); i += 2 {
 		a, b := stubs[i], stubs[i+1]
-		if membership[a] != membership[b] && und.add(a, b) {
+		if membership[a] != membership[b] && addUndirected(und, a, b) {
 			continue
 		}
 		ok := false
@@ -375,11 +340,11 @@ func wireExternal(und *undirected, membership []int, extStubs []int, rng *rand.R
 			}
 			stubs[i+1], stubs[j] = stubs[j], stubs[i+1]
 			b = stubs[i+1]
-			ok = membership[a] != membership[b] && und.add(a, b)
+			ok = membership[a] != membership[b] && addUndirected(und, a, b)
 		}
 		if !ok {
 			// Last resort: allow an intra-community external edge.
-			und.add(a, b)
+			addUndirected(und, a, b)
 		}
 	}
 }

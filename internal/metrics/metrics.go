@@ -17,7 +17,9 @@ type PRF struct {
 }
 
 // Score compares the inferred edge set against the truth. An edge counts as
-// a true positive only with matching direction.
+// a true positive only with matching direction. The two graphs must have the
+// same node count; Score panics on an inferred edge outside the truth's node
+// range, so callers reading graphs from files check the counts first.
 func Score(truth, inferred *graph.Directed) PRF {
 	var r PRF
 	for _, e := range inferred.Edges() {
@@ -73,7 +75,8 @@ type WeightedEdge struct {
 
 // BestF sweeps thresholds over the distinct weights of the predictions and
 // returns the highest F-score achievable by keeping edges with weight
-// strictly above a threshold, together with that threshold. This is the
+// strictly above a threshold, together with that threshold. An edge listed
+// more than once counts once, at its strongest weight. This is the
 // "preferential treatment" the paper gives NetRate in accuracy comparisons.
 func BestF(truth *graph.Directed, predictions []WeightedEdge) (best PRF, threshold float64) {
 	if len(predictions) == 0 {
@@ -83,20 +86,25 @@ func BestF(truth *graph.Directed, predictions []WeightedEdge) (best PRF, thresho
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Weight > sorted[j].Weight })
 
 	// Walk predictions from strongest to weakest, maintaining running
-	// TP/FP. At each distinct weight boundary, evaluate F for "keep
-	// everything seen so far".
+	// TP/FP over each edge's first occurrence. At each distinct weight
+	// boundary, evaluate F for "keep everything seen so far".
+	seen := make(map[graph.Edge]struct{}, len(sorted))
 	tp, fp := 0, 0
 	m := truth.NumEdges()
 	bestF := -1.0
 	for i := 0; i < len(sorted); {
 		w := sorted[i].Weight
-		for i < len(sorted) && sorted[i].Weight == w {
-			if truth.HasEdge(sorted[i].From, sorted[i].To) {
+		for ; i < len(sorted) && sorted[i].Weight == w; i++ {
+			e := sorted[i].Edge
+			if _, dup := seen[e]; dup {
+				continue
+			}
+			seen[e] = struct{}{}
+			if truth.HasEdge(e.From, e.To) {
 				tp++
 			} else {
 				fp++
 			}
-			i++
 		}
 		cur := PRF{TP: tp, FP: fp, FN: m - tp}
 		cur.fill()

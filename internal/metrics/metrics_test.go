@@ -112,6 +112,26 @@ func TestBestFTiedWeights(t *testing.T) {
 	}
 }
 
+// A prediction listed twice counts once, at its strongest weight: with the
+// duplicate counted again, recall reached 1.5 and FN went negative.
+func TestBestFDeduplicates(t *testing.T) {
+	truth := graph.New(3)
+	truth.AddEdge(0, 1)
+	truth.AddEdge(1, 2)
+	preds := []WeightedEdge{
+		{Edge: graph.Edge{From: 0, To: 1}, Weight: 0.9},
+		{Edge: graph.Edge{From: 0, To: 1}, Weight: 0.8},
+		{Edge: graph.Edge{From: 1, To: 2}, Weight: 0.1},
+	}
+	best, tau := BestF(truth, preds)
+	if best.TP != 2 || best.FP != 0 || best.FN != 0 || best.Recall != 1 || best.F != 1 {
+		t.Fatalf("BestF = %+v, want TP 2, FP 0, FN 0, recall 1, F 1", best)
+	}
+	if tau >= 0.1 {
+		t.Fatalf("threshold = %v, want below 0.1 so that 1→2 is kept", tau)
+	}
+}
+
 func TestTopK(t *testing.T) {
 	truth := graph.New(4)
 	truth.AddEdge(0, 1)
