@@ -4,16 +4,22 @@
 //
 // The program never looks at the true network while planning: it infers the
 // topology with TENDS from adoption snapshots, fits propagation
-// probabilities with the noisy-OR estimator, and runs CELF greedy influence
-// maximization on the *reconstructed* weighted network. The chosen seed set
-// is then evaluated on the hidden true network against two baselines
-// (random seeds and top-degree-on-true-network seeds), showing that a
-// network learned from statuses alone is good enough to plan with.
+// probabilities with the noisy-OR estimator, and picks seeds by
+// reverse-reachable-sketch influence maximization (influence.RISSeeds) on
+// the *reconstructed* weighted network. The chosen seed set is then scored
+// by Monte-Carlo simulation on the hidden true network against two
+// baselines (random seeds and top-degree-on-true-network seeds), showing
+// that a network learned from statuses alone is good enough to plan with.
+// The prevention half immunizes users chosen by greedy immunization on the
+// reconstruction and measures outbreaks on the true network with and
+// without them.
 //
 //	go run ./examples/campaign
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log"
 	"math/rand"
@@ -62,24 +68,27 @@ func main() {
 	}
 
 	// Step 4: plan the next campaign on the reconstructed network.
-	seeds, _, err := influence.GreedySeeds(inferredProbs, seedBudget, 300, rand.New(rand.NewSource(20)))
+	ctx := context.Background()
+	plan, err := influence.RISSeeds(ctx, inferredProbs, influence.RISOptions{K: seedBudget, Seed: 20})
 	if err != nil {
-		log.Fatalf("greedy seeds: %v", err)
+		log.Fatalf("seed selection: %v", err)
 	}
+	seeds := plan.Seeds
 
-	// Step 5: evaluate every strategy on the hidden true network.
-	evalRng := rand.New(rand.NewSource(21))
-	planned, err := influence.Spread(trueProbs, seeds, 5000, evalRng)
+	// Step 5: evaluate every strategy on the hidden true network, all on
+	// the same Monte-Carlo streams.
+	eval := influence.SpreadOptions{Samples: 5000, Seed: 21}
+	planned, err := influence.SpreadEst(ctx, trueProbs, seeds, eval)
 	if err != nil {
 		log.Fatal(err)
 	}
 	random := rand.New(rand.NewSource(22)).Perm(truth.NumNodes())[:seedBudget]
-	randomSpread, err := influence.Spread(trueProbs, random, 5000, evalRng)
+	randomSpread, err := influence.SpreadEst(ctx, trueProbs, random, eval)
 	if err != nil {
 		log.Fatal(err)
 	}
 	topDegree := topOutDegree(truth, seedBudget)
-	degreeSpread, err := influence.Spread(trueProbs, topDegree, 5000, evalRng)
+	degreeSpread, err := influence.SpreadEst(ctx, trueProbs, topDegree, eval)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -91,22 +100,64 @@ func main() {
 
 	// The flip side: prevention. Pick users to immunize (suspend, vaccinate)
 	// on the reconstructed network and measure outbreak shrinkage on the
-	// true one.
-	immunized, _, err := influence.GreedyImmunize(inferredProbs, seedBudget, 15, 200, rand.New(rand.NewSource(23)))
+	// true one: 100 draws of 15 random sources among the other users each
+	// spread over the true network and over a copy with the immunized users
+	// cut out.
+	immunized, _, err := influence.GreedyImmunizeOpt(ctx, inferredProbs, influence.ImmunizeOptions{
+		K: seedBudget, NumSeeds: 15, Samples: 200, Seed: 23,
+	})
 	if err != nil {
 		log.Fatalf("greedy immunize: %v", err)
 	}
-	baseline, err := influence.SpreadWithBlocked(trueProbs, nil, 15, 3000, rand.New(rand.NewSource(24)))
+	protectedProbs, free, err := withoutNodes(trueProbs, immunized)
 	if err != nil {
 		log.Fatal(err)
 	}
-	protected, err := influence.SpreadWithBlocked(trueProbs, immunized, 15, 3000, rand.New(rand.NewSource(25)))
-	if err != nil {
-		log.Fatal(err)
+	var baseline, protected float64
+	draw := rand.New(rand.NewSource(24))
+	for d := 0; d < 100; d++ {
+		sources := make([]int, 15)
+		for i, j := range draw.Perm(len(free))[:15] {
+			sources[i] = free[j]
+		}
+		opt := influence.SpreadOptions{Samples: 30, Seed: int64(25 + d)}
+		open, err1 := influence.SpreadEst(ctx, trueProbs, sources, opt)
+		cut, err2 := influence.SpreadEst(ctx, protectedProbs, sources, opt)
+		if err := errors.Join(err1, err2); err != nil {
+			log.Fatal(err)
+		}
+		baseline += open / 100
+		protected += cut / 100
 	}
 	fmt.Printf("\noutbreak containment (15 random sources, true network):\n")
 	fmt.Printf("  no intervention:             %6.1f infected\n", baseline)
 	fmt.Printf("  %d users immunized (planned): %6.1f infected\n", seedBudget, protected)
+}
+
+// withoutNodes returns a copy of the weighted network in which the dropped
+// nodes have no edges — they can neither be infected nor transmit — and
+// the nodes kept.
+func withoutNodes(ep *diffusion.EdgeProbs, drop []int) (*diffusion.EdgeProbs, []int, error) {
+	dropped := make(map[int]bool, len(drop))
+	for _, v := range drop {
+		dropped[v] = true
+	}
+	var kept []int
+	for v := 0; v < ep.Graph().NumNodes(); v++ {
+		if !dropped[v] {
+			kept = append(kept, v)
+		}
+	}
+	g := tends.NewGraph(ep.Graph().NumNodes())
+	probs := make(map[tends.Edge]float64)
+	for _, e := range ep.Graph().Edges() {
+		if !dropped[e.From] && !dropped[e.To] {
+			g.AddEdge(e.From, e.To)
+			probs[e] = ep.Prob(e.From, e.To)
+		}
+	}
+	cut, err := diffusion.EdgeProbsFromMap(g, probs)
+	return cut, kept, err
 }
 
 // clamp nudges estimated probabilities into the open interval the simulator

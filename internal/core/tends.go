@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -39,7 +40,8 @@ type Options struct {
 	MaxComboSize int
 
 	// ThresholdScale multiplies the automatically selected pruning
-	// threshold τ, the sweep of Figs. 10–11. 0 means 1 (use τ as found).
+	// threshold τ, the sweep of Figs. 10–11. 0 means 1 (use τ as found);
+	// negative, NaN or +Inf is an error.
 	ThresholdScale float64
 
 	// FixedThreshold, when non-nil, bypasses threshold selection entirely
@@ -65,7 +67,8 @@ type Options struct {
 	ThresholdMethod ThresholdMethod
 
 	// FDRAlpha is the false-discovery-rate level used by ThresholdAuto and
-	// ThresholdFDR. 0 means the default of 0.2, which lands the threshold
+	// ThresholdFDR; after defaults it must lie in (0,1), whatever the
+	// method. 0 means the default of 0.2, which lands the threshold
 	// at the F-score optimum across the calibration workloads; note the
 	// IMI statistic undershoots the χ²(1) null it is tested against, so
 	// the realized false-discovery rate is far below this nominal level.
@@ -343,8 +346,11 @@ func validateOptions(sm *diffusion.StatusMatrix, opt Options) error {
 	if opt.MaxComboSize < 1 {
 		return fmt.Errorf("core: MaxComboSize must be >= 1, got %d", opt.MaxComboSize)
 	}
-	if opt.ThresholdScale < 0 {
-		return fmt.Errorf("core: ThresholdScale must be non-negative, got %v", opt.ThresholdScale)
+	if opt.ThresholdScale < 0 || math.IsNaN(opt.ThresholdScale) || math.IsInf(opt.ThresholdScale, 1) {
+		return fmt.Errorf("core: ThresholdScale must be finite and non-negative, got %v", opt.ThresholdScale)
+	}
+	if !(opt.FDRAlpha > 0 && opt.FDRAlpha < 1) {
+		return fmt.Errorf("core: FDRAlpha must be in (0,1), got %v", opt.FDRAlpha)
 	}
 	if opt.ShardCount < 0 {
 		return fmt.Errorf("core: ShardCount must be non-negative, got %d", opt.ShardCount)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -76,6 +78,51 @@ func TestInferErrors(t *testing.T) {
 	}
 	if _, err := Infer(randomStatus(10, 3, 1), Options{ThresholdScale: -2}); err == nil {
 		t.Fatal("negative ThresholdScale should fail")
+	}
+}
+
+// TestInferRejectsBadThresholds pins the threshold-option validation shared
+// by every inference entry point: an FDRAlpha outside (0,1) used to panic
+// inside the FDR selector, and a NaN FDRAlpha or a NaN/+Inf ThresholdScale
+// silently pruned every edge.
+func TestInferRejectsBadThresholds(t *testing.T) {
+	sm := randomStatus(20, 6, 1)
+	inc := NewIncrementalCounts(sm.N(), false)
+	for p := 0; p < sm.Beta(); p++ {
+		var row []int
+		for v := 0; v < sm.N(); v++ {
+			if sm.Get(p, v) {
+				row = append(row, v)
+			}
+		}
+		if err := inc.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"FDRAlpha 1", Options{FDRAlpha: 1}},
+		{"FDRAlpha 1.5", Options{FDRAlpha: 1.5}},
+		{"FDRAlpha negative", Options{FDRAlpha: -0.1}},
+		{"FDRAlpha NaN", Options{FDRAlpha: math.NaN()}},
+		{"FDR method FDRAlpha NaN", Options{ThresholdMethod: ThresholdFDR, FDRAlpha: math.NaN()}},
+		{"ThresholdScale NaN", Options{ThresholdScale: math.NaN()}},
+		{"ThresholdScale +Inf", Options{ThresholdScale: math.Inf(1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, sparse := range []bool{false, true} {
+				opt := tc.opt
+				opt.Sparse = sparse
+				if _, err := Infer(sm, opt); err == nil {
+					t.Fatalf("Infer (sparse=%v) accepted %+v", sparse, tc.opt)
+				}
+			}
+			if _, err := InferFromCounts(context.Background(), sm, inc, tc.opt); err == nil {
+				t.Fatalf("InferFromCounts accepted %+v", tc.opt)
+			}
+		})
 	}
 }
 

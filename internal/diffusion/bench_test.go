@@ -54,6 +54,33 @@ func BenchmarkSimulateLT(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulateScenario times the scenario engine's SIR, SIS and
+// dirty-observation paths on the dense network of BenchmarkSimulateICDense
+// (GNM(200, 8000), μ=0.1, α=0.15, β=150).
+func BenchmarkSimulateScenario(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		sc   Scenario
+	}{
+		{"sir", Scenario{Model: ModelSIR, Recovery: 0.5}},
+		{"sis", Scenario{Model: ModelSIS, Recovery: 0.5, Reinfection: 0.3, MaxRounds: 50}},
+		{"dirty", Scenario{Missing: 0.2, Uncertain: 0.2}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			g := graph.GNM(200, 8000, rand.New(rand.NewSource(1)))
+			rng := rand.New(rand.NewSource(2))
+			ep := NewEdgeProbs(g, 0.1, 0.05, rng)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := SimulateScenario(ep, Config{Alpha: 0.15, Beta: 150}, bc.sc, rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkJointCounts(b *testing.B) {
 	m := NewStatusMatrix(150, 200)
 	rng := rand.New(rand.NewSource(2))

@@ -3,7 +3,6 @@ package influence
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,121 +12,10 @@ import (
 )
 
 // The paper's introduction motivates reconstruction with designing
-// strategies "to promote or prevent future diffusions". GreedySeeds covers
-// promotion; this file covers prevention: choosing nodes to immunize
-// (vaccinate, suspend, patch) so that expected outbreak spread drops the
-// most.
-
-// permInto writes a uniform random permutation of [0, n) into buf (reused
-// across samples), avoiding rand.Perm's per-sample allocation. It is not
-// rand.Perm's draw sequence: the loop starts at i=1 and skips Perm's i=0
-// draw. It stays that way because changing its draws would change
-// SpreadWithBlocked's outputs.
-func permInto(buf []int, n int, rng *rand.Rand) []int {
-	buf = buf[:0]
-	for i := 0; i < n; i++ {
-		buf = append(buf, 0)
-	}
-	for i := 1; i < n; i++ {
-		j := rng.Intn(i + 1)
-		buf[i] = buf[j]
-		buf[j] = i
-	}
-	return buf
-}
-
-// SpreadWithBlocked estimates expected spread when the given nodes are
-// immunized: they can neither be infected nor transmit. Seeds are drawn
-// uniformly from the remaining nodes, numSeeds per sample, mirroring the
-// simulator's seeding protocol. The RNG draw sequence is unchanged from
-// the original implementation; the per-sample permutation and per-BFS-level
-// frontier allocations are gone (reused scratch buffers).
-func SpreadWithBlocked(ep *diffusion.EdgeProbs, blocked []int, numSeeds, samples int, rng *rand.Rand) (float64, error) {
-	g := ep.Graph()
-	n := g.NumNodes()
-	if samples <= 0 {
-		return 0, fmt.Errorf("influence: samples must be positive, got %d", samples)
-	}
-	if numSeeds <= 0 {
-		return 0, fmt.Errorf("influence: numSeeds must be positive, got %d", numSeeds)
-	}
-	isBlocked := make([]bool, n)
-	for _, b := range blocked {
-		if b < 0 || b >= n {
-			return 0, fmt.Errorf("influence: blocked node %d out of range [0,%d)", b, n)
-		}
-		isBlocked[b] = true
-	}
-	free := make([]int, 0, n)
-	for v := 0; v < n; v++ {
-		if !isBlocked[v] {
-			free = append(free, v)
-		}
-	}
-	if len(free) == 0 {
-		return 0, nil
-	}
-	if numSeeds > len(free) {
-		numSeeds = len(free)
-	}
-	sc := newMCScratch(n)
-	seeds := make([]int, numSeeds)
-	total := 0
-	for sample := 0; sample < samples; sample++ {
-		sc.perm = permInto(sc.perm, len(free), rng)
-		for i := 0; i < numSeeds; i++ {
-			seeds[i] = free[sc.perm[i]]
-		}
-		total += onePathCascade(ep, seeds, isBlocked, rng.Float64, sc)
-	}
-	return float64(total) / float64(samples), nil
-}
-
-// GreedyImmunize selects up to k nodes to immunize, greedily minimizing the
-// estimated expected outbreak size under random seeding. It returns the
-// immunized nodes in selection order and the expected spread remaining
-// after each immunization. Spread reduction is not submodular in general,
-// so this is a plain greedy without lazy evaluation; the per-step cost is
-// n−|blocked| spread estimates. Kept as the historical serial API;
-// GreedyImmunizeOpt is the deterministic parallel variant.
-func GreedyImmunize(ep *diffusion.EdgeProbs, k, numSeeds, samples int, rng *rand.Rand) ([]int, []float64, error) {
-	g := ep.Graph()
-	n := g.NumNodes()
-	if k < 0 {
-		return nil, nil, fmt.Errorf("influence: negative immunization budget %d", k)
-	}
-	if k > n {
-		k = n
-	}
-	var blocked []int
-	var spreads []float64
-	isBlocked := make([]bool, n)
-	for len(blocked) < k {
-		bestNode, bestSpread := -1, 0.0
-		for v := 0; v < n; v++ {
-			if isBlocked[v] {
-				continue
-			}
-			trial := append(append([]int(nil), blocked...), v)
-			// A fixed per-step RNG stream keeps candidate comparisons
-			// within a step noise-aligned.
-			s, err := SpreadWithBlocked(ep, trial, numSeeds, samples, rand.New(rand.NewSource(rng.Int63())))
-			if err != nil {
-				return nil, nil, err
-			}
-			if bestNode < 0 || s < bestSpread {
-				bestNode, bestSpread = v, s
-			}
-		}
-		if bestNode < 0 {
-			break
-		}
-		blocked = append(blocked, bestNode)
-		isBlocked[bestNode] = true
-		spreads = append(spreads, bestSpread)
-	}
-	return blocked, spreads, nil
-}
+// strategies "to promote or prevent future diffusions". RISSeeds and
+// CELFSeeds cover promotion; this file covers prevention: choosing nodes to
+// immunize (vaccinate, suspend, patch) so that expected outbreak spread
+// drops the most.
 
 // ImmunizeOptions tunes the deterministic parallel greedy immunization.
 type ImmunizeOptions struct {
@@ -138,8 +26,13 @@ type ImmunizeOptions struct {
 	Seed     int64 // base of the derived sample-seed streams
 }
 
-// GreedyImmunizeOpt is GreedyImmunize with the candidate evaluations of
-// each round spread over a bounded worker pool. Candidate v in round r
+// GreedyImmunizeOpt selects up to K nodes to immunize, greedily minimizing
+// the estimated expected outbreak size when NumSeeds sources are drawn
+// uniformly from the nodes not immunized. It returns the immunized nodes in
+// selection order and the expected spread remaining after each
+// immunization. Spread reduction is not submodular in general, so this is a
+// plain greedy without lazy evaluation: each round estimates all n−|blocked|
+// candidates, spread over a bounded worker pool. Candidate v in round r
 // draws every sample from the (Seed, r, v, sample)-derived SplitMix64
 // stream and ties break toward the lower node id, so the chosen nodes are
 // byte-identical at any Workers. The context cancels the selection and
@@ -225,7 +118,7 @@ func GreedyImmunizeOpt(ctx context.Context, ep *diffusion.EdgeProbs, opt Immuniz
 							freeBuf[s], freeBuf[j] = freeBuf[j], freeBuf[s]
 							seeds = append(seeds, freeBuf[s])
 						}
-						total += int64(onePathCascade(ep, seeds, blockedBuf, rng.float64, sc))
+						total += int64(oneCascade(ep, seeds, blockedBuf, rng.float64, sc))
 					}
 				}
 				totals[v] = total

@@ -1,6 +1,7 @@
 package influence
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -9,47 +10,57 @@ import (
 )
 
 func TestSpreadWithBlocked(t *testing.T) {
-	// Chain with p≈1: blocking the middle node halves reachable spread.
+	// Chain with p≈1 seeded at its head: blocking the middle node stops the
+	// cascade there, and a blocked node never transmits even when it would
+	// be reached.
 	g := graph.Chain(9)
 	ep := diffusion.UniformEdgeProbs(g, 0.999999)
-	rng := rand.New(rand.NewSource(1))
-	open, err := SpreadWithBlocked(ep, nil, 1, 400, rng)
-	if err != nil {
-		t.Fatal(err)
+	sc := newMCScratch(9)
+	coin := func() float64 { return 0 }
+	if open := oneCascade(ep, []int{0}, nil, coin, sc); open != 9 {
+		t.Fatalf("open chain infected %d, want 9", open)
 	}
-	cut, err := SpreadWithBlocked(ep, []int{4}, 1, 400, rng)
-	if err != nil {
-		t.Fatal(err)
+	blocked := make([]bool, 9)
+	blocked[4] = true
+	if cut := oneCascade(ep, []int{0}, blocked, coin, sc); cut != 4 {
+		t.Fatalf("chain blocked at 4 infected %d, want 4", cut)
 	}
-	if cut >= open {
-		t.Fatalf("blocking the chain middle did not reduce spread: %v -> %v", open, cut)
+	// The scratch is clean again: the same cascade reproduces.
+	if again := oneCascade(ep, []int{0}, blocked, coin, sc); again != 4 {
+		t.Fatalf("rerun infected %d, want 4", again)
 	}
 }
 
 func TestSpreadWithBlockedEverything(t *testing.T) {
+	// Immunizing every node leaves no source: the last spread is 0.
 	g := graph.Chain(3)
 	ep := diffusion.UniformEdgeProbs(g, 0.5)
-	s, err := SpreadWithBlocked(ep, []int{0, 1, 2}, 1, 10, rand.New(rand.NewSource(2)))
+	blocked, spreads, err := GreedyImmunizeOpt(context.Background(), ep, ImmunizeOptions{K: 3, NumSeeds: 1, Samples: 10, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s != 0 {
-		t.Fatalf("all blocked should give spread 0, got %v", s)
+	if len(blocked) != 3 || len(spreads) != 3 {
+		t.Fatalf("blocked %v spreads %v, want all 3 nodes", blocked, spreads)
+	}
+	if spreads[2] != 0 {
+		t.Fatalf("all blocked should give spread 0, got %v", spreads)
 	}
 }
 
 func TestSpreadWithBlockedErrors(t *testing.T) {
 	g := graph.Chain(4)
 	ep := diffusion.UniformEdgeProbs(g, 0.5)
-	rng := rand.New(rand.NewSource(1))
-	if _, err := SpreadWithBlocked(ep, nil, 1, 0, rng); err == nil {
-		t.Fatal("samples=0 should fail")
+	ctx := context.Background()
+	if _, _, err := GreedyImmunizeOpt(ctx, ep, ImmunizeOptions{K: 1, NumSeeds: 1, Samples: -1}); err == nil {
+		t.Fatal("negative samples should fail")
 	}
-	if _, err := SpreadWithBlocked(ep, nil, 0, 10, rng); err == nil {
-		t.Fatal("numSeeds=0 should fail")
+	if _, _, err := GreedyImmunizeOpt(ctx, ep, ImmunizeOptions{K: 1, NumSeeds: 0, Samples: 10}); err == nil {
+		t.Fatal("NumSeeds=0 should fail")
 	}
-	if _, err := SpreadWithBlocked(ep, []int{9}, 1, 10, rng); err == nil {
-		t.Fatal("out-of-range blocked node should fail")
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, _, err := GreedyImmunizeOpt(cancelled, ep, ImmunizeOptions{K: 1, NumSeeds: 1, Samples: 10}); err == nil {
+		t.Fatal("cancelled context should fail")
 	}
 }
 
@@ -58,8 +69,7 @@ func TestGreedyImmunizePicksTheHub(t *testing.T) {
 	g := graph.Star(10)
 	g.Symmetrize()
 	ep := diffusion.UniformEdgeProbs(g, 0.9)
-	rng := rand.New(rand.NewSource(3))
-	blocked, spreads, err := GreedyImmunize(ep, 1, 2, 300, rng)
+	blocked, spreads, err := GreedyImmunizeOpt(context.Background(), ep, ImmunizeOptions{K: 1, NumSeeds: 2, Samples: 300, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +85,7 @@ func TestGreedyImmunizeReducesSpreadMonotonically(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := graph.PreferentialAttachment(30, 2, rng)
 	ep := diffusion.UniformEdgeProbs(g, 0.5)
-	blocked, spreads, err := GreedyImmunize(ep, 4, 3, 200, rand.New(rand.NewSource(5)))
+	blocked, spreads, err := GreedyImmunizeOpt(context.Background(), ep, ImmunizeOptions{K: 4, NumSeeds: 3, Samples: 200, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +104,15 @@ func TestGreedyImmunizeReducesSpreadMonotonically(t *testing.T) {
 func TestGreedyImmunizeBudget(t *testing.T) {
 	g := graph.Chain(5)
 	ep := diffusion.UniformEdgeProbs(g, 0.5)
-	blocked, _, err := GreedyImmunize(ep, 100, 1, 20, rand.New(rand.NewSource(6)))
+	ctx := context.Background()
+	blocked, _, err := GreedyImmunizeOpt(ctx, ep, ImmunizeOptions{K: 100, NumSeeds: 1, Samples: 20, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(blocked) != 5 {
 		t.Fatalf("budget beyond n should cap at n, got %d", len(blocked))
 	}
-	if _, _, err := GreedyImmunize(ep, -1, 1, 20, rand.New(rand.NewSource(7))); err == nil {
+	if _, _, err := GreedyImmunizeOpt(ctx, ep, ImmunizeOptions{K: -1, NumSeeds: 1, Samples: 20}); err == nil {
 		t.Fatal("negative budget should fail")
 	}
 }

@@ -3,21 +3,22 @@
 // motivates topology reconstruction with ("designing effective strategies
 // to promote or prevent future diffusions").
 //
-// Two spread machineries coexist:
+// The package has one spread estimator and two seed selectors, all
+// worker-deterministic: every random draw comes from a SplitMix64 stream
+// derived from the caller's Seed, so results are byte-identical at any
+// Workers.
 //
-//   - Monte-Carlo forward simulation (Spread, SpreadEst) — the exact,
-//     slow cross-check. SpreadEst runs samples on a bounded worker pool
-//     with per-sample SplitMix64 seeds, so its result is byte-identical at
-//     any worker count.
-//   - Reverse-reachable sketches (RISSeeds, ris.go) — the fast seed
-//     selector: sample reverse-reachable sets on the transposed CSR
-//     layout, then pick seeds by lazy greedy max-coverage over the
-//     sketches instead of re-simulating spread per candidate.
+//   - SpreadEst: forward Monte-Carlo simulation on a bounded worker pool —
+//     the exact, slow cross-check every seed set is scored with.
+//   - RISSeeds (ris.go): the fast selector. It samples reverse-reachable
+//     sets on the transposed CSR layout and picks seeds by lazy greedy
+//     max-coverage over the sketches (Borgs et al., SODA 2014).
+//   - CELFSeeds: the classic lazy greedy over Monte-Carlo estimates
+//     (Leskovec et al., KDD 2007), the baseline RISSeeds is measured
+//     against.
 //
-// Seed sets are chosen either with the CELF-accelerated greedy over Monte
-// Carlo (Leskovec et al., KDD 2007 — GreedySeeds, CELFSeeds) or with the
-// RIS sketch engine (Borgs et al., SODA 2014 — RISSeeds); both inherit the
-// (1−1/e) guarantee of submodular maximization.
+// Both selectors inherit the (1−1/e) guarantee of submodular maximization.
+// GreedyImmunizeOpt (immunize.go) covers the prevention side.
 //
 // Together with core.Infer (topology) and probest.Run (edge probabilities),
 // this closes the loop the paper sketches: observe outbreaks → reconstruct
@@ -29,7 +30,6 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -83,14 +83,13 @@ func (s *sm64) intn(n int) int {
 }
 
 // mcScratch is one worker's reusable forward-simulation state: the visited
-// marks and the two swap frontiers of the BFS. Reusing two frontiers fixes
-// the historical per-BFS-level `next` allocation of Spread.
+// marks and the two swap frontiers of the BFS, reused across samples so a
+// cascade allocates nothing.
 type mcScratch struct {
 	infected []bool
 	frontier []int
 	next     []int
 	touched  []int // all infections of the running cascade, for O(|cascade|) reset
-	perm     []int // seed-permutation buffer for the immunization paths
 }
 
 func newMCScratch(n int) *mcScratch {
@@ -151,43 +150,6 @@ func oneCascade(ep *diffusion.EdgeProbs, seeds []int, blocked []bool, coin func(
 	return count
 }
 
-// Spread estimates the expected number of infected nodes when the given
-// seed set starts an independent-cascade process on the weighted network,
-// averaged over the given number of Monte Carlo samples. The RNG draw
-// sequence is unchanged from the original implementation; the per-BFS-level
-// frontier allocation is gone (two swap buffers, reused across samples).
-func Spread(ep *diffusion.EdgeProbs, seeds []int, samples int, rng *rand.Rand) (float64, error) {
-	g := ep.Graph()
-	n := g.NumNodes()
-	if samples <= 0 {
-		return 0, fmt.Errorf("influence: samples must be positive, got %d", samples)
-	}
-	for _, s := range seeds {
-		if s < 0 || s >= n {
-			return 0, fmt.Errorf("influence: seed %d out of range [0,%d)", s, n)
-		}
-	}
-	sc := newMCScratch(n)
-	total := 0
-	for sample := 0; sample < samples; sample++ {
-		total += onePathCompatCascade(ep, seeds, rng, sc)
-	}
-	return float64(total) / float64(samples), nil
-}
-
-// onePathCompatCascade is oneCascade specialized to a *rand.Rand coin,
-// preserving the exact draw sequence of the historical Spread loop.
-func onePathCompatCascade(ep *diffusion.EdgeProbs, seeds []int, rng *rand.Rand, sc *mcScratch) int {
-	return onePathCascade(ep, seeds, nil, rng.Float64, sc)
-}
-
-// onePathCascade is the shared forward-BFS body. It exists (rather than
-// calling oneCascade directly) to keep the coin a direct func value for
-// both rand.Rand and sm64 callers.
-func onePathCascade(ep *diffusion.EdgeProbs, seeds []int, blocked []bool, coin func() float64, sc *mcScratch) int {
-	return oneCascade(ep, seeds, blocked, coin, sc)
-}
-
 // SpreadOptions tunes the deterministic parallel Monte-Carlo estimator.
 type SpreadOptions struct {
 	// Samples is the number of Monte-Carlo cascades; 0 means 1000.
@@ -211,8 +173,10 @@ func (o SpreadOptions) withDefaults() SpreadOptions {
 // spreadSampleBlock is the unit of work the sample pool hands out.
 const spreadSampleBlock = 64
 
-// SpreadEst estimates expected spread like Spread, but runs the samples on
-// a bounded worker pool with per-sample derived seeds: the result is a pure
+// SpreadEst estimates the expected number of infected nodes when the given
+// seed set starts an independent-cascade process on the weighted network.
+// It runs the samples on a bounded worker pool with per-sample derived
+// seeds: the result is a pure
 // function of (ep, seeds, Samples, Seed), independent of Workers. The
 // context cancels remaining samples (returning ctx's error) and carries the
 // observability recorder (influence/mc_samples).
@@ -227,7 +191,7 @@ func SpreadEst(ctx context.Context, ep *diffusion.EdgeProbs, seeds []int, opt Sp
 	if opt.Samples < 0 {
 		return 0, fmt.Errorf("influence: negative samples %d", opt.Samples)
 	}
-	total, err := spreadSum(ctx, ep, seeds, nil, opt.Samples, seedChain(uint64(opt.Seed), tagSpread), opt.Workers, nil)
+	total, err := spreadSum(ctx, ep, seeds, opt.Samples, seedChain(uint64(opt.Seed), tagSpread), opt.Workers, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -244,13 +208,12 @@ const (
 	tagImmu   uint64 = 0x494d_4d55_0000_0001 // immunization candidate evals
 )
 
-// spreadSum runs `samples` forward cascades from the given seed set (with
-// optional blocked nodes and optional per-sample random seeding via
-// randSeeds) and returns the total infection count. Sample i draws from the
+// spreadSum runs `samples` forward cascades from the given seed set and
+// returns the total infection count. Sample i draws from the
 // SplitMix64 stream seeded by base^i's chain, so the sum is independent of
 // the worker count and schedule. scratches, when non-nil, supplies
 // per-worker reusable scratch (len ≥ workers); nil allocates.
-func spreadSum(ctx context.Context, ep *diffusion.EdgeProbs, seeds []int, blocked []bool, samples int, base uint64, workers int, scratches []*mcScratch) (int64, error) {
+func spreadSum(ctx context.Context, ep *diffusion.EdgeProbs, seeds []int, samples int, base uint64, workers int, scratches []*mcScratch) (int64, error) {
 	if samples <= 0 {
 		return 0, fmt.Errorf("influence: samples must be positive, got %d", samples)
 	}
@@ -280,7 +243,7 @@ func spreadSum(ctx context.Context, ep *diffusion.EdgeProbs, seeds []int, blocke
 			}
 			for i := lo; i < hi; i++ {
 				rng := sm64(seedChain(base, uint64(i)))
-				local += int64(onePathCascade(ep, seeds, blocked, rng.float64, sc))
+				local += int64(oneCascade(ep, seeds, nil, rng.float64, sc))
 			}
 		}
 		total.Add(local)
@@ -310,63 +273,6 @@ func spreadSum(ctx context.Context, ep *diffusion.EdgeProbs, seeds []int, blocke
 	return total.Load(), nil
 }
 
-// GreedySeeds selects up to k seeds maximizing estimated spread via lazy
-// (CELF) greedy over serial Monte-Carlo estimation, drawing from the given
-// RNG. It returns the chosen seeds in selection order and the cumulative
-// expected spread after each selection. Kept as the historical API;
-// CELFSeeds is the deterministic parallel variant and RISSeeds the fast
-// sketch-based one.
-func GreedySeeds(ep *diffusion.EdgeProbs, k, samples int, rng *rand.Rand) ([]int, []float64, error) {
-	g := ep.Graph()
-	n := g.NumNodes()
-	if k < 0 {
-		return nil, nil, fmt.Errorf("influence: negative seed budget %d", k)
-	}
-	if k > n {
-		k = n
-	}
-	if samples <= 0 {
-		return nil, nil, fmt.Errorf("influence: samples must be positive, got %d", samples)
-	}
-
-	// Initial marginal gains = singleton spreads.
-	pq := make(gainHeap, 0, n)
-	for v := 0; v < n; v++ {
-		s, err := Spread(ep, []int{v}, samples, rng)
-		if err != nil {
-			return nil, nil, err
-		}
-		pq = append(pq, seedGain{node: v, gain: s, round: 0})
-	}
-	heap.Init(&pq)
-
-	var seeds []int
-	var spreads []float64
-	current := 0.0
-	round := 0
-	for len(seeds) < k && pq.Len() > 0 {
-		top := pq[0]
-		if top.round != round {
-			// Stale: recompute the marginal gain against the current set.
-			withTop := append(append([]int(nil), seeds...), top.node)
-			s, err := Spread(ep, withTop, samples, rng)
-			if err != nil {
-				return nil, nil, err
-			}
-			pq[0].gain = s - current
-			pq[0].round = round
-			heap.Fix(&pq, 0)
-			continue
-		}
-		heap.Pop(&pq)
-		seeds = append(seeds, top.node)
-		current += top.gain
-		spreads = append(spreads, current)
-		round++
-	}
-	return seeds, spreads, nil
-}
-
 // CELFOptions tunes the deterministic parallel CELF greedy.
 type CELFOptions struct {
 	K       int   // seed budget
@@ -375,11 +281,14 @@ type CELFOptions struct {
 	Seed    int64 // base of the derived sample-seed streams
 }
 
-// CELFSeeds is GreedySeeds rebuilt for benchmarking against the sketch
-// engine: the n singleton estimates of the initial pass run on a bounded
-// worker pool, every Monte-Carlo draw comes from a (Seed, node/round,
-// sample)-derived SplitMix64 stream, and marginal-gain ties break toward
-// the lower node id — the selected seeds are byte-identical at any Workers.
+// CELFSeeds selects up to K seeds maximizing estimated spread by lazy
+// (CELF) greedy over Monte-Carlo estimates. It returns the chosen seeds in
+// selection order and the cumulative expected spread after each selection.
+// It is the baseline RISSeeds is measured against. The n singleton
+// estimates of the initial pass run on a bounded worker pool, every
+// Monte-Carlo draw comes from a (Seed, node/round, sample)-derived
+// SplitMix64 stream, and marginal-gain ties break toward the lower node id
+// — the selected seeds are byte-identical at any Workers.
 // The context cancels the selection and carries the obs recorder.
 func CELFSeeds(ctx context.Context, ep *diffusion.EdgeProbs, opt CELFOptions) ([]int, []float64, error) {
 	g := ep.Graph()
@@ -426,7 +335,7 @@ func CELFSeeds(ctx context.Context, ep *diffusion.EdgeProbs, opt CELFOptions) ([
 			total := int64(0)
 			for i := 0; i < opt.Samples; i++ {
 				rng := sm64(seedChain(base, tagCELF0, uint64(v), uint64(i)))
-				total += int64(onePathCascade(ep, seed, nil, rng.float64, sc))
+				total += int64(oneCascade(ep, seed, nil, rng.float64, sc))
 			}
 			gains[v] = float64(total) / float64(opt.Samples)
 		}
@@ -465,7 +374,7 @@ func CELFSeeds(ctx context.Context, ep *diffusion.EdgeProbs, opt CELFOptions) ([
 		if top.round != round {
 			withTop := append(append([]int(nil), seeds...), top.node)
 			evalSeed := seedChain(base, tagCELF, uint64(round), uint64(top.node))
-			total, err := spreadSum(ctx, ep, withTop, nil, opt.Samples, evalSeed, opt.Workers, scratches)
+			total, err := spreadSum(ctx, ep, withTop, opt.Samples, evalSeed, opt.Workers, scratches)
 			if err != nil {
 				return nil, nil, err
 			}

@@ -1,0 +1,7 @@
+//go:build !race
+
+package influence
+
+// raceEnabled reports whether the test binary runs under the race detector,
+// whose slowdown makes wall-clock assertions meaningless.
+const raceEnabled = false

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -34,11 +35,13 @@ type RISOptions struct {
 	Seed int64
 	// Eps controls adaptive sampling: the pool doubles until the
 	// estimated spread of the greedy solution moves by at most Eps
-	// (relative) between consecutive rounds. 0 means 0.02.
+	// (relative) between consecutive rounds. 0 means 0.02; negative or
+	// NaN is an error.
 	Eps float64
 	// MinSketches is the initial pool size (0 means 1024); MaxSketches
-	// caps growth (0 means 1<<20). Setting them equal disables adaptive
-	// growth — useful for exact accounting in tests.
+	// caps growth (0 means 1<<20). Negative bounds are an error. Setting
+	// them equal disables adaptive growth — useful for exact accounting in
+	// tests.
 	MinSketches int
 	MaxSketches int
 }
@@ -303,6 +306,12 @@ func maxCoverage(ctx context.Context, idx *sketchIndex, n, m, k int, covered []b
 // influence/sketches, influence/coverage_evals, influence/lazy_skipped and
 // influence/ris_rounds.
 func RISSeeds(ctx context.Context, ep *diffusion.EdgeProbs, opt RISOptions) (*RISResult, error) {
+	if opt.Eps < 0 || math.IsNaN(opt.Eps) {
+		return nil, fmt.Errorf("influence: Eps must be non-negative, got %v", opt.Eps)
+	}
+	if opt.MinSketches < 0 || opt.MaxSketches < 0 {
+		return nil, fmt.Errorf("influence: negative sketch bounds [%d, %d]", opt.MinSketches, opt.MaxSketches)
+	}
 	opt = opt.withDefaults()
 	g := ep.Graph()
 	n := g.NumNodes()
@@ -358,7 +367,7 @@ func RISSeeds(ctx context.Context, ep *diffusion.EdgeProbs, opt RISOptions) (*RI
 			Sketches: m,
 			Coverage: float64(coveredCount) / float64(m),
 		}
-		stable := prevEst >= 0 && absf(est-prevEst) <= opt.Eps*maxf(est, 1)
+		stable := prevEst >= 0 && math.Abs(est-prevEst) <= opt.Eps*max(est, 1)
 		if stable || m >= opt.MaxSketches {
 			break
 		}
@@ -368,18 +377,4 @@ func RISSeeds(ctx context.Context, ep *diffusion.EdgeProbs, opt RISOptions) (*RI
 	rcd.Counter("influence/lazy_skipped").Add(skipped)
 	rcd.Counter("influence/ris_rounds").Add(rounds)
 	return result, nil
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -241,15 +241,15 @@ func TestGreedyImmunizeOptDeterministicAndSane(t *testing.T) {
 }
 
 func TestSpreadAllocRegression(t *testing.T) {
-	// Spread must allocate a bounded amount independent of samples: the
-	// scratch is created once per call and the BFS frontiers are reused
-	// (the historical bug allocated a fresh `next` per BFS level).
+	// SpreadEst must allocate a bounded amount independent of samples: the
+	// scratch is created once per worker and the BFS frontiers are reused.
 	rng := rand.New(rand.NewSource(51))
 	g := graph.PreferentialAttachment(200, 3, rng)
 	ep := diffusion.UniformEdgeProbs(g, 0.3)
 	measure := func(samples int) float64 {
 		return testing.AllocsPerRun(10, func() {
-			if _, err := Spread(ep, []int{0, 1}, samples, rng); err != nil {
+			opt := SpreadOptions{Samples: samples, Workers: 1, Seed: 51}
+			if _, err := SpreadEst(context.Background(), ep, []int{0, 1}, opt); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -259,17 +259,19 @@ func TestSpreadAllocRegression(t *testing.T) {
 		t.Fatalf("allocations grow with samples: %v at 2 samples vs %v at 200", few, many)
 	}
 	if many > 16 {
-		t.Fatalf("Spread allocates %v objects per call, want ≤16", many)
+		t.Fatalf("SpreadEst allocates %v objects per call, want ≤16", many)
 	}
 }
 
 func TestSpreadWithBlockedAllocBounded(t *testing.T) {
+	// The immunization greedy's per-round buffers do not grow with samples.
 	rng := rand.New(rand.NewSource(52))
 	g := graph.PreferentialAttachment(120, 2, rng)
 	ep := diffusion.UniformEdgeProbs(g, 0.3)
 	measure := func(samples int) float64 {
 		return testing.AllocsPerRun(10, func() {
-			if _, err := SpreadWithBlocked(ep, []int{0}, 3, samples, rng); err != nil {
+			opt := ImmunizeOptions{K: 1, NumSeeds: 3, Samples: samples, Workers: 1, Seed: 52}
+			if _, _, err := GreedyImmunizeOpt(context.Background(), ep, opt); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -277,6 +279,28 @@ func TestSpreadWithBlockedAllocBounded(t *testing.T) {
 	few, many := measure(2), measure(200)
 	if many > few+2 {
 		t.Fatalf("allocations grow with samples: %v at 2 samples vs %v at 200", few, many)
+	}
+}
+
+// TestRISOptionValidation: a negative MinSketches used to panic in
+// makeslice, and a negative or NaN Eps silently ran to the sketch cap.
+func TestRISOptionValidation(t *testing.T) {
+	g := graph.Chain(50)
+	ep := diffusion.UniformEdgeProbs(g, 0.5)
+	for _, tc := range []struct {
+		name string
+		opt  RISOptions
+	}{
+		{"negative Eps", RISOptions{K: 2, Eps: -1}},
+		{"NaN Eps", RISOptions{K: 2, Eps: math.NaN()}},
+		{"negative MinSketches", RISOptions{K: 2, MinSketches: -1}},
+		{"negative MaxSketches", RISOptions{K: 2, MaxSketches: -8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if res, err := RISSeeds(context.Background(), ep, tc.opt); err == nil {
+				t.Fatalf("RISSeeds accepted %+v (%d sketches)", tc.opt, res.Sketches)
+			}
+		})
 	}
 }
 
