@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -52,5 +54,75 @@ func TestMainRejectsNonFiniteScale(t *testing.T) {
 	}
 	if code, stderr := runMain(t, "-in", in, "-out", filepath.Join(dir, "ok.txt")); code != 0 {
 		t.Fatalf("default -scale: exit %d (stderr %q)", code, stderr)
+	}
+}
+
+// TestMainRejectsNaNThreshold: -threshold NaN used to fail the ">= 0" test,
+// fall back to the automatic τ and exit 0. ±Inf stay legal: +Inf is a fixed
+// threshold that keeps no edge, and -Inf, being negative, selects τ.
+func TestMainRejectsNaNThreshold(t *testing.T) {
+	dir := t.TempDir()
+	in := writeStatusFile(t, dir, 40, 4, func(p, v int) bool { return (p+v)%3 == 0 })
+	for _, tc := range []struct {
+		threshold string
+		want      int
+	}{
+		{"NaN", 1},
+		{"+Inf", 0},
+		{"-Inf", 0},
+		{"0.5", 0},
+	} {
+		out := filepath.Join(dir, "graph-"+tc.threshold+".txt")
+		if code, stderr := runMain(t, "-in", in, "-out", out, "-threshold", tc.threshold); code != tc.want {
+			t.Errorf("-threshold %s: exit %d, want %d (stderr %q)", tc.threshold, code, tc.want, stderr)
+		}
+	}
+}
+
+// TestMainVerboseReportsSearch reads -verbose's search line: it is printed
+// with or without -sparse, and since both engines hand the search the same
+// candidates, its counts agree between them.
+func TestMainVerboseReportsSearch(t *testing.T) {
+	dir := t.TempDir()
+	// Node 1 follows node 0 and node 3 follows node 2, each with a little
+	// noise, so the search has parents to find.
+	in := writeStatusFile(t, dir, 300, 5, func(p, v int) bool {
+		switch v {
+		case 0:
+			return p%2 == 0
+		case 1:
+			return p%2 == 0 && p%10 != 4
+		case 2:
+			return p%3 == 0
+		case 3:
+			return p%3 == 0 && p%14 != 6
+		default:
+			return p%5 == 1
+		}
+	})
+	var lines []string
+	for _, extra := range [][]string{nil, {"-sparse"}} {
+		args := append([]string{"-in", in, "-out", filepath.Join(dir, "g.txt"), "-verbose"}, extra...)
+		code, stderr := runMain(t, args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d (stderr %q)", extra, code, stderr)
+		}
+		var line string
+		for _, l := range strings.Split(stderr, "\n") {
+			if strings.HasPrefix(l, "search: ") {
+				line = l
+			}
+		}
+		var combos, merges, probes, hits int
+		if _, err := fmt.Sscanf(line, "search: combos=%d merges=%d probes=%d probe_hits=%d", &combos, &merges, &probes, &hits); err != nil {
+			t.Fatalf("%v: no search line in stderr %q: %v", extra, stderr, err)
+		}
+		if combos == 0 || merges == 0 || probes == 0 {
+			t.Fatalf("%v: search line %q reports no work", extra, line)
+		}
+		lines = append(lines, line)
+	}
+	if lines[0] != lines[1] {
+		t.Fatalf("dense and sparse search lines differ: %q vs %q", lines[0], lines[1])
 	}
 }

@@ -13,6 +13,10 @@
 // many pairs co-occur and how many of them the engine kept above the
 // pruning threshold.
 //
+// -verbose prints the observation size, τ, the search's work (combinations
+// enumerated, merges accepted, probes scored and probes answered from the
+// greedy round's memo) and the inferred edge count and score.
+//
 // -workers bounds the goroutines used by the IMI stage and the per-node
 // parent-set searches (0 = all CPUs, 1 = serial); the inferred topology is
 // identical for any worker count.
@@ -52,7 +56,7 @@ func main() {
 		outPath   = flag.String("out", "", "output graph file (default stdout)")
 		combo     = flag.Int("combo", 0, "max parent-combination size (default 2)")
 		scale     = flag.Float64("scale", 0, "threshold scale relative to auto tau (default 1)")
-		threshold = flag.Float64("threshold", -1, "absolute IMI threshold; overrides -scale when >= 0")
+		threshold = flag.Float64("threshold", -1, "absolute IMI threshold; overrides -scale when >= 0 (NaN is an error)")
 		useMI     = flag.Bool("mi", false, "use traditional MI instead of infection MI")
 		sparse    = flag.Bool("sparse", false, "use the sparse candidate engine (identical output, sub-quadratic pairwise stage)")
 		probsPath = flag.String("probs", "", "also estimate per-edge propagation probabilities into this file")
@@ -187,13 +191,15 @@ func run(ctx context.Context, inPath, outPath string, combo int, scale, threshol
 		Sparse:         sparse,
 		Workers:        workers,
 	}
-	if threshold >= 0 {
+	// A negative threshold selects τ automatically; anything else, NaN
+	// included, is fixed, so core rejects a NaN instead of ignoring it.
+	if !(threshold < 0) {
 		opt.FixedThreshold = &threshold
 	}
-	// -verbose reads the sparse engine's pair counters, so it needs a
-	// recorder even without -obs-json.
+	// -verbose reads the search's counters (and the sparse engine's pair
+	// counters), so it needs a recorder even without -obs-json.
 	rec := obs.From(ctx)
-	if verbose && sparse && rec == nil {
+	if verbose && rec == nil {
 		rec = obs.New()
 		ctx = obs.With(ctx, rec)
 	}
@@ -202,14 +208,16 @@ func run(ctx context.Context, inPath, outPath string, combo int, scale, threshol
 		return err
 	}
 	if verbose {
+		c := rec.Snapshot().Counters
 		fmt.Fprintf(os.Stderr, "observations: beta=%d n=%d\n", sm.Beta(), sm.N())
 		if sparse {
-			c := rec.Snapshot().Counters
 			coPairs, kept := c["core/sparse/pairs"], c["core/sparse/kept"]
 			fmt.Fprintf(os.Stderr, "sparse pairs: co-occurring=%d kept=%d kept/co-occurring=%.4g\n",
 				coPairs, kept, float64(kept)/float64(max(coPairs, 1)))
 		}
 		fmt.Fprintf(os.Stderr, "auto tau=%.6f used threshold=%.6f\n", res.AutoTau, res.Threshold)
+		fmt.Fprintf(os.Stderr, "search: combos=%d merges=%d probes=%d probe_hits=%d\n",
+			c["core/search/combos"], c["core/search/merges"], c["core/search/probes"], c["core/search/probe_hits"])
 		fmt.Fprintf(os.Stderr, "inferred edges=%d score g(T)=%.3f\n", res.Graph.NumEdges(), res.Score)
 	}
 

@@ -7,6 +7,7 @@ import (
 
 	"tends/internal/diffusion"
 	"tends/internal/graph"
+	"tends/internal/lfr"
 	"tends/internal/obs"
 )
 
@@ -178,5 +179,35 @@ func TestSearchParentsAllocsConstant(t *testing.T) {
 	if smallAllocs != largeAllocs || largeAllocs > 1 {
 		t.Fatalf("searchParents allocates %.1f times at β=256 (%d probes) and %.1f at β=1024 (%d probes); want the same, at most 1",
 			smallAllocs, smallProbes, largeAllocs, largeProbes)
+	}
+}
+
+// TestSearchCountersPinned gates the search on its counters rather than a
+// clock. On one seeded LFR instance, at 1 and 4 workers, the combinations
+// enumerated and merges accepted are pinned, and the probes computed plus
+// the probes the greedy round's memo answered equal the probe count the
+// search had before the memo (1743), with fewer of them computed.
+func TestSearchCountersPinned(t *testing.T) {
+	const wantCombos, wantMerges, wantProbesBeforeMemo = 1587, 272, 1743
+	net, err := lfr.GenerateBenchmark(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := simulateOn(t, net.Graph, 0.3, 0.15, 1000, 11)
+	for _, workers := range []int{1, 4} {
+		rec := obs.New()
+		if _, err := InferContext(obs.With(context.Background(), rec), sm, Options{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		c := rec.Snapshot().Counters
+		combos, merges := c["core/search/combos"], c["core/search/merges"]
+		probes, hits := c["core/search/probes"], c["core/search/probe_hits"]
+		if combos != wantCombos || merges != wantMerges {
+			t.Fatalf("workers=%d: combos=%d merges=%d, want %d and %d", workers, combos, merges, wantCombos, wantMerges)
+		}
+		if probes+hits != wantProbesBeforeMemo || probes >= wantProbesBeforeMemo {
+			t.Fatalf("workers=%d: probes=%d probe_hits=%d; want them to sum to %d with probes below it",
+				workers, probes, hits, wantProbesBeforeMemo)
+		}
 	}
 }

@@ -21,6 +21,7 @@ type scratch struct {
 	heap   comboHeap
 	merge  mergeState
 	part   partition
+	memo   probeMemo
 }
 
 func (s *Scorer) newScratch() *scratch {
@@ -71,39 +72,53 @@ type class struct {
 
 // partition keeps the β processes of one child node partitioned by their
 // status pattern under the greedy's current parent set F, so that scoring
-// F ∪ W costs a pass over the processes W's new columns infect instead of
-// one over all β processes. Those columns are sparse, and a process none of
-// them infects keeps its class. A probe therefore subtracts the touched
-// processes from their classes, folds the untouched classes in their
+// F ∪ W costs a pass over the processes W's new nodes infect, read from the
+// scorer's per-node lists, instead of one over all β processes. A process
+// none of them infects keeps its class. A probe therefore subtracts the
+// touched processes from their classes, folds the untouched classes in their
 // existing ascending-key order, then folds the touched processes' new keys
 // in ascending order. Every new key has a bit at or above position |F| set,
 // so it sorts after every untouched key: the fold visits combinations in the
 // same ascending-key order as packedCombos and genericCombos, and the scores
 // agree to the bit.
 type partition struct {
-	child   int
-	f       int      // |F|: the number of key bits in use
-	classes []class  // ascending key
-	procCls []int32  // class index of each process
-	newKey  []uint64 // accept's new key per touched process
-	remap   []int32  // accept's old → new class index
-	addCols [][]uint64
-	touched []int32 // processes the last gather moved, in process order
+	f       int     // |F|: the number of key bits in use
+	classes []class // ascending key
+	// procSlot holds each process's class index c and the child's status
+	// in it as c<<1 | childBit: the cnt slot a one-node add moves it to.
+	procSlot []int32
+	newKey   []uint64 // accept's new key per touched process
+	remap    []int32  // accept's old → new class index
+	// newBits marks, per process, which of add's nodes infect it (add[j]
+	// at bit j); count and gather zero each mark as they read it, so the
+	// whole array is zero between calls.
+	newBits []uint64
+	touched []int32 // processes the last gather moved
 	keys    []uint64
 	// cnt holds count's tallies per (new bits, class, child status) slot;
 	// probeCounted zeroes what it reads, so the whole backing array is zero
 	// between probes.
 	cnt []int32
+	// seen has a bit per slot that count tallied into, so probeCounted
+	// folds the touched slots without scanning the empty ones; it zeroes
+	// what it reads, too.
+	seen []uint64
 }
 
 // reset makes pt the partition of child under F = ∅: one class holding all
 // β processes.
 func (pt *partition) reset(s *Scorer, child int) {
-	pt.child, pt.f = child, 0
-	pt.classes = append(pt.classes[:0], class{k0: s.beta - s.ones[child], k1: s.ones[child]})
-	pt.procCls = resize(pt.procCls, s.beta)
-	clear(pt.procCls)
+	pt.f = 0
+	pt.classes = append(pt.classes[:0], class{k0: s.beta - s.ones(child), k1: s.ones(child)})
+	pt.procSlot = resize(pt.procSlot, s.beta)
+	clear(pt.procSlot)
+	for _, p := range s.infected(child) {
+		pt.procSlot[p] = 1
+	}
 	pt.newKey = resize(pt.newKey, s.beta)
+	if len(pt.newBits) != s.beta {
+		pt.newBits = make([]uint64, s.beta)
+	}
 }
 
 // resize returns buf with length n, reallocating only when it is too small.
@@ -124,11 +139,13 @@ func (pt *partition) score(s *Scorer) ScoreParts {
 	return parts
 }
 
-// setAdd points pt.addCols at the columns of add.
-func (pt *partition) setAdd(s *Scorer, add []int) {
-	pt.addCols = pt.addCols[:0]
-	for _, v := range add {
-		pt.addCols = append(pt.addCols, s.cols[v])
+// markAdd sets, for every process one of add's nodes infects, bit j of its
+// newBits mark for add[j].
+func (pt *partition) markAdd(s *Scorer, add []int) {
+	for j, v := range add {
+		for _, p := range s.infected(v) {
+			pt.newBits[p] |= 1 << uint(j)
+		}
 	}
 }
 
@@ -138,32 +155,25 @@ func (pt *partition) setAdd(s *Scorer, add []int) {
 // The caller either restores the classes (probe) or commits the split
 // (accept).
 func (pt *partition) gather(s *Scorer, add []int) {
-	pt.setAdd(s, add)
+	pt.markAdd(s, add)
 	pt.touched, pt.keys = pt.touched[:0], pt.keys[:0]
-	childCol := s.cols[pt.child]
 	shift := uint(pt.f)
-	for w := 0; w < s.words; w++ {
-		var u uint64
-		for _, col := range pt.addCols {
-			u |= col[w]
-		}
-		for u != 0 {
-			b := uint(bits.TrailingZeros64(u))
-			u &= u - 1
-			var nb uint64
-			for j, col := range pt.addCols {
-				nb |= (col[w] >> b & 1) << uint(j)
+	for _, v := range add {
+		for _, p := range s.infected(v) {
+			nb := pt.newBits[p]
+			if nb == 0 {
+				continue // already gathered through an earlier node of add
 			}
-			p := w<<6 | int(b)
-			cb := childCol[w] >> b & 1
-			cl := &pt.classes[pt.procCls[p]]
-			if cb != 0 {
+			pt.newBits[p] = 0
+			ps := pt.procSlot[p]
+			cl := &pt.classes[ps>>1]
+			if ps&1 != 0 {
 				cl.k1--
 			} else {
 				cl.k0--
 			}
-			pt.touched = append(pt.touched, int32(p))
-			pt.keys = append(pt.keys, (cl.key|nb<<shift)<<1|cb)
+			pt.touched = append(pt.touched, p)
+			pt.keys = append(pt.keys, (cl.key|nb<<shift)<<1|uint64(ps&1))
 		}
 	}
 }
@@ -172,26 +182,37 @@ func (pt *partition) gather(s *Scorer, add []int) {
 // without moving them: a process with new bits nb (add[j] at bit j) in
 // class c lands in slot (nb-1)·C + c, C the class count, split by the
 // child's status. The slots ascend with the processes' keys under F ∪ add,
-// because the classes ascend by key.
+// because the classes ascend by key. A one-node add has nb = 1 throughout,
+// so each process lands in its procSlot.
 func (pt *partition) count(s *Scorer, add []int) {
-	pt.setAdd(s, add)
-	nc := len(pt.classes)
-	cnt := pt.cnt
-	childCol := s.cols[pt.child]
-	for w := 0; w < s.words; w++ {
-		var u uint64
-		for _, col := range pt.addCols {
-			u |= col[w]
+	cnt, slot, seen := pt.cnt, pt.procSlot, pt.seen
+	if len(add) == 1 {
+		for _, p := range s.infected(add[0]) {
+			i := slot[p]
+			cnt[i]++
+			seen[i>>7] |= 1 << uint(i>>1&63)
 		}
-		for u != 0 {
-			b := uint(bits.TrailingZeros64(u))
-			u &= u - 1
-			var nb int
-			for j, col := range pt.addCols {
-				nb |= int(col[w]>>b&1) << uint(j)
+		return
+	}
+	// add[0]'s processes all carry bit 0: mark only the other nodes, count
+	// add[0]'s processes first, then the others' not already counted.
+	pt.markAdd(s, add[1:])
+	nbs, stride := pt.newBits, 2*len(pt.classes)
+	for _, p := range s.infected(add[0]) {
+		nb := nbs[p]<<1 | 1
+		nbs[p] = 0
+		i := int(nb-1)*stride + int(slot[p])
+		cnt[i]++
+		seen[i>>7] |= 1 << uint(i>>1&63)
+	}
+	for _, v := range add[1:] {
+		for _, p := range s.infected(v) {
+			if nb := nbs[p]; nb != 0 {
+				nbs[p] = 0
+				i := int(nb<<1-1)*stride + int(slot[p])
+				cnt[i]++
+				seen[i>>7] |= 1 << uint(i>>1&63)
 			}
-			slot := (nb-1)*nc + int(pt.procCls[w<<6|int(b)])
-			cnt[slot<<1|int(childCol[w]>>b&1)]++
 		}
 	}
 }
@@ -208,7 +229,7 @@ func (pt *partition) count(s *Scorer, add []int) {
 func (pt *partition) probe(s *Scorer, add []int) ScoreParts {
 	bound := 0 // at least the number of touched processes
 	for _, v := range add {
-		bound += s.ones[v]
+		bound += s.ones(v)
 	}
 	if m := len(add); m < 16 && (1<<m-1)*len(pt.classes) <= 8*bound+64 {
 		return pt.probeCounted(s, add)
@@ -221,6 +242,7 @@ func (pt *partition) probeCounted(s *Scorer, add []int) ScoreParts {
 	nc := len(pt.classes)
 	slots := (1<<len(add) - 1) * nc
 	pt.cnt = resize(pt.cnt, 2*slots)
+	pt.seen = resize(pt.seen, (slots+63)/64)
 	pt.count(s, add)
 	cnt := pt.cnt
 	var parts ScoreParts
@@ -232,11 +254,13 @@ func (pt *partition) probeCounted(s *Scorer, add []int) ScoreParts {
 		}
 		s.addCombo(&parts, k0, k1)
 	}
-	for i := 0; i < 2*slots; i += 2 {
-		if k0, k1 := int(cnt[i]), int(cnt[i+1]); k0|k1 != 0 {
-			s.addCombo(&parts, k0, k1)
+	for w, word := range pt.seen {
+		for ; word != 0; word &= word - 1 {
+			i := 2 * (w<<6 | bits.TrailingZeros64(word))
+			s.addCombo(&parts, int(cnt[i]), int(cnt[i+1]))
 			cnt[i], cnt[i+1] = 0, 0
 		}
+		pt.seen[w] = 0
 	}
 	s.finishParts(pt.f+len(add), &parts)
 	return parts
@@ -251,10 +275,10 @@ func (pt *partition) probeSorted(s *Scorer, add []int) ScoreParts {
 	}
 	slices.Sort(pt.keys)
 	s.foldRuns(&parts, pt.keys)
-	childCol := s.cols[pt.child]
 	for _, p := range pt.touched {
-		cl := &pt.classes[pt.procCls[p]]
-		if childCol[p>>6]>>(uint(p)&63)&1 != 0 {
+		ps := pt.procSlot[p]
+		cl := &pt.classes[ps>>1]
+		if ps&1 != 0 {
 			cl.k1++
 		} else {
 			cl.k0++
@@ -283,8 +307,8 @@ func (pt *partition) accept(s *Scorer, add []int) {
 		}
 	}
 	pt.classes = pt.classes[:kept]
-	for p, c := range pt.procCls {
-		pt.procCls[p] = pt.remap[c]
+	for p, ps := range pt.procSlot {
+		pt.procSlot[p] = pt.remap[ps>>1]<<1 | ps&1
 	}
 	for i := 0; i < len(pt.keys); {
 		var cl class
@@ -296,7 +320,7 @@ func (pt *partition) accept(s *Scorer, add []int) {
 		i, _ := slices.BinarySearchFunc(fresh, pt.newKey[p], func(c class, key uint64) int {
 			return cmp.Compare(c.key, key)
 		})
-		pt.procCls[p] = int32(kept + i)
+		pt.procSlot[p] = int32(kept+i)<<1 | pt.procSlot[p]&1
 	}
 	pt.f += len(add)
 }

@@ -28,7 +28,8 @@ import (
 //     the child's column total; the infected ones of the (sparse) parent
 //     columns are sorted by key and folded run by run. The greedy merge
 //     keeps this partition per node and moves only the processes a probed
-//     combination's new columns infect (see partition).
+//     combination's new columns infect (see partition), read from
+//     per-node lists of the processes each node is infected in.
 //
 // Both fold the combinations in ascending key order, so every path yields
 // the same bits for the same parent set.
@@ -38,8 +39,12 @@ type Scorer struct {
 	cols    [][]uint64 // packed status per node
 	tail    uint64     // mask of valid bits in the last word
 	deltas  []float64  // Theorem-2 δ_i per node
-	ones    []int      // N₂ per node
-	logs    []float64  // logs[k] = log₂(k) for k in [0, β+1]; logs[0] unused
+	// infOff and inf list each node's infected processes as one CSR:
+	// node v's ascend in inf[infOff[v]:infOff[v+1]], so its N₂ is
+	// infOff[v+1] − infOff[v].
+	infOff  []int
+	inf     []int32
+	logs    []float64 // logs[k] = log₂(k) for k in [0, β+1]; logs[0] unused
 	penalty PenaltyMode
 	// scratchPool recycles scoring scratch for LocalScoreParts callers; the
 	// scorer is shared by concurrent per-node searches, so the scratch
@@ -83,7 +88,7 @@ func NewScorer(m *diffusion.StatusMatrix) *Scorer {
 		cols:   make([][]uint64, n),
 		tail:   tail,
 		deltas: make([]float64, n),
-		ones:   make([]int, n),
+		infOff: make([]int, n+1),
 		logs:   make([]float64, beta+2),
 	}
 	for k := 1; k <= beta+1; k++ {
@@ -97,10 +102,34 @@ func NewScorer(m *diffusion.StatusMatrix) *Scorer {
 			col[words-1] &= tail
 		}
 		s.cols[v] = col
-		s.ones[v] = m.CountInfected(v)
-		s.deltas[v] = delta(beta, s.ones[v])
+		ones := 0
+		for _, word := range col {
+			ones += bits.OnesCount64(word)
+		}
+		s.infOff[v+1] = s.infOff[v] + ones
+		s.deltas[v] = delta(beta, ones)
+	}
+	s.inf = make([]int32, s.infOff[n])
+	for v, col := range s.cols {
+		at := s.infOff[v]
+		for w, word := range col {
+			for ; word != 0; word &= word - 1 {
+				s.inf[at] = int32(w<<6 | bits.TrailingZeros64(word))
+				at++
+			}
+		}
 	}
 	return s
+}
+
+// infected returns the processes node v is infected in, ascending.
+func (s *Scorer) infected(v int) []int32 {
+	return s.inf[s.infOff[v]:s.infOff[v+1]]
+}
+
+// ones returns N₂ for node v: the number of processes it is infected in.
+func (s *Scorer) ones(v int) int {
+	return s.infOff[v+1] - s.infOff[v]
 }
 
 // Beta returns the number of observed diffusion processes.
@@ -237,8 +266,8 @@ func (s *Scorer) packedCombos(child int, parents []int, parts *ScoreParts, sc *s
 	k := len(parents)
 	childCol := s.cols[child]
 	if k == 0 {
-		n1 := s.beta - s.ones[child]
-		s.addCombo(parts, n1, s.ones[child])
+		n1 := s.beta - s.ones(child)
+		s.addCombo(parts, n1, s.ones(child))
 		return
 	}
 	mask := sc.mask
@@ -294,7 +323,7 @@ func (s *Scorer) genericCombos(child int, parents []int, parts *ScoreParts, sc *
 			keys = append(keys, key<<1|cb)
 		}
 	}
-	k1 := s.ones[child] - hit
+	k1 := s.ones(child) - hit
 	s.addCombo(parts, s.beta-len(keys)-k1, k1)
 	slices.Sort(keys)
 	s.foldRuns(parts, keys)

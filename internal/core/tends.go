@@ -45,7 +45,8 @@ type Options struct {
 	ThresholdScale float64
 
 	// FixedThreshold, when non-nil, bypasses threshold selection entirely
-	// and prunes with the given absolute IMI value.
+	// and prunes with the given absolute IMI value. NaN is an error; ±Inf
+	// keep every candidate or none.
 	FixedThreshold *float64
 
 	// TraditionalMI replaces infection MI with plain mutual information in
@@ -349,6 +350,9 @@ func validateOptions(sm *diffusion.StatusMatrix, opt Options) error {
 	if opt.ThresholdScale < 0 || math.IsNaN(opt.ThresholdScale) || math.IsInf(opt.ThresholdScale, 1) {
 		return fmt.Errorf("core: ThresholdScale must be finite and non-negative, got %v", opt.ThresholdScale)
 	}
+	if opt.FixedThreshold != nil && math.IsNaN(*opt.FixedThreshold) {
+		return fmt.Errorf("core: FixedThreshold must not be NaN")
+	}
 	if !(opt.FDRAlpha > 0 && opt.FDRAlpha < 1) {
 		return fmt.Errorf("core: FDRAlpha must be in (0,1), got %v", opt.FDRAlpha)
 	}
@@ -406,9 +410,10 @@ func selectThreshold(ctx context.Context, imi interface{ valuePool() *valuePool 
 func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource, opt Options, autoTau, tau float64) (*Result, error) {
 	rec := obs.From(ctx)
 	tel := coreTel{
-		combos: rec.Counter("core/search/combos"),
-		merges: rec.Counter("core/search/merges"),
-		probes: rec.Counter("core/search/probes"),
+		combos:    rec.Counter("core/search/combos"),
+		merges:    rec.Counter("core/search/merges"),
+		probes:    rec.Counter("core/search/probes"),
+		probeHits: rec.Counter("core/search/probe_hits"),
 	}
 
 	scorer := NewScorer(sm)
@@ -464,12 +469,7 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 		if perNode {
 			nodeTau = res.NodeThresholds[i]
 		}
-		cands := imi.Candidates(i, nodeTau)
-		if opt.MaxCandidates > 0 && len(cands) > opt.MaxCandidates {
-			sort.Slice(cands, func(a, b int) bool { return imi.At(i, cands[a]) > imi.At(i, cands[b]) })
-			cands = cands[:opt.MaxCandidates]
-			sort.Ints(cands)
-		}
+		cands := nodeCandidates(imi, i, nodeTau, opt)
 		res.Parents[i], reasons[i] = searchParents(sctx, scorer, i, cands, opt, tel, sc)
 		// Only fully searched nodes reach the callback: a node cut short
 		// (degraded or cancelled) has a partial answer the journal must not
@@ -568,12 +568,26 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 	return res, nil
 }
 
+// nodeCandidates returns node i's candidate parents in ascending order: the
+// nodes whose pairwise value with i exceeds tau, cut to the MaxCandidates
+// largest values when a cap is set.
+func nodeCandidates(imi pairSource, i int, tau float64, opt Options) []int {
+	cands := imi.Candidates(i, tau)
+	if opt.MaxCandidates > 0 && len(cands) > opt.MaxCandidates {
+		sort.Slice(cands, func(a, b int) bool { return imi.At(i, cands[a]) > imi.At(i, cands[b]) })
+		cands = cands[:opt.MaxCandidates]
+		sort.Ints(cands)
+	}
+	return cands
+}
+
 // coreTel bundles the telemetry handles the per-node searches update; the
 // zero value (nil counters) is a valid no-op.
 type coreTel struct {
-	combos *obs.Counter // combinations enumerated across all nodes
-	merges *obs.Counter // greedy merge steps accepted across all nodes
-	probes *obs.Counter // merge-phase score evaluations across all nodes
+	combos    *obs.Counter // combinations enumerated across all nodes
+	merges    *obs.Counter // greedy merge steps accepted across all nodes
+	probes    *obs.Counter // merge-phase score evaluations computed across all nodes
+	probeHits *obs.Counter // merge probes answered by the round's memo instead
 }
 
 // searchParents runs the greedy most-probable-parent-set search for one
@@ -786,17 +800,18 @@ func (e *enumerator) rec(start int) {
 // heap top is re-evaluated against the grown F. Improvements shrink as F
 // absorbs the signal a combination carries, so stale heads re-sink and the
 // scan touches a small fraction of the combination pool per iteration.
-// Each re-evaluation is a probe of the node's partition (see partition),
-// bit-identical to scoring F ∪ W from scratch.
+// Each re-evaluation is a probe (see scratch.probe), bit-identical to
+// scoring F ∪ W from scratch.
 //
 // When the node's soft deadline (nonzero) passes mid-merge, the loop stops
 // with the parents merged so far and reports cut = true; the caller keeps
 // the partial set as the node's degraded answer.
 func adaptiveMerge(ctx context.Context, s *Scorer, child int, combos []combo, opt Options, tel coreTel, deadline time.Time, sc *scratch) (parents []int, cut bool) {
-	st, pt := &sc.merge, &sc.part
-	st.reset(combos)
-	pt.reset(s, child)
-	curScore := pt.score(s).Score()
+	sc.resetMerge(s, child, combos)
+	st := &sc.merge
+	curScore := sc.part.score(s).Score()
+	// The F = ∅ score above counts as a probe.
+	st.probes++
 	emptyScore := curScore
 
 	h := sc.heap[:0]
@@ -806,9 +821,7 @@ func adaptiveMerge(ctx context.Context, s *Scorer, child int, combos []combo, op
 	}
 	h.init()
 
-	// probes counts the merge's score evaluations, the F = ∅ one above
-	// included.
-	round, probes := 0, 1
+	round := 0
 	for len(h) > 0 && ctx.Err() == nil {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			cut = true
@@ -819,14 +832,12 @@ func adaptiveMerge(ctx context.Context, s *Scorer, child int, combos []combo, op
 			break
 		}
 		if top.round != round {
-			union := st.probeUnion(top.c)
-			if union == nil {
+			size, parts, ok := sc.probe(s, top.c)
+			if !ok {
 				h.pop()
 				continue
 			}
-			parts := pt.probe(s, union[len(st.parents):])
-			probes++
-			if !opt.DisableBound && !s.BoundHolds(child, len(union), parts.Phi) {
+			if !opt.DisableBound && !s.BoundHolds(child, size, parts.Phi) {
 				h.pop()
 				continue
 			}
@@ -839,23 +850,21 @@ func adaptiveMerge(ctx context.Context, s *Scorer, child int, combos []combo, op
 			h.down(0, len(h))
 			continue
 		}
-		// Fresh top: accept it. The probe cannot fail here — a top at the
-		// current round either passed it this round or is an initial entry
-		// probed against the empty set.
-		union := st.probeUnion(top.c)
-		if union == nil {
+		// Fresh top: accept it. The union cannot be empty here — a top at
+		// the current round either passed a probe this round or is an
+		// initial entry against the empty set.
+		if !sc.accept(s, top.c) {
 			h.pop()
 			continue
 		}
 		curScore += top.gain
-		pt.accept(s, union[len(st.parents):])
-		st.accept(top.c, union)
 		h.pop()
 		tel.merges.Inc()
 		round++
 	}
 	sc.heap = h
-	tel.probes.Add(int64(probes))
+	tel.probes.Add(int64(st.probes))
+	tel.probeHits.Add(int64(st.hits))
 	return st.result(), cut
 }
 
@@ -912,30 +921,26 @@ func (h comboHeap) down(i0, n int) {
 // node's soft deadline with the parents merged so far, reporting cut = true.
 func staticMerge(s *Scorer, child int, combos []combo, opt Options, tel coreTel, deadline time.Time, sc *scratch) (parents []int, cut bool) {
 	slices.SortStableFunc(combos, func(a, b combo) int { return cmp.Compare(b.score, a.score) })
-	st, pt := &sc.merge, &sc.part
-	st.reset(combos)
-	pt.reset(s, child)
-	probes := 0
+	sc.resetMerge(s, child, combos)
+	st := &sc.merge
 	for i := range combos {
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			cut = true
 			break
 		}
 		c := &combos[i]
-		union := st.probeUnion(c)
-		if union == nil {
+		size, parts, ok := sc.probe(s, c)
+		if !ok {
 			continue
 		}
-		parts := pt.probe(s, union[len(st.parents):])
-		probes++
-		if !opt.DisableBound && !s.BoundHolds(child, len(union), parts.Phi) {
+		if !opt.DisableBound && !s.BoundHolds(child, size, parts.Phi) {
 			continue
 		}
-		pt.accept(s, union[len(st.parents):])
-		st.accept(c, union)
+		sc.accept(s, c)
 		tel.merges.Inc()
 	}
-	tel.probes.Add(int64(probes))
+	tel.probes.Add(int64(st.probes))
+	tel.probeHits.Add(int64(st.hits))
 	return st.result(), cut
 }
 
@@ -950,19 +955,86 @@ type mergeState struct {
 	inF     map[int]bool // non-nil only when the combos carry no masks
 	parents []int
 	buf     []int
+	probes  int // score evaluations computed since the last reset
+	hits    int // probes the memo answered since the last reset
+	// trace, when non-nil, sees every probe in order, memo hits included,
+	// with its union in scoring order. Tests set it; the search never does.
+	trace func(union []int, parts ScoreParts)
 }
 
-// reset empties F for a merge over combos.
-func (st *mergeState) reset(combos []combo) {
+// resetMerge empties F and the probe memo for a merge of child over combos.
+func (sc *scratch) resetMerge(s *Scorer, child int, combos []combo) {
+	st := &sc.merge
 	st.mask, st.parents = 0, st.parents[:0]
+	st.probes, st.hits = 0, 0
 	switch {
 	case len(combos) == 0 || combos[0].mask != 0:
 		st.inF = nil
+		sc.memo.reset(len(combos))
 	case st.inF == nil:
 		st.inF = make(map[int]bool)
 	default:
 		clear(st.inF)
 	}
+	sc.part.reset(s, child)
+}
+
+// probe returns the size and score parts of F ∪ W for the merge's current
+// F, with ok = false when W adds nothing to F or the union would exceed 63
+// parents. The parts are a pure function of F and W's new nodes, which
+// probeUnion puts in a fixed order, so under masked membership a probe of
+// new nodes already scored against this F is answered from the memo; the
+// map path probes every time.
+func (sc *scratch) probe(s *Scorer, c *combo) (size int, parts ScoreParts, ok bool) {
+	st := &sc.merge
+	var slot *memoSlot
+	key := c.mask &^ st.mask
+	if st.inF == nil && key != 0 {
+		var hit bool
+		if slot, hit = sc.memo.lookup(key); hit {
+			st.hits++
+			if st.trace != nil {
+				st.trace(st.probeUnion(c), slot.parts)
+			}
+			return len(st.parents) + bits.OnesCount64(key), slot.parts, true
+		}
+	}
+	union := st.probeUnion(c)
+	if union == nil {
+		return 0, ScoreParts{}, false
+	}
+	parts = sc.part.probe(s, union[len(st.parents):])
+	st.probes++
+	if slot != nil {
+		*slot = memoSlot{key: key, gen: sc.memo.gen, parts: parts}
+	}
+	if st.trace != nil {
+		st.trace(union, parts)
+	}
+	return len(union), parts, true
+}
+
+// accept commits F ← F ∪ W, reporting false (and changing nothing) when the
+// union is empty or too large. It starts a new memo generation: every probe
+// before it scored against the old F.
+func (sc *scratch) accept(s *Scorer, c *combo) bool {
+	st := &sc.merge
+	union := st.probeUnion(c)
+	if union == nil {
+		return false
+	}
+	added := union[len(st.parents):]
+	sc.part.accept(s, added)
+	if st.inF == nil {
+		st.mask |= c.mask
+		sc.memo.invalidate()
+	} else {
+		for _, v := range added {
+			st.inF[v] = true
+		}
+	}
+	st.parents = append(st.parents, added...)
+	return true
 }
 
 // result returns a sorted copy of F, nil when F is empty.
@@ -978,8 +1050,7 @@ func (st *mergeState) result() []int {
 // probeUnion returns F ∪ W in scoring order — the current parents followed
 // by W's new nodes in W order — or nil when the union adds nothing or would
 // exceed 63 parents. The returned slice aliases the reusable buffer and is
-// valid only until the next probe; pass it to accept to make it the parent
-// set.
+// valid only until the next probe.
 func (st *mergeState) probeUnion(c *combo) []int {
 	if st.inF == nil {
 		um := st.mask | c.mask
@@ -1014,14 +1085,58 @@ func (st *mergeState) probeUnion(c *combo) []int {
 	return union
 }
 
-// accept commits a probed union as the new parent set.
-func (st *mergeState) accept(c *combo, union []int) {
-	st.parents = append(st.parents, union[len(st.parents):]...)
-	if st.inF == nil {
-		st.mask |= c.mask
-	} else {
-		for _, v := range st.parents {
-			st.inF[v] = true
+// probeMemo caches one greedy round's probe results, keyed by the probed
+// combination's new-node mask: an open-addressed table sized to at least
+// twice the node's combination count, so a round, which probes each
+// combination at most once, never fills it past half. A generation stamp
+// empties it in O(1) on every accept.
+type probeMemo struct {
+	slots []memoSlot // the live table; a power-of-two prefix of the backing array
+	shift uint       // 64 − log₂(len(slots))
+	gen   uint32     // a slot is filled iff its gen equals this
+}
+
+type memoSlot struct {
+	key   uint64
+	gen   uint32
+	parts ScoreParts
+}
+
+// reset empties the memo and sizes it for a merge over n combinations.
+func (m *probeMemo) reset(n int) {
+	size, lg := 1, uint(0)
+	for size < 2*n {
+		size, lg = size<<1, lg+1
+	}
+	if cap(m.slots) < size {
+		m.slots, m.gen = make([]memoSlot, size), 0
+	}
+	m.slots, m.shift = m.slots[:size], 64-lg
+	m.invalidate()
+}
+
+// invalidate empties the memo by starting a new generation.
+func (m *probeMemo) invalidate() {
+	m.gen++
+	if m.gen == 0 { // wrapped: old stamps could read as current
+		clear(m.slots[:cap(m.slots)])
+		m.gen = 1
+	}
+}
+
+// lookup returns key's slot and whether it holds key's parts this
+// generation; when it does not, the slot is where they belong.
+func (m *probeMemo) lookup(key uint64) (*memoSlot, bool) {
+	last := len(m.slots) - 1
+	i := int((key * 0x9E3779B97F4A7C15) >> m.shift) // Fibonacci hashing
+	for {
+		sl := &m.slots[i]
+		if sl.gen != m.gen {
+			return sl, false
 		}
+		if sl.key == key {
+			return sl, true
+		}
+		i = (i + 1) & last
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"tends/internal/diffusion"
 	"tends/internal/graph"
+	"tends/internal/lfr"
 	"tends/internal/metrics"
 )
 
@@ -83,8 +85,9 @@ func TestInferErrors(t *testing.T) {
 
 // TestInferRejectsBadThresholds pins the threshold-option validation shared
 // by every inference entry point: an FDRAlpha outside (0,1) used to panic
-// inside the FDR selector, and a NaN FDRAlpha or a NaN/+Inf ThresholdScale
-// silently pruned every edge.
+// inside the FDR selector, a NaN FDRAlpha or a NaN/+Inf ThresholdScale
+// silently pruned every edge, and a NaN FixedThreshold pruned every edge on
+// the dense engine and none on the sparse one.
 func TestInferRejectsBadThresholds(t *testing.T) {
 	sm := randomStatus(20, 6, 1)
 	inc := NewIncrementalCounts(sm.N(), false)
@@ -99,6 +102,7 @@ func TestInferRejectsBadThresholds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	nan := math.NaN()
 	for _, tc := range []struct {
 		name string
 		opt  Options
@@ -110,6 +114,7 @@ func TestInferRejectsBadThresholds(t *testing.T) {
 		{"FDR method FDRAlpha NaN", Options{ThresholdMethod: ThresholdFDR, FDRAlpha: math.NaN()}},
 		{"ThresholdScale NaN", Options{ThresholdScale: math.NaN()}},
 		{"ThresholdScale +Inf", Options{ThresholdScale: math.Inf(1)}},
+		{"FixedThreshold NaN", Options{FixedThreshold: &nan}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, sparse := range []bool{false, true} {
@@ -123,6 +128,34 @@ func TestInferRejectsBadThresholds(t *testing.T) {
 				t.Fatalf("InferFromCounts accepted %+v", tc.opt)
 			}
 		})
+	}
+}
+
+// TestFixedThresholdInfEnginesAgree: ±Inf stay legal fixed thresholds, and
+// the dense and sparse engines infer the same parents under them (+Inf
+// keeps no candidate, -Inf every one, up to MaxCandidates).
+func TestFixedThresholdInfEnginesAgree(t *testing.T) {
+	net, err := lfr.GenerateBenchmark(1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := simulateOn(t, net.Graph, 0.3, 0.15, 200, 13)
+	for _, tau := range []float64{math.Inf(1), math.Inf(-1)} {
+		dense, err := Infer(sm, Options{FixedThreshold: &tau})
+		if err != nil {
+			t.Fatalf("dense, threshold %v: %v", tau, err)
+		}
+		sparse, err := Infer(sm, Options{FixedThreshold: &tau, Sparse: true})
+		if err != nil {
+			t.Fatalf("sparse, threshold %v: %v", tau, err)
+		}
+		if !reflect.DeepEqual(dense.Parents, sparse.Parents) || dense.Score != sparse.Score {
+			t.Fatalf("threshold %v: dense infers %d edges (score %v), sparse %d (score %v)",
+				tau, dense.Graph.NumEdges(), dense.Score, sparse.Graph.NumEdges(), sparse.Score)
+		}
+		if edges := dense.Graph.NumEdges(); (tau > 0) != (edges == 0) {
+			t.Fatalf("threshold %v: %d edges inferred", tau, edges)
+		}
 	}
 }
 
