@@ -221,16 +221,18 @@ func run(ctx context.Context, o runOpts) error {
 		}
 	}
 
-	out := os.Stdout
-	if o.outPath != "" {
-		f, err := os.Create(o.outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
+	if o.outPath == "" {
+		return graph.Write(os.Stdout, inferred)
 	}
-	return graph.Write(out, inferred)
+	f, err := os.Create(o.outPath)
+	if err != nil {
+		return err
+	}
+	err = graph.Write(f, inferred)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // estimateProbs runs the probest EM on the reconstructed topology and

@@ -79,14 +79,12 @@ func TestMainRejectsNaNThreshold(t *testing.T) {
 	}
 }
 
-// TestMainVerboseReportsSearch reads -verbose's search line: it is printed
-// with or without -sparse, and since both engines hand the search the same
-// candidates, its counts agree between them.
-func TestMainVerboseReportsSearch(t *testing.T) {
-	dir := t.TempDir()
-	// Node 1 follows node 0 and node 3 follows node 2, each with a little
-	// noise, so the search has parents to find.
-	in := writeStatusFile(t, dir, 300, 5, func(p, v int) bool {
+// writeFollowerStatus writes a status file in which node 1 follows node 0
+// and node 3 follows node 2, each with a little noise, so the search has
+// parents to find.
+func writeFollowerStatus(t *testing.T, dir string) string {
+	t.Helper()
+	return writeStatusFile(t, dir, 300, 5, func(p, v int) bool {
 		switch v {
 		case 0:
 			return p%2 == 0
@@ -100,6 +98,37 @@ func TestMainVerboseReportsSearch(t *testing.T) {
 			return p%5 == 1
 		}
 	})
+}
+
+// TestMainProbsWriteError: -probs used to ignore every write error, so a
+// full disk left the file empty and the command exited 0.
+func TestMainProbsWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	dir := t.TempDir()
+	in, out := writeFollowerStatus(t, dir), filepath.Join(dir, "g.txt")
+	code, stderr := runMain(t, "-in", in, "-out", out, "-probs", "/dev/full")
+	if code != 1 {
+		t.Fatalf("-probs /dev/full: exit %d, want 1 (stderr %q)", code, stderr)
+	}
+	g, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(g), "\n"); lines < 2 {
+		t.Fatalf("the inferred graph has no edge (%q); the test needs a line to write", g)
+	}
+}
+
+// TestMainVerboseReportsSearch reads -verbose's search line: it is printed
+// with or without -sparse, and since both engines hand the search the same
+// candidates, its counts agree between them.
+func TestMainVerboseReportsSearch(t *testing.T) {
+	dir := t.TempDir()
+	// Node 1 follows node 0 and node 3 follows node 2, each with a little
+	// noise, so the search has parents to find.
+	in := writeFollowerStatus(t, dir)
 	var lines []string
 	for _, extra := range [][]string{nil, {"-sparse"}} {
 		args := append([]string{"-in", in, "-out", filepath.Join(dir, "g.txt"), "-verbose"}, extra...)

@@ -32,6 +32,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -136,7 +137,8 @@ func writeObsJSON(path string, rec *obs.Recorder) error {
 }
 
 // estimateProbs re-reads the inference inputs/outputs and writes one
-// "<from> <to> <probability>" line per inferred edge.
+// "<from> <to> <probability>" line per inferred edge, returning the first
+// write, flush or close error.
 func estimateProbs(inPath, graphPath, probsPath string) error {
 	if graphPath == "" {
 		return fmt.Errorf("-probs requires -out (the inferred graph file)")
@@ -167,10 +169,16 @@ func estimateProbs(inPath, graphPath, probsPath string) error {
 	if err != nil {
 		return err
 	}
+	// A bufio.Writer keeps its first write error and Flush returns it.
+	w := bufio.NewWriter(out)
 	for _, e := range g.Edges() {
-		fmt.Fprintf(out, "%d %d %.4f\n", e.From, e.To, est.Probs[e])
+		fmt.Fprintf(w, "%d %d %.4f\n", e.From, e.To, est.Probs[e])
 	}
-	return out.Close()
+	err = w.Flush()
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func run(ctx context.Context, inPath, outPath string, combo int, scale, threshold float64, useMI, sparse, verbose bool, workers int) error {
@@ -221,18 +229,16 @@ func run(ctx context.Context, inPath, outPath string, combo int, scale, threshol
 		fmt.Fprintf(os.Stderr, "inferred edges=%d score g(T)=%.3f\n", res.Graph.NumEdges(), res.Score)
 	}
 
-	out := os.Stdout
-	if outPath != "" {
-		g, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if cerr := g.Close(); err == nil {
-				err = cerr
-			}
-		}()
-		out = g
+	if outPath == "" {
+		return graph.Write(os.Stdout, res.Graph)
 	}
-	return graph.Write(out, res.Graph)
+	out, err := os.Create(outPath)
+	if err != nil {
+		return err
+	}
+	err = graph.Write(out, res.Graph)
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

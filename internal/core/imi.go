@@ -19,6 +19,7 @@ import (
 type IMIMatrix struct {
 	n    int
 	vals []float64 // upper triangle, row-major: (i,j) with i<j
+	pool *valuePool
 }
 
 func triIndex(n, i, j int) int {
@@ -47,31 +48,25 @@ func (m *IMIMatrix) PairValues() []float64 {
 	return out
 }
 
-// valuePool tallies the triangle's values by their bits and sorts only the
-// distinct ones: the values are functions of β-bounded counts, so a few
-// tens of thousands of distinct values cover the n(n−1)/2 pairs. The
-// sparse build's walk 1 feeds the same valueTally, so both engines reach
-// the pool through one canonicalization.
-func (m *IMIMatrix) valuePool() *valuePool {
-	var t valueTally
-	for _, v := range m.vals {
-		t.add(v, 1)
-	}
-	b := poolBuilder{vals: make([]float64, 0, t.counts.used), cnts: make([]int64, 0, t.counts.used)}
-	t.addTo(&b)
-	return b.finish()
-}
+// valuePool returns the pool of the triangle's values. ComputeIMIContext's
+// workers tally the values of their row blocks by their bits as they fill
+// them, and only the distinct ones are sorted: the values are functions of
+// β-bounded counts, so a few tens of thousands of distinct values cover the
+// n(n−1)/2 pairs. The sparse build's walk 1 feeds the same valueTally and
+// merges its workers' tallies the same way, so both engines reach the pool
+// through one canonicalization.
+func (m *IMIMatrix) valuePool() *valuePool { return m.pool }
 
 // nodePool summarizes the values involving node i for the per-node
 // threshold selector.
 func (m *IMIMatrix) nodePool(i int) *valuePool {
-	var b poolBuilder
+	var t valueTally
 	for j := 0; j < m.n; j++ {
 		if j != i {
-			b.add(m.vals[triIndex(m.n, i, j)], 1)
+			t.add(m.vals[triIndex(m.n, i, j)], 1)
 		}
 	}
-	return b.finish()
+	return t.finish()
 }
 
 // ComputeIMI builds the pairwise infection-MI matrix from observations. If
@@ -91,6 +86,11 @@ func ComputeIMIWorkers(sm *diffusion.StatusMatrix, traditional bool, workers int
 	m, _ := ComputeIMIContext(context.Background(), sm, traditional, workers)
 	return m
 }
+
+// imiTallyReserve caps the distinct values a dense worker's tally is sized
+// for up front: ~3.8·10⁴ distinct values cover all 499,500 pairs at n=1000,
+// β=1024, and a larger input grows the table past it.
+const imiTallyReserve = 1 << 15
 
 // imiRowBlock is the dense kernel's tile height: the number of contiguous
 // base columns held hot while a probe column streams past. Eight 8-word
@@ -114,6 +114,7 @@ func ComputeIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditio
 	n := sm.N()
 	m := &IMIMatrix{n: n, vals: make([]float64, n*(n-1)/2)}
 	if n < 2 {
+		m.pool = (&valueTally{}).finish()
 		return m, ctx.Err()
 	}
 	beta := sm.Beta()
@@ -134,7 +135,7 @@ func ComputeIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditio
 	// pair. Values are bit-identical to the per-pair walk: n11 is an exact
 	// integer either way and the cell arithmetic is unchanged.
 	nBlocks := (n - 1 + imiRowBlock - 1) / imiRowBlock
-	fillBlock := func(b int, cnt *[imiRowBlock]int) {
+	fillBlock := func(b int, cnt *[imiRowBlock]int, t *valueTally) {
 		i0 := b * imiRowBlock
 		i1 := i0 + imiRowBlock
 		if i1 > n-1 {
@@ -154,7 +155,9 @@ func ComputeIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditio
 			nj := ones[j]
 			for r := 0; r < nb; r++ {
 				i := i0 + r
-				m.vals[i*(2*n-i-1)/2+j-i-1] = pairValue(mt, traditional, beta, cnt[r], ones[i], nj)
+				v := pairValue(mt, traditional, beta, cnt[r], ones[i], nj)
+				m.vals[i*(2*n-i-1)/2+j-i-1] = v
+				t.add(v, 1)
 			}
 			pairs += int64(nb)
 		}
@@ -167,39 +170,51 @@ func ComputeIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditio
 	if workers > nBlocks {
 		workers = nBlocks
 	}
+	tallies := make([]valueTally, workers)
+	for i := range tallies {
+		// A worker can see as many distinct values as there are pairs;
+		// sizing its tally for them, up to imiTallyReserve, spares it the
+		// rehashes of growing there.
+		tallies[i].counts.reserve(min(len(m.vals), imiTallyReserve))
+	}
 	if workers <= 1 {
 		var cnt [imiRowBlock]int
 		for b := 0; b < nBlocks; b++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			fillBlock(b, &cnt)
+			fillBlock(b, &cnt, &tallies[0])
 		}
-		return m, nil
-	}
-	// Workers claim row blocks off a shared counter; blocks shrink as i
-	// grows, so dynamic claiming balances the triangular workload better
-	// than fixed partitions. Each worker writes disjoint slots of m.vals.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var cnt [imiRowBlock]int
-			for ctx.Err() == nil {
-				b := int(next.Add(1)) - 1
-				if b >= nBlocks {
-					return
+	} else {
+		// Workers claim row blocks off a shared counter; blocks shrink as i
+		// grows, so dynamic claiming balances the triangular workload
+		// better than fixed partitions. Each worker writes disjoint slots
+		// of m.vals and tallies them into its own share of the pool.
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(t *valueTally) {
+				defer wg.Done()
+				var cnt [imiRowBlock]int
+				for ctx.Err() == nil {
+					b := int(next.Add(1)) - 1
+					if b >= nBlocks {
+						return
+					}
+					fillBlock(b, &cnt, t)
 				}
-				fillBlock(b, &cnt)
-			}
-		}()
+			}(&tallies[w])
+		}
+		wg.Wait()
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	for i := 1; i < len(tallies); i++ {
+		tallies[0].merge(&tallies[i])
 	}
+	m.pool = tallies[0].finish()
 	return m, nil
 }
 
@@ -334,10 +349,21 @@ func chiSquared1Tail(t float64) float64 {
 // Candidates returns, for node i, every node j with value(i,j) > tau — the
 // candidate parent set P_i of Algorithm 1. The result is counted first and
 // allocated exactly once, instead of growing through append's doubling.
+// Node i's values are column i of the upper triangle (pairs j < i, one per
+// row, at a stride that shrinks by one per row) followed by row i (pairs
+// j > i, contiguous), so both passes walk them without a triIndex per pair.
 func (m *IMIMatrix) Candidates(i int, tau float64) []int {
+	n, vals := m.n, m.vals
+	row := vals[i*(2*n-i-1)/2:][:n-1-i]
 	count := 0
-	for j := 0; j < m.n; j++ {
-		if j != i && m.vals[triIndex(m.n, i, j)] > tau {
+	for j, k := 0, i-1; j < i; j++ {
+		if vals[k] > tau {
+			count++
+		}
+		k += n - j - 2
+	}
+	for _, v := range row {
+		if v > tau {
 			count++
 		}
 	}
@@ -345,9 +371,15 @@ func (m *IMIMatrix) Candidates(i int, tau float64) []int {
 		return nil
 	}
 	out := make([]int, 0, count)
-	for j := 0; j < m.n; j++ {
-		if j != i && m.vals[triIndex(m.n, i, j)] > tau {
+	for j, k := 0, i-1; j < i; j++ {
+		if vals[k] > tau {
 			out = append(out, j)
+		}
+		k += n - j - 2
+	}
+	for r, v := range row {
+		if v > tau {
+			out = append(out, i+1+r)
 		}
 	}
 	return out

@@ -211,3 +211,34 @@ func TestSearchCountersPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestPairCountersPinned gates the pairwise stages on their counters, at 1
+// and 4 workers: on the instance of TestSearchCountersPinned the dense
+// engine's pairs (all n(n−1)/2 of them), and on the same network under
+// sparse diffusions, where only some pairs co-occur, the sparse engine's
+// co-occurring and kept pairs are pinned exactly.
+func TestPairCountersPinned(t *testing.T) {
+	const wantDense, wantCoPairs, wantKept = 11175, 2364, 202
+	net, err := lfr.GenerateBenchmark(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := simulateOn(t, net.Graph, 0.3, 0.15, 1000, 11)
+	sparse := simulateOn(t, net.Graph, 0.2, 0.01, 100, 11)
+	counters := func(sm *diffusion.StatusMatrix, opt Options) map[string]int64 {
+		rec := obs.New()
+		if _, err := InferContext(obs.With(context.Background(), rec), sm, opt); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Snapshot().Counters
+	}
+	for _, workers := range []int{1, 4} {
+		if pairs := counters(dense, Options{Workers: workers})["core/imi/pairs"]; pairs != wantDense {
+			t.Fatalf("workers=%d: core/imi/pairs=%d, want %d", workers, pairs, wantDense)
+		}
+		c := counters(sparse, Options{Workers: workers, Sparse: true})
+		if coPairs, kept := c["core/sparse/pairs"], c["core/sparse/kept"]; coPairs != wantCoPairs || kept != wantKept {
+			t.Fatalf("workers=%d: core/sparse/pairs=%d kept=%d, want %d and %d", workers, coPairs, kept, wantCoPairs, wantKept)
+		}
+	}
+}

@@ -37,14 +37,15 @@ func (sc *scratch) comboLevels(s *Scorer, maxSize int) *comboScratch {
 	return sc.levels
 }
 
-// foldRuns folds sorted key<<1|childBit entries into parts, one combination
+// foldRuns folds sorted key<<1|childBit entries into f, one combination
 // per run of equal keys, in ascending key order.
-func (s *Scorer) foldRuns(parts *ScoreParts, keys []uint64) {
+func (s *Scorer) foldRuns(f fold, keys []uint64) fold {
 	for i := 0; i < len(keys); {
 		var k0, k1 int
 		_, k0, k1, i = nextRun(keys, i)
-		s.addCombo(parts, k0, k1)
+		f = s.fold(f, k0, k1)
 	}
+	return f
 }
 
 // nextRun reads the run of equal keys that starts at keys[i] in sorted
@@ -87,22 +88,26 @@ type partition struct {
 	// procSlot holds each process's class index c and the child's status
 	// in it as c<<1 | childBit: the cnt slot a one-node add moves it to.
 	procSlot []int32
-	newKey   []uint64 // accept's new key per touched process
-	remap    []int32  // accept's old → new class index
+	newKey   []uint64 // acceptSorted's new key per touched process
+	remap    []int32  // dropEmpty's old → new class index
 	// newBits marks, per process, which of add's nodes infect it (add[j]
 	// at bit j); count and gather zero each mark as they read it, so the
 	// whole array is zero between calls.
 	newBits []uint64
-	touched []int32 // processes the last gather moved
+	// touched lists the processes the last gather moved, or the last
+	// committing count of a multi-node add tallied.
+	touched []int32
 	keys    []uint64
 	// cnt holds count's tallies per (new bits, class, child status) slot;
-	// probeCounted zeroes what it reads, so the whole backing array is zero
-	// between probes.
+	// probeCounted and acceptCounted zero what they read, so the whole
+	// backing array is zero between calls.
 	cnt []int32
 	// seen has a bit per slot that count tallied into, so probeCounted
-	// folds the touched slots without scanning the empty ones; it zeroes
-	// what it reads, too.
+	// and acceptCounted visit the touched slots without scanning the empty
+	// ones; they zero what they read, too.
 	seen []uint64
+	// slotClass maps acceptCounted's touched slots to their fresh classes.
+	slotClass []int32
 }
 
 // reset makes pt the partition of child under F = ∅: one class holding all
@@ -131,12 +136,11 @@ func resize[T any](buf []T, n int) []T {
 
 // score returns the score parts of F itself.
 func (pt *partition) score(s *Scorer) ScoreParts {
-	var parts ScoreParts
+	var f fold
 	for _, c := range pt.classes {
-		s.addCombo(&parts, c.k0, c.k1)
+		f = s.fold(f, c.k0, c.k1)
 	}
-	s.finishParts(pt.f, &parts)
-	return parts
+	return s.parts(f, pt.f)
 }
 
 // markAdd sets, for every process one of add's nodes infects, bit j of its
@@ -178,13 +182,33 @@ func (pt *partition) gather(s *Scorer, add []int) {
 	}
 }
 
+// counted reports whether probe and accept put the touched processes of
+// add in key order by counting them into slots, whose scan costs a step per
+// (new bits, class) pair, rather than by sorting their keys. A slot step is
+// a pair of loads, several times cheaper than a sorted key, so counting wins
+// until the slots outnumber the touched processes severalfold.
+func (pt *partition) counted(s *Scorer, add []int) bool {
+	bound := 0 // at least the number of touched processes
+	for _, v := range add {
+		bound += s.ones(v)
+	}
+	m := len(add)
+	return m < 16 && (1<<m-1)*len(pt.classes) <= 8*bound+64
+}
+
 // count tallies the processes infected in any of add's columns into pt.cnt
 // without moving them: a process with new bits nb (add[j] at bit j) in
 // class c lands in slot (nb-1)·C + c, C the class count, split by the
-// child's status. The slots ascend with the processes' keys under F ∪ add,
-// because the classes ascend by key. A one-node add has nb = 1 throughout,
-// so each process lands in its procSlot.
-func (pt *partition) count(s *Scorer, add []int) {
+// child's status as cnt index 2·slot + childBit. The slots ascend with the
+// processes' keys under F ∪ add, because the classes ascend by key. A
+// one-node add has nb = 1 throughout, so each process lands in its
+// procSlot. With commit set, a multi-node add also records each process in
+// pt.touched and leaves its cnt index in its procSlot for accept to
+// resolve. count returns the number of slots.
+func (pt *partition) count(s *Scorer, add []int, commit bool) int {
+	slots := (1<<len(add) - 1) * len(pt.classes)
+	pt.cnt = resize(pt.cnt, 2*slots)
+	pt.seen = resize(pt.seen, (slots+63)/64)
 	cnt, slot, seen := pt.cnt, pt.procSlot, pt.seen
 	if len(add) == 1 {
 		for _, p := range s.infected(add[0]) {
@@ -192,46 +216,61 @@ func (pt *partition) count(s *Scorer, add []int) {
 			cnt[i]++
 			seen[i>>7] |= 1 << uint(i>>1&63)
 		}
-		return
+		return slots
 	}
 	// add[0]'s processes all carry bit 0: mark only the other nodes, count
 	// add[0]'s processes first, then the others' not already counted.
 	pt.markAdd(s, add[1:])
 	nbs, stride := pt.newBits, 2*len(pt.classes)
+	pt.touched = pt.touched[:0]
 	for _, p := range s.infected(add[0]) {
 		nb := nbs[p]<<1 | 1
 		nbs[p] = 0
 		i := int(nb-1)*stride + int(slot[p])
 		cnt[i]++
 		seen[i>>7] |= 1 << uint(i>>1&63)
-	}
-	for _, v := range add[1:] {
-		for _, p := range s.infected(v) {
-			if nb := nbs[p]; nb != 0 {
-				nbs[p] = 0
-				i := int(nb<<1-1)*stride + int(slot[p])
-				cnt[i]++
-				seen[i>>7] |= 1 << uint(i>>1&63)
-			}
+		if commit {
+			pt.touched = append(pt.touched, p)
+			slot[p] = int32(i)
 		}
 	}
+	if commit {
+		for _, v := range add[1:] {
+			for _, p := range s.infected(v) {
+				if nb := nbs[p]; nb != 0 {
+					nbs[p] = 0
+					i := int(nb<<1-1)*stride + int(slot[p])
+					cnt[i]++
+					seen[i>>7] |= 1 << uint(i>>1&63)
+					pt.touched = append(pt.touched, p)
+					slot[p] = int32(i)
+				}
+			}
+		}
+		return slots
+	}
+	// A probe counts the later columns without a branch: a process an
+	// earlier column counted has nb = 0 and a negative index, which is
+	// clamped to 0 and counted with weight 0.
+	for _, v := range add[1:] {
+		for _, p := range s.infected(v) {
+			nb := nbs[p]
+			nbs[p] = 0
+			i := int(nb<<1-1)*stride + int(slot[p])
+			i &^= i >> 63
+			w := (nb | -nb) >> 63
+			cnt[i] += int32(w)
+			seen[i>>7] |= w << uint(i>>1&63)
+		}
+	}
+	return slots
 }
 
 // probe returns the score parts of F ∪ add, equal to the bit to
 // LocalScoreParts(child, F ∪ add) with add's nodes after F's in key order.
 // The partition is left as it was.
-//
-// The touched processes' new keys are put in order either by counting them
-// into slots, whose scan costs a step per (new bits, class) pair, or by
-// sorting them; the probe takes whichever is cheaper for this F and add. A
-// slot step is a pair of loads, several times cheaper than a sorted key, so
-// counting wins until the slots outnumber the touched processes severalfold.
 func (pt *partition) probe(s *Scorer, add []int) ScoreParts {
-	bound := 0 // at least the number of touched processes
-	for _, v := range add {
-		bound += s.ones(v)
-	}
-	if m := len(add); m < 16 && (1<<m-1)*len(pt.classes) <= 8*bound+64 {
+	if pt.counted(s, add) {
 		return pt.probeCounted(s, add)
 	}
 	return pt.probeSorted(s, add)
@@ -240,41 +279,37 @@ func (pt *partition) probe(s *Scorer, add []int) ScoreParts {
 // probeCounted is probe by slot counting.
 func (pt *partition) probeCounted(s *Scorer, add []int) ScoreParts {
 	nc := len(pt.classes)
-	slots := (1<<len(add) - 1) * nc
-	pt.cnt = resize(pt.cnt, 2*slots)
-	pt.seen = resize(pt.seen, (slots+63)/64)
-	pt.count(s, add)
+	slots := pt.count(s, add, false)
 	cnt := pt.cnt
-	var parts ScoreParts
+	var f fold
 	for c, cl := range pt.classes {
 		k0, k1 := cl.k0, cl.k1
 		for slot := c; slot < slots; slot += nc {
 			k0 -= int(cnt[2*slot])
 			k1 -= int(cnt[2*slot+1])
 		}
-		s.addCombo(&parts, k0, k1)
+		f = s.fold(f, k0, k1)
 	}
 	for w, word := range pt.seen {
 		for ; word != 0; word &= word - 1 {
 			i := 2 * (w<<6 | bits.TrailingZeros64(word))
-			s.addCombo(&parts, int(cnt[i]), int(cnt[i+1]))
+			f = s.fold(f, int(cnt[i]), int(cnt[i+1]))
 			cnt[i], cnt[i+1] = 0, 0
 		}
 		pt.seen[w] = 0
 	}
-	s.finishParts(pt.f+len(add), &parts)
-	return parts
+	return s.parts(f, pt.f+len(add))
 }
 
 // probeSorted is probe by sorting the touched processes' new keys.
 func (pt *partition) probeSorted(s *Scorer, add []int) ScoreParts {
 	pt.gather(s, add)
-	var parts ScoreParts
+	var f fold
 	for _, c := range pt.classes {
-		s.addCombo(&parts, c.k0, c.k1)
+		f = s.fold(f, c.k0, c.k1)
 	}
 	slices.Sort(pt.keys)
-	s.foldRuns(&parts, pt.keys)
+	f = s.foldRuns(f, pt.keys)
 	for _, p := range pt.touched {
 		ps := pt.procSlot[p]
 		cl := &pt.classes[ps>>1]
@@ -284,18 +319,88 @@ func (pt *partition) probeSorted(s *Scorer, add []int) ScoreParts {
 			cl.k0++
 		}
 	}
-	s.finishParts(pt.f+len(add), &parts)
-	return parts
+	return s.parts(f, pt.f+len(add))
 }
 
 // accept commits F ← F ∪ add: the touched processes leave their classes for
-// new ones keyed under the grown F, and classes left empty are dropped.
+// new ones keyed under the grown F, appended in ascending key order after
+// the old classes, and classes left empty are dropped. It orders the touched
+// processes the way probe does for the same F and add.
 func (pt *partition) accept(s *Scorer, add []int) {
+	if pt.counted(s, add) {
+		pt.acceptCounted(s, add)
+	} else {
+		pt.acceptSorted(s, add)
+	}
+}
+
+// acceptCounted is accept by slot counting: each touched slot, in ascending
+// order, becomes a fresh class, and a slot→class table moves the touched
+// processes into them. The untouched processes keep their procSlot unless a
+// class empties.
+func (pt *partition) acceptCounted(s *Scorer, add []int) {
+	nc, shift := len(pt.classes), uint(pt.f)
+	slots := pt.count(s, add, true)
+	touched := pt.touched
+	if len(add) == 1 {
+		touched = s.infected(add[0])
+	}
+	cnt := pt.cnt
+	pt.slotClass = resize(pt.slotClass, slots)
+	for w, word := range pt.seen {
+		for ; word != 0; word &= word - 1 {
+			slot := w<<6 | bits.TrailingZeros64(word)
+			k0, k1 := int(cnt[2*slot]), int(cnt[2*slot+1])
+			cnt[2*slot], cnt[2*slot+1] = 0, 0
+			old := &pt.classes[slot%nc]
+			old.k0 -= k0
+			old.k1 -= k1
+			key := old.key | uint64(slot/nc+1)<<shift
+			pt.slotClass[slot] = int32(len(pt.classes))
+			pt.classes = append(pt.classes, class{key: key, k0: k0, k1: k1})
+		}
+		pt.seen[w] = 0
+	}
+	for _, p := range touched {
+		i := pt.procSlot[p]
+		pt.procSlot[p] = pt.slotClass[i>>1]<<1 | i&1
+	}
+	pt.dropEmpty()
+	pt.f += len(add)
+}
+
+// acceptSorted is accept by sorting the touched processes' new keys, for the
+// adds probe scores by sorting.
+func (pt *partition) acceptSorted(s *Scorer, add []int) {
 	pt.gather(s, add)
 	for i, p := range pt.touched {
 		pt.newKey[p] = pt.keys[i] >> 1
 	}
 	slices.Sort(pt.keys)
+	pt.dropEmpty()
+	kept := len(pt.classes)
+	for i := 0; i < len(pt.keys); {
+		var cl class
+		cl.key, cl.k0, cl.k1, i = nextRun(pt.keys, i)
+		pt.classes = append(pt.classes, cl)
+	}
+	fresh := pt.classes[kept:]
+	for _, p := range pt.touched {
+		i, _ := slices.BinarySearchFunc(fresh, pt.newKey[p], func(c class, key uint64) int {
+			return cmp.Compare(c.key, key)
+		})
+		pt.procSlot[p] = int32(kept+i)<<1 | pt.procSlot[p]&1
+	}
+	pt.f += len(add)
+}
+
+// dropEmpty drops the classes left empty and renumbers every process's
+// procSlot to match, a pass over all β processes; it does nothing when no
+// class is empty.
+func (pt *partition) dropEmpty() {
+	if !slices.ContainsFunc(pt.classes, func(c class) bool { return c.k0+c.k1 == 0 }) {
+		return
+	}
 	pt.remap = resize(pt.remap, len(pt.classes))
 	kept := 0
 	for c, cl := range pt.classes {
@@ -310,17 +415,4 @@ func (pt *partition) accept(s *Scorer, add []int) {
 	for p, ps := range pt.procSlot {
 		pt.procSlot[p] = pt.remap[ps>>1]<<1 | ps&1
 	}
-	for i := 0; i < len(pt.keys); {
-		var cl class
-		cl.key, cl.k0, cl.k1, i = nextRun(pt.keys, i)
-		pt.classes = append(pt.classes, cl)
-	}
-	fresh := pt.classes[kept:]
-	for _, p := range pt.touched {
-		i, _ := slices.BinarySearchFunc(fresh, pt.newKey[p], func(c class, key uint64) int {
-			return cmp.Compare(c.key, key)
-		})
-		pt.procSlot[p] = int32(kept+i)<<1 | pt.procSlot[p]&1
-	}
-	pt.f += len(add)
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"tends/internal/stats"
 )
@@ -25,63 +25,77 @@ type valuePool struct {
 	maxAll float64   // maximum value over all pairs (any sign); valid when total > 0
 }
 
-// poolBuilder accumulates (value, multiplicity) contributions in any order
-// and canonicalizes them: runs are sorted ascending and equal values merged,
-// so the finished pool depends only on the value multiset.
-type poolBuilder struct {
-	vals   []float64
-	cnts   []int64
-	zeros  int64
-	total  int64
-	maxAll float64
+// valueTally counts a multiset of pairwise values, contributed in any order
+// with multiplicities: positive values by their exact bits (no positive
+// value has all-zero bits), zero and negative values only counted, because
+// the pool keeps nothing else of them. At scale a few hundred distinct
+// values cover millions of pairs. finish canonicalizes the tally into a
+// valuePool that depends only on the value multiset, so the engines' and
+// their workers' shares, merged in any order, give the same pool.
+type valueTally struct {
+	counts     countTable
+	zeros, neg int64
+	maxNeg     float64
 }
 
-func (b *poolBuilder) add(v float64, c int64) {
-	if c <= 0 {
-		return
-	}
-	if b.total == 0 || v > b.maxAll {
-		b.maxAll = v
-	}
-	b.total += c
-	if v == 0 {
-		b.zeros += c
-		return
-	}
-	if v > 0 {
-		b.vals = append(b.vals, v)
-		b.cnts = append(b.cnts, c)
-	}
-}
-
-func (b *poolBuilder) Len() int           { return len(b.vals) }
-func (b *poolBuilder) Less(i, j int) bool { return b.vals[i] < b.vals[j] }
-func (b *poolBuilder) Swap(i, j int) {
-	b.vals[i], b.vals[j] = b.vals[j], b.vals[i]
-	b.cnts[i], b.cnts[j] = b.cnts[j], b.cnts[i]
-}
-
-func (b *poolBuilder) finish() *valuePool {
-	sort.Sort(b)
-	// Merge equal values in place; equal runs are interchangeable, so the
-	// merged pool is independent of the insertion order.
-	out := 0
-	for i := 0; i < len(b.vals); i++ {
-		if out > 0 && b.vals[i] == b.vals[out-1] {
-			b.cnts[out-1] += b.cnts[i]
-			continue
+func (t *valueTally) add(v float64, c int64) {
+	switch {
+	case c <= 0:
+	case v > 0:
+		t.counts.add(math.Float64bits(v), c)
+	case v == 0:
+		t.zeros += c
+	default:
+		if t.neg == 0 || v > t.maxNeg {
+			t.maxNeg = v
 		}
-		b.vals[out] = b.vals[i]
-		b.cnts[out] = b.cnts[i]
-		out++
+		t.neg += c
 	}
-	return &valuePool{
-		pos:    b.vals[:out],
-		posCnt: b.cnts[:out],
-		zeros:  b.zeros,
-		total:  b.total,
-		maxAll: b.maxAll,
+}
+
+// merge adds o's values to t.
+func (t *valueTally) merge(o *valueTally) {
+	for _, e := range o.counts.slots {
+		if e.key != 0 {
+			t.counts.add(e.key, e.n)
+		}
 	}
+	t.zeros += o.zeros
+	if o.neg > 0 {
+		if t.neg == 0 || o.maxNeg > t.maxNeg {
+			t.maxNeg = o.maxNeg
+		}
+		t.neg += o.neg
+	}
+}
+
+// finish returns the pool of the tallied values. Positive float64s order
+// as their bits do, so the distinct values sort as plain integers.
+func (t *valueTally) finish() *valuePool {
+	keys := make([]uint64, 0, t.counts.used)
+	for _, e := range t.counts.slots {
+		if e.key != 0 {
+			keys = append(keys, e.key)
+		}
+	}
+	slices.Sort(keys)
+	p := &valuePool{
+		pos:    make([]float64, len(keys)),
+		posCnt: make([]int64, len(keys)),
+		zeros:  t.zeros,
+		total:  t.zeros + t.neg,
+	}
+	for i, k := range keys {
+		p.pos[i], p.posCnt[i] = math.Float64frombits(k), t.counts.get(k)
+		p.total += p.posCnt[i]
+	}
+	switch {
+	case len(keys) > 0:
+		p.maxAll = p.pos[len(keys)-1]
+	case t.zeros == 0 && t.neg > 0:
+		p.maxAll = t.maxNeg
+	}
+	return p
 }
 
 // twoMeansTau runs the pinned two-means selector over the pool.

@@ -44,7 +44,7 @@ type Scorer struct {
 	// infOff[v+1] − infOff[v].
 	infOff  []int
 	inf     []int32
-	logs    []float64 // logs[k] = log₂(k) for k in [0, β+1]; logs[0] unused
+	logs    []float64 // logs[k] = log₂(k) for k in [0, β+1]; logs[0] = 0 (see fold)
 	penalty PenaltyMode
 	// scratchPool recycles scoring scratch for LocalScoreParts callers; the
 	// scorer is shared by concurrent per-node searches, so the scratch
@@ -170,7 +170,7 @@ func (p ScoreParts) Score() float64 { return p.LogLikelihood - p.Penalty }
 
 // addCombo folds one combination's (N_ij1, N_ij2) into the running parts.
 // This is the definitional form; the scoring hot paths use the scorer's
-// table-backed equivalent below, and tests check the two agree.
+// table-backed fold below, and tests check the two agree.
 func (p *ScoreParts) addCombo(k0, k1 int) {
 	nij := k0 + k1
 	if nij == 0 {
@@ -186,25 +186,41 @@ func (p *ScoreParts) addCombo(k0, k1 int) {
 	p.Observed++
 }
 
-// addCombo is the table-backed fold used by every scoring path: all counts
-// are integers in [0, β], so k·log₂(k/n) collapses to k·(logs[k] − logs[n])
-// and the penalty's log₂(n+1) to a lookup. The Log2 calls it replaces
-// dominate combination enumeration once masks are shared; the identity
-// changes rounding order only (~1 ulp vs ScoreParts.addCombo).
-func (s *Scorer) addCombo(parts *ScoreParts, k0, k1 int) {
+// fold is the running sum of a score evaluation over its combinations.
+// Scoring paths keep it in a local and Scorer.fold passes it by value, so
+// the sums can stay in registers across a path's loop.
+type fold struct {
+	ll, pen float64
+	obs     int
+}
+
+// fold adds one combination's (N_ij1, N_ij2) to f with the scorer's log
+// table: all counts are integers in [0, β], so k·log₂(k/n) collapses to
+// k·(logs[k] − logs[n]) and the penalty's log₂(n+1) to a lookup. The Log2
+// calls this replaces dominate combination enumeration once masks are
+// shared; the identity changes rounding order only (~1 ulp vs
+// ScoreParts.addCombo). The fold has no branch on the counts: logs[0] = 0,
+// so a count of 0 adds a ±0 term and an empty combination adds ½·log₂ 1 = 0
+// to the penalty, and neither changes a sum — the log-likelihood is a sum of
+// non-positive terms that starts at +0, so it is never −0.
+func (s *Scorer) fold(f fold, k0, k1 int) fold {
 	nij := k0 + k1
-	if nij == 0 {
-		return
-	}
 	ln := s.logs[nij]
-	if k0 > 0 {
-		parts.LogLikelihood += float64(k0) * (s.logs[k0] - ln)
+	f.ll += float64(k0) * (s.logs[k0] - ln)
+	f.ll += float64(k1) * (s.logs[k1] - ln)
+	f.pen += 0.5 * s.logs[nij+1]
+	if nij != 0 {
+		f.obs++
 	}
-	if k1 > 0 {
-		parts.LogLikelihood += float64(k1) * (s.logs[k1] - ln)
-	}
-	parts.Penalty += 0.5 * s.logs[nij+1]
-	parts.Observed++
+	return f
+}
+
+// parts returns the folded sums as score parts for a parent set of size k,
+// with the derived fields filled in (see finishParts).
+func (s *Scorer) parts(f fold, k int) ScoreParts {
+	parts := ScoreParts{LogLikelihood: f.ll, Penalty: f.pen, Observed: f.obs}
+	s.finishParts(k, &parts)
+	return parts
 }
 
 // LocalScoreParts evaluates the local score components of parent set
@@ -222,14 +238,10 @@ func (s *Scorer) scoreParts(child int, parents []int, sc *scratch) ScoreParts {
 	if k > 63 {
 		panic("core: parent sets beyond 63 nodes are not representable")
 	}
-	var parts ScoreParts
 	if s.packedWorthwhile(k) {
-		s.packedCombos(child, parents, &parts, sc)
-	} else {
-		s.genericCombos(child, parents, &parts, sc)
+		return s.parts(s.packedCombos(child, parents, sc), k)
 	}
-	s.finishParts(k, &parts)
-	return parts
+	return s.parts(s.genericCombos(child, parents, sc), k)
 }
 
 // packedWorthwhile reports whether the 2^k masked-popcount path beats the
@@ -250,9 +262,10 @@ func (s *Scorer) packedDepth(maxSize int) int {
 }
 
 // finishParts fills the derived fields of a score evaluation: φ_F and the
-// penalty-mode override.
+// penalty-mode override. Parent sets have at most 63 nodes, so 2^|F| is an
+// exact shift, the value math.Exp2 returns for it.
 func (s *Scorer) finishParts(k int, parts *ScoreParts) {
-	parts.Phi = math.Exp2(float64(k)) - float64(parts.Observed)
+	parts.Phi = float64(uint64(1)<<uint(k)) - float64(parts.Observed)
 	switch s.penalty {
 	case PenaltyBIC:
 		parts.Penalty = 0.5 * math.Log2(float64(s.beta)) * float64(parts.Observed)
@@ -262,14 +275,14 @@ func (s *Scorer) finishParts(k int, parts *ScoreParts) {
 }
 
 // packedCombos enumerates all 2^k parent-status combinations as bit masks.
-func (s *Scorer) packedCombos(child int, parents []int, parts *ScoreParts, sc *scratch) {
+func (s *Scorer) packedCombos(child int, parents []int, sc *scratch) fold {
 	k := len(parents)
 	childCol := s.cols[child]
 	if k == 0 {
 		n1 := s.beta - s.ones(child)
-		s.addCombo(parts, n1, s.ones(child))
-		return
+		return s.fold(fold{}, n1, s.ones(child))
 	}
+	var f fold
 	mask := sc.mask
 	for combo := 0; combo < 1<<uint(k); combo++ {
 		for w := 0; w < s.words; w++ {
@@ -293,8 +306,9 @@ func (s *Scorer) packedCombos(child int, parents []int, parts *ScoreParts, sc *s
 			nij += bits.OnesCount64(mask[w])
 			k1 += bits.OnesCount64(mask[w] & childCol[w])
 		}
-		s.addCombo(parts, nij-k1, k1)
+		f = s.fold(f, nij-k1, k1)
 	}
+	return f
 }
 
 // genericCombos scores a parent set too large for the packed path without
@@ -302,7 +316,7 @@ func (s *Scorer) packedCombos(child int, parents []int, parts *ScoreParts, sc *s
 // whose child split follows from the child's column total. The infected
 // processes of the parent columns are gathered as key<<1|childBit, sorted,
 // and folded run by run after it — ascending key order, as packedCombos.
-func (s *Scorer) genericCombos(child int, parents []int, parts *ScoreParts, sc *scratch) {
+func (s *Scorer) genericCombos(child int, parents []int, sc *scratch) fold {
 	childCol := s.cols[child]
 	keys := sc.keys[:0]
 	hit := 0 // child infections among the gathered processes
@@ -324,10 +338,10 @@ func (s *Scorer) genericCombos(child int, parents []int, parts *ScoreParts, sc *
 		}
 	}
 	k1 := s.ones(child) - hit
-	s.addCombo(parts, s.beta-len(keys)-k1, k1)
+	f := s.fold(fold{}, s.beta-len(keys)-k1, k1)
 	slices.Sort(keys)
-	s.foldRuns(parts, keys)
 	sc.keys = keys
+	return s.foldRuns(f, keys)
 }
 
 // comboScratch is the reusable mask tree of a combination-enumeration
@@ -390,7 +404,7 @@ func (sc *comboScratch) extend(s *Scorer, d, parent int) {
 // for child, equivalent to LocalScoreParts on the parent set the level
 // encodes but without rebuilding any mask.
 func (s *Scorer) scoreLevel(child int, level []uint64, k int) ScoreParts {
-	var parts ScoreParts
+	var f fold
 	childCol := s.cols[child]
 	words := s.words
 	for c := 0; c < 1<<uint(k); c++ {
@@ -400,10 +414,9 @@ func (s *Scorer) scoreLevel(child int, level []uint64, k int) ScoreParts {
 			nij += bits.OnesCount64(mask[w])
 			k1 += bits.OnesCount64(mask[w] & childCol[w])
 		}
-		s.addCombo(&parts, nij-k1, k1)
+		f = s.fold(f, nij-k1, k1)
 	}
-	s.finishParts(k, &parts)
-	return parts
+	return s.parts(f, k)
 }
 
 // LocalScore is Eq. (13): g(v_i, F_i).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -164,10 +165,30 @@ func TestScorePartsMatchNaive(t *testing.T) {
 	}
 }
 
+// tableAddCombo is the scorer's table-backed fold in its branching form: it
+// skips empty combinations and count-0 terms instead of adding ±0 for them.
+// The oracle below folds through it, so the scoring paths' branch-free fold
+// is held to it bit for bit.
+func tableAddCombo(s *Scorer, parts *ScoreParts, k0, k1 int) {
+	nij := k0 + k1
+	if nij == 0 {
+		return
+	}
+	ln := s.logs[nij]
+	if k0 > 0 {
+		parts.LogLikelihood += float64(k0) * (s.logs[k0] - ln)
+	}
+	if k1 > 0 {
+		parts.LogLikelihood += float64(k1) * (s.logs[k1] - ln)
+	}
+	parts.Penalty += 0.5 * s.logs[nij+1]
+	parts.Observed++
+}
+
 // referenceCombos is the per-process bucketing scorer the partition path
 // replaced: one map entry per observed parent-status key over all β
-// processes, folded in sorted-key order through the scorer's table-backed
-// addCombo. It is the oracle the exact paths are held to bit for bit.
+// processes, folded in sorted-key order through tableAddCombo. It is the
+// oracle the exact paths are held to bit for bit.
 func referenceCombos(s *Scorer, child int, parents []int, parts *ScoreParts) {
 	counts := make(map[uint64][2]int)
 	childCol := s.cols[child]
@@ -193,7 +214,7 @@ func referenceCombos(s *Scorer, child int, parents []int, parts *ScoreParts) {
 	}
 	slices.Sort(keys)
 	for _, key := range keys {
-		s.addCombo(parts, counts[key][0], counts[key][1])
+		tableAddCombo(s, parts, counts[key][0], counts[key][1])
 	}
 }
 
@@ -255,10 +276,9 @@ func TestScorePathsAgreeAcrossWordBoundary(t *testing.T) {
 			for j := 1; j <= k; j++ {
 				parents = append(parents, j)
 			}
-			var packed, generic, ref ScoreParts
-			s.packedCombos(0, parents, &packed, sc)
-			s.genericCombos(0, parents, &generic, sc)
-			referenceCombos(s, 0, parents, &ref)
+			packed := s.parts(s.packedCombos(0, parents, sc), k)
+			generic := s.parts(s.genericCombos(0, parents, sc), k)
+			ref := referenceParts(s, 0, parents)
 			if !sameBits(packed, generic) || !sameBits(packed, ref) {
 				t.Fatalf("beta=%d k=%d: packed=%+v generic=%+v reference=%+v", beta, k, packed, generic, ref)
 			}
@@ -325,6 +345,130 @@ func TestPartitionProbesMatchLocalScoreParts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAcceptPathsAgree commits random adds to one node's partition: one-node
+// and multi-node adds, adds that empty classes, and adds that accept puts in
+// key order by sorting (16 or more nodes, or more slots than the probe's
+// budget). Each add is committed through accept, through acceptSorted, and
+// through acceptCounted where its slots fit. After every commit the classes
+// (key, k0, k1) and procSlot must equal the partition rebuilt from scratch
+// for F, and the count buffers must be zero again.
+func TestAcceptPathsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const n = 80
+	var counted, multi, emptied, sortedWide, sortedBudget int
+	for _, beta := range []int{1, 63, 64, 65, 130, 700} {
+		s := NewScorer(densityStatus(beta, n, rng))
+		for trial := 0; trial < 10; trial++ {
+			perm := rng.Perm(n)
+			child, pool := perm[0], perm[1:]
+			pt := &partition{}
+			pt.reset(s, child)
+			var f []int
+			for len(pool) > 0 && len(f) < 63 {
+				m := 1
+				switch r := rng.Intn(8); {
+				case r == 0:
+					m = 16 + rng.Intn(4)
+				case r >= 4:
+					m = 2 + rng.Intn(5)
+				}
+				m = min(m, len(pool), 63-len(f))
+				add := pool[:m]
+				f, pool = slices.Concat(f, add), pool[m:]
+				wantClasses, wantSlots := rebuiltPartition(s, child, f)
+				check := func(path string, got *partition) {
+					t.Helper()
+					if got.f != len(f) || !slices.Equal(got.classes, wantClasses) || !slices.Equal(got.procSlot, wantSlots) {
+						t.Fatalf("beta=%d child=%d %s of %v onto %v: f=%d classes %v procSlot %v; rebuilt classes %v procSlot %v",
+							beta, child, path, add, f[:len(f)-m], got.f, got.classes, got.procSlot, wantClasses, wantSlots)
+					}
+					zero := func(x uint64) bool { return x == 0 }
+					if !allOf(got.cnt, func(c int32) bool { return c == 0 }) || !allOf(got.seen, zero) || !allOf(got.newBits, zero) {
+						t.Fatalf("beta=%d child=%d %s of %v left count buffers nonzero", beta, child, path, add)
+					}
+				}
+				if m > 1 {
+					multi++
+				}
+				if keptAll := allOf(pt.classes, func(c class) bool {
+					_, found := slices.BinarySearchFunc(wantClasses, c.key, func(w class, key uint64) int { return cmp.Compare(w.key, key) })
+					return found
+				}); !keptAll {
+					emptied++
+				}
+				switch {
+				case pt.counted(s, add):
+					counted++
+				case m >= 16:
+					sortedWide++
+				default:
+					sortedBudget++
+				}
+				sorted := clonePartition(pt)
+				sorted.acceptSorted(s, add)
+				check("acceptSorted", sorted)
+				if m < 16 && (1<<m-1)*len(pt.classes) <= 1<<16 {
+					byCount := clonePartition(pt)
+					byCount.acceptCounted(s, add)
+					check("acceptCounted", byCount)
+				}
+				pt.accept(s, add)
+				check("accept", pt)
+			}
+		}
+	}
+	t.Logf("adds: %d counted, %d multi-node, %d emptied a class, %d sorted with 16+ nodes, %d sorted over the slot budget",
+		counted, multi, emptied, sortedWide, sortedBudget)
+	if counted == 0 || multi == 0 || emptied == 0 || sortedWide == 0 || sortedBudget == 0 {
+		t.Fatal("the random adds missed a path; the test needs every one")
+	}
+}
+
+// rebuiltPartition builds the classes and procSlot of child's partition under
+// F from scratch: each process keyed by which of F's nodes infect it (f[i]
+// at bit i), the distinct keys ascending.
+func rebuiltPartition(s *Scorer, child int, f []int) ([]class, []int32) {
+	keys := make([]uint64, s.beta)
+	for i, v := range f {
+		for _, p := range s.infected(v) {
+			keys[p] |= 1 << uint(i)
+		}
+	}
+	distinct := slices.Clone(keys)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
+	classes := make([]class, len(distinct))
+	procSlot := make([]int32, s.beta)
+	for p, key := range keys {
+		c, _ := slices.BinarySearch(distinct, key)
+		classes[c].key = key
+		bit := int32(s.cols[child][p/64] >> uint(p%64) & 1)
+		if bit != 0 {
+			classes[c].k1++
+		} else {
+			classes[c].k0++
+		}
+		procSlot[p] = int32(c)<<1 | bit
+	}
+	return classes, procSlot
+}
+
+// clonePartition copies a partition's state into fresh working buffers.
+func clonePartition(pt *partition) *partition {
+	return &partition{
+		f:        pt.f,
+		classes:  slices.Clone(pt.classes),
+		procSlot: slices.Clone(pt.procSlot),
+		newKey:   make([]uint64, len(pt.procSlot)),
+		newBits:  make([]uint64, len(pt.procSlot)),
+	}
+}
+
+// allOf reports whether pred holds for every element of xs.
+func allOf[T any](xs []T, pred func(T) bool) bool {
+	return !slices.ContainsFunc(xs, func(x T) bool { return !pred(x) })
 }
 
 // Decomposability: g(T) equals the sum of local scores.

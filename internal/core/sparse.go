@@ -356,13 +356,11 @@ func (s *SparseIMI) tally(ctx context.Context, scs []*sparseScratch, deg []int64
 // finishTally flushes the workers' caches, merges their tallies, and
 // assembles the classes, marginal runs and value pool from them.
 func (s *SparseIMI) finishTally(scs []*sparseScratch) {
-	distinct := 0
 	classPairs := &scs[0].classPairs
 	for w, sc := range scs {
 		for i := range sc.cache {
 			sc.flush(&sc.cache[i])
 		}
-		distinct += sc.tally.counts.used
 		if w > 0 {
 			for _, e := range sc.classPairs.slots {
 				if e.key != 0 {
@@ -375,13 +373,13 @@ func (s *SparseIMI) finishTally(scs []*sparseScratch) {
 	for _, e := range classPairs.slots {
 		s.coPairs += e.n
 	}
-	b := poolBuilder{vals: make([]float64, 0, distinct), cnts: make([]int64, 0, distinct)}
-	for _, sc := range scs {
-		sc.tally.addTo(&b)
+	t := &scs[0].tally
+	for _, sc := range scs[1:] {
+		t.merge(&sc.tally)
 		sc.tally = valueTally{}
 	}
-	s.assemble(&b, classPairs)
-	*classPairs = countTable{}
+	s.assemble(t, classPairs)
+	*t, *classPairs = valueTally{}, countTable{}
 }
 
 // fillRows fills the full CSR rows whose extents s.rowStart holds. gather
@@ -542,14 +540,7 @@ type countSlot struct {
 
 func (t *countTable) add(key uint64, c int64) {
 	if 4*(t.used+1) > 3*len(t.slots) {
-		old := t.slots
-		size := max(64, 2*len(old))
-		t.slots, t.used, t.shift = make([]countSlot, size), 0, uint(64-bits.TrailingZeros(uint(size)))
-		for _, e := range old {
-			if e.key != 0 {
-				t.add(e.key, e.n)
-			}
-		}
+		t.grow(max(64, 2*len(t.slots)))
 	}
 	mask := len(t.slots) - 1
 	for i := int(key * 0x9E3779B97F4A7C15 >> t.shift); ; i = (i + 1) & mask {
@@ -561,6 +552,28 @@ func (t *countTable) add(key uint64, c int64) {
 			t.slots[i] = countSlot{key, c}
 			t.used++
 			return
+		}
+	}
+}
+
+// reserve sizes the table to hold n keys without growing.
+func (t *countTable) reserve(n int) {
+	size := 64
+	for 3*size < 4*n {
+		size *= 2
+	}
+	if size > len(t.slots) {
+		t.grow(size)
+	}
+}
+
+// grow moves the table's keys into a table of size slots, a power of two.
+func (t *countTable) grow(size int) {
+	old := t.slots
+	t.slots, t.used, t.shift = make([]countSlot, size), 0, uint(64-bits.TrailingZeros(uint(size)))
+	for _, e := range old {
+		if e.key != 0 {
+			t.add(e.key, e.n)
 		}
 	}
 }
@@ -581,50 +594,12 @@ func (t *countTable) get(key uint64) int64 {
 	}
 }
 
-// valueTally is a share of the value pool — a sparse worker's, or the whole
-// dense triangle's: positive values counted by their exact bits (no
-// positive value has all-zero bits), zero and negative values only counted,
-// because the pool keeps nothing else of them. At scale a few hundred
-// distinct values cover millions of pairs.
-type valueTally struct {
-	counts     countTable
-	zeros, neg int64
-	maxNeg     float64
-}
-
-func (t *valueTally) add(v float64, c int64) {
-	switch {
-	case c == 0:
-	case v > 0:
-		t.counts.add(math.Float64bits(v), c)
-	case v == 0:
-		t.zeros += c
-	default:
-		if t.neg == 0 || v > t.maxNeg {
-			t.maxNeg = v
-		}
-		t.neg += c
-	}
-}
-
-// addTo adds the tallied values to b. Negative values move only the pool's
-// total and maximum, so they enter as one run at their maximum.
-func (t *valueTally) addTo(b *poolBuilder) {
-	b.add(0, t.zeros)
-	b.add(t.maxNeg, t.neg)
-	for _, e := range t.counts.slots {
-		if e.key != 0 {
-			b.add(math.Float64frombits(e.key), e.n)
-		}
-	}
-}
-
 // assemble derives everything that depends only on the marginal counts
 // s.ones and the co-pair counts per pair of marginal counts: the count
 // classes, the marginal runs of the never-co-occurring pairs, which it adds
-// to the co-occurring values already in b, and the value pool. It reads no
+// to the co-occurring values already in t, and the value pool. It reads no
 // CSR row. Cost is O(n + β + C²) for C count classes.
-func (s *SparseIMI) assemble(b *poolBuilder, classPairs *countTable) {
+func (s *SparseIMI) assemble(t *valueTally, classPairs *countTable) {
 	classIdx := make([]int32, s.beta+1)
 	for _, c := range s.ones {
 		classIdx[c] = 1
@@ -672,12 +647,12 @@ func (s *SparseIMI) assemble(b *poolBuilder, classPairs *countTable) {
 				continue
 			}
 			mv := pairValue(s.mt, s.traditional, s.beta, 0, int(va), int(vc))
-			b.add(mv, zp)
+			t.add(mv, zp)
 			s.maxMarginal[a] = max(s.maxMarginal[a], mv)
 			s.maxMarginal[c] = max(s.maxMarginal[c], mv)
 		}
 	}
-	s.pool = b.finish()
+	s.pool = t.finish()
 }
 
 // keepFloor is the floor below which walk 2 may drop pairs for a search
@@ -814,11 +789,11 @@ func (s *SparseIMI) nodePool(i int) *valuePool {
 	if s.filtered() {
 		panic("core: per-node pool of a filtered engine")
 	}
-	var b poolBuilder
+	var t valueTally
 	lo, hi := s.rowStart[i], s.rowStart[i+1]
 	perClass := make([]int64, len(s.classVals))
 	for k := lo; k < hi; k++ {
-		b.add(s.val[k], 1)
+		t.add(s.val[k], 1)
 		perClass[s.classOf[s.nbr[k]]]++
 	}
 	ci := s.classOf[i]
@@ -832,9 +807,9 @@ func (s *SparseIMI) nodePool(i int) *valuePool {
 		}
 		// rem > 0 implies a genuine never-co-occurring pair, which implies
 		// ones[i]+classVals[c] ≤ β.
-		b.add(pairValue(s.mt, s.traditional, s.beta, 0, int(s.ones[i]), int(s.classVals[c])), rem)
+		t.add(pairValue(s.mt, s.traditional, s.beta, 0, int(s.ones[i]), int(s.classVals[c])), rem)
 	}
-	return b.finish()
+	return t.finish()
 }
 
 // PairValues materializes the full dense triangle, row-major like

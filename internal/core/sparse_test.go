@@ -437,7 +437,7 @@ func samePool(a, b *valuePool) string {
 func referencePool(s *SparseIMI) (*valuePool, []float64) {
 	nc := len(s.classVals)
 	co := make([]int64, nc*nc)
-	var b poolBuilder
+	var b valueTally
 	for v := 0; v < s.n; v++ {
 		for k := s.rowStart[v]; k < s.rowStart[v+1]; k++ {
 			if j := s.nbr[k]; int(j) > v {
@@ -596,7 +596,7 @@ func TestValueCacheKeysExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.finishTally(scs)
-	var want poolBuilder
+	var want valueTally
 	for v := 0; v < n; v++ {
 		for k := s.rowStart[v]; k < s.rowStart[v+1]; k++ {
 			j := int(s.nbr[k])

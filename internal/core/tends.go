@@ -491,8 +491,11 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 	// Workers claim one node at a time from a shared counter, so load
 	// balances node by node without a channel handoff per node. The
 	// per-node searches only read the scorer and IMI matrix; each worker
-	// writes a disjoint slot of res.Parents (and reasons), so the output is
-	// identical for any worker count.
+	// writes a disjoint slot of res.Parents, reasons and scores, so the
+	// output is identical for any worker count. The worker that settles a
+	// node's parents also scores them (Eq. 13), and g(T) is their sum in
+	// node order, as TotalScore sums it.
+	scores := make([]float64, n)
 	var nextNode atomic.Int64
 	searchRange := func() {
 		sc := scorer.newScratch()
@@ -501,18 +504,18 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 			if i >= n {
 				return
 			}
-			if !inShard(i) {
-				continue
-			}
-			if sctx.Err() != nil {
-				// Claim the rest without working; in degrade mode the
+			switch {
+			case !inShard(i):
+			case sctx.Err() != nil:
+				// Claim the rest without searching; in degrade mode the
 				// skipped node is reported, not lost.
 				if degrade {
 					reasons[i] = DegradeCancelled
 				}
-				continue
+			default:
+				searchNode(i, sc)
 			}
-			searchNode(i, sc)
+			scores[i] = scorer.scoreParts(i, res.Parents[i], sc).Score()
 		}
 	}
 	if workers <= 1 {
@@ -564,7 +567,9 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 			res.Graph.AddEdge(p, i)
 		}
 	}
-	res.Score = scorer.TotalScore(res.Parents)
+	for _, g := range scores {
+		res.Score += g
+	}
 	return res, nil
 }
 

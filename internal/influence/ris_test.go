@@ -328,3 +328,24 @@ func TestRISEdgeCases(t *testing.T) {
 		t.Fatal("cancelled context should fail")
 	}
 }
+
+// TestRISSketchesPinned gates RIS on its work rather than a clock: on a
+// seeded graph whose pool doubles from 64 sketches until the greedy spread
+// settles, a quarter of the way to its cap, the sketch count at 1 and 4
+// workers is pinned exactly.
+func TestRISSketchesPinned(t *testing.T) {
+	const wantSketches = 16384
+	rng := rand.New(rand.NewSource(13))
+	g := graph.PreferentialAttachment(80, 2, rng)
+	ep := diffusion.UniformEdgeProbs(g, 0.3)
+	for _, workers := range []int{1, 4} {
+		rec := obs.New()
+		opt := RISOptions{K: 3, Seed: 14, MinSketches: 64, MaxSketches: 1 << 16, Eps: 0.02, Workers: workers}
+		if _, err := RISSeeds(obs.With(context.Background(), rec), ep, opt); err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Counter("influence/sketches").Value(); got != wantSketches {
+			t.Fatalf("workers=%d: influence/sketches=%d, want %d", workers, got, wantSketches)
+		}
+	}
+}

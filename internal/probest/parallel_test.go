@@ -126,3 +126,21 @@ func TestEstimateEdgeProbsClampsZeros(t *testing.T) {
 		t.Fatalf("informative edge changed: %v, want 0.6", p)
 	}
 }
+
+// TestEMItersPinned gates the EM fit on its work rather than a clock: on a
+// seeded noisy-OR instance, at 1 and 4 workers, the EM sweeps summed over
+// all nodes are pinned exactly.
+func TestEMItersPinned(t *testing.T) {
+	const wantIters = 7138
+	g, probs := randomDAG(t, 30, 0.15, 7)
+	sm := synthNoisyOR(t, 1500, 0.2, probs, g, 8)
+	for _, workers := range []int{1, 4} {
+		rec := obs.New()
+		if _, err := RunContext(obs.With(context.Background(), rec), sm, g, Options{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if iters := rec.Counter("probest/em_iters").Value(); iters != wantIters {
+			t.Fatalf("workers=%d: probest/em_iters=%d, want %d", workers, iters, wantIters)
+		}
+	}
+}
