@@ -18,7 +18,7 @@
 //	benchfig -all -pprof localhost:6060     # live CPU/heap profiles
 //	benchfig -fig 1 -chaos "experiments.cell.infer=0.2" -chaos-seed 7 -retries 2
 //	benchfig -fig 1 -node-deadline 50ms -combo-budget 5000   # degrade, don't hang
-//	benchfig -fig 1 -retries 3 -retry-backoff 100ms -breaker 2
+//	benchfig -study greedy -repeats 3 -csv greedy.csv   # an ablation or extension study
 //
 // Scenario overrides rerun any figure under different diffusion dynamics or
 // dirty observations (figures 12–15 are dedicated scenario sweeps; an
@@ -60,12 +60,15 @@
 // cells run concurrently (0 = all CPUs). Results for a fixed -seed are
 // identical at any worker count, runtimes excepted.
 //
+// The studies (-study threshold, greedy, penalty, treemodel, timestamps) are
+// figures kept out of -all; every figure flag (-repeats, -workers, -csv,
+// -checkpoint/-resume, -obs-json, -chaos, -algos, the scenario overrides)
+// applies to them.
+//
 // The harness is fault tolerant: a panicking or failing algorithm run is
-// contained to its cell (rendered ERR, retried per -retries with -retry-backoff
-// exponential delays, and a -breaker circuit breaker that stops retrying a cell
-// class once enough of its tasks have exhausted every attempt), -cell-timeout
-// bounds each cell's runtime, and SIGINT/SIGTERM cancels the sweep cleanly —
-// in-flight cells are drained, the checkpoint journal and partial output are
+// contained to its cell (rendered ERR, retried per -retries on fresh derived
+// seeds), -cell-timeout bounds each cell's runtime, and SIGINT/SIGTERM
+// cancels the sweep cleanly — in-flight cells are drained, the checkpoint journal and partial output are
 // flushed, and the process exits with status 130. A later -resume run
 // restores journaled cells and reproduces the uninterrupted tables for the
 // rest. Exit status: 0 success, 1 error, 3 completed but some cells never
@@ -85,9 +88,7 @@ import (
 	"time"
 
 	"tends/internal/chaos"
-	"tends/internal/datasets"
 	"tends/internal/experiments"
-	"tends/internal/graph"
 	"tends/internal/obs"
 )
 
@@ -103,6 +104,7 @@ const (
 type runOpts struct {
 	figNum       int
 	all          bool
+	study        string
 	repeats      int
 	seed         int64
 	csvPath      string
@@ -122,8 +124,6 @@ type runOpts struct {
 	chaosSeed    int64
 	nodeDeadline time.Duration
 	comboBudget  int
-	retryBackoff time.Duration
-	breaker      int
 
 	// Scenario overrides; empty strings and negative floats mean "keep the
 	// figure's own value" (see experiments.ScenarioOverride).
@@ -138,12 +138,9 @@ type runOpts struct {
 
 func main() {
 	var o runOpts
-	var (
-		ablation = flag.String("ablation", "", "run an ablation instead: threshold, greedy, pruning, penalty, treemodel")
-		ext      = flag.String("ext", "", "run an extension study instead: noise, missing, mismatch, timestamps")
-	)
 	flag.IntVar(&o.figNum, "fig", 0, "figure number to regenerate (1..16)")
 	flag.BoolVar(&o.all, "all", false, "regenerate every figure")
+	flag.StringVar(&o.study, "study", "", "run an ablation or extension study instead: "+strings.Join(experiments.StudyNames(), ", "))
 	flag.IntVar(&o.repeats, "repeats", 1, "simulation repeats averaged per point")
 	flag.Int64Var(&o.seed, "seed", 1, "base RNG seed")
 	flag.StringVar(&o.csvPath, "csv", "", "also write raw measurements as CSV")
@@ -162,8 +159,6 @@ func main() {
 	flag.Int64Var(&o.chaosSeed, "chaos-seed", 1, "seed for the chaos injector's fault decisions (independent of -seed)")
 	flag.DurationVar(&o.nodeDeadline, "node-deadline", 0, "soft per-node TENDS search deadline; breaching nodes keep best-so-far parents (0 = none)")
 	flag.IntVar(&o.comboBudget, "combo-budget", 0, "cap on parent combinations scored per TENDS node; breaching nodes degrade (0 = none)")
-	flag.DurationVar(&o.retryBackoff, "retry-backoff", 0, "base delay before cell retries, doubled per attempt with seeded jitter (0 = immediate)")
-	flag.IntVar(&o.breaker, "breaker", 0, "stop retrying a (point, algorithm) cell class after this many tasks exhaust every attempt (0 = never)")
 	flag.StringVar(&o.model, "model", "", "diffusion model override: ic, lt, sir, sis (empty = figure default)")
 	flag.StringVar(&o.delay, "delay", "", "transmission-delay law override: exp, powerlaw, rayleigh (empty = figure default)")
 	flag.Float64Var(&o.delayParam, "delay-param", -1, "delay-law parameter: exp rate, power-law shape, Rayleigh sigma (negative = law default)")
@@ -186,21 +181,6 @@ func main() {
 			}
 		}
 		os.Exit(code)
-	}
-
-	if *ablation != "" {
-		if err := runAblation(*ablation, o.seed); err != nil {
-			fmt.Fprintf(os.Stderr, "benchfig: %v\n", err)
-			os.Exit(exitErr)
-		}
-		return
-	}
-	if *ext != "" {
-		if err := runExtension(*ext, o.seed); err != nil {
-			fmt.Fprintf(os.Stderr, "benchfig: %v\n", err)
-			os.Exit(exitErr)
-		}
-		return
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -245,74 +225,6 @@ func parseAlgos(spec string) ([]experiments.Algorithm, error) {
 	return out, nil
 }
 
-// runExtension executes one of the robustness extension studies (DESIGN.md
-// §6) on the NetSci-stand-in workload.
-func runExtension(name string, seed int64) error {
-	network := func(s int64) (*graph.Directed, error) { return datasets.NetSci(s) }
-	var (
-		points []experiments.ExtensionPoint
-		err    error
-	)
-	switch name {
-	case "noise":
-		points, err = experiments.NoiseRobustness(network, []float64{0, 0.01, 0.02, 0.05, 0.1}, seed)
-	case "missing":
-		points, err = experiments.MissingRobustness(network, []float64{0, 0.05, 0.1, 0.2, 0.3}, seed)
-	case "mismatch":
-		points, err = experiments.ModelMismatch(network, seed)
-	case "timestamps":
-		points, err = experiments.TimestampNoise(network, []float64{0, 0.5, 1, 2}, seed)
-	default:
-		return fmt.Errorf("unknown extension %q (want noise, missing, mismatch, timestamps)", name)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("extension %q on NetSci stand-in (beta=150, alpha=0.15, mu=0.3, seed=%d)\n\n", name, seed)
-	fmt.Printf("%-24s %8s %10s %10s %8s %12s\n", "point", "F", "precision", "recall", "edges", "time")
-	for _, p := range points {
-		fmt.Printf("%-24s %8.3f %10.3f %10.3f %8d %12v\n",
-			p.Label, p.PRF.F, p.PRF.Precision, p.PRF.Recall, p.Edges, p.Runtime.Round(time.Millisecond))
-	}
-	return nil
-}
-
-// runAblation executes one of the DESIGN.md §6 ablation studies on the
-// NetSci-stand-in workload at the paper's default settings.
-func runAblation(name string, seed int64) error {
-	w, err := experiments.NewAblationWorkload(
-		func(s int64) (*graph.Directed, error) { return datasets.NetSci(s) },
-		0.3, 0.15, 150, seed)
-	if err != nil {
-		return err
-	}
-	var results []experiments.AblationResult
-	switch name {
-	case "threshold":
-		results, err = experiments.ThresholdAblation(w)
-	case "greedy":
-		results, err = experiments.GreedyAblation(w)
-	case "pruning":
-		results, err = experiments.PruningAblation(w)
-	case "penalty":
-		results, err = experiments.PenaltyAblation(w)
-	case "treemodel":
-		results, err = experiments.TreeModelAblation(w)
-	default:
-		return fmt.Errorf("unknown ablation %q (want threshold, greedy, pruning, penalty, treemodel)", name)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Printf("ablation %q on NetSci stand-in (beta=150, alpha=0.15, mu=0.3, seed=%d)\n\n", name, seed)
-	fmt.Printf("%-32s %8s %10s %10s %8s %12s\n", "variant", "F", "precision", "recall", "edges", "time")
-	for _, r := range results {
-		fmt.Printf("%-32s %8.3f %10.3f %10.3f %8d %12v\n",
-			r.Variant, r.PRF.F, r.PRF.Precision, r.PRF.Recall, r.Edges, r.Runtime.Round(time.Millisecond))
-	}
-	return nil
-}
-
 // openResume reopens a checkpoint journal for a resumed run and validates
 // its header against the run's seed and repeats, so restored cells can
 // never silently mix with freshly computed ones from a different
@@ -354,11 +266,8 @@ func run(ctx context.Context, o runOpts) (int, error) {
 	if o.comboBudget < 0 {
 		return exitErr, fmt.Errorf("usage: -combo-budget must be >= 0, got %d", o.comboBudget)
 	}
-	if o.breaker < 0 {
-		return exitErr, fmt.Errorf("usage: -breaker must be >= 0, got %d", o.breaker)
-	}
-	if o.nodeDeadline < 0 || o.retryBackoff < 0 {
-		return exitErr, fmt.Errorf("usage: -node-deadline and -retry-backoff must be >= 0")
+	if o.nodeDeadline < 0 {
+		return exitErr, fmt.Errorf("usage: -node-deadline must be >= 0")
 	}
 	var injector *chaos.Injector
 	if o.chaosSpec != "" {
@@ -369,17 +278,28 @@ func run(ctx context.Context, o runOpts) (int, error) {
 		injector = chaos.New(o.chaosSeed, rules)
 	}
 	figs := experiments.Figures()
-	var ids []int
+	var selected []experiments.Figure
 	switch {
+	case o.study != "" && (o.all || o.figNum != 0):
+		return exitErr, fmt.Errorf("usage: -study runs alone, not with -fig or -all")
+	case o.study != "":
+		fig, ok := experiments.Studies()[o.study]
+		if !ok {
+			return exitErr, fmt.Errorf("unknown study %q (have %s)", o.study, strings.Join(experiments.StudyNames(), ", "))
+		}
+		selected = []experiments.Figure{fig}
 	case o.all:
-		ids = experiments.FigureIDs()
+		for _, id := range experiments.FigureIDs() {
+			selected = append(selected, figs[id])
+		}
 	case o.figNum != 0:
-		if _, ok := figs[o.figNum]; !ok {
+		fig, ok := figs[o.figNum]
+		if !ok {
 			return exitErr, fmt.Errorf("unknown figure %d (have 1..16)", o.figNum)
 		}
-		ids = []int{o.figNum}
+		selected = []experiments.Figure{fig}
 	default:
-		return exitErr, fmt.Errorf("one of -fig or -all is required")
+		return exitErr, fmt.Errorf("one of -fig, -all or -study is required")
 	}
 	var algoOverride []experiments.Algorithm
 	if o.algos != "" {
@@ -449,8 +369,7 @@ func run(ctx context.Context, o runOpts) (int, error) {
 		Recovery: o.recovery, Reinfect: o.reinfect,
 		Missing: o.missing, Uncertain: o.uncertain,
 	}
-	for _, id := range ids {
-		fig := figs[id]
+	for _, fig := range selected {
 		if algoOverride != nil {
 			fig = experiments.SelectAlgorithms(fig, algoOverride...)
 		}
@@ -460,19 +379,17 @@ func run(ctx context.Context, o runOpts) (int, error) {
 			return exitErr, fmt.Errorf("usage: %w", err)
 		}
 		cfg := experiments.Config{
-			Seed:             o.seed,
-			Repeats:          o.repeats,
-			Workers:          o.workers,
-			CellTimeout:      o.cellTimeout,
-			Retries:          o.retries,
-			RetryBackoff:     o.retryBackoff,
-			BreakerThreshold: o.breaker,
-			NodeDeadline:     o.nodeDeadline,
-			ComboBudget:      o.comboBudget,
-			Chaos:            injector,
-			Checkpoint:       journal,
-			Resume:           resumeCells,
-			Obs:              rec,
+			Seed:         o.seed,
+			Repeats:      o.repeats,
+			Workers:      o.workers,
+			CellTimeout:  o.cellTimeout,
+			Retries:      o.retries,
+			NodeDeadline: o.nodeDeadline,
+			ComboBudget:  o.comboBudget,
+			Chaos:        injector,
+			Checkpoint:   journal,
+			Resume:       resumeCells,
+			Obs:          rec,
 		}
 		ms, rs, err := experiments.RunContext(ctx, fig, cfg, progress)
 		if err != nil && !errors.Is(err, context.Canceled) {
@@ -485,7 +402,6 @@ func run(ctx context.Context, o runOpts) (int, error) {
 		total.CancelledCells += rs.CancelledCells
 		total.Retried += rs.Retried
 		total.Recovered += rs.Recovered
-		total.BreakerSkipped += rs.BreakerSkipped
 		if err := experiments.WriteTable(os.Stdout, fig, ms); err != nil {
 			return exitErr, err
 		}
@@ -526,9 +442,9 @@ func run(ctx context.Context, o runOpts) (int, error) {
 	for _, m := range allMeasurements {
 		degradedNodes += m.DegradedNodes
 	}
-	if interrupted || total.FailedCells+total.CancelledCells+total.Retried+total.Restored+total.BreakerSkipped+degradedNodes > 0 {
-		fmt.Fprintf(os.Stderr, "benchfig: %d/%d cells failed, %d cancelled, %d restored, %d retries (%d recovered, %d breaker-skipped), %d degraded nodes\n",
-			total.FailedCells, total.Cells, total.CancelledCells, total.Restored, total.Retried, total.Recovered, total.BreakerSkipped, degradedNodes)
+	if interrupted || total.FailedCells+total.CancelledCells+total.Retried+total.Restored+degradedNodes > 0 {
+		fmt.Fprintf(os.Stderr, "benchfig: %d/%d cells failed, %d cancelled, %d restored, %d retries (%d recovered), %d degraded nodes\n",
+			total.FailedCells, total.Cells, total.CancelledCells, total.Restored, total.Retried, total.Recovered, degradedNodes)
 	}
 	if injector != nil {
 		fmt.Fprintf(os.Stderr, "benchfig: chaos injected %d faults, %d delays (-chaos %q -chaos-seed %d)\n",

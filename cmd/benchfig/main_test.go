@@ -56,9 +56,7 @@ func TestRunValidation(t *testing.T) {
 		"negative workers":      {figNum: 1, repeats: 1, workers: -2, seed: 1, quiet: true},
 		"negative retries":      {figNum: 1, repeats: 1, retries: -1, seed: 1, quiet: true},
 		"negative combo budget": {figNum: 1, repeats: 1, comboBudget: -1, seed: 1, quiet: true},
-		"negative breaker":      {figNum: 1, repeats: 1, breaker: -3, seed: 1, quiet: true},
 		"negative deadline":     {figNum: 1, repeats: 1, nodeDeadline: -time.Second, seed: 1, quiet: true},
-		"negative backoff":      {figNum: 1, repeats: 1, retryBackoff: -time.Millisecond, seed: 1, quiet: true},
 	} {
 		if _, err := run(ctx, o); err == nil || !strings.Contains(err.Error(), "usage:") {
 			t.Fatalf("%s should fail with a usage error, got %v", name, err)
@@ -270,13 +268,48 @@ func appendBytes(t *testing.T, path string, b []byte) {
 	}
 }
 
+// TestRunAblationValidation: -study resolves only the named studies,
+// lists them when the name is unknown, and runs alone.
 func TestRunAblationValidation(t *testing.T) {
-	// Unknown names must fail; note the workload is simulated before the
-	// dispatch, so this still costs one NetSci simulation (~1s).
-	if err := runAblation("bogus", 1); err == nil {
-		t.Fatal("unknown ablation should fail")
+	ctx := context.Background()
+	_, err := run(ctx, runOpts{study: "bogus", repeats: 1, seed: 1, quiet: true})
+	if err == nil {
+		t.Fatal("unknown study should fail")
 	}
-	if err := runExtension("bogus", 1); err == nil {
-		t.Fatal("unknown extension should fail")
+	for _, name := range experiments.StudyNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("unknown-study error %q does not list %q", err, name)
+		}
+	}
+	if _, err := run(ctx, runOpts{study: "greedy", figNum: 1, repeats: 1, seed: 1, quiet: true}); err == nil || !strings.Contains(err.Error(), "usage:") {
+		t.Fatalf("-study with -fig should fail with a usage error, got %v", err)
+	}
+}
+
+// TestRunStudy: a study goes through the figure runner, so -repeats and
+// -csv apply: one row per variant, with a spread across the repeats.
+func TestRunStudy(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "greedy.csv")
+	if code, err := run(context.Background(), runOpts{study: "greedy", repeats: 2, seed: 1, quiet: true, csvPath: path}); err != nil || code != exitOK {
+		t.Fatalf("exit %d, %v", code, err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSpace(string(data)), "\n")[1:]
+	if want := len(experiments.Studies()["greedy"].Algorithms); len(rows) != want {
+		t.Fatalf("%d CSV rows, want one per variant (%d)", len(rows), want)
+	}
+	spread := false
+	for _, row := range rows {
+		f := strings.Split(row, ",")
+		if f[0] != "greedy" || f[14] != "" {
+			t.Fatalf("unexpected row %q", row)
+		}
+		spread = spread || f[4] != "0.0000"
+	}
+	if !spread {
+		t.Fatal("fscore_std is 0 on every row: -repeats 2 did not apply")
 	}
 }

@@ -125,7 +125,6 @@ func runSupervised(ctx context.Context, o runOpts, s scaleOpts, cfg experiments.
 		},
 		ShardDeadline: s.shardDeadline,
 		Retries:       s.shardRetries,
-		RetryBackoff:  o.retryBackoff,
 		HedgeAfter:    s.hedgeAfter,
 		StallTimeout:  s.stallTimeout,
 		PollEvery:     s.pollEvery,

@@ -69,14 +69,16 @@ func run(index int, table2 bool, n int, k, tau, mixing float64, seed int64, out 
 	default:
 		return fmt.Errorf("one of -index, -table2 or -n is required")
 	}
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if out == "" {
+		return graph.Write(os.Stdout, g)
 	}
-	return graph.Write(w, g)
+	f, err := os.Create(out)
+	if err != nil {
+		return err
+	}
+	if err := graph.Write(f, g); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -61,4 +61,14 @@ func TestRunErrors(t *testing.T) {
 	if err := run(0, false, 10, 0, 2, 0.1, 1, ""); err == nil {
 		t.Fatal("bad custom params should fail")
 	}
+	// A full device fails the write (or the close) of -out: the error
+	// reaches the caller instead of a silent exit 0.
+	t.Run("full device", func(t *testing.T) {
+		if _, err := os.Stat("/dev/full"); err != nil {
+			t.Skip("/dev/full not available")
+		}
+		if err := run(1, false, 0, 4, 2, 0.1, 1, "/dev/full"); err == nil {
+			t.Fatal("writing -out to a full device should fail")
+		}
+	})
 }

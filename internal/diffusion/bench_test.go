@@ -48,7 +48,7 @@ func BenchmarkSimulateLT(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
-		if _, err := SimulateLT(ep, Config{Alpha: 0.15, Beta: 150}, rng); err != nil {
+		if _, err := SimulateScenario(ep, Config{Alpha: 0.15, Beta: 150}, Scenario{Model: ModelLT}, rng); err != nil {
 			b.Fatal(err)
 		}
 	}

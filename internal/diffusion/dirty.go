@@ -85,7 +85,7 @@ func missing(res *Result, rate float64, rng *rand.Rand) (*Result, *StatusMatrix,
 // confidence q ~ U[uncertainLo, 1), a truly uninfected one q ~ U[0,
 // uncertainHi), so the two distributions overlap on [uncertainLo,
 // uncertainHi) and a 0.5 cutoff misclassifies an uncertain cell with
-// probability (uncertainHi-uncertainLo)/2 on each side.
+// probability (0.5-uncertainLo)/(1-uncertainLo) = 0.375 on either side.
 const (
 	uncertainLo = 0.2
 	uncertainHi = 0.8
@@ -96,7 +96,7 @@ const (
 // — a confidence q that the node was infected, drawn from the overlapping
 // windows above — instead of a ground-truth bit. The returned probs slice
 // is row-major (process·n + node) with certain cells at exactly 0 or 1;
-// the returned result binarizes reports at q ≥ 0.5 (so roughly a third of
+// the returned result binarizes reports at q ≥ 0.5 (so 3 in 8
 // uncertain cells flip), dropping infection records whose report went
 // uninfected and keeping status-only false positives (a 0→1 flip has no
 // timestamp to invent).
@@ -163,4 +163,43 @@ func uncertain(res *Result, rate float64, rng *rand.Rand) (*Result, []float64, i
 		out.Cascades[ci] = nc
 	}
 	return out, probs, cells, nil
+}
+
+// PerturbTimestamps returns a deep copy of the result in which every
+// non-seed infection's continuous timestamp is shifted by Gaussian noise
+// with the given standard deviation (floored at a small positive value so
+// time ordering constraints of downstream consumers stay satisfiable) —
+// the incubation-period model of the paper's introduction: observed onset
+// times do not reflect the true infection times. Final statuses are
+// untouched, so status-only methods are unaffected by construction while
+// cascade-based methods see scrambled orderings. It is the scenario's
+// TimestampNoise stage.
+func PerturbTimestamps(res *Result, sigma float64, rng *rand.Rand) (*Result, error) {
+	if sigma < 0 || math.IsNaN(sigma) {
+		return nil, fmt.Errorf("diffusion: timestamp noise %v must be non-negative", sigma)
+	}
+	out := &Result{
+		N:        res.N,
+		Statuses: res.Statuses, // statuses are immutable here; share
+		Cascades: make([]Cascade, len(res.Cascades)),
+	}
+	for i, c := range res.Cascades {
+		nc := Cascade{
+			Seeds:      append([]int(nil), c.Seeds...),
+			Infections: make([]Infection, len(c.Infections)),
+		}
+		copy(nc.Infections, c.Infections)
+		for j := range nc.Infections {
+			if nc.Infections[j].Parent == -1 {
+				continue // seeds stay at t=0
+			}
+			t := nc.Infections[j].Time + rng.NormFloat64()*sigma
+			if t < 1e-9 {
+				t = 1e-9
+			}
+			nc.Infections[j].Time = t
+		}
+		out.Cascades[i] = nc
+	}
+	return out, nil
 }

@@ -268,74 +268,68 @@ func TestDirtyRateErrors(t *testing.T) {
 	}
 }
 
-// TestCorruptMaskedMatchesCorrupt: with a nil or empty mask, CorruptMasked
-// is Corrupt byte-for-byte at the same seed.
+// TestCorruptMaskedMatchesCorrupt: status noise with a zero-rate Missing
+// stage after it is the noise stage alone, byte for byte, and the empty
+// mask stage draws nothing after it.
 func TestCorruptMaskedMatchesCorrupt(t *testing.T) {
-	res := dirtyFixture(t)
-	want, err := Corrupt(res.Statuses, 0.25, rand.New(rand.NewSource(7)))
+	ep := scenarioNetwork(t, 95, 96)
+	cfg := Config{Alpha: 0.15, Beta: 30}
+	rng := rand.New(rand.NewSource(7))
+	got, err := SimulateScenario(ep, cfg, Scenario{Uncertain: 0.25}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty := NewStatusMatrix(res.Statuses.Beta(), res.Statuses.N())
-	for _, mask := range []*StatusMatrix{nil, empty} {
-		got, err := CorruptMasked(res.Statuses, mask, 0.25, rand.New(rand.NewSource(7)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for p := 0; p < want.Beta(); p++ {
-			for v := 0; v < want.N(); v++ {
-				if got.Get(p, v) != want.Get(p, v) {
-					t.Fatalf("mask=%v: cell (%d,%d) differs from Corrupt", mask != nil, p, v)
-				}
-			}
-		}
+	after := rng.Int63()
+	manual := rand.New(rand.NewSource(7))
+	clean, err := SimulateScenario(ep, cfg, Scenario{}, manual)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := Uncertain(clean.Result, 0.25, manual)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, got.Result, want)
+	if got.MissingMask != nil {
+		t.Fatal("zero missing rate produced a mask")
+	}
+	if manual.Int63() != after {
+		t.Fatal("zero-rate missing stage consumed RNG draws")
 	}
 }
 
-// TestCorruptMaskedComposition is the regression test for the
-// noise-vs-missingness interaction: masked cells never come back as false
-// positives, and the flip pattern on reported cells is the same whether or
-// not a mask is present (one coin per cell, mask-independent).
+// TestCorruptMaskedComposition: noise never resurrects a missing cell, and
+// the noise pattern on reported cells is the same with or without the
+// Missing stage after it (it draws after the noise stage, never inside it).
 func TestCorruptMaskedComposition(t *testing.T) {
-	res := dirtyFixture(t)
-	masked, mask, err := Missing(res, 0.4, rand.New(rand.NewSource(8)))
+	ep := scenarioNetwork(t, 95, 96)
+	cfg := Config{Alpha: 0.15, Beta: 30}
+	noisy, err := SimulateScenario(ep, cfg, Scenario{Uncertain: 0.3}, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CorruptMasked(masked.Statuses, mask, 0.3, rand.New(rand.NewSource(9)))
+	got, err := SimulateScenario(ep, cfg, Scenario{Uncertain: 0.3, Missing: 0.4}, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Corrupt(masked.Statuses, 0.3, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	flippedBack := 0
-	for p := 0; p < got.Beta(); p++ {
-		for v := 0; v < got.N(); v++ {
-			if mask.Get(p, v) {
-				if got.Get(p, v) {
-					t.Fatalf("masked cell (%d,%d) resurrected by noise", p, v)
+	hidden := 0
+	for p := 0; p < got.Statuses.Beta(); p++ {
+		for v := 0; v < got.Statuses.N(); v++ {
+			if got.MissingMask.Get(p, v) {
+				if got.Statuses.Get(p, v) {
+					t.Fatalf("masked cell (%d,%d) reported infected", p, v)
 				}
-				if plain.Get(p, v) {
-					flippedBack++ // what the broken composition used to do
+				if noisy.Statuses.Get(p, v) {
+					hidden++
 				}
 				continue
 			}
-			if got.Get(p, v) != plain.Get(p, v) {
-				t.Fatalf("reported cell (%d,%d): flip pattern depends on mask", p, v)
+			if got.Statuses.Get(p, v) != noisy.Statuses.Get(p, v) {
+				t.Fatalf("reported cell (%d,%d): noise pattern depends on the mask", p, v)
 			}
 		}
 	}
-	if flippedBack == 0 {
-		t.Fatal("fixture too small: plain Corrupt never resurrected a masked cell, regression not exercised")
-	}
-}
-
-func TestCorruptMaskedDimensionMismatch(t *testing.T) {
-	res := dirtyFixture(t)
-	mask := NewStatusMatrix(res.Statuses.Beta()+1, res.Statuses.N())
-	if _, err := CorruptMasked(res.Statuses, mask, 0.1, rand.New(rand.NewSource(10))); err == nil {
-		t.Fatal("dimension mismatch accepted")
+	if hidden == 0 {
+		t.Fatal("fixture too small: no masked cell was reported infected by the noise stage")
 	}
 }

@@ -21,7 +21,9 @@ const (
 	// ModelIC is the paper's independent-cascade process: every newly
 	// infected node gets exactly one chance to infect each uninfected child.
 	ModelIC Model = "ic"
-	// ModelLT is the linear-threshold process of SimulateLT.
+	// ModelLT is the linear-threshold process: each node draws a threshold
+	// θ_v ~ U(0, 1) per process and is infected in the round its infected
+	// parents' normalized weights first reach θ_v (see ltInWeights).
 	ModelLT Model = "lt"
 	// ModelSIR adds recovery: an infectious node keeps attempting to infect
 	// its children each round while it persists (see Scenario.Recovery) and
@@ -98,6 +100,11 @@ type Scenario struct {
 	// observer) and Missing second: missingness always wins.
 	Missing   float64
 	Uncertain float64
+	// TimestampNoise is the standard deviation of the Gaussian noise the
+	// last dirty stage adds to every non-seed infection time (see
+	// PerturbTimestamps): observed onsets that do not reflect the true
+	// infection times. Statuses are untouched. 0 consumes no RNG draws.
+	TimestampNoise float64
 }
 
 // Normalized returns sc with empty model/delay resolved to their defaults
@@ -148,13 +155,17 @@ func (sc Scenario) Validate() error {
 	if sc.Uncertain < 0 || sc.Uncertain > 1 || math.IsNaN(sc.Uncertain) {
 		return fmt.Errorf("diffusion: uncertain rate %v outside [0,1]", sc.Uncertain)
 	}
+	if sc.TimestampNoise < 0 || math.IsNaN(sc.TimestampNoise) || math.IsInf(sc.TimestampNoise, 1) {
+		return fmt.Errorf("diffusion: timestamp noise %v must be finite and non-negative", sc.TimestampNoise)
+	}
 	return nil
 }
 
 // ScenarioResult is a simulation Result plus the scenario's observation
 // side channels. Result reflects what the observer reports after the dirty
 // stages: masked cells are cleared from Statuses and dropped from Cascades,
-// uncertain cells are binarized at report probability 0.5.
+// uncertain cells are binarized at report probability 0.5, and non-seed
+// infection times carry the timestamp noise.
 type ScenarioResult struct {
 	*Result
 	// MissingMask marks the (process, node) cells masked as unreported;
@@ -260,7 +271,8 @@ func SimulateScenarioContext(ctx context.Context, ep *EdgeProbs, cfg Config, sc 
 	}
 	out := &ScenarioResult{Result: res, Reinfections: int(reinf)}
 	// Dirty stages: Uncertain first (sensor noise happens at the observer),
-	// then Missing (an unreported cell stays unreported — missingness wins).
+	// then Missing (an unreported cell stays unreported — missingness wins),
+	// then TimestampNoise on the surviving trace.
 	if sc.Uncertain > 0 {
 		dirtied, probs, cells, err := uncertain(out.Result, sc.Uncertain, rng)
 		if err != nil {
@@ -276,6 +288,11 @@ func SimulateScenarioContext(ctx context.Context, ep *EdgeProbs, cfg Config, sc 
 		}
 		out.Result, out.MissingMask = dirtied, mask
 		rec.Counter("diffusion/dirty/missing_cells").Add(int64(cells))
+	}
+	if sc.TimestampNoise > 0 {
+		if out.Result, err = PerturbTimestamps(out.Result, sc.TimestampNoise, rng); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

@@ -116,19 +116,83 @@ func TestSISZeroReinfectionMatchesSIR(t *testing.T) {
 }
 
 // TestLTScenarioMatchesSimulateLT: the LT model routed through the
-// scenario engine is the public SimulateLT path.
+// scenario engine (scratch reuse, prefix-only seed draw) reproduces the
+// direct transcription of the model in simulateLT, draw for draw.
 func TestLTScenarioMatchesSimulateLT(t *testing.T) {
 	cfg := Config{Alpha: 0.15, Beta: 30}
 	ep := scenarioNetwork(t, 21, 22)
-	want, err := SimulateLT(ep, cfg, rand.New(rand.NewSource(77)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := simulateLT(ep, cfg, rand.New(rand.NewSource(77)))
 	got, err := SimulateScenario(ep, cfg, Scenario{Model: ModelLT}, rand.New(rand.NewSource(77)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameResult(t, got.Result, want)
+}
+
+// simulateLT is a reference Linear Threshold simulator with no shared
+// scratch: per process it draws n thresholds θ_v ~ U(0, 1), then the seeds
+// as rng.Perm(n)[:k]; each round every uninfected node adds the normalized
+// weights of its parents on the frontier (in frontier order) and, in node
+// order, fires once its sum reaches θ_v, stamped with its last such
+// parent's time plus a unit exponential delay.
+func simulateLT(ep *EdgeProbs, cfg Config, rng *rand.Rand) *Result {
+	g := ep.Graph()
+	n := g.NumNodes()
+	k := min(max(int(cfg.Alpha*float64(n)+0.5), 1), n)
+	scale := make([]float64, n)
+	for v := range scale {
+		sum := 0.0
+		for _, u := range g.Parents(v) {
+			sum += ep.Prob(u, v)
+		}
+		scale[v] = 1 / max(sum, 1)
+	}
+	res := &Result{N: n, Statuses: NewStatusMatrix(cfg.Beta, n), Cascades: make([]Cascade, cfg.Beta)}
+	for p := range res.Cascades {
+		theta := make([]float64, n)
+		for v := range theta {
+			theta[v] = rng.Float64()
+		}
+		infected := make([]bool, n)
+		times := make([]float64, n)
+		accum := make([]float64, n)
+		c := &res.Cascades[p]
+		c.Seeds = rng.Perm(n)[:k]
+		frontier := append([]int(nil), c.Seeds...)
+		for _, s := range c.Seeds {
+			infected[s] = true
+			c.Infections = append(c.Infections, Infection{Node: s, Parent: -1})
+		}
+		for round := 1; len(frontier) > 0; round++ {
+			var next []int
+			from := make([]int, n)
+			for v := 0; v < n; v++ {
+				from[v] = -1
+				if infected[v] {
+					continue
+				}
+				for _, u := range frontier {
+					if g.HasEdge(u, v) && ep.Prob(u, v) > 0 {
+						accum[v] += ep.Prob(u, v) * scale[v]
+						from[v] = u
+					}
+				}
+			}
+			for v := 0; v < n; v++ {
+				if u := from[v]; u >= 0 && accum[v] >= theta[v] {
+					infected[v] = true
+					times[v] = times[u] + rng.ExpFloat64()
+					c.Infections = append(c.Infections, Infection{Node: v, Round: round, Time: times[v], Parent: u})
+					next = append(next, v)
+				}
+			}
+			frontier = next
+		}
+		for _, inf := range c.Infections {
+			res.Statuses.Set(p, inf.Node, true)
+		}
+	}
+	return res
 }
 
 // TestSIRRecoveredStaysRecovered: in SIR a node is infected at most once —

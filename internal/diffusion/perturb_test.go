@@ -1,7 +1,9 @@
 package diffusion
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tends/internal/graph"
@@ -79,7 +81,65 @@ func TestPerturbTimestampsZeroSigma(t *testing.T) {
 }
 
 func TestPerturbTimestampsErrors(t *testing.T) {
-	if _, err := PerturbTimestamps(&Result{}, -1, rand.New(rand.NewSource(1))); err == nil {
-		t.Fatal("negative sigma should fail")
+	for _, sigma := range []float64{-1, math.NaN()} {
+		if _, err := PerturbTimestamps(&Result{}, sigma, rand.New(rand.NewSource(1))); err == nil {
+			t.Fatalf("sigma %v should fail", sigma)
+		}
+	}
+}
+
+// TestScenarioTimestampNoise: the timestamp stage at σ=0 draws nothing and
+// leaves the simulation as it is; at σ>0 it keeps the status matrix bit
+// for bit and moves only non-seed infection times.
+func TestScenarioTimestampNoise(t *testing.T) {
+	ep := scenarioNetwork(t, 41, 42)
+	cfg := Config{Alpha: 0.15, Beta: 30}
+	cleanRng, zeroRng := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	clean, err := SimulateScenario(ep, cfg, Scenario{}, cleanRng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, err := SimulateScenario(ep, cfg, Scenario{TimestampNoise: 0}, zeroRng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, zero.Result, clean.Result)
+	if cleanRng.Int63() != zeroRng.Int63() {
+		t.Fatal("σ=0 consumed RNG draws")
+	}
+
+	noisy, err := SimulateScenario(ep, cfg, Scenario{TimestampNoise: 2}, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(noisy.Statuses.ColumnData(), clean.Statuses.ColumnData()) {
+		t.Fatal("timestamp noise changed the status matrix")
+	}
+	moved := 0
+	for p, c := range noisy.Cascades {
+		want := clean.Cascades[p]
+		if !slices.Equal(c.Seeds, want.Seeds) || len(c.Infections) != len(want.Infections) {
+			t.Fatalf("process %d: trace shape changed", p)
+		}
+		for j, inf := range c.Infections {
+			w := want.Infections[j]
+			if inf.Node != w.Node || inf.Parent != w.Parent || inf.Round != w.Round {
+				t.Fatalf("process %d entry %d: identity changed", p, j)
+			}
+			if inf.Time != w.Time {
+				if w.Parent == -1 {
+					t.Fatalf("process %d: seed %d moved to t=%v", p, w.Node, inf.Time)
+				}
+				moved++
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("σ=2 moved no infection time")
+	}
+	for _, sigma := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := SimulateScenario(ep, cfg, Scenario{TimestampNoise: sigma}, rand.New(rand.NewSource(5))); err == nil {
+			t.Fatalf("timestamp noise %v accepted", sigma)
+		}
 	}
 }

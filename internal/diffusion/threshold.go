@@ -1,29 +1,14 @@
 package diffusion
 
 import (
-	"context"
 	"math/rand"
 	"sort"
 )
 
-// SimulateLT runs cfg.Beta diffusion processes under the Linear Threshold
-// model instead of independent cascades. Each node v draws a threshold
-// θ_v ~ U(0, 1) per process; an uninfected node becomes infected in a round
-// when the summed weights of its infected parents reach θ_v. Edge weights
-// are the propagation probabilities of ep normalized per node so that each
-// node's in-weights sum to at most 1 (the standard LT normalization).
-//
-// TENDS's derivation assumes nothing about the diffusion mechanism beyond
+// The Linear Threshold model (ModelLT) runs through SimulateScenario. TENDS's
+// derivation assumes nothing about the diffusion mechanism beyond
 // "infections are caused by parents", so LT observations exercise its
-// robustness to model mismatch; the experiments use this to test the
-// paper's applicability claim beyond the IC processes it evaluates on.
-func SimulateLT(ep *EdgeProbs, cfg Config, rng *rand.Rand) (*Result, error) {
-	sr, err := SimulateScenarioContext(context.Background(), ep, cfg, Scenario{Model: ModelLT}, rng)
-	if err != nil {
-		return nil, err
-	}
-	return sr.Result, nil
-}
+// robustness to model mismatch (Fig. 14).
 
 // ltInWeights computes each node's normalized in-weights: the propagation
 // probabilities of ep scaled per node so in-weights sum to at most 1 (the

@@ -7,11 +7,21 @@ import (
 	"tends/internal/graph"
 )
 
+// simulateLTScenario runs the Linear Threshold model through the scenario
+// engine and returns its observations.
+func simulateLTScenario(ep *EdgeProbs, cfg Config, rng *rand.Rand) (*Result, error) {
+	sr, err := SimulateScenario(ep, cfg, Scenario{Model: ModelLT}, rng)
+	if err != nil {
+		return nil, err
+	}
+	return sr.Result, nil
+}
+
 func TestSimulateLTBasics(t *testing.T) {
 	g := graph.Chain(10)
 	g.Symmetrize()
 	ep := UniformEdgeProbs(g, 0.5)
-	res, err := SimulateLT(ep, Config{Alpha: 0.1, Beta: 40}, rand.New(rand.NewSource(1)))
+	res, err := simulateLTScenario(ep, Config{Alpha: 0.1, Beta: 40}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +48,7 @@ func TestSimulateLTFullWeight(t *testing.T) {
 	// chain with probability ~1 infects everything downstream of the seed.
 	g := graph.Chain(6)
 	ep := UniformEdgeProbs(g, 0.999999)
-	res, err := SimulateLT(ep, Config{Alpha: 0.17, Beta: 30}, rand.New(rand.NewSource(2)))
+	res, err := simulateLTScenario(ep, Config{Alpha: 0.17, Beta: 30}, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +66,7 @@ func TestSimulateLTMonotoneInWeight(t *testing.T) {
 	g := graph.BalancedTree(63, 2)
 	count := func(p float64) int {
 		ep := UniformEdgeProbs(g, p)
-		res, err := SimulateLT(ep, Config{Alpha: 0.02, Beta: 150}, rand.New(rand.NewSource(3)))
+		res, err := simulateLTScenario(ep, Config{Alpha: 0.02, Beta: 150}, rand.New(rand.NewSource(3)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +89,7 @@ func TestSimulateLTDeterministic(t *testing.T) {
 	g := graph.GNM(40, 160, rand.New(rand.NewSource(4)))
 	run := func() *Result {
 		ep := NewEdgeProbs(g, 0.4, 0.05, rand.New(rand.NewSource(5)))
-		res, err := SimulateLT(ep, Config{Alpha: 0.1, Beta: 30}, rand.New(rand.NewSource(6)))
+		res, err := simulateLTScenario(ep, Config{Alpha: 0.1, Beta: 30}, rand.New(rand.NewSource(6)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,13 +114,13 @@ func TestSimulateLTErrors(t *testing.T) {
 		{Alpha: 1.2, Beta: 5},
 		{Alpha: 0.5, Beta: 0},
 	} {
-		if _, err := SimulateLT(ep, cfg, rng); err != nil {
+		if _, err := simulateLTScenario(ep, cfg, rng); err != nil {
 			continue
 		}
-		t.Fatalf("SimulateLT(%+v) should fail", cfg)
+		t.Fatalf("LT scenario %+v should fail", cfg)
 	}
 	empty := newEdgeProbs(graph.New(0))
-	if _, err := SimulateLT(empty, Config{Alpha: 0.5, Beta: 1}, rng); err == nil {
+	if _, err := simulateLTScenario(empty, Config{Alpha: 0.5, Beta: 1}, rng); err == nil {
 		t.Fatal("empty network should fail")
 	}
 }

@@ -10,9 +10,6 @@ import (
 	"time"
 
 	"tends/internal/chaos"
-	"tends/internal/diffusion"
-	"tends/internal/graph"
-	"tends/internal/metrics"
 	"tends/internal/obs"
 )
 
@@ -215,99 +212,6 @@ func TestChaosDelayPreservesResults(t *testing.T) {
 	sameMeasurements(t, base, ms)
 	if in.TotalDelays() == 0 {
 		t.Fatal("rate-1 delay site never fired")
-	}
-}
-
-// backoffDelay is a pure function: reproducible, exponential up to the
-// 2⁶ cap, jittered within ±25%.
-func TestBackoffDelayDeterministic(t *testing.T) {
-	if backoffDelay(0, 1, 0, 0, 1) != 0 {
-		t.Fatal("zero base must mean no backoff")
-	}
-	base := 10 * time.Millisecond
-	for attempt := 1; attempt <= 10; attempt++ {
-		d1 := backoffDelay(base, 42, 3, 1, attempt)
-		d2 := backoffDelay(base, 42, 3, 1, attempt)
-		if d1 != d2 {
-			t.Fatalf("attempt %d: backoff not deterministic: %v vs %v", attempt, d1, d2)
-		}
-		shift := attempt - 1
-		if shift > 6 {
-			shift = 6
-		}
-		lo := time.Duration(float64(base<<uint(shift)) * 0.75)
-		hi := time.Duration(float64(base<<uint(shift)) * 1.25)
-		if d1 < lo || d1 > hi {
-			t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d1, lo, hi)
-		}
-	}
-	if backoffDelay(base, 42, 3, 1, 1) == backoffDelay(base, 42, 3, 2, 1) {
-		t.Fatal("different tasks drew identical jitter; stream looks degenerate")
-	}
-}
-
-// Retry backoff delays the retry without changing its outcome, and a
-// cancelled run context interrupts the wait.
-func TestRetryBackoffRecovers(t *testing.T) {
-	base := int64(38)
-	network := failOnSeeds(cellSeed(base, 0, 0))
-	fig := Figure{
-		ID:         "FigBackoff",
-		Algorithms: []Algorithm{AlgoLIFT},
-		Points:     []Point{{Label: "p1", Workload: Workload{Network: network, Mu: 0.4, Alpha: 0.1, Beta: 60}}},
-	}
-	ms, rs, err := RunContext(context.Background(), fig, Config{Seed: base, Retries: 1, RetryBackoff: time.Millisecond}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms[0].Err != nil || rs.Retried != 1 || rs.Recovered != 1 {
-		t.Fatalf("backoff retry did not recover: %+v, %+v", ms[0], rs)
-	}
-	if !sleepCtx(context.Background(), 0) {
-		t.Fatal("zero sleep must succeed")
-	}
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if sleepCtx(cancelled, time.Hour) {
-		t.Fatal("cancelled sleep must report interruption")
-	}
-}
-
-// The circuit breaker stops retrying a cell class once BreakerThreshold of
-// its tasks have exhausted every attempt, and the skips are accounted.
-func TestBreakerStopsRetries(t *testing.T) {
-	const broken = Algorithm("BROKEN")
-	withAlgoHook(t, broken, func(ctx context.Context, g *graph.Directed, sim *diffusion.Result) (metrics.PRF, error) {
-		return metrics.PRF{}, errors.New("deterministically broken")
-	})
-	fig := tinyFigure([]Algorithm{broken})
-	fig.Points = fig.Points[:1]
-	rec := obs.New()
-	cfg := Config{Seed: 39, Repeats: 3, Retries: 2, Workers: 1, BreakerThreshold: 1, Obs: rec}
-	ms, rs, err := RunContext(context.Background(), fig, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms[0].Err == nil || ms[0].FailedRepeats != 3 {
-		t.Fatalf("broken cell should fail all repeats: %+v", ms[0])
-	}
-	// Repeat 0 burns 1+2 attempts and trips the breaker; repeats 1 and 2
-	// skip their 2 retries each.
-	if rs.Retried != 2 || rs.BreakerSkipped != 4 {
-		t.Fatalf("stats = %d retried / %d breaker-skipped, want 2/4", rs.Retried, rs.BreakerSkipped)
-	}
-	if got := rec.Snapshot().Counters["experiments/breaker_skipped"]; got != 4 {
-		t.Fatalf("breaker_skipped counter = %d, want 4", got)
-	}
-	// Breaker off: all 3 tasks retry fully.
-	cfg.BreakerThreshold = 0
-	cfg.Obs = nil
-	_, rs, err = RunContext(context.Background(), fig, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Retried != 6 || rs.BreakerSkipped != 0 {
-		t.Fatalf("breaker off: stats = %d retried / %d skipped, want 6/0", rs.Retried, rs.BreakerSkipped)
 	}
 }
 

@@ -54,6 +54,28 @@ const (
 	AlgoTENDSMI Algorithm = "TENDS-MI"
 )
 
+// tendsVariants resolves every TENDS algorithm name to its edit of the
+// point's core.Options: the default TENDS, traditional MI, and the design
+// choices the ablation studies toggle (see Studies).
+var tendsVariants = map[Algorithm]func(*core.Options){
+	AlgoTENDS:   func(*core.Options) {},
+	AlgoTENDSMI: func(o *core.Options) { o.TraditionalMI = true },
+	// Threshold selection: the paper's K-means, per-node K-means, FDR only.
+	"TENDS-KM":  func(o *core.Options) { o.ThresholdMethod = core.ThresholdKMeans },
+	"TENDS-KMN": func(o *core.Options) { o.ThresholdMethod = core.ThresholdKMeansPerNode },
+	"TENDS-FDR": func(o *core.Options) { o.ThresholdMethod = core.ThresholdFDR },
+	// Greedy search: Algorithm 1's literal static merge, the Theorem-2
+	// bound off, combinations capped at size 3 or 1, backward pruning.
+	"TENDS-STAT": func(o *core.Options) { o.StaticGreedy = true },
+	"TENDS-NOBD": func(o *core.Options) { o.DisableBound = true },
+	"TENDS-C3":   func(o *core.Options) { o.MaxComboSize = 3 },
+	"TENDS-C1":   func(o *core.Options) { o.MaxComboSize = 1 },
+	"TENDS-BP":   func(o *core.Options) { o.BackwardPrune = true },
+	// Penalty: BIC, or none (Theorem 1's monotone likelihood densifies).
+	"TENDS-BIC":  func(o *core.Options) { o.Penalty = core.PenaltyBIC },
+	"TENDS-NOPN": func(o *core.Options) { o.Penalty = core.PenaltyNone },
+}
+
 // DefaultAlgorithms is the comparison set of Figs. 1–9.
 var DefaultAlgorithms = []Algorithm{AlgoTENDS, AlgoNetRate, AlgoMulTree, AlgoLIFT}
 
@@ -198,18 +220,6 @@ type Config struct {
 	// takes precedence when it sets the same knob. Zero disables each.
 	NodeDeadline time.Duration
 	ComboBudget  int
-	// RetryBackoff is the base delay of the exponential backoff between
-	// retry attempts of one task: attempt k waits ~base×2^(k-1) (capped at
-	// base×2⁶) with ±25% seed-derived jitter. 0 retries immediately, as
-	// before. The wait respects run cancellation.
-	RetryBackoff time.Duration
-	// BreakerThreshold arms a per-(point, algorithm) circuit breaker: once
-	// that many tasks of one cell have exhausted every attempt and still
-	// failed, the cell's remaining tasks run their primary attempt but skip
-	// retries — a cell class that is deterministically broken stops burning
-	// retry budget. Trip order follows task completion order, so the breaker
-	// is deterministic at Workers=1 and best-effort above. 0 disables it.
-	BreakerThreshold int
 }
 
 // RunStats summarizes the fault-handling activity of one Run.
@@ -220,7 +230,6 @@ type RunStats struct {
 	CancelledCells int // cells with at least one repeat lost to run cancellation
 	Retried        int // retry attempts executed across all tasks
 	Recovered      int // failed tasks that later succeeded on a retry
-	BreakerSkipped int // retry attempts skipped by a tripped circuit breaker
 }
 
 // sharedWorkload generates a (point, repeat) workload — the network plus
@@ -429,7 +438,6 @@ func RunContext(ctx context.Context, fig Figure, cfg Config, progress io.Writer)
 	retriesC := rcd.Counter("experiments/retries")
 	recoveredC := rcd.Counter("experiments/recovered")
 	attemptsFailedC := rcd.Counter("experiments/attempts_failed")
-	breakerC := rcd.Counter("experiments/breaker_skipped")
 	degradedC := rcd.Counter("experiments/degraded_nodes")
 	taskHist := rcd.Histogram("experiments/task")
 
@@ -448,10 +456,7 @@ func RunContext(ctx context.Context, fig Figure, cfg Config, progress io.Writer)
 
 	emit := &orderedEmitter{progress: progress, figID: fig.ID, ready: make([]bool, nCells), restored: make([]bool, nCells)}
 
-	var retried, recovered, breakerSkipped atomic.Int64
-	// breakerTrips counts, per cell, the tasks that exhausted every attempt
-	// and still failed — the circuit breaker's trip signal.
-	breakerTrips := make([]int32, nCells)
+	var retried, recovered atomic.Int64
 	var journalMu sync.Mutex
 	var journalErr error // first checkpoint-append failure
 
@@ -544,18 +549,8 @@ func RunContext(ctx context.Context, fig Figure, cfg Config, progress io.Writer)
 		noteFail(r.err)
 		// Retries: deterministic because the attempt sequence runs inside
 		// the owning task, each with its own derived seed and fresh
-		// workload. Run-level cancellation is never retried, and a tripped
-		// circuit breaker (BreakerThreshold tasks of this cell already
-		// failed all their attempts) stops retrying the cell's class.
+		// workload. Run-level cancellation is never retried.
 		for attempt := 1; r.err != nil && attempt <= cfg.Retries && ctx.Err() == nil; attempt++ {
-			if cfg.BreakerThreshold > 0 && atomic.LoadInt32(&breakerTrips[ci]) >= int32(cfg.BreakerThreshold) {
-				breakerSkipped.Add(int64(cfg.Retries - attempt + 1))
-				breakerC.Add(int64(cfg.Retries - attempt + 1))
-				break
-			}
-			if !sleepCtx(ctx, backoffDelay(cfg.RetryBackoff, cfg.Seed, pi, rep, attempt)) {
-				break
-			}
 			retried.Add(1)
 			retriesC.Inc()
 			var fresh sharedWorkload
@@ -566,9 +561,6 @@ func RunContext(ctx context.Context, fig Figure, cfg Config, progress io.Writer)
 				recovered.Add(1)
 				recoveredC.Inc()
 			}
-		}
-		if r.err != nil && !errors.Is(r.err, context.Canceled) {
-			atomic.AddInt32(&breakerTrips[ci], 1)
 		}
 		r.ran = true
 		if atomic.AddInt32(&remaining[ci], -1) == 0 {
@@ -663,7 +655,6 @@ func RunContext(ctx context.Context, fig Figure, cfg Config, progress io.Writer)
 
 	rs.Retried = int(retried.Load())
 	rs.Recovered = int(recovered.Load())
-	rs.BreakerSkipped = int(breakerSkipped.Load())
 	for ci := range ms {
 		if ms[ci].Err == nil {
 			continue
@@ -782,15 +773,12 @@ func inferAlgo(ctx context.Context, cfg Config, pt *Point, algo Algorithm, g *gr
 		}
 		return func() metrics.PRF { return metrics.Score(g, inferred) }, degraded, nil
 	}
-	switch algo {
-	case AlgoTENDS, AlgoTENDSMI:
+	if edit, ok := tendsVariants[algo]; ok {
 		opt := core.Options{}
 		if pt.TENDSOptions != nil {
 			opt = *pt.TENDSOptions
 		}
-		if algo == AlgoTENDSMI {
-			opt.TraditionalMI = true
-		}
+		edit(&opt)
 		// The run-level degradation knobs apply wherever the point's own
 		// override leaves them unset.
 		if opt.NodeDeadline == 0 {
@@ -804,6 +792,8 @@ func inferAlgo(ctx context.Context, cfg Config, pt *Point, algo Algorithm, g *gr
 			return nil, 0, err
 		}
 		return score(res.Graph, len(res.Degraded))
+	}
+	switch algo {
 	case AlgoNetRate:
 		if pt.Influence != nil {
 			// NetRate yields weighted edges, not a committed edge set; the

@@ -23,14 +23,7 @@ func Fig12Missing() Figure {
 		ScenarioSweep: "missing",
 	}
 	for _, rate := range []float64{0, 0.1, 0.2, 0.3, 0.4} {
-		fig.Points = append(fig.Points, Point{
-			Label: fmt.Sprintf("miss=%.1f", rate),
-			Workload: Workload{
-				Network: netSciNetwork,
-				Mu:      DefaultMu, Alpha: DefaultAlpha, Beta: DefaultBeta,
-				Scenario: diffusion.Scenario{Missing: rate},
-			},
-		})
+		fig.Points = append(fig.Points, netSciPoint(fmt.Sprintf("miss=%.1f", rate), diffusion.Scenario{Missing: rate}))
 	}
 	return fig
 }
@@ -46,14 +39,7 @@ func Fig13Uncertain() Figure {
 		ScenarioSweep: "uncertain",
 	}
 	for _, rate := range []float64{0, 0.1, 0.2, 0.3, 0.4} {
-		fig.Points = append(fig.Points, Point{
-			Label: fmt.Sprintf("unc=%.1f", rate),
-			Workload: Workload{
-				Network: netSciNetwork,
-				Mu:      DefaultMu, Alpha: DefaultAlpha, Beta: DefaultBeta,
-				Scenario: diffusion.Scenario{Uncertain: rate},
-			},
-		})
+		fig.Points = append(fig.Points, netSciPoint(fmt.Sprintf("unc=%.1f", rate), diffusion.Scenario{Uncertain: rate}))
 	}
 	return fig
 }
@@ -75,14 +61,7 @@ func Fig14Models() Figure {
 		{Model: diffusion.ModelSIS, Recovery: 0.5, Reinfection: 0.3},
 	}
 	for _, sc := range scenarios {
-		fig.Points = append(fig.Points, Point{
-			Label: string(sc.Model),
-			Workload: Workload{
-				Network: netSciNetwork,
-				Mu:      DefaultMu, Alpha: DefaultAlpha, Beta: DefaultBeta,
-				Scenario: sc,
-			},
-		})
+		fig.Points = append(fig.Points, netSciPoint(string(sc.Model), sc))
 	}
 	return fig
 }
@@ -98,14 +77,7 @@ func Fig15Delays() Figure {
 		ScenarioSweep: "delay",
 	}
 	for _, law := range diffusion.DelayModels() {
-		fig.Points = append(fig.Points, Point{
-			Label: string(law),
-			Workload: Workload{
-				Network: netSciNetwork,
-				Mu:      DefaultMu, Alpha: DefaultAlpha, Beta: DefaultBeta,
-				Scenario: diffusion.Scenario{Delay: law},
-			},
-		})
+		fig.Points = append(fig.Points, netSciPoint(string(law), diffusion.Scenario{Delay: law}))
 	}
 	return fig
 }

@@ -1,10 +1,5 @@
 package experiments
 
-import (
-	"context"
-	"time"
-)
-
 // splitmix64 is the SplitMix64 finalizer: a bijective avalanche mix whose
 // outputs pass BigCrush even on sequential inputs.
 func splitmix64(x uint64) uint64 {
@@ -42,46 +37,4 @@ func retrySeed(base int64, point, rep, attempt int) int64 {
 	h = splitmix64(h ^ uint64(rep))
 	h = splitmix64(h ^ uint64(attempt))
 	return int64(h)
-}
-
-// backoffSeedTag separates the jitter stream from the seed streams above.
-const backoffSeedTag = 0x0ff5_e7b4_c0ff_ee11
-
-// backoffDelay is the wait before retry attempt ≥ 1 of one (point, repeat)
-// task: exponential in the attempt number (capped at base×2⁶) with ±25%
-// jitter drawn from the task's own SplitMix64 stream — deterministic like
-// every other per-task decision, yet de-synchronized across tasks so a
-// burst of failures does not retry in lockstep.
-func backoffDelay(base time.Duration, seed int64, point, rep, attempt int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	shift := attempt - 1
-	if shift > 6 {
-		shift = 6
-	}
-	d := base << uint(shift)
-	h := splitmix64(uint64(seed) ^ backoffSeedTag)
-	h = splitmix64(h ^ uint64(point))
-	h = splitmix64(h ^ uint64(rep))
-	h = splitmix64(h ^ uint64(attempt))
-	// Map the top 53 bits onto [0.75, 1.25).
-	jitter := 0.75 + float64(h>>11)*(1.0/(1<<53))*0.5
-	return time.Duration(float64(d) * jitter)
-}
-
-// sleepCtx sleeps for d or until ctx is done, reporting whether the full
-// sleep elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
