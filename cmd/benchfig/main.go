@@ -45,15 +45,11 @@
 // names the missing indices; -merge-degraded merges an incomplete set into
 // the partial topology plus an explicit missing-node report (exit 3).
 //
-// Supervised distributed runs launch, monitor, and heal the shard workers
-// in one command — crashed or stalled workers restart with node-level journal
-// resume, stragglers get hedged duplicate launches, and a shard that exhausts
-// its retry budget degrades the merge instead of failing it:
+// A shard that dies mid-run is rerun with the same -shard i/k -checkpoint
+// and -shard-resume: the journal's intact node records are kept (a torn tail
+// is truncated first) and only the remaining nodes are searched.
 //
-//	benchfig -scale -scale-n 100000 -sparse -supervise 4
-//	benchfig -scale -supervise 4 -shard-retries 3 -shard-deadline 10m -stall-timeout 30s
-//	benchfig -scale -supervise 4 -hedge-after 2m -supervise-report report.json
-//	benchfig -scale -supervise 4 -chaos "supervise.worker.kill=0.05" -chaos-seed 7
+//	benchfig -scale -scale-n 100000 -sparse -shard 1/4 -checkpoint shard-1.journal -shard-resume
 //
 // Each (point, repeat) workload is generated once and shared by every
 // compared algorithm; -workers bounds how many (point, repeat, algorithm)
@@ -170,7 +166,7 @@ func main() {
 	registerScaleFlags(&s)
 	flag.Parse()
 
-	if s.run || s.shardSpec != "" || s.mergeSpec != "" || s.superviseK > 0 {
+	if s.run || s.shardSpec != "" || s.mergeSpec != "" {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		code, err := runScale(ctx, o, s)

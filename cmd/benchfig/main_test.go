@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -178,17 +179,8 @@ func TestResumeHealsTornTail(t *testing.T) {
 func TestMergeRefusesFlippedShardJournal(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	o := runOpts{seed: 4, workers: 2, quiet: true}
-	s := scaleOpts{run: true, n: 60, beta: 32, deg: 10, exp: 2, mixing: 0.1, seeds: 4, mu: 0.08, sparse: true}
-	paths := make([]string, 2)
-	for shard := range paths {
-		paths[shard] = filepath.Join(dir, fmt.Sprintf("shard-%d.journal", shard))
-		so, oo := s, o
-		so.shardSpec, oo.checkpoint = fmt.Sprintf("%d/2", shard), paths[shard]
-		if code, err := runScale(ctx, oo, so); err != nil || code != exitOK {
-			t.Fatalf("shard %d: exit %d, %v", shard, code, err)
-		}
-	}
+	o, s := smallScaleRun()
+	paths := runShards(t, dir, o, s)
 	merge := s
 	merge.mergeSpec = filepath.Join(dir, "shard-*.journal")
 	if code, err := runScale(ctx, o, merge); err != nil || code != exitOK {
@@ -252,6 +244,148 @@ func TestMergeRefusesFlippedShardJournal(t *testing.T) {
 	degraded.mergeDegraded = true
 	if code, err := runScale(ctx, o, degraded); err != nil || code != exitFailedCells {
 		t.Fatalf("degraded merge: exit %d, %v; want %d", code, err, exitFailedCells)
+	}
+}
+
+// smallScaleRun is the n=60 scale configuration the shard tests split in
+// two.
+func smallScaleRun() (runOpts, scaleOpts) {
+	return runOpts{seed: 4, workers: 2, quiet: true},
+		scaleOpts{run: true, n: 60, beta: 32, deg: 10, exp: 2, mixing: 0.1, seeds: 4, mu: 0.08, sparse: true}
+}
+
+// runShards runs both shards of a 2-way split through the -shard mode,
+// journaling shard i to dir/shard-i.journal, and returns the paths.
+func runShards(t *testing.T, dir string, o runOpts, s scaleOpts) []string {
+	t.Helper()
+	paths := make([]string, 2)
+	for shard := range paths {
+		paths[shard] = filepath.Join(dir, fmt.Sprintf("shard-%d.journal", shard))
+		so, oo := s, o
+		so.shardSpec, oo.checkpoint = fmt.Sprintf("%d/2", shard), paths[shard]
+		if code, err := runScale(context.Background(), oo, so); err != nil || code != exitOK {
+			t.Fatalf("shard %d: exit %d, %v", shard, code, err)
+		}
+	}
+	return paths
+}
+
+// mergeShards is the strict merge of the -merge mode, returning the merged
+// topology instead of printing it.
+func mergeShards(t *testing.T, o runOpts, s scaleOpts, paths []string) *experiments.MergedScaleResult {
+	t.Helper()
+	headers, nodes, err := loadShardJournals(paths, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := experiments.MergeScaleShards(context.Background(), s.config(o), headers, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return merged
+}
+
+// TestShardResumeAndGappedMerge recovers a shard by hand: a journal cut
+// mid-record is continued by rerunning -shard 1/2 -shard-resume, and the
+// merge equals the clean one. With shard 1's journal gone, the strict merge
+// exits 1 naming the missing index and -merge-degraded exits 3.
+func TestShardResumeAndGappedMerge(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	o, s := smallScaleRun()
+	paths := runShards(t, dir, o, s)
+	clean := mergeShards(t, o, s, paths)
+
+	// Cut shard 1's journal in the middle of its middle record, as a kill
+	// mid-append would.
+	data, err := os.ReadFile(paths[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs [][]byte
+	if _, _, err := journal.Scan(data, "shard", func(rec []byte) error {
+		recs = append(recs, rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mid := recs[len(recs)/2]
+	cut := cap(data) - cap(mid) + len(mid)/2 // mid aliases data
+	if err := os.WriteFile(paths[1], data[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resume, so := o, s
+	resume.checkpoint, resume.obsJSON = paths[1], filepath.Join(dir, "resume.json")
+	so.shardSpec, so.shardResume = "1/2", true
+	if code, err := runScale(ctx, resume, so); err != nil || code != exitOK {
+		t.Fatalf("resumed shard: exit %d, %v", code, err)
+	}
+	f, err := os.Open(resume.obsJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := obs.ReadSnapshot(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := snap.Counters; c["scale/resume/continued"] != 1 || c["scale/resume/torn_tail_bytes"] == 0 || c["scale/resume/nodes_skipped"] == 0 {
+		t.Fatalf("resume counters %v: the rerun did not continue the cut journal", c)
+	}
+	got := mergeShards(t, o, s, paths)
+	if got.Threshold != clean.Threshold || got.Graph.NumEdges() != clean.Graph.NumEdges() ||
+		got.Score != clean.Score || !reflect.DeepEqual(got.Parents, clean.Parents) {
+		t.Fatalf("resumed merge τ=%v edges=%d %+v, clean merge τ=%v edges=%d %+v",
+			got.Threshold, got.Graph.NumEdges(), got.Score, clean.Threshold, clean.Graph.NumEdges(), clean.Score)
+	}
+
+	if err := os.Remove(paths[1]); err != nil {
+		t.Fatal(err)
+	}
+	merge := s
+	merge.mergeSpec = filepath.Join(dir, "shard-*.journal")
+	code, err := runScale(ctx, o, merge)
+	if code != exitErr || err == nil || !strings.Contains(err.Error(), "missing indices [1]") {
+		t.Fatalf("strict merge of a gapped set: exit %d, err %v; want exit %d naming missing indices [1]", code, err, exitErr)
+	}
+	merge.mergeDegraded = true
+	if code, err := runScale(ctx, o, merge); err != nil || code != exitFailedCells {
+		t.Fatalf("degraded merge of a gapped set: exit %d, %v; want %d", code, err, exitFailedCells)
+	}
+}
+
+// TestRunScaleValidation: a scale flag the chosen mode would ignore is a
+// usage error, not a silent full run.
+func TestRunScaleValidation(t *testing.T) {
+	dir := t.TempDir()
+	journalPath := filepath.Join(dir, "x.journal")
+	o, s := smallScaleRun()
+	for name, tc := range map[string]func(*runOpts, *scaleOpts){
+		"shard-resume without shard":   func(o *runOpts, s *scaleOpts) { s.shardResume = true },
+		"merge-degraded without merge": func(o *runOpts, s *scaleOpts) { s.mergeDegraded = true },
+		"checkpoint in a full run":     func(o *runOpts, s *scaleOpts) { o.checkpoint = journalPath },
+		"resume in a full run":         func(o *runOpts, s *scaleOpts) { o.resume = journalPath },
+		"resume-strict in a full run":  func(o *runOpts, s *scaleOpts) { o.resumeStrict = true },
+		"checkpoint with merge": func(o *runOpts, s *scaleOpts) {
+			o.checkpoint, s.mergeSpec = journalPath, filepath.Join(dir, "shard-*.journal")
+		},
+		"resume with shard": func(o *runOpts, s *scaleOpts) {
+			o.checkpoint, o.resume, s.shardSpec = journalPath, journalPath, "0/2"
+		},
+		"shard with merge": func(o *runOpts, s *scaleOpts) {
+			o.checkpoint, s.shardSpec, s.mergeSpec = journalPath, "0/2", filepath.Join(dir, "shard-*.journal")
+		},
+	} {
+		oo, so := o, s
+		tc(&oo, &so)
+		code, err := runScale(context.Background(), oo, so)
+		if code != exitErr || err == nil || !strings.Contains(err.Error(), "usage:") {
+			t.Errorf("%s: exit %d, err %v; want a usage error", name, code, err)
+		}
+		if _, err := os.Stat(journalPath); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s wrote %s", name, journalPath)
+			os.Remove(journalPath)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -20,9 +19,8 @@ import (
 // runs one large-n LFR point end to end instead of regenerating a figure.
 // The workload is derived deterministically from -seed, so independent
 // processes can each run one shard (-shard i/k) and their journals merge
-// (-merge) into the same topology an unsharded run would produce — and the
-// -supervise mode launches, monitors, restarts, and merges those shard
-// workers itself.
+// (-merge) into the same topology an unsharded run would produce; a lost
+// shard reruns with -shard i/k -shard-resume and continues its journal.
 type scaleOpts struct {
 	run       bool
 	n         int
@@ -36,22 +34,8 @@ type scaleOpts struct {
 	shardSpec string
 	mergeSpec string
 
-	// Supervised-run flags (the -supervise family).
-	superviseK      int
-	shardDeadline   time.Duration
-	shardRetries    int
-	hedgeAfter      time.Duration
-	stallTimeout    time.Duration
-	pollEvery       time.Duration
-	superviseDir    string
-	superviseReport string
-
-	// Worker-side flags the supervisor passes to its shard subprocesses.
-	shardResume  bool
-	shardAttempt int
-
-	// Merge-side degradation switch.
-	mergeDegraded bool
+	shardResume   bool // -shard: continue the partial journal at -checkpoint
+	mergeDegraded bool // -merge: accept an incomplete shard set
 }
 
 func registerScaleFlags(s *scaleOpts) {
@@ -66,16 +50,7 @@ func registerScaleFlags(s *scaleOpts) {
 	flag.BoolVar(&s.sparse, "sparse", false, "use the sparse candidate engine (bit-identical results, sub-quadratic pairwise stage)")
 	flag.StringVar(&s.shardSpec, "shard", "", `run one shard of the scale study, e.g. "0/4"; requires -checkpoint for the shard journal`)
 	flag.StringVar(&s.mergeSpec, "merge", "", `comma-separated shard journals (globs allowed, e.g. 'shards/*.journal') to merge into the final topology`)
-	flag.IntVar(&s.superviseK, "supervise", 0, "supervise k shard worker subprocesses end to end: launch, monitor, restart, resume, hedge, and merge (requires -scale)")
-	flag.DurationVar(&s.shardDeadline, "shard-deadline", 0, "supervise: kill and retry a shard attempt running longer than this (0 = none)")
-	flag.IntVar(&s.shardRetries, "shard-retries", 2, "supervise: restarts granted to a failed shard before the merge degrades without it")
-	flag.DurationVar(&s.hedgeAfter, "hedge-after", 0, "supervise: launch a hedged duplicate of a shard attempt still running after this long (0 = never)")
-	flag.DurationVar(&s.stallTimeout, "stall-timeout", 0, "supervise: kill a shard whose journal has not grown for this long (0 = no stall detection)")
-	flag.DurationVar(&s.pollEvery, "shard-poll", 0, "supervise: journal heartbeat poll interval (0 = 25ms)")
-	flag.StringVar(&s.superviseDir, "supervise-dir", "", "supervise: directory for the shard journals (default: a fresh supervise-shards dir)")
-	flag.StringVar(&s.superviseReport, "supervise-report", "", "supervise: write the structured run report (per-shard outcomes, merge accounting, counters) as JSON to this file")
-	flag.BoolVar(&s.shardResume, "shard-resume", false, "shard worker: continue the partial journal at -checkpoint (torn tails truncated; corrupt journals restart fresh)")
-	flag.IntVar(&s.shardAttempt, "shard-attempt", 0, "shard worker: supervisor attempt number (keys the chaos decision scope per restart)")
+	flag.BoolVar(&s.shardResume, "shard-resume", false, "shard: continue the partial journal at -checkpoint (torn tails truncated; corrupt journals restart fresh)")
 	flag.BoolVar(&s.mergeDegraded, "merge-degraded", false, "merge: accept an incomplete shard set and produce the partial topology plus a missing-node report")
 }
 
@@ -171,17 +146,39 @@ func loadShardJournals(paths []string, strict, degraded bool) ([]*experiments.Sh
 	return headers, nodes, nil
 }
 
-// runScale executes the scale study in one of four modes: a full run, one
-// shard of k (journaled incrementally to -checkpoint, resumable), a merge
-// of shard journals, or a supervised k-shard run.
+// validate rejects the scale flags the chosen mode would silently ignore.
+func (s scaleOpts) validate(o runOpts) error {
+	switch {
+	case s.shardSpec != "" && s.mergeSpec != "":
+		return fmt.Errorf("usage: -shard runs one shard and -merge merges finished ones; pass one of them")
+	case s.shardResume && s.shardSpec == "":
+		return fmt.Errorf("usage: -shard-resume continues a shard journal and needs -shard")
+	case s.mergeDegraded && s.mergeSpec == "":
+		return fmt.Errorf("usage: -merge-degraded needs -merge")
+	case o.resume != "":
+		return fmt.Errorf("usage: -resume continues a figure run; a scale shard resumes with -shard i/k -shard-resume")
+	case o.checkpoint != "" && s.shardSpec == "":
+		return fmt.Errorf("usage: -checkpoint in a scale run names a shard journal and needs -shard")
+	case o.resumeStrict && s.mergeSpec == "":
+		return fmt.Errorf("usage: -resume-strict in a scale run applies to -merge")
+	}
+	return nil
+}
+
+// runScale executes the scale study in one of three modes: a full run, one
+// shard of k (journaled incrementally to -checkpoint, resumable), or a
+// merge of shard journals.
 func runScale(ctx context.Context, o runOpts, s scaleOpts) (int, error) {
+	if err := s.validate(o); err != nil {
+		return exitErr, err
+	}
 	cfg := s.config(o)
 	injector, err := scaleInjector(o)
 	if err != nil {
 		return exitErr, err
 	}
 	var rec *obs.Recorder
-	if o.obsJSON != "" || s.superviseReport != "" {
+	if o.obsJSON != "" {
 		rec = obs.New()
 		cfg.Obs = rec
 	}
@@ -204,16 +201,6 @@ func runScale(ctx context.Context, o runOpts, s scaleOpts) (int, error) {
 	}
 
 	switch {
-	case s.superviseK > 0:
-		if !s.run {
-			return exitErr, fmt.Errorf("usage: -supervise requires -scale")
-		}
-		code, err := runSupervised(ctx, o, s, cfg, injector, rec)
-		if werr := writeObs(); err == nil && werr != nil {
-			return exitErr, werr
-		}
-		return code, err
-
 	case s.mergeSpec != "":
 		paths, err := expandMergeSpec(s.mergeSpec)
 		if err != nil {
@@ -262,7 +249,6 @@ func runScale(ctx context.Context, o runOpts, s scaleOpts) (int, error) {
 			return exitErr, fmt.Errorf("usage: -shard requires -checkpoint for the shard journal")
 		}
 		cfg.ShardIndex, cfg.ShardCount = idx, count
-		cfg.Attempt = s.shardAttempt
 		res, err := experiments.RunShardWorker(ctx, cfg, o.checkpoint, s.shardResume)
 		if err != nil {
 			return exitErr, err
@@ -297,10 +283,4 @@ func printDegradedMerge(cfg experiments.ScaleConfig, merged *experiments.MergedS
 		fmt.Fprintf(os.Stderr, "benchfig: degraded merge: missing shards %v; %d of %d nodes merged, %d missing\n",
 			rep.MissingShards, rep.MergedNodes, rep.N, len(rep.MissingNodes))
 	}
-}
-
-// itoa and ftoa shorten the worker argv construction.
-func itoa(v int) string { return strconv.Itoa(v) }
-func ftoa(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

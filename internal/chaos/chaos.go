@@ -70,23 +70,6 @@ const (
 	// SiteRecompute fires once per background recompute cycle, before the
 	// node-local parent searches run.
 	SiteRecompute = "serve.recompute"
-
-	// The shard-supervisor sites (internal/supervise and the supervised
-	// worker path in internal/experiments). They exercise the supervisor's
-	// recovery machinery — restart with node-level resume, stall detection,
-	// and hedged re-launch — without ever corrupting journal state.
-	//
-	// SiteWorkerKill fires on the supervisor side, once per heartbeat poll of
-	// a live worker; an injected error kills that worker (SIGKILL for
-	// subprocess workers), simulating a crashed shard.
-	SiteWorkerKill = "supervise.worker.kill"
-	// SiteJournalStall fires on the worker side, once per node appended to
-	// the shard journal: a delay stalls the append (the supervisor sees a
-	// frozen journal) and an error crashes the worker mid-append.
-	SiteJournalStall = "supervise.journal.stall"
-	// SiteShardSlow fires on the worker side, once per node searched; a
-	// delay turns the shard into a straggler so hedging kicks in.
-	SiteShardSlow = "supervise.shard.slow"
 )
 
 // Sites returns every known injection site in declaration order.
@@ -104,9 +87,6 @@ func Sites() []string {
 		SiteWALSync,
 		SiteIngestDecode,
 		SiteRecompute,
-		SiteWorkerKill,
-		SiteJournalStall,
-		SiteShardSlow,
 	}
 }
 

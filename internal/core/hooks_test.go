@@ -10,7 +10,7 @@ import (
 	"tends/internal/graph"
 )
 
-// TestInferSkipNodes checks the supervisor's resume primitive: skipped nodes
+// TestInferSkipNodes checks the shard resume primitive: skipped nodes
 // keep empty parent sets without being reported degraded, and every other
 // node's answer is identical to a run without skips.
 func TestInferSkipNodes(t *testing.T) {

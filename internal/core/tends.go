@@ -131,16 +131,16 @@ type Options struct {
 
 	// SkipNodes marks nodes whose parent-set search is skipped entirely:
 	// they keep empty parent sets and are NOT reported in Result.Degraded.
-	// The supervisor's node-level resume uses it to continue a killed shard
-	// from its partial journal — already-journaled nodes are skipped and
-	// their recorded parents folded back in by the caller. Indices outside
-	// [0, n) are ignored.
+	// A resumed scale shard (-shard-resume) uses it to continue a killed
+	// shard from its partial journal — already-journaled nodes are skipped
+	// and their recorded parents folded back in by the caller. Indices
+	// outside [0, n) are ignored.
 	SkipNodes map[int]bool
 
 	// OnSearchStart, when non-nil, is called once after threshold selection
 	// and before any parent-set search, with the global pruning threshold
 	// the search will use. A returned error aborts the inference. The
-	// supervised shard worker uses it to write (or cross-check) its journal
+	// scale shard worker uses it to write (or cross-check) its journal
 	// header — the header carries τ, which is only known here — before node
 	// records start streaming.
 	OnSearchStart func(threshold float64) error
@@ -151,8 +151,8 @@ type Options struct {
 	// the callback must be safe for concurrent use. The first returned
 	// error cancels the remaining search and fails the inference (unless
 	// degradation is enabled, in which case the error still fails the
-	// inference after the degraded search drains). The supervised shard
-	// worker uses it to journal each node as soon as it completes.
+	// inference after the degraded search drains). The scale shard worker
+	// uses it to journal each node as soon as it completes.
 	OnNodeDone func(node int, parents []int) error
 
 	// ShardIndex/ShardCount split the node-local parent search across

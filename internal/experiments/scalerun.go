@@ -48,8 +48,7 @@ type ScaleConfig struct {
 	// header is written as soon as the threshold is selected (core's
 	// OnSearchStart hook) and each node's parents as soon as its search
 	// completes (OnNodeDone) — so a killed worker leaves a resumable partial
-	// journal instead of nothing. The journal passes through the chaos
-	// SiteJournalStall/SiteShardSlow sites when an injector is attached.
+	// journal instead of nothing, which -shard-resume continues.
 	Journal *ShardJournal
 
 	// ResumeHeader/ResumeNodes continue a partial shard journal: nodes
@@ -61,11 +60,6 @@ type ScaleConfig struct {
 	// is appended to it, with no second header).
 	ResumeHeader *ShardHeader
 	ResumeNodes  map[int][]int
-
-	// Attempt distinguishes supervisor restarts of the same shard in the
-	// chaos decision stream: each attempt opens a fresh scope, so an
-	// injected fault does not deterministically recur on every retry.
-	Attempt int
 
 	Obs *obs.Recorder // optional observability stream
 }
@@ -175,11 +169,10 @@ func RunScale(ctx context.Context, cfg ScaleConfig) (*ScaleResult, error) {
 	if cfg.Obs != nil {
 		ctx = obs.With(ctx, cfg.Obs)
 	}
-	// Each (shard, attempt) pair is its own chaos decision scope: the fault
-	// sequence is reproducible at any worker count, and a restart draws a
-	// fresh stream instead of deterministically re-hitting the same fault.
+	// Each shard is its own chaos decision scope, so the fault sequence is
+	// reproducible at any worker count.
 	ctx = chaos.WithScope(ctx, chaos.Tag(cfg.Seed, "scale.shard",
-		fmt.Sprintf("%d/%d", cfg.ShardIndex, cfg.ShardCount), fmt.Sprintf("attempt%d", cfg.Attempt)))
+		fmt.Sprintf("%d/%d", cfg.ShardIndex, cfg.ShardCount)))
 	t0 := time.Now()
 	truth, statuses, err := BuildScaleWorkload(ctx, cfg)
 	if err != nil {
@@ -229,14 +222,6 @@ func RunScale(ctx context.Context, cfg ScaleConfig) (*ScaleResult, error) {
 			})
 		}
 		opt.OnNodeDone = func(node int, parents []int) error {
-			// The straggler site slows the shard down (hedging fodder); the
-			// stall site freezes or crashes the append itself.
-			if err := chaos.Maybe(ctx, chaos.SiteShardSlow); err != nil {
-				return err
-			}
-			if err := chaos.Maybe(ctx, chaos.SiteJournalStall); err != nil {
-				return err
-			}
 			if err := cfg.Journal.AppendNode(node, parents); err != nil {
 				return err
 			}
@@ -266,16 +251,14 @@ func RunScale(ctx context.Context, cfg ScaleConfig) (*ScaleResult, error) {
 	return res, nil
 }
 
-// RunShardWorker runs one supervised shard attempt end to end: open (or
-// resume) the shard journal at path, run the shard with incremental
-// journaling, and close the journal. With resume set, a partial journal at
-// path is continued node-for-node — a torn tail (the writer was killed
-// mid-append) is truncated away first; a journal corrupted beyond that, or
-// absent, is replaced and the shard restarts from scratch (self-healing:
-// the supervisor's retry budget is better spent redoing work than dying on
-// an unreadable file). This is exactly the body of benchfig's
-// -shard -shard-resume worker mode; the supervisor's in-process launcher
-// calls it directly.
+// RunShardWorker runs one shard end to end: open (or resume) the shard
+// journal at path, run the shard with incremental journaling, and close the
+// journal. With resume set, a partial journal at path is continued
+// node-for-node — a torn tail (the writer was killed mid-append) is
+// truncated away first; a journal corrupted beyond that, or absent, is
+// replaced and the shard restarts from scratch, since redoing the shard
+// beats dying on an unreadable file. This is the body of benchfig's
+// -shard [-shard-resume] mode.
 func RunShardWorker(ctx context.Context, cfg ScaleConfig, path string, resume bool) (*ScaleResult, error) {
 	if resume {
 		rs, err := OpenShardResume(path)

@@ -218,19 +218,10 @@ func MergeShardJournals(headers []*ShardHeader, nodes []map[int][]int) ([][]int,
 	return parents, ref, nil
 }
 
-// ShardOwnedNodes is how many of n nodes shard index owns under i-mod-count
-// ownership.
-func ShardOwnedNodes(n, index, count int) int {
-	if count < 1 {
-		count = 1
-	}
-	return (n - index + count - 1) / count
-}
-
 // MergeReport is the structured accounting of a degraded merge: which
 // shards contributed, which are absent, and exactly which nodes the partial
-// topology is missing — the supervisor's analogue of core's Degraded
-// report. MergedNodes + len(MissingNodes) always equals N.
+// topology is missing — the merge's analogue of core's Degraded report.
+// MergedNodes + len(MissingNodes) always equals N.
 type MergeReport struct {
 	N             int   `json:"n"`
 	ShardCount    int   `json:"shard_count"`
@@ -244,9 +235,9 @@ type MergeReport struct {
 // MergeShardJournalsDegraded composes whatever shard journals survived into
 // the best partial topology available, with an explicit report of what is
 // missing. Unlike the strict MergeShardJournals it tolerates absent shards,
-// truncated journals, and duplicate shard indices (hedged attempts produce
-// two journals for one shard; node results are deterministic, so duplicates
-// must agree — disagreement is still a hard error, as are mismatched run
+// truncated journals, and duplicate shard indices (a shard rerun into a
+// second journal leaves two for one shard; node results are deterministic,
+// so duplicates must agree — disagreement is still a hard error, as are mismatched run
 // identities and thresholds). Missing nodes keep empty parent sets in the
 // returned array and are listed, ascending, in the report.
 func MergeShardJournalsDegraded(headers []*ShardHeader, nodes []map[int][]int) ([][]int, *ShardHeader, *MergeReport, error) {

@@ -70,8 +70,8 @@ func TestLoadShardJournalTornTail(t *testing.T) {
 	if warn == nil || !warn.Torn || warn.Offset != int64(last) {
 		t.Fatalf("torn tail not classified: %+v", warn)
 	}
-	if len(nodes) != ShardOwnedNodes(cfg.N, 0, 2)-1 {
-		t.Fatalf("torn journal kept %d nodes, want %d", len(nodes), ShardOwnedNodes(cfg.N, 0, 2)-1)
+	if len(nodes) != shardOwnedNodes(cfg.N, 0, 2)-1 {
+		t.Fatalf("torn journal kept %d nodes, want %d", len(nodes), shardOwnedNodes(cfg.N, 0, 2)-1)
 	}
 	if b, _ := os.ReadFile(torn); len(b) != last+5 {
 		t.Fatal("load modified the journal")
@@ -229,7 +229,7 @@ func sameJournal(t *testing.T, got, want string) string {
 	return ""
 }
 
-// TestRunShardWorkerResume checks the worker-level contract the supervisor
+// TestRunShardWorkerResume checks the contract -shard -shard-resume
 // depends on: a shard whose journal was cut mid-run continues node-for-node
 // and ends with the same header and node records as an uninterrupted worker
 // run, and a journal with mid-file damage restarts fresh.
@@ -334,11 +334,11 @@ func TestMergeShardJournalsDegraded(t *testing.T) {
 			t.Fatalf("missing node %d has parents %v", n, parents[n])
 		}
 	}
-	if len(rep.MissingNodes) != ShardOwnedNodes(cfg.N, 1, k) {
-		t.Fatalf("%d missing nodes, shard 1 owns %d", len(rep.MissingNodes), ShardOwnedNodes(cfg.N, 1, k))
+	if len(rep.MissingNodes) != shardOwnedNodes(cfg.N, 1, k) {
+		t.Fatalf("%d missing nodes, shard 1 owns %d", len(rep.MissingNodes), shardOwnedNodes(cfg.N, 1, k))
 	}
 
-	// Duplicate journals (a hedge and its primary) agree: tolerated.
+	// Duplicate journals (a shard rerun into a second file) agree: tolerated.
 	if _, _, rep, err = MergeShardJournalsDegraded(
 		[]*ShardHeader{headers[0], headers[0], headers[1], headers[2]},
 		[]map[int][]int{nodeSets[0], nodeSets[0], nodeSets[1], nodeSets[2]}); err != nil {
@@ -378,4 +378,10 @@ func TestMergeShardJournalsDegraded(t *testing.T) {
 	if rep.Complete || len(rep.MissingNodes) != 1 || rep.MergedNodes != cfg.N-1 {
 		t.Fatalf("truncated-journal report: %+v", rep)
 	}
+}
+
+// shardOwnedNodes is how many of n nodes shard index owns under i-mod-count
+// ownership.
+func shardOwnedNodes(n, index, count int) int {
+	return (n - index + count - 1) / count
 }

@@ -121,21 +121,6 @@ func ReadSnapshot(r io.Reader) (Snapshot, error) {
 	return s, nil
 }
 
-// AddCounters folds another snapshot's counters into r, each name prefixed
-// with prefix. The shard supervisor uses it to aggregate the obs snapshots
-// its workers wrote into one report. Only counters fold — they are sums, so
-// addition composes; gauges (last-write values) and timing histograms
-// (quantiles without the raw samples) do not, and are deliberately left
-// out. A nil Recorder is a no-op.
-func (r *Recorder) AddCounters(s Snapshot, prefix string) {
-	if r == nil {
-		return
-	}
-	for name, v := range s.Counters {
-		r.Counter(prefix + name).Add(v)
-	}
-}
-
 // WriteJSON serializes a snapshot of r as indented JSON.
 func (r *Recorder) WriteJSON(w io.Writer) error {
 	b, err := json.MarshalIndent(r.Snapshot(), "", "  ")
