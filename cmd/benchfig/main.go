@@ -51,6 +51,11 @@
 //
 //	benchfig -scale -scale-n 100000 -sparse -shard 1/4 -checkpoint shard-1.journal -shard-resume
 //
+// The scale modes take -seed, -workers, -obs-json, -chaos and the journal
+// flags their mode names; a figure flag (-fig, -all, -study, -csv, -repeats,
+// -algos, -cell-timeout, -retries, -node-deadline, -combo-budget, the
+// scenario overrides) set on the command line is a usage error there.
+//
 // Each (point, repeat) workload is generated once and shared by every
 // compared algorithm; -workers bounds how many (point, repeat, algorithm)
 // cells run concurrently (0 = all CPUs). Results for a fixed -seed are
@@ -165,6 +170,8 @@ func main() {
 	var s scaleOpts
 	registerScaleFlags(&s)
 	flag.Parse()
+	s.explicit = map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { s.explicit[f.Name] = true })
 
 	if s.run || s.shardSpec != "" || s.mergeSpec != "" {
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

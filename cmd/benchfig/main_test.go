@@ -354,13 +354,13 @@ func TestShardResumeAndGappedMerge(t *testing.T) {
 	}
 }
 
-// TestRunScaleValidation: a scale flag the chosen mode would ignore is a
+// TestRunScaleValidation: a flag the chosen scale mode would ignore is a
 // usage error, not a silent full run.
 func TestRunScaleValidation(t *testing.T) {
 	dir := t.TempDir()
 	journalPath := filepath.Join(dir, "x.journal")
 	o, s := smallScaleRun()
-	for name, tc := range map[string]func(*runOpts, *scaleOpts){
+	cases := map[string]func(*runOpts, *scaleOpts){
 		"shard-resume without shard":   func(o *runOpts, s *scaleOpts) { s.shardResume = true },
 		"merge-degraded without merge": func(o *runOpts, s *scaleOpts) { s.mergeDegraded = true },
 		"checkpoint in a full run":     func(o *runOpts, s *scaleOpts) { o.checkpoint = journalPath },
@@ -375,7 +375,21 @@ func TestRunScaleValidation(t *testing.T) {
 		"shard with merge": func(o *runOpts, s *scaleOpts) {
 			o.checkpoint, s.shardSpec, s.mergeSpec = journalPath, "0/2", filepath.Join(dir, "shard-*.journal")
 		},
-	} {
+		"csv in a shard": func(o *runOpts, s *scaleOpts) {
+			o.checkpoint, s.shardSpec = journalPath, "0/2"
+			s.explicit = map[string]bool{"csv": true}
+		},
+		"repeats in a merge": func(o *runOpts, s *scaleOpts) {
+			s.mergeSpec = filepath.Join(dir, "shard-*.journal")
+			s.explicit = map[string]bool{"repeats": true}
+		},
+	}
+	// Every figure flag, set explicitly, is refused by a full scale run,
+	// even at its default value.
+	for _, name := range figureOnlyFlags {
+		cases["-"+name+" in a full run"] = func(o *runOpts, s *scaleOpts) { s.explicit = map[string]bool{name: true} }
+	}
+	for name, tc := range cases {
 		oo, so := o, s
 		tc(&oo, &so)
 		code, err := runScale(context.Background(), oo, so)

@@ -36,6 +36,16 @@ type scaleOpts struct {
 
 	shardResume   bool // -shard: continue the partial journal at -checkpoint
 	mergeDegraded bool // -merge: accept an incomplete shard set
+
+	explicit map[string]bool // the flags set on the command line
+}
+
+// figureOnlyFlags are the flags of figure and study runs, which a scale run
+// would ignore.
+var figureOnlyFlags = []string{
+	"fig", "all", "study", "csv", "repeats", "algos", "cell-timeout", "retries",
+	"node-deadline", "combo-budget",
+	"model", "delay", "delay-param", "recovery", "reinfect", "missing", "uncertain",
 }
 
 func registerScaleFlags(s *scaleOpts) {
@@ -146,8 +156,13 @@ func loadShardJournals(paths []string, strict, degraded bool) ([]*experiments.Sh
 	return headers, nodes, nil
 }
 
-// validate rejects the scale flags the chosen mode would silently ignore.
+// validate rejects the flags the chosen scale mode would silently ignore.
 func (s scaleOpts) validate(o runOpts) error {
+	for _, name := range figureOnlyFlags {
+		if s.explicit[name] {
+			return fmt.Errorf("usage: -%s applies to figure and study runs, not to -scale, -shard or -merge", name)
+		}
+	}
 	switch {
 	case s.shardSpec != "" && s.mergeSpec != "":
 		return fmt.Errorf("usage: -shard runs one shard and -merge merges finished ones; pass one of them")

@@ -3,7 +3,7 @@
 // optionally scoring it against a ground-truth graph — and, with -k or
 // -immunize, continues into the full weighted-network pipeline the paper
 // motivates: infer topology → estimate per-edge propagation probabilities
-// (probest noisy-OR EM) → select influence seeds (RIS sketches) and/or an
+// (probest noisy-OR fit) → select influence seeds (RIS sketches) and/or an
 // immunization set on the reconstructed weighted network.
 //
 // Usage:
@@ -235,7 +235,7 @@ func run(ctx context.Context, o runOpts) error {
 	return err
 }
 
-// estimateProbs runs the probest EM on the reconstructed topology and
+// estimateProbs runs the probest fit on the reconstructed topology and
 // converts the estimate into the simulator's CSR layout.
 func estimateProbs(ctx context.Context, sm *diffusion.StatusMatrix, g *graph.Directed, o runOpts, rep *report, phase func(string) func()) (*diffusion.EdgeProbs, error) {
 	done := phase("probest")

@@ -154,6 +154,9 @@ func TestRunFusedPipeline(t *testing.T) {
 				t.Fatal("influence/sketches counter missing")
 			}
 		}
+		if n, ok := rep.Counters["probest/unconverged"]; !ok || n != 0 {
+			t.Fatalf("probest/unconverged counter = %d (present %v), want 0", n, ok)
+		}
 		if rep.Counters["probest/nodes"] != 12 {
 			t.Fatalf("probest/nodes counter = %d, want 12", rep.Counters["probest/nodes"])
 		}

@@ -3,7 +3,7 @@ package experiments
 // The Fig. 16 family closes the loop the paper opens with: topology
 // reconstruction exists "to promote or prevent future diffusions". Instead
 // of scoring the inferred edge set directly, each cell runs the full
-// downstream pipeline — probest edge-probability EM on the reconstruction,
+// downstream pipeline — probest edge-probability fit on the reconstruction,
 // RIS sketch seed selection — and asks the application-level question: how
 // much spread do seeds chosen on the *reconstructed* network achieve,
 // compared to seeds chosen with full knowledge of the *true* network? Both
@@ -70,7 +70,7 @@ func influenceScore(ctx context.Context, pt *Point, truth *graph.Directed, sim *
 	// draws the simulation consumed.
 	trueEP, _ := workloadEdgeProbs(truth, pt.Workload, seed)
 
-	// Reconstructed weighted network: noisy-OR EM on the inferred topology.
+	// Reconstructed weighted network: noisy-OR fit on the inferred topology.
 	est, err := probest.RunContext(ctx, sim.Statuses, inferred, probest.Options{Workers: 1})
 	if err != nil {
 		return metrics.PRF{}, fmt.Errorf("influence eval: probest: %w", err)

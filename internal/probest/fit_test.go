@@ -6,17 +6,23 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
+	"tends/internal/core"
 	"tends/internal/diffusion"
 	"tends/internal/graph"
+	"tends/internal/lfr"
+	"tends/internal/obs"
 )
 
-// caseScanFit is the reference EM: it materializes every case's active set
-// and visits all β cases per iteration, skipping the uninfected ones inside
-// the loop. fitNode must reproduce it bit for bit.
-func caseScanFit(sm *diffusion.StatusMatrix, v int, parents []int, opt Options) ([]float64, float64, int) {
+// caseScanFit is the reference fit: the latent-variable EM for noisy-OR
+// models, which raises the likelihood at every step, run from p = 0.2 until
+// no parameter moves by more than 1e-8 (or maxIters sweeps). It
+// materializes every case's active set and visits all β cases per sweep,
+// skipping the uninfected ones inside the loop.
+func caseScanFit(sm *diffusion.StatusMatrix, v int, parents []int, minProb float64, maxIters int) ([]float64, float64) {
 	beta := sm.Beta()
 	k := len(parents)
 	p := make([]float64, k+1)
@@ -42,9 +48,7 @@ func caseScanFit(sm *diffusion.StatusMatrix, v int, parents []int, opt Options) 
 		cases[pi] = obs{active: active, outcome: sm.Get(pi, v)}
 	}
 	acc := make([]float64, k+1)
-	iters := 0
-	for iter := 0; iter < opt.Iterations; iter++ {
-		iters++
+	for iter := 0; iter < maxIters; iter++ {
 		for j := range acc {
 			acc[j] = 0
 		}
@@ -69,16 +73,8 @@ func caseScanFit(sm *diffusion.StatusMatrix, v int, parents []int, opt Options) 
 			if activeCount[j] == 0 {
 				continue
 			}
-			next := acc[j] / float64(activeCount[j])
-			if next < opt.MinProb {
-				next = opt.MinProb
-			}
-			if next > 1-opt.MinProb {
-				next = 1 - opt.MinProb
-			}
-			if d := math.Abs(next - p[j]); d > maxDelta {
-				maxDelta = d
-			}
+			next := min(max(acc[j]/float64(activeCount[j]), minProb), 1-minProb)
+			maxDelta = max(maxDelta, math.Abs(next-p[j]))
 			p[j] = next
 		}
 		if maxDelta < 1e-8 {
@@ -87,17 +83,68 @@ func caseScanFit(sm *diffusion.StatusMatrix, v int, parents []int, opt Options) 
 	}
 	probs := make([]float64, k)
 	for j := 0; j < k; j++ {
-		if activeCount[j+1] == 0 {
-			probs[j] = 0
-			continue
+		if activeCount[j+1] > 0 {
+			probs[j] = p[j+1]
 		}
-		probs[j] = p[j+1]
 	}
 	leak := p[0]
-	if leak <= opt.MinProb {
+	if leak <= minProb {
 		leak = 0
 	}
-	return probs, leak, iters
+	return probs, leak
+}
+
+// caseScanObjective evaluates a fit by scanning all β cases: the noisy-OR
+// log-likelihood of node v's column at the fitted probabilities, and the
+// KKT residual there — every evidence-bearing cause's gradient in
+// θ = −log(1−p), projected onto the box [MinProb, 1−MinProb], divided by
+// the cases the cause is active in. A leak reported as 0 sits at MinProb.
+func caseScanObjective(sm *diffusion.StatusMatrix, v int, parents []int, probs []float64, leak, minProb float64) (ll, res float64) {
+	k := len(parents)
+	p := append([]float64{max(leak, minProb)}, probs...)
+	theta := make([]float64, k+1)
+	for j := range p {
+		theta[j] = -math.Log1p(-p[j])
+	}
+	grad := make([]float64, k+1)
+	activeCount := make([]int, k+1)
+	for pi := 0; pi < sm.Beta(); pi++ {
+		active := []int{0}
+		for j, u := range parents {
+			if sm.Get(pi, u) {
+				active = append(active, j+1)
+			}
+		}
+		s := 0.0
+		for _, j := range active {
+			s += theta[j]
+			activeCount[j]++
+		}
+		slope := -1.0 // ∂/∂s of −s, a negative case
+		if sm.Get(pi, v) {
+			ll += math.Log(-math.Expm1(-s))
+			slope = 1 / math.Expm1(s)
+		} else {
+			ll -= s
+		}
+		for _, j := range active {
+			grad[j] += slope
+		}
+	}
+	for j, g := range grad {
+		if activeCount[j] == 0 {
+			continue // no evidence: the likelihood does not depend on it
+		}
+		r := math.Abs(g)
+		switch {
+		case p[j] <= minProb:
+			r = max(g, 0)
+		case p[j] >= 1-minProb:
+			r = max(-g, 0)
+		}
+		res = max(res, r/float64(activeCount[j]))
+	}
+	return ll, res
 }
 
 // estimateDigest hashes an estimate canonically: the edges sorted by
@@ -130,8 +177,8 @@ func estimateDigest(est *Estimate) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestRunContextDigest pins the estimate of one seeded instance, recorded
-// from the case-scan EM, so any change to the fit's arithmetic shows here.
+// TestRunContextDigest pins the estimate of one seeded instance, so any
+// change to the fit's arithmetic shows here.
 func TestRunContextDigest(t *testing.T) {
 	g, probs := randomDAG(t, 40, 0.15, 21)
 	sm := synthNoisyOR(t, 1000, 0.15, probs, g, 22)
@@ -139,13 +186,22 @@ func TestRunContextDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "c79b417a58bff1ed52356b3f3c9cd479f0730440416d519b6f2debaddb55e46a"
+	const want = "63cc7521026185ae1c3b481d1483bdcc6c60b8540629c46eb126e7058125a0c8"
 	if got := estimateDigest(est); got != want {
 		t.Fatalf("estimate digest = %s, want %s", got, want)
 	}
 }
 
-func TestFitNodeMatchesCaseScan(t *testing.T) {
+// TestFitNodeOracle checks the Newton fit against the reference EM on
+// every fit of three seeded instances, including a node without parents, a
+// child never infected, a parent never infected and a parent listed twice,
+// at the default MinProb and at three others, down to a box barely wider
+// than a point. Each node's log-likelihood must be at least the EM's up to
+// rounding, and its KKT residual, recomputed by a scan of all cases,
+// within tolerance. The probabilities themselves are not compared: when
+// parents always co-occur the optimum is not unique, and the EM stops
+// short of it.
+func TestFitNodeOracle(t *testing.T) {
 	for _, beta := range []int{64, 1000, 1537} {
 		g, probs := randomDAG(t, 14, 0.3, int64(beta))
 		sm := synthNoisyOR(t, beta, 0.15, probs, g, int64(beta)+1)
@@ -161,30 +217,41 @@ func TestFitNodeMatchesCaseScan(t *testing.T) {
 			{0, nil},               // no parents
 			{dead, []int{0, 1, 2}}, // child never infected
 			{13, append([]int{dead}, g.Parents(13)...)}, // a parent never infected
+			// A parent listed twice always co-occurs with itself: the
+			// optimum is a line, and only the pair's sum is determined.
+			{13, append(slices.Clone(g.Parents(13)), g.Parents(13)[0])},
 		}
 		for v := 0; v < g.NumNodes(); v++ {
 			fits = append(fits, fit{v, g.Parents(v)})
 		}
 		var sc fitScratch // reused across every fit, as a worker does
-		capped := 0
-		for _, o := range []Options{{}, {Iterations: 3}, {MinProb: 0.01}} {
+		higher, maxRes := 0, 0.0
+		opts := []Options{{}, {MinProb: 0.01}, {MinProb: 1e-7}, {MinProb: 0.49}}
+		for _, o := range opts {
 			opt := o.withDefaults()
 			for _, f := range fits {
-				wantProbs, wantLeak, wantIters := caseScanFit(sm, f.v, f.parents, opt)
+				refProbs, refLeak := caseScanFit(sm, f.v, f.parents, opt.MinProb, 20000)
+				refLL, _ := caseScanObjective(sm, f.v, f.parents, refProbs, refLeak, opt.MinProb)
 				gotProbs := make([]float64, len(f.parents))
-				gotLeak, gotIters, cases := sc.fitNode(sm, f.v, f.parents, opt, gotProbs)
-				if gotIters == opt.Iterations {
-					capped++
+				gotLeak, passes, cases, ok := sc.fitNode(sm, f.v, f.parents, opt, gotProbs)
+				if !ok {
+					t.Fatalf("beta=%d v=%d opt=%+v: fit did not converge in %d passes", beta, f.v, o, passes)
 				}
-				if gotIters != wantIters {
-					t.Fatalf("beta=%d v=%d opt=%+v: %d iterations, want %d", beta, f.v, o, gotIters, wantIters)
+				gotLL, res := caseScanObjective(sm, f.v, f.parents, gotProbs, gotLeak, opt.MinProb)
+				if gotLL < refLL-1e-9*math.Abs(refLL) {
+					t.Fatalf("beta=%d v=%d opt=%+v: log-likelihood %.12g below the EM's %.12g", beta, f.v, o, gotLL, refLL)
 				}
-				if math.Float64bits(gotLeak) != math.Float64bits(wantLeak) {
-					t.Fatalf("beta=%d v=%d opt=%+v: leak %v, want %v", beta, f.v, o, gotLeak, wantLeak)
+				if gotLL > refLL+1e-9*math.Abs(refLL) {
+					higher++
 				}
-				for j := range wantProbs {
-					if math.Float64bits(gotProbs[j]) != math.Float64bits(wantProbs[j]) {
-						t.Fatalf("beta=%d v=%d opt=%+v: parent %d prob %v, want %v", beta, f.v, o, f.parents[j], gotProbs[j], wantProbs[j])
+				maxRes = max(maxRes, res)
+				// The slack covers the round trip θ → p → θ of the scan.
+				if res > kktTol+1e-12 {
+					t.Fatalf("beta=%d v=%d opt=%+v: KKT residual %.3g, tolerance %.3g", beta, f.v, o, res, kktTol)
+				}
+				for j, p := range gotProbs {
+					if refProbs[j] == 0 && p != 0 {
+						t.Fatalf("beta=%d v=%d: never-infected parent %d got %v, want 0", beta, f.v, f.parents[j], p)
 					}
 				}
 				if want := sm.CountInfected(f.v); cases != want {
@@ -192,9 +259,7 @@ func TestFitNodeMatchesCaseScan(t *testing.T) {
 				}
 			}
 		}
-		if capped == 0 {
-			t.Fatalf("beta=%d: no fit reached its iteration cap", beta)
-		}
+		t.Logf("beta=%d: %d of %d fits strictly above the EM's likelihood; largest KKT residual %.3g", beta, higher, len(opts)*len(fits), maxRes)
 	}
 }
 
@@ -237,4 +302,64 @@ func TestRunRejectsBadMinProb(t *testing.T) {
 			t.Errorf("MinProb %v: err = %v, want ok=%v", tc.minProb, err, tc.ok)
 		}
 	}
+}
+
+// TestFitOracleOnInferredTopology runs the oracle on the regime the
+// benchmark's paper-1k workload measures, scaled down: an LFR network with
+// edge probabilities around 0.08, ten seeds per process, and the topology
+// TENDS infers from the statuses (spurious parents included). Every node
+// must converge, reach at least the likelihood of the reference EM capped
+// at 2,000 sweeps, and meet the KKT tolerance.
+func TestFitOracleOnInferredTopology(t *testing.T) {
+	if testing.Short() {
+		t.Skip("infers a 300-node topology and runs the reference EM on every node")
+	}
+	const n, beta = 300, 1024
+	rng := rand.New(rand.NewSource(5))
+	net, err := lfr.Generate(lfr.Params{N: n, AvgDegree: 10, DegreeExp: 2}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := diffusion.NewEdgeProbs(net.Graph, 0.08, 0.05, rng)
+	sim, err := diffusion.Simulate(ep, diffusion.Config{Alpha: 10.0 / n, Beta: beta}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm := sim.Statuses
+	inferred, err := core.Infer(sm, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := inferred.Graph
+	rec := obs.New()
+	est, err := RunContext(obs.With(context.Background(), rec), sm, g, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u := rec.Counter("probest/unconverged").Value(); u != 0 {
+		t.Fatalf("probest/unconverged = %d, want 0", u)
+	}
+	const minProb = 1e-4
+	higher := 0
+	for v := 0; v < n; v++ {
+		parents := g.Parents(v)
+		refProbs, refLeak := caseScanFit(sm, v, parents, minProb, 2000)
+		refLL, _ := caseScanObjective(sm, v, parents, refProbs, refLeak, minProb)
+		probs := make([]float64, len(parents))
+		for j, u := range parents {
+			probs[j] = est.Probs[graph.Edge{From: u, To: v}]
+		}
+		gotLL, res := caseScanObjective(sm, v, parents, probs, est.Leaks[v], minProb)
+		if gotLL < refLL-1e-9*math.Abs(refLL) {
+			t.Fatalf("node %d: log-likelihood %.12g below the EM's %.12g", v, gotLL, refLL)
+		}
+		if gotLL > refLL+1e-9*math.Abs(refLL) {
+			higher++
+		}
+		if res > kktTol+1e-12 {
+			t.Fatalf("node %d: KKT residual %.3g, tolerance %.3g", v, res, kktTol)
+		}
+	}
+	t.Logf("%d nodes, %d edges, %d Newton evaluations; %d nodes strictly above the EM's likelihood",
+		n, g.NumEdges(), rec.Counter("probest/em_iters").Value(), higher)
 }
