@@ -224,8 +224,9 @@ func run(ctx context.Context, inPath, outPath string, combo int, scale, threshol
 				coPairs, kept, float64(kept)/float64(max(coPairs, 1)))
 		}
 		fmt.Fprintf(os.Stderr, "auto tau=%.6f used threshold=%.6f\n", res.AutoTau, res.Threshold)
-		fmt.Fprintf(os.Stderr, "search: combos=%d merges=%d probes=%d probe_hits=%d\n",
-			c["core/search/combos"], c["core/search/merges"], c["core/search/probes"], c["core/search/probe_hits"])
+		fmt.Fprintf(os.Stderr, "search: combos=%d merges=%d probes=%d probe_hits=%d tallies=%d\n",
+			c["core/search/combos"], c["core/search/merges"], c["core/search/probes"], c["core/search/probe_hits"],
+			c["core/search/tallies"])
 		fmt.Fprintf(os.Stderr, "inferred edges=%d score g(T)=%.3f\n", res.Graph.NumEdges(), res.Score)
 	}
 

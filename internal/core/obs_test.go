@@ -184,11 +184,12 @@ func TestSearchParentsAllocsConstant(t *testing.T) {
 
 // TestSearchCountersPinned gates the search on its counters rather than a
 // clock. On one seeded LFR instance, at 1 and 4 workers, the combinations
-// enumerated and merges accepted are pinned, and the probes computed plus
-// the probes the greedy round's memo answered equal the probe count the
-// search had before the memo (1743), with fewer of them computed.
+// enumerated, merges accepted and round tallies built are pinned, and the
+// probes computed plus the probes the greedy round's memo answered equal
+// the probe count the search had before the memo (1743), with fewer of
+// them computed.
 func TestSearchCountersPinned(t *testing.T) {
-	const wantCombos, wantMerges, wantProbesBeforeMemo = 1587, 272, 1743
+	const wantCombos, wantMerges, wantProbesBeforeMemo, wantTallies = 1587, 272, 1743, 392
 	net, err := lfr.GenerateBenchmark(2, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -202,6 +203,9 @@ func TestSearchCountersPinned(t *testing.T) {
 		c := rec.Snapshot().Counters
 		combos, merges := c["core/search/combos"], c["core/search/merges"]
 		probes, hits := c["core/search/probes"], c["core/search/probe_hits"]
+		if tallies := c["core/search/tallies"]; tallies != wantTallies {
+			t.Fatalf("workers=%d: tallies=%d, want %d", workers, tallies, wantTallies)
+		}
 		if combos != wantCombos || merges != wantMerges {
 			t.Fatalf("workers=%d: combos=%d merges=%d, want %d and %d", workers, combos, merges, wantCombos, wantMerges)
 		}

@@ -18,6 +18,7 @@ type scratch struct {
 	combos []combo       // the node's enumerated combinations
 	nodes  []int         // arena backing the combinations' node lists
 	cur    []int         // enumeration DFS stack
+	hits   []int         // |cands[k] ∧ child| per candidate position k
 	heap   comboHeap
 	merge  mergeState
 	part   partition
@@ -82,6 +83,15 @@ type class struct {
 // so it sorts after every untouched key: the fold visits combinations in the
 // same ascending-key order as packedCombos and genericCombos, and the scores
 // agree to the bit.
+//
+// Most probes add one or two nodes, and a greedy round (one F) probes each
+// candidate node in many pairs. So the touched processes of such adds are
+// not recounted per probe: each node's processes are tallied per class once
+// per round, the first time a probe needs the node (tally), and a pair's
+// counts follow from the two tallies and the processes both nodes infect by
+// inclusion–exclusion (probeTallied). accept drops the tallies, since it
+// renumbers the classes. Adds of three or more nodes, and every accept,
+// count (count) or sort (gather) the touched processes.
 type partition struct {
 	f       int     // |F|: the number of key bits in use
 	classes []class // ascending key
@@ -98,22 +108,41 @@ type partition struct {
 	// committing count of a multi-node add tallied.
 	touched []int32
 	keys    []uint64
-	// cnt holds count's tallies per (new bits, class, child status) slot;
-	// probeCounted and acceptCounted zero what they read, so the whole
-	// backing array is zero between calls.
+	// cnt holds count's tallies per (new bits, class, child status) slot,
+	// or tally's, joint's and probeTallied's per procSlot; each zeroes what
+	// it wrote once read, so the whole backing array is zero between calls.
 	cnt []int32
-	// seen has a bit per slot that count tallied into, so probeCounted
-	// and acceptCounted visit the touched slots without scanning the empty
-	// ones; they zero what they read, too.
+	// seen has a bit per slot that count or tally tallied into, so they
+	// visit the touched slots without scanning the empty ones; they zero
+	// what they read, too.
 	seen []uint64
 	// slotClass maps acceptCounted's touched slots to their fresh classes.
 	slotClass []int32
+	// sorted holds sortedScore's classes re-keyed to sorted-parent order.
+	sorted []class
+	child  int // the node reset last partitioned
+
+	// Round tallies (see tally): the tally of the node at candidate
+	// position pos is tallies[tallyAt[pos][0]:tallyAt[pos][1]], one entry
+	// per class its processes fall in, ascending by class. live has bit
+	// pos set while that tally is current; accept and reset empty them.
+	tallies []tallyEntry
+	tallyAt [64][2]int32
+	live    uint64
+	built   int // tallies built since reset
+}
+
+// tallyEntry is one class's share of a node's processes: the class index
+// and the processes in it the child is not (k0) and is (k1) infected in.
+type tallyEntry struct {
+	c, k0, k1 int32
 }
 
 // reset makes pt the partition of child under F = ∅: one class holding all
 // β processes.
 func (pt *partition) reset(s *Scorer, child int) {
-	pt.f = 0
+	pt.dropTallies()
+	pt.f, pt.child, pt.built = 0, child, 0
 	pt.classes = append(pt.classes[:0], class{k0: s.beta - s.ones(child), k1: s.ones(child)})
 	pt.procSlot = resize(pt.procSlot, s.beta)
 	clear(pt.procSlot)
@@ -126,10 +155,12 @@ func (pt *partition) reset(s *Scorer, child int) {
 	}
 }
 
-// resize returns buf with length n, reallocating only when it is too small.
+// resize returns buf with length n, reallocating only when it is too small,
+// then with room to double: the class-indexed buffers grow a few classes
+// per accept, and exact reallocations would leave a trail of garbage.
 func resize[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]T, n)
+		return make([]T, n, 2*n)
 	}
 	return buf[:n]
 }
@@ -183,7 +214,8 @@ func (pt *partition) gather(s *Scorer, add []int) {
 }
 
 // counted reports whether probe and accept put the touched processes of
-// add in key order by counting them into slots, whose scan costs a step per
+// add in key order by counting them into slots (the merge probes one- and
+// two-node adds by probeTallied instead), whose scan costs a step per
 // (new bits, class) pair, rather than by sorting their keys. A slot step is
 // a pair of loads, several times cheaper than a sorted key, so counting wins
 // until the slots outnumber the touched processes severalfold.
@@ -322,6 +354,165 @@ func (pt *partition) probeSorted(s *Scorer, add []int) ScoreParts {
 	return s.parts(f, pt.f+len(add))
 }
 
+// tally returns the round tally of node v, the candidate at position pos:
+// v's processes counted per class, one entry per class they fall in,
+// ascending. The first probe of a greedy round that needs v builds it, in
+// one pass over v's processes; later probes of the round read it, until
+// accept changes the classes.
+func (pt *partition) tally(s *Scorer, pos, v int) []tallyEntry {
+	if pt.live&(1<<uint(pos)) == 0 {
+		pt.live |= 1 << uint(pos)
+		pt.built++
+		nc := len(pt.classes)
+		cnt := resize(pt.cnt, 2*nc)
+		seen := resize(pt.seen, (nc+63)>>6)
+		pt.cnt, pt.seen = cnt, seen
+		for _, p := range s.infected(v) {
+			i := pt.procSlot[p]
+			cnt[i]++
+			seen[i>>7] |= 1 << uint(i>>1&63)
+		}
+		start := len(pt.tallies)
+		// Make room for every class v can touch, doubling the arena.
+		if need := min(s.ones(v), nc); cap(pt.tallies)-start < need {
+			pt.tallies = slices.Grow(pt.tallies, start+need)
+		}
+		for w, word := range seen {
+			for ; word != 0; word &= word - 1 {
+				c := w<<6 | bits.TrailingZeros64(word)
+				pt.tallies = append(pt.tallies, tallyEntry{c: int32(c), k0: cnt[2*c], k1: cnt[2*c+1]})
+				cnt[2*c], cnt[2*c+1] = 0, 0
+			}
+			seen[w] = 0
+		}
+		pt.tallyAt[pos] = [2]int32{int32(start), int32(len(pt.tallies))}
+	}
+	at := pt.tallyAt[pos]
+	return pt.tallies[at[0]:at[1]:at[1]]
+}
+
+// dropTallies empties the round tallies.
+func (pt *partition) dropTallies() {
+	pt.tallies, pt.live = pt.tallies[:0], 0
+}
+
+// probeTallied is probe for an add of one or two nodes, from their round
+// tallies; pos holds their candidate positions as set bits, add[0] at the
+// lower one. A one-node add {a} moves T_a out of each class into its new
+// slot. A pair {a, b} also counts J, the processes both infect, per class;
+// by inclusion–exclusion its new slots hold T_a − J (a only), T_b − J
+// (b only) and J (both), and each class keeps k − T_a − T_b + J. These are
+// the integers probeCounted tallies, folded in the same order: the classes,
+// then the new slots of a only, b only and both, each by ascending class.
+// J is nonzero only in classes of both tallies, and an empty slot folds as
+// a no-op, so the last fold walks a's tally.
+func (pt *partition) probeTallied(s *Scorer, pos uint64, add []int) ScoreParts {
+	ta := pt.tally(s, bits.TrailingZeros64(pos), add[0])
+	var tb []tallyEntry
+	if len(add) == 2 {
+		tb = pt.tally(s, bits.TrailingZeros64(pos&(pos-1)), add[1])
+	}
+	j, d := pt.joint(s, add)
+	for _, t := range [2][]tallyEntry{ta, tb} {
+		for _, e := range t {
+			d[2*e.c] += e.k0
+			d[2*e.c+1] += e.k1
+		}
+	}
+	var f fold
+	for c, cl := range pt.classes {
+		f = s.fold(f, cl.k0-int(d[2*c]-j[2*c]), cl.k1-int(d[2*c+1]-j[2*c+1]))
+	}
+	for _, t := range [2][]tallyEntry{ta, tb} {
+		for _, e := range t {
+			f = s.fold(f, int(e.k0-j[2*e.c]), int(e.k1-j[2*e.c+1]))
+			d[2*e.c], d[2*e.c+1] = 0, 0
+		}
+	}
+	if len(add) == 1 {
+		return s.parts(f, pt.f+1)
+	}
+	for _, e := range ta {
+		f = s.fold(f, int(j[2*e.c]), int(j[2*e.c+1]))
+		j[2*e.c], j[2*e.c+1] = 0, 0
+	}
+	return s.parts(f, pt.f+2)
+}
+
+// joint counts into j, per procSlot, the processes both nodes of a
+// two-node add infect: none for a one-node add. It returns j and d, two
+// zero per-procSlot halves of pt.cnt, d for probeTallied's scattered
+// tallies. The joint counts lie in classes both tallies hold;
+// probeTallied zeroes them, and d, as it folds. The processes are read
+// from the sparser node's list with a branch-free bit test in the other
+// column, or, when that list is longer than eight times a column's words,
+// from the AND of the two packed columns: a word costs about as much as
+// eight list entries there, its set bits taken one by one behind a loop
+// branch that rarely predicts.
+func (pt *partition) joint(s *Scorer, add []int) (j, d []int32) {
+	n := 2 * len(pt.classes)
+	pt.cnt = resize(pt.cnt, 2*n)
+	j, d = pt.cnt[:n:n], pt.cnt[n:]
+	if len(add) == 1 {
+		return j, d
+	}
+	a, b := add[0], add[1]
+	slot := pt.procSlot
+	if s.ones(b) < s.ones(a) {
+		a, b = b, a
+	}
+	if s.ones(a) < 8*s.words {
+		col := s.cols[b]
+		for _, p := range s.infected(a) {
+			j[slot[p]] += int32(col[p>>6] >> uint(p&63) & 1)
+		}
+		return j, d
+	}
+	ca, cb := s.cols[a], s.cols[b]
+	for w := range ca {
+		for word := ca[w] & cb[w]; word != 0; word &= word - 1 {
+			j[slot[w<<6|bits.TrailingZeros64(word)]]++
+		}
+	}
+	return j, d
+}
+
+// sortedScore returns the score parts of F as LocalScoreParts scores it for
+// F's nodes in ascending order. The classes carry F's nodes in order, the
+// order they were added; each key is re-keyed to bit r for the node of rank
+// r, the classes are sorted by the new keys, and folded. The classes are
+// the non-empty parent-status combinations with their integer counts, so
+// the fold matches packedCombos and genericCombos to the bit.
+func (pt *partition) sortedScore(s *Scorer, order []int) ScoreParts {
+	var rank [64]uint8
+	identity := true
+	for i, v := range order {
+		for _, u := range order {
+			if u < v {
+				rank[i]++
+			}
+		}
+		identity = identity && int(rank[i]) == i
+	}
+	if identity {
+		return pt.score(s)
+	}
+	pt.sorted = append(pt.sorted[:0], pt.classes...)
+	for i := range pt.sorted {
+		var key uint64
+		for k := pt.sorted[i].key; k != 0; k &= k - 1 {
+			key |= 1 << rank[bits.TrailingZeros64(k)]
+		}
+		pt.sorted[i].key = key
+	}
+	slices.SortFunc(pt.sorted, func(a, b class) int { return cmp.Compare(a.key, b.key) })
+	var f fold
+	for _, c := range pt.sorted {
+		f = s.fold(f, c.k0, c.k1)
+	}
+	return s.parts(f, pt.f)
+}
+
 // accept commits F ← F ∪ add: the touched processes leave their classes for
 // new ones keyed under the grown F, appended in ascending key order after
 // the old classes, and classes left empty are dropped. It orders the touched
@@ -339,6 +530,7 @@ func (pt *partition) accept(s *Scorer, add []int) {
 // processes into them. The untouched processes keep their procSlot unless a
 // class empties.
 func (pt *partition) acceptCounted(s *Scorer, add []int) {
+	pt.dropTallies()
 	nc, shift := len(pt.classes), uint(pt.f)
 	slots := pt.count(s, add, true)
 	touched := pt.touched
@@ -372,6 +564,7 @@ func (pt *partition) acceptCounted(s *Scorer, add []int) {
 // acceptSorted is accept by sorting the touched processes' new keys, for the
 // adds probe scores by sorting.
 func (pt *partition) acceptSorted(s *Scorer, add []int) {
+	pt.dropTallies()
 	pt.gather(s, add)
 	for i, p := range pt.touched {
 		pt.newKey[p] = pt.keys[i] >> 1

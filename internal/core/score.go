@@ -27,12 +27,17 @@ import (
 //     key. Processes no parent infected form the key-0 class, counted from
 //     the child's column total; the infected ones of the (sparse) parent
 //     columns are sorted by key and folded run by run. The greedy merge
-//     keeps this partition per node and moves only the processes a probed
-//     combination's new columns infect (see partition), read from
-//     per-node lists of the processes each node is infected in.
+//     keeps this partition per node and scores a probed combination from
+//     the processes its new columns infect (see partition), read from
+//     per-node lists of the processes each node is infected in. A one- or
+//     two-node add is scored from per-round tallies of those processes by
+//     class and, for a pair, their joint count, by inclusion–exclusion.
 //
-// Both fold the combinations in ascending key order, so every path yields
-// the same bits for the same parent set.
+// All of them count the same integers per combination and fold the
+// combinations in ascending key order, so every path yields the same bits
+// for the same parent set. Singles and pairs in the enumeration are counted
+// from column totals the same way (see pairParts), and a node's final score
+// is read off its merge partition (see partition.sortedScore).
 type Scorer struct {
 	beta, n int
 	words   int        // 64-bit words per column
@@ -344,6 +349,57 @@ func (s *Scorer) genericCombos(child int, parents []int, sc *scratch) fold {
 	return s.foldRuns(f, keys)
 }
 
+// common returns |a ∧ b| and |a ∧ b ∧ child|, the number of processes
+// nodes a and b are both infected in and how many of those child is
+// infected in too: a pass over the sparser node's list with bit tests in
+// the other columns, or over the packed columns when they have fewer words.
+func (s *Scorer) common(a, b, child int) (ab, abc int) {
+	if s.ones(b) < s.ones(a) {
+		a, b = b, a
+	}
+	cb, cc := s.cols[b], s.cols[child]
+	if s.ones(a) < s.words {
+		for _, p := range s.infected(a) {
+			w, sh := p>>6, uint(p&63)
+			in := cb[w] >> sh & 1
+			ab += int(in)
+			abc += int(in & (cc[w] >> sh))
+		}
+		return ab, abc
+	}
+	for w, word := range s.cols[a] {
+		x := word & cb[w]
+		ab += bits.OnesCount64(x)
+		abc += bits.OnesCount64(x & cc[w])
+	}
+	return ab, abc
+}
+
+// singleParts scores the parent set {a} for child from column totals:
+// N₂(a), N₂(child) and hit = |a ∧ child|. The two combinations' counts are
+// the integers packedCombos reads off its masks, folded in the same order.
+func (s *Scorer) singleParts(child, a, hit int) ScoreParts {
+	na, nc := s.ones(a), s.ones(child)
+	f := s.fold(fold{}, s.beta-na-(nc-hit), nc-hit)
+	f = s.fold(f, na-hit, hit)
+	return s.parts(f, 1)
+}
+
+// pairParts scores the parent set {a, b} (a at bit 0) for child from column
+// totals: N₂ of a, b and child, aHit = |a ∧ child|, bHit = |b ∧ child|, and
+// one pass for |a ∧ b| and |a ∧ b ∧ child|. Inclusion–exclusion gives the
+// four combinations' counts, folded in packedCombos' order.
+func (s *Scorer) pairParts(child, a, b, aHit, bHit int) ScoreParts {
+	ab, abc := s.common(a, b, child)
+	na, nb, nc := s.ones(a), s.ones(b), s.ones(child)
+	k1 := nc - aHit - bHit + abc
+	f := s.fold(fold{}, s.beta-na-nb+ab-k1, k1)
+	f = s.fold(f, na-ab-(aHit-abc), aHit-abc)
+	f = s.fold(f, nb-ab-(bHit-abc), bHit-abc)
+	f = s.fold(f, ab-abc, abc)
+	return s.parts(f, 2)
+}
+
 // comboScratch is the reusable mask tree of a combination-enumeration
 // DFS. Level d stores the 2^d parent-status masks of the current depth-d
 // combination, flat and combo-major, so extending the DFS by one candidate
@@ -430,11 +486,24 @@ func (s *Scorer) BoundHolds(i int, setSize int, phi float64) bool {
 	if setSize == 0 {
 		return true
 	}
-	arg := phi + s.deltas[i]
-	if arg <= 0 {
-		return false
+	return boundHolds(setSize, phi+s.deltas[i])
+}
+
+// boundHolds reports |F| ≤ log₂(arg) for |F| = k ≥ 1, deciding the common
+// case without a logarithm: arg ≥ 2^(k+1) holds, and arg < 2^k·(1 − 10⁻⁹)
+// does not, since Log2 is exact at powers of two and off by a few ulps
+// elsewhere. Only the band between calls Log2, so every decision is the
+// plain rule's. (Log2 of a non-positive arg is NaN or −Inf: false.)
+func boundHolds(k int, arg float64) bool {
+	if k < 1000 {
+		if arg >= math.Float64frombits(uint64(1023+k+1)<<52) {
+			return true
+		}
+		if arg < math.Float64frombits(uint64(1023+k)<<52)*(1-1e-9) {
+			return false
+		}
 	}
-	return float64(setSize) <= math.Log2(arg)
+	return float64(k) <= math.Log2(arg)
 }
 
 // TotalScore is the decomposable criterion g(T) of Eq. (12) for a full

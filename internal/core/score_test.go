@@ -311,9 +311,16 @@ func TestLocalScorePartsMatchesReference(t *testing.T) {
 // F ∪ W, with W adding up to four nodes, and every committed F must score
 // exactly as LocalScoreParts does from scratch, through both of the probe's
 // orderings (slot counting and sorting).
+//
+// One- and two-node adds are also probed from the round tallies, with each
+// node's id as its candidate position, as the merge probes them: the nodes
+// in ascending order. Every such add is probed twice, so later probes of a
+// round read tallies earlier ones built, and after each accept the tallies
+// must be dropped with the count buffers zero again.
 func TestPartitionProbesMatchLocalScoreParts(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 40
+	var reused int
 	for _, beta := range oracleBetas {
 		s := NewScorer(densityStatus(beta, n, rng))
 		sc := s.newScratch()
@@ -336,11 +343,65 @@ func TestPartitionProbesMatchLocalScoreParts(t *testing.T) {
 						t.Fatalf("beta=%d child=%d probe path %d, F∪W=%v: partition %+v, LocalScoreParts %+v", beta, child, i, union, got, want)
 					}
 				}
+				if w <= 2 {
+					tadd := sortedCopy(add)
+					want := s.LocalScoreParts(child, slices.Concat(f, tadd))
+					var pos uint64
+					for _, v := range tadd {
+						pos |= 1 << uint(v)
+					}
+					for rep := 0; rep < 2; rep++ {
+						before := pt.built
+						if got := pt.probeTallied(s, pos, tadd); !sameBits(got, want) {
+							t.Fatalf("beta=%d child=%d tallied probe %d, F∪W=%v: partition %+v, LocalScoreParts %+v",
+								beta, child, rep, slices.Concat(f, tadd), got, want)
+						}
+						if pt.built == before {
+							reused++
+						}
+					}
+				}
 				if rng.Intn(3) == 0 {
 					pt.accept(s, add)
 					f, pool = union, pool[w:]
+					zero := func(c int32) bool { return c == 0 }
+					if pt.live != 0 || len(pt.tallies) != 0 || !allOf(pt.cnt, zero) ||
+						!allOf(pt.seen, func(x uint64) bool { return x == 0 }) {
+						t.Fatalf("beta=%d child=%d: accept of %v left tallies live or buffers nonzero", beta, child, add)
+					}
 				} else {
 					rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+				}
+			}
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no tallied probe reused a tally; the test needs some to")
+	}
+}
+
+// TestSortedScoreMatchesLocalScoreParts builds partitions by accepting
+// nodes in shuffled orders, one to four at a time, and checks after every
+// accept that the score read from the classes re-keyed to ascending-node
+// order equals LocalScoreParts on the sorted parents to the bit.
+func TestSortedScoreMatchesLocalScoreParts(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const n = 48
+	for _, beta := range oracleBetas {
+		s := NewScorer(densityStatus(beta, n, rng))
+		pt := &partition{}
+		for trial := 0; trial < 10; trial++ {
+			perm := rng.Perm(n)
+			child, pool := perm[0], perm[1:min(n, 1+rng.Intn(24))]
+			pt.reset(s, child)
+			var order []int
+			for len(pool) > 0 {
+				w := min(1+rng.Intn(4), len(pool))
+				pt.accept(s, pool[:w])
+				order, pool = slices.Concat(order, pool[:w]), pool[w:]
+				sorted := sortedCopy(order)
+				if got, want := pt.sortedScore(s, order), s.LocalScoreParts(child, sorted); !sameBits(got, want) {
+					t.Fatalf("beta=%d child=%d merge order %v: partition %+v, LocalScoreParts %+v", beta, child, order, got, want)
 				}
 			}
 		}
@@ -466,6 +527,13 @@ func clonePartition(pt *partition) *partition {
 	}
 }
 
+// sortedCopy returns xs sorted, leaving xs as it is.
+func sortedCopy(xs []int) []int {
+	out := slices.Clone(xs)
+	slices.Sort(out)
+	return out
+}
+
 // allOf reports whether pred holds for every element of xs.
 func allOf[T any](xs []T, pred func(T) bool) bool {
 	return !slices.ContainsFunc(xs, func(x T) bool { return !pred(x) })
@@ -522,6 +590,49 @@ func TestOverfitRegimeHandledByPruning(t *testing.T) {
 	}
 	if res.Graph.NumEdges() > 4 {
 		t.Fatalf("Infer on pure noise produced %d edges; pruning failed to contain overfitting", res.Graph.NumEdges())
+	}
+}
+
+// TestBoundHoldsFastPath checks that boundHolds, which decides most sizes
+// and arguments without a logarithm, agrees with the plain rule
+// k ≤ log₂(arg) at the floats next to every power of two and next to the
+// fast path's lower cut-off, for every set size near them, and on random
+// sizes and arguments, zero, negative and non-finite ones included.
+func TestBoundHoldsFastPath(t *testing.T) {
+	plain := func(k int, arg float64) bool { return arg > 0 && float64(k) <= math.Log2(arg) }
+	check := func(k int, arg float64) {
+		t.Helper()
+		if got, want := boundHolds(k, arg), plain(k, arg); got != want {
+			t.Fatalf("k=%d arg=%v (%x): boundHolds %v, plain rule %v", k, arg, math.Float64bits(arg), got, want)
+		}
+	}
+	for e := 1; e <= 61; e++ {
+		p := math.Ldexp(1, e)
+		for _, center := range []float64{p, p * (1 - 1e-9)} {
+			for _, dir := range []float64{math.Inf(-1), math.Inf(1)} {
+				x := center
+				for step := 0; step < 4; step++ {
+					for k := max(1, e-2); k <= e+2; k++ {
+						check(k, x)
+					}
+					x = math.Nextafter(x, dir)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200000; i++ {
+		k := 1 + rng.Intn(70)
+		arg := math.Ldexp(rng.Float64(), rng.Intn(80)-4)
+		if rng.Intn(10) == 0 {
+			arg = -arg
+		}
+		check(k, arg)
+	}
+	for _, arg := range []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64, math.MaxFloat64} {
+		for _, k := range []int{1, 2, 63, 999, 1000, 1100} {
+			check(k, arg)
+		}
 	}
 }
 

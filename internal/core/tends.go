@@ -414,6 +414,7 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 		merges:    rec.Counter("core/search/merges"),
 		probes:    rec.Counter("core/search/probes"),
 		probeHits: rec.Counter("core/search/probe_hits"),
+		tallies:   rec.Counter("core/search/tallies"),
 	}
 
 	scorer := NewScorer(sm)
@@ -515,7 +516,7 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 			default:
 				searchNode(i, sc)
 			}
-			scores[i] = scorer.scoreParts(i, res.Parents[i], sc).Score()
+			scores[i] = sc.nodeScore(scorer, i, res.Parents[i])
 		}
 	}
 	if workers <= 1 {
@@ -593,6 +594,7 @@ type coreTel struct {
 	merges    *obs.Counter // greedy merge steps accepted across all nodes
 	probes    *obs.Counter // merge-phase score evaluations computed across all nodes
 	probeHits *obs.Counter // merge probes answered by the round's memo instead
+	tallies   *obs.Counter // round tallies built for one- and two-node probes
 }
 
 // searchParents runs the greedy most-probable-parent-set search for one
@@ -686,11 +688,14 @@ type combo struct {
 // that satisfies the Theorem-2 size condition |W| ≤ log₂(φ_W + δ_i)
 // (Algorithm 1 line 13), along with its local score.
 //
-// Scoring shares work along the DFS. Up to the packed depth (see Scorer),
-// the 2^d status masks of the current combination are derived from its
-// (d-1)-prefix's masks in a comboScratch, one AND/ANDNOT per mask, instead
-// of rebuilding every mask from all d columns per combination. Deeper
-// combinations are scored from scratch by the partition path.
+// Scoring shares work along the DFS. A single {a} is scored from column
+// totals and |a ∧ child|, counted once per candidate, and a pair {a, b}
+// from those and one pass for |a ∧ b| and |a ∧ b ∧ child| (see pairParts).
+// When MaxComboSize allows three or more nodes, then up to the packed depth
+// (see Scorer) the 2^d status masks of the current combination are derived
+// from its (d-1)-prefix's masks in a comboScratch, one AND/ANDNOT per mask,
+// instead of rebuilding every mask from all d columns per combination.
+// Deeper combinations are scored from scratch by the partition path.
 //
 // The combinations and their node lists live in sc and stay valid until
 // the next enumeration over it.
@@ -706,11 +711,17 @@ func enumerateCombos(ctx context.Context, s *Scorer, child int, cands []int, opt
 	if maxSize < 1 {
 		return nil, DegradeNone
 	}
-	levels := sc.comboLevels(s, maxSize)
 	e := enumerator{
-		ctx: ctx, s: s, sc: sc, levels: levels,
+		ctx: ctx, s: s, sc: sc,
 		child: child, cands: cands, opt: opt, deadline: deadline,
-		maxSize: maxSize, packedLim: levels.packedLimit(), maskable: len(cands) <= 64,
+		maxSize: maxSize, packedLim: s.packedDepth(maxSize), maskable: len(cands) <= 64,
+	}
+	if e.packedLim > 2 {
+		e.levels = sc.comboLevels(s, maxSize)
+	}
+	sc.hits = resize(sc.hits, len(cands))
+	for k, v := range cands {
+		sc.hits[k], _ = s.common(v, child, child) // |v ∧ child|
 	}
 	sc.combos, sc.nodes, sc.cur = sc.combos[:0], sc.nodes[:0], sc.cur[:0]
 	e.rec(0)
@@ -730,7 +741,7 @@ type enumerator struct {
 	ctx       context.Context
 	s         *Scorer
 	sc        *scratch
-	levels    *comboScratch
+	levels    *comboScratch // nil unless packedLim > 2
 	child     int
 	cands     []int
 	opt       Options
@@ -739,6 +750,7 @@ type enumerator struct {
 	packedLim int
 	maskable  bool
 	curMask   uint64
+	at        [2]int // the candidate positions of the first two nodes of cur
 	reason    DegradeReason
 }
 
@@ -746,9 +758,14 @@ func (e *enumerator) rec(start int) {
 	sc := e.sc
 	if d := len(sc.cur); d > 0 {
 		var parts ScoreParts
-		if d <= e.packedLim {
+		switch hits := sc.hits; {
+		case d == 1:
+			parts = e.s.singleParts(e.child, sc.cur[0], hits[e.at[0]])
+		case d == 2:
+			parts = e.s.pairParts(e.child, sc.cur[0], sc.cur[1], hits[e.at[0]], hits[e.at[1]])
+		case d <= e.packedLim:
 			parts = e.s.scoreLevel(e.child, e.levels.levels[d], d)
-		} else {
+		default:
 			parts = e.s.scoreParts(e.child, sc.cur, sc)
 		}
 		if e.opt.DisableBound || e.s.BoundHolds(e.child, d, parts.Phi) {
@@ -784,7 +801,11 @@ func (e *enumerator) rec(start int) {
 		if e.maskable {
 			e.curMask |= 1 << uint(k)
 		}
-		if d := len(sc.cur); d <= e.packedLim {
+		d := len(sc.cur)
+		if d <= 2 {
+			e.at[d-1] = k
+		}
+		if e.levels != nil && d <= e.packedLim {
 			e.levels.extend(e.s, d, e.cands[k])
 		}
 		e.rec(k + 1)
@@ -870,6 +891,7 @@ func adaptiveMerge(ctx context.Context, s *Scorer, child int, combos []combo, op
 	sc.heap = h
 	tel.probes.Add(int64(st.probes))
 	tel.probeHits.Add(int64(st.hits))
+	tel.tallies.Add(int64(sc.part.built))
 	return st.result(), cut
 }
 
@@ -946,6 +968,7 @@ func staticMerge(s *Scorer, child int, combos []combo, opt Options, tel coreTel,
 	}
 	tel.probes.Add(int64(st.probes))
 	tel.probeHits.Add(int64(st.hits))
+	tel.tallies.Add(int64(sc.part.built))
 	return st.result(), cut
 }
 
@@ -989,7 +1012,9 @@ func (sc *scratch) resetMerge(s *Scorer, child int, combos []combo) {
 // parents. The parts are a pure function of F and W's new nodes, which
 // probeUnion puts in a fixed order, so under masked membership a probe of
 // new nodes already scored against this F is answered from the memo; the
-// map path probes every time.
+// map path probes every time. Under masked membership a probe adding one or
+// two nodes is scored from the round tallies of the new nodes, indexed by
+// their candidate positions (see partition.probeTallied).
 func (sc *scratch) probe(s *Scorer, c *combo) (size int, parts ScoreParts, ok bool) {
 	st := &sc.merge
 	var slot *memoSlot
@@ -1008,7 +1033,11 @@ func (sc *scratch) probe(s *Scorer, c *combo) (size int, parts ScoreParts, ok bo
 	if union == nil {
 		return 0, ScoreParts{}, false
 	}
-	parts = sc.part.probe(s, union[len(st.parents):])
+	if added := union[len(st.parents):]; st.inF == nil && len(added) <= 2 {
+		parts = sc.part.probeTallied(s, key, added)
+	} else {
+		parts = sc.part.probe(s, added)
+	}
 	st.probes++
 	if slot != nil {
 		*slot = memoSlot{key: key, gen: sc.memo.gen, parts: parts}
@@ -1040,6 +1069,17 @@ func (sc *scratch) accept(s *Scorer, c *combo) bool {
 	}
 	st.parents = append(st.parents, added...)
 	return true
+}
+
+// nodeScore returns g(child, parents) for the parents a search over sc just
+// returned. When they are the merge's F — the greedy ended there, cut short
+// or not, and no backward pass dropped a parent — the score is read from
+// F's partition; otherwise it is scored from scratch.
+func (sc *scratch) nodeScore(s *Scorer, child int, parents []int) float64 {
+	if pt := &sc.part; len(parents) > 0 && pt.child == child && pt.f == len(parents) {
+		return pt.sortedScore(s, sc.merge.parents).Score()
+	}
+	return s.scoreParts(child, parents, sc).Score()
 }
 
 // result returns a sorted copy of F, nil when F is empty.

@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -164,6 +165,81 @@ func TestEdgeProbsCSRMatchesEdges(t *testing.T) {
 	if ep.Prob(-1, 0) != 0 || ep.Prob(g.NumNodes(), 0) != 0 {
 		t.Fatal("out-of-range source should have probability 0")
 	}
+}
+
+// TestEdgeProbsFromMapChecks pins the map constructors' checks and
+// messages: a missing edge, a probability outside (0,1), and a key that is
+// no edge are errors, and ClampedEdgeProbs equals clamping every value into
+// [floor, 1−floor] and then calling EdgeProbsFromMap, value for value.
+func TestEdgeProbsFromMapChecks(t *testing.T) {
+	g := graph.GNM(30, 120, rand.New(rand.NewSource(8)))
+	rng := rand.New(rand.NewSource(9))
+	probs := make(map[graph.Edge]float64)
+	for _, e := range g.Edges() {
+		probs[e] = []float64{0, 1, 1e-6, 1 - 1e-6, rng.Float64()}[rng.Intn(5)]
+	}
+	first := g.Edges()[0]
+	for _, tc := range []struct {
+		name string
+		edit func(map[graph.Edge]float64)
+		want string
+	}{
+		{"missing", func(m map[graph.Edge]float64) { delete(m, first) }, "diffusion: missing probability for edge " + fmt.Sprint(first)},
+		{"zero", func(m map[graph.Edge]float64) { m[first] = 0 }, fmt.Sprintf("diffusion: probability 0 for edge %v outside (0,1)", first)},
+		{"one", func(m map[graph.Edge]float64) { m[first] = 1 }, fmt.Sprintf("diffusion: probability 1 for edge %v outside (0,1)", first)},
+		{"non-edge", func(m map[graph.Edge]float64) { m[nonEdge(g)] = 0.5 }, "diffusion: probability given for non-edge " + fmt.Sprint(nonEdge(g))},
+	} {
+		m := make(map[graph.Edge]float64, len(probs))
+		for e := range probs {
+			m[e] = 0.5
+		}
+		tc.edit(m)
+		if _, err := EdgeProbsFromMap(g, m); err == nil || err.Error() != tc.want {
+			t.Fatalf("%s: err %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	for _, floor := range []float64{1e-4, 0.01, 0.3, 0.5, 0.7} {
+		clamped := make(map[graph.Edge]float64, len(probs))
+		for e, p := range probs {
+			if p < floor {
+				p = floor
+			}
+			if p > 1-floor {
+				p = 1 - floor
+			}
+			clamped[e] = p
+		}
+		want, err := EdgeProbsFromMap(g, clamped)
+		if err != nil {
+			t.Fatalf("floor %v: reference: %v", floor, err)
+		}
+		got, err := ClampedEdgeProbs(g, probs, floor)
+		if err != nil {
+			t.Fatalf("floor %v: %v", floor, err)
+		}
+		for _, e := range g.Edges() {
+			if got.Prob(e.From, e.To) != want.Prob(e.From, e.To) {
+				t.Fatalf("floor %v edge %v: clamped %v, reference %v", floor, e, got.Prob(e.From, e.To), want.Prob(e.From, e.To))
+			}
+		}
+		probs[nonEdge(g)] = 0.5
+		if _, err := ClampedEdgeProbs(g, probs, floor); err == nil {
+			t.Fatalf("floor %v: a non-edge key was accepted", floor)
+		}
+		delete(probs, nonEdge(g))
+	}
+}
+
+// nonEdge returns the first pair (u, v), u ≠ v, that is no edge of g.
+func nonEdge(g *graph.Directed) graph.Edge {
+	for u := 0; u < g.NumNodes(); u++ {
+		for v := 0; v < g.NumNodes(); v++ {
+			if u != v && !g.HasEdge(u, v) {
+				return graph.Edge{From: u, To: v}
+			}
+		}
+	}
+	panic("complete graph")
 }
 
 func chainSym(n int) *graph.Directed {

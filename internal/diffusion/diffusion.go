@@ -91,6 +91,16 @@ func UniformEdgeProbs(g *graph.Directed, p float64) *EdgeProbs {
 // (e.g. the output of a probability estimator). Every edge of g must have a
 // probability in (0, 1); entries for non-edges are rejected.
 func EdgeProbsFromMap(g *graph.Directed, probs map[graph.Edge]float64) (*EdgeProbs, error) {
+	return ClampedEdgeProbs(g, probs, 0)
+}
+
+// ClampedEdgeProbs is EdgeProbsFromMap with every probability first
+// clamped into [floor, 1−floor] when floor > 0: raised to floor when below
+// it, then lowered to 1−floor when above that. Each edge of g is looked up
+// once, in CSR order. With every edge found, probs holds a key that is no
+// edge exactly when it has more keys than g has edges; only then are its
+// keys searched, to name one.
+func ClampedEdgeProbs(g *graph.Directed, probs map[graph.Edge]float64, floor float64) (*EdgeProbs, error) {
 	ep := newEdgeProbs(g)
 	k := 0
 	for u := 0; u < g.NumNodes(); u++ {
@@ -100,6 +110,14 @@ func EdgeProbsFromMap(g *graph.Directed, probs map[graph.Edge]float64) (*EdgePro
 			if !ok {
 				return nil, fmt.Errorf("diffusion: missing probability for edge %v", e)
 			}
+			if floor > 0 {
+				if p < floor {
+					p = floor
+				}
+				if p > 1-floor {
+					p = 1 - floor
+				}
+			}
 			if p <= 0 || p >= 1 {
 				return nil, fmt.Errorf("diffusion: probability %v for edge %v outside (0,1)", p, e)
 			}
@@ -107,9 +125,11 @@ func EdgeProbsFromMap(g *graph.Directed, probs map[graph.Edge]float64) (*EdgePro
 			k++
 		}
 	}
-	for e := range probs {
-		if !g.HasEdge(e.From, e.To) {
-			return nil, fmt.Errorf("diffusion: probability given for non-edge %v", e)
+	if len(probs) != k {
+		for e := range probs {
+			if !g.HasEdge(e.From, e.To) {
+				return nil, fmt.Errorf("diffusion: probability given for non-edge %v", e)
+			}
 		}
 	}
 	return ep, nil

@@ -172,17 +172,7 @@ func (e *Estimate) EdgeProbs(g *graph.Directed, floor float64) (*diffusion.EdgeP
 	if floor <= 0 {
 		floor = 1e-4
 	}
-	clamped := make(map[graph.Edge]float64, len(e.Probs))
-	for edge, p := range e.Probs {
-		if p < floor {
-			p = floor
-		}
-		if p > 1-floor {
-			p = 1 - floor
-		}
-		clamped[edge] = p
-	}
-	return diffusion.EdgeProbsFromMap(g, clamped)
+	return diffusion.ClampedEdgeProbs(g, e.Probs, floor)
 }
 
 // The fit's stopping rule and its limits. A node has converged when every
