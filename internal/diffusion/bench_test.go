@@ -100,8 +100,11 @@ func BenchmarkJointCounts(b *testing.B) {
 var seedSink []int
 
 // BenchmarkSeedDraw times one process's seed draw at n=10⁵, k=10: the
-// allocating rand.Perm, permPrefix, and the bare n Int31 draws both make,
-// which is the floor while the golden fixtures pin the RNG stream.
+// allocating rand.Perm; permPrefix on a stream (blocks generated from the
+// generator's recurrence, the modulus only on hits); the bare n Int31
+// interface calls through rand.Rand, which was the floor when the seed
+// draw read its source one value at a time; and the stream alone, n
+// values replayed one Int63 call at a time.
 func BenchmarkSeedDraw(b *testing.B) {
 	const n, k = 100000, 10
 	buf := make([]int, k)
@@ -112,9 +115,10 @@ func BenchmarkSeedDraw(b *testing.B) {
 		}
 	})
 	b.Run("prefix", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(1))
+		s := newStream(rand.NewSource(1))
+		recips := recipTable(n)
 		for i := 0; i < b.N; i++ {
-			seedSink = permPrefix(rng, n, k, buf)
+			seedSink = permPrefix(s, n, k, recips, buf)
 		}
 	})
 	b.Run("draws", func(b *testing.B) {
@@ -122,6 +126,14 @@ func BenchmarkSeedDraw(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < n; j++ {
 				rng.Int31()
+			}
+		}
+	})
+	b.Run("stream", func(b *testing.B) {
+		s := newStream(rand.NewSource(1))
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < n; j++ {
+				s.Int63()
 			}
 		}
 	})

@@ -25,7 +25,6 @@ package diffusion
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"tends/internal/graph"
@@ -201,6 +200,14 @@ type Config struct {
 
 // Simulate runs cfg.Beta independent-cascade processes on the network
 // described by ep and returns the observations.
+//
+// It consumes rng. The outputs are those of drawing every value from rng in
+// turn, but the simulation reads them in blocks: when rng's source is Go's
+// math/rand generator (a recurrence the first 671 values are checked
+// against), later values are computed from the recurrence rather than drawn;
+// otherwise each block is pulled from rng. Either way it reads past its last
+// draw, so rng's state afterwards is unspecified: a caller that needs more
+// values after a simulation must use another generator.
 func Simulate(ep *EdgeProbs, cfg Config, rng *rand.Rand) (*Result, error) {
 	return SimulateContext(context.Background(), ep, cfg, rng)
 }
@@ -211,7 +218,8 @@ func Simulate(ep *EdgeProbs, cfg Config, rng *rand.Rand) (*Result, error) {
 // the observability recorder (see internal/obs), which tallies processes,
 // infections and diffusion rounds and times the whole run, and the chaos
 // injector.
-// Results are identical to Simulate's for the same inputs.
+// Results are identical to Simulate's for the same inputs, and rng is
+// consumed as there.
 //
 // It is the zero-Scenario entry point of the scenario engine (see
 // SimulateScenarioContext): independent cascade, unit exponential delays,
@@ -230,9 +238,15 @@ func SimulateContext(ctx context.Context, ep *EdgeProbs, cfg Config, rng *rand.R
 // the cascade trace itself (which escapes into the Result) is allocated per
 // process.
 type simScratch struct {
-	perm     []int     // seed buffer: the numSeeds-long prefix of the permutation
-	infected []bool    // cleared after each process via the infection list
-	times    []float64 // valid only for nodes infected in the current process
+	src      *stream    // the run's random values; rng reads the same stream
+	rng      *rand.Rand // rand.New(src)
+	recips   []uint64   // recipTable(n), for permPrefix
+	perm     []int      // seed buffer: the numSeeds-long prefix of the permutation
+	infected []bool     // cleared after each process via the infection list
+	times    []float64  // valid only for nodes infected in the current process
+	// frontier and next grow by append and keep their capacity for the
+	// next process: rounds are far smaller than n on sparse networks, and
+	// an n-capacity pair costs 16n bytes per simulation.
 	frontier []int
 	next     []int
 	state    []uint8   // S/I/R compartments; allocated only for SIR/SIS runs
@@ -240,70 +254,30 @@ type simScratch struct {
 	accum    []float64 // LT accumulated in-weights, cleared per process; LT only
 }
 
-func newSimScratch(n, numSeeds int) *simScratch {
+func newSimScratch(src *stream, n, numSeeds int) *simScratch {
 	return &simScratch{
+		src:      src,
+		rng:      rand.New(src),
+		recips:   recipTable(n),
 		perm:     make([]int, numSeeds),
 		infected: make([]bool, n),
 		times:    make([]float64, n),
-		frontier: make([]int, 0, n),
-		next:     make([]int, 0, n),
+		frontier: make([]int, 0, numSeeds),
+		next:     make([]int, 0, numSeeds),
 	}
 }
 
-// permPrefix returns rng.Perm(n)[:k] in buf (len ≥ k) and leaves rng in
-// exactly the state rng.Perm(n) would: it makes all n of Perm's
-// Intn(i+1) draws, the i=0 self-swap draw included, reproducing Int31n's
-// power-of-two mask and rejection loop. Only the prefix is stored. For
-// i ≥ k, Perm's swap sets slot j to i and copies slot j into slot i ≥ k,
-// which no later swap can move back into the prefix; so a draw j < k sets
-// prefix slot j = i and any other draw changes nothing the caller sees.
-// Skipping the n-element array keeps the tail to one draw and at most one
-// division per i — the draws themselves are pinned by the golden fixtures.
-func permPrefix(rng *rand.Rand, n, k int, buf []int) []int {
-	perm := buf[:k]
-	for i := 0; i < k; i++ {
-		j := rng.Intn(i + 1)
-		perm[i] = perm[j]
-		perm[j] = i
-	}
-	end := n
-	if end > math.MaxInt32 {
-		end = math.MaxInt32 // Intn leaves Int31n beyond here
-	}
-	for i := k; i < end; i++ {
-		m := int32(i + 1)
-		v := rng.Int31()
-		if m&(m-1) == 0 {
-			v &= m - 1
-		} else {
-			// Int31n rejects v > 2³¹−1 − 2³¹ mod m. As 2³¹ mod m < m, every
-			// v ≤ 2³¹−1 − m is accepted, so the bound's modulus is needed
-			// only above that line.
-			if v > math.MaxInt32-m {
-				max := int32((1 << 31) - 1 - (1<<31)%uint32(m))
-				for v > max {
-					v = rng.Int31()
-				}
-			}
-			v %= m
-		}
-		if int(v) < k {
-			perm[v] = i
-		}
-	}
-	for i := end; i < n; i++ {
-		if j := rng.Intn(i + 1); j < k {
-			perm[j] = i
-		}
-	}
-	return perm
+// seeds draws the process's seeds: rng.Perm(n)[:numSeeds] with Perm's
+// full draw sequence, so fixed-seed cascades are byte-identical to the
+// allocating version.
+func (sc *simScratch) seeds() []int {
+	return permPrefix(sc.src, len(sc.infected), len(sc.perm), sc.recips, sc.perm)
 }
 
 // runProcess executes a single independent-cascade process.
-func runProcess(ep *EdgeProbs, numSeeds int, delay DelaySampler, rng *rand.Rand, sc *simScratch) Cascade {
-	// The seeds are rng.Perm(n)[:numSeeds] with Perm's full draw sequence,
-	// so fixed-seed cascades are byte-identical to the allocating version.
-	seeds := permPrefix(rng, len(sc.infected), numSeeds, sc.perm)
+func runProcess(ep *EdgeProbs, delay DelaySampler, sc *simScratch) Cascade {
+	rng := sc.rng
+	seeds := sc.seeds()
 	infected, times := sc.infected, sc.times
 	var cascade Cascade
 	cascade.Seeds = append([]int(nil), seeds...)

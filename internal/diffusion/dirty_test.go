@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -224,12 +225,13 @@ func TestScenarioDirtyComposition(t *testing.T) {
 	if dirty.MissingMask == nil || dirty.Probs == nil {
 		t.Fatal("dirty run missing its side channels")
 	}
-	// Reproduce the dirty stages by hand on the clean result with the RNG
-	// state the simulation left behind.
-	rng := rand.New(rand.NewSource(17))
-	if _, err := SimulateScenario(ep, cfg, Scenario{}, rng); err != nil {
+	// Reproduce the dirty stages by hand on the clean result, drawing from
+	// the stream where the clean simulation left it.
+	s := newStream(rand.NewSource(17))
+	if _, err := simulateStream(context.Background(), ep, cfg, Scenario{}, s); err != nil {
 		t.Fatal(err)
 	}
+	rng := rand.New(s)
 	wantUnc, wantProbs, err := Uncertain(clean.Result, 0.4, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -270,22 +272,23 @@ func TestDirtyRateErrors(t *testing.T) {
 
 // TestCorruptMaskedMatchesCorrupt: status noise with a zero-rate Missing
 // stage after it is the noise stage alone, byte for byte, and the empty
-// mask stage draws nothing after it.
+// mask stage draws nothing after it. Both runs draw from streams, which
+// simulateStream leaves positioned after its last draw.
 func TestCorruptMaskedMatchesCorrupt(t *testing.T) {
 	ep := scenarioNetwork(t, 95, 96)
 	cfg := Config{Alpha: 0.15, Beta: 30}
-	rng := rand.New(rand.NewSource(7))
-	got, err := SimulateScenario(ep, cfg, Scenario{Uncertain: 0.25}, rng)
+	s := newStream(rand.NewSource(7))
+	got, err := simulateStream(context.Background(), ep, cfg, Scenario{Uncertain: 0.25}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := rng.Int63()
-	manual := rand.New(rand.NewSource(7))
-	clean, err := SimulateScenario(ep, cfg, Scenario{}, manual)
+	after := s.Int63()
+	manual := newStream(rand.NewSource(7))
+	clean, err := simulateStream(context.Background(), ep, cfg, Scenario{}, manual)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := Uncertain(clean.Result, 0.25, manual)
+	want, _, err := Uncertain(clean.Result, 0.25, rand.New(manual))
 	if err != nil {
 		t.Fatal(err)
 	}

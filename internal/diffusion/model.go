@@ -185,7 +185,8 @@ type ScenarioResult struct {
 // SimulateScenario runs cfg.Beta diffusion processes under the scenario's
 // model and delay law, then applies its dirty-observation stages. With the
 // zero Scenario it is Simulate exactly — same RNG draw sequence, same
-// bytes out.
+// bytes out. It consumes rng: the simulation reads rng's values in blocks
+// (see Simulate), and rng's state afterwards is unspecified.
 func SimulateScenario(ep *EdgeProbs, cfg Config, sc Scenario, rng *rand.Rand) (*ScenarioResult, error) {
 	return SimulateScenarioContext(context.Background(), ep, cfg, sc, rng)
 }
@@ -193,7 +194,22 @@ func SimulateScenario(ep *EdgeProbs, cfg Config, sc Scenario, rng *rand.Rand) (*
 // SimulateScenarioContext is SimulateScenario under a context carrying the
 // observability recorder and chaos injector (shared with SimulateContext:
 // the chaos site fires once per simulation regardless of entry point).
+// The counter diffusion/rng/fallback adds 1 when rng's source failed the
+// check for Go's generator, so every value was pulled from rng (see
+// Simulate).
 func SimulateScenarioContext(ctx context.Context, ep *EdgeProbs, cfg Config, sc Scenario, rng *rand.Rand) (*ScenarioResult, error) {
+	fallback := obs.From(ctx).Counter("diffusion/rng/fallback")
+	s := newStream(rng)
+	out, err := simulateStream(ctx, ep, cfg, sc, s)
+	if s.fallback {
+		fallback.Inc()
+	}
+	return out, err
+}
+
+// simulateStream is SimulateScenarioContext drawing from s, which it leaves
+// positioned after the run's last draw.
+func simulateStream(ctx context.Context, ep *EdgeProbs, cfg Config, sc Scenario, s *stream) (*ScenarioResult, error) {
 	sc = sc.Normalized()
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -233,7 +249,7 @@ func SimulateScenarioContext(ctx context.Context, ep *EdgeProbs, cfg Config, sc 
 		Statuses: NewStatusMatrix(cfg.Beta, n),
 		Cascades: make([]Cascade, cfg.Beta),
 	}
-	st := newSimScratch(n, numSeeds)
+	st := newSimScratch(s, n, numSeeds)
 	var ltWeights []map[int]float64
 	switch sc.Model {
 	case ModelLT:
@@ -247,11 +263,11 @@ func SimulateScenarioContext(ctx context.Context, ep *EdgeProbs, cfg Config, sc 
 		var cascade Cascade
 		switch sc.Model {
 		case ModelIC:
-			cascade = runProcess(ep, numSeeds, delay, rng, st)
+			cascade = runProcess(ep, delay, st)
 		case ModelLT:
-			cascade = runLTProcess(ltWeights, numSeeds, delay, rng, st)
+			cascade = runLTProcess(ltWeights, delay, st)
 		default:
-			cascade = runSIRProcess(ep, numSeeds, sc, sc.Model == ModelSIS, delay, rng, st, &reinf)
+			cascade = runSIRProcess(ep, sc, sc.Model == ModelSIS, delay, st, &reinf)
 		}
 		res.Cascades[proc] = cascade
 		for _, inf := range cascade.Infections {
@@ -274,7 +290,7 @@ func SimulateScenarioContext(ctx context.Context, ep *EdgeProbs, cfg Config, sc 
 	// then Missing (an unreported cell stays unreported — missingness wins),
 	// then TimestampNoise on the surviving trace.
 	if sc.Uncertain > 0 {
-		dirtied, probs, cells, err := uncertain(out.Result, sc.Uncertain, rng)
+		dirtied, probs, cells, err := uncertain(out.Result, sc.Uncertain, st.rng)
 		if err != nil {
 			return nil, err
 		}
@@ -282,7 +298,7 @@ func SimulateScenarioContext(ctx context.Context, ep *EdgeProbs, cfg Config, sc 
 		rec.Counter("diffusion/dirty/uncertain_cells").Add(int64(cells))
 	}
 	if sc.Missing > 0 {
-		dirtied, mask, cells, err := missing(out.Result, sc.Missing, rng)
+		dirtied, mask, cells, err := missing(out.Result, sc.Missing, st.rng)
 		if err != nil {
 			return nil, err
 		}
@@ -290,7 +306,7 @@ func SimulateScenarioContext(ctx context.Context, ep *EdgeProbs, cfg Config, sc 
 		rec.Counter("diffusion/dirty/missing_cells").Add(int64(cells))
 	}
 	if sc.TimestampNoise > 0 {
-		if out.Result, err = PerturbTimestamps(out.Result, sc.TimestampNoise, rng); err != nil {
+		if out.Result, err = PerturbTimestamps(out.Result, sc.TimestampNoise, st.rng); err != nil {
 			return nil, err
 		}
 	}

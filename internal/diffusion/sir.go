@@ -1,7 +1,5 @@
 package diffusion
 
-import "math/rand"
-
 // Per-node epidemic compartments for the SIR/SIS process. stateSusceptible
 // must be zero: the scratch state slice starts zeroed and is reset to zero
 // after each process via the cascade trace.
@@ -30,8 +28,9 @@ const (
 // The cascade records first infections only; SIS reinfections (a node
 // re-entering I from S) keep their original trace entry and timestamp and
 // are tallied into *reinf.
-func runSIRProcess(ep *EdgeProbs, numSeeds int, sc Scenario, sis bool, delay DelaySampler, rng *rand.Rand, st *simScratch, reinf *int64) Cascade {
-	seeds := permPrefix(rng, len(st.infected), numSeeds, st.perm)
+func runSIRProcess(ep *EdgeProbs, sc Scenario, sis bool, delay DelaySampler, st *simScratch, reinf *int64) Cascade {
+	rng := st.rng
+	seeds := st.seeds()
 	ever, times, state := st.infected, st.times, st.state
 	var cascade Cascade
 	cascade.Seeds = append([]int(nil), seeds...)

@@ -1,9 +1,6 @@
 package diffusion
 
-import (
-	"math/rand"
-	"sort"
-)
+import "sort"
 
 // The Linear Threshold model (ModelLT) runs through SimulateScenario. TENDS's
 // derivation assumes nothing about the diffusion mechanism beyond
@@ -44,16 +41,16 @@ func ltInWeights(ep *EdgeProbs) []map[int]float64 {
 // thresholds before the seed permutation. The thresholds are overwritten and
 // the infected marks and accumulators cleared every process, so st carries
 // nothing from one process to the next.
-func runLTProcess(weights []map[int]float64, numSeeds int, delay DelaySampler, rng *rand.Rand, st *simScratch) Cascade {
-	n := len(st.infected)
+func runLTProcess(weights []map[int]float64, delay DelaySampler, st *simScratch) Cascade {
+	n, rng := len(st.infected), st.rng
 	thresholds, infected, accum, times := st.thresh, st.infected, st.accum, st.times
 	for v := range thresholds {
 		thresholds[v] = rng.Float64()
 	}
 	var cascade Cascade
-	seeds := permPrefix(rng, n, numSeeds, st.perm)
+	seeds := st.seeds()
 	cascade.Seeds = append([]int(nil), seeds...)
-	frontier := make([]int, 0, numSeeds)
+	frontier := make([]int, 0, len(seeds))
 	for _, s := range seeds {
 		infected[s] = true
 		times[s] = 0

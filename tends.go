@@ -126,7 +126,10 @@ type SimulationResult = diffusion.Result
 
 // Simulate runs independent-cascade diffusion processes on a known network
 // and returns the resulting observations, for studying reconstruction
-// quality against a ground truth.
+// quality against a ground truth. Equal configurations give equal results:
+// the edge probabilities and then the processes draw from one math/rand
+// generator seeded with cfg.Seed, which the simulation consumes in blocks
+// (see diffusion.Simulate).
 func Simulate(g *Graph, cfg SimulationConfig) (*SimulationResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ep := diffusion.NewEdgeProbs(g, cfg.Mu, 0.05, rng)
