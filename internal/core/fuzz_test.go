@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -112,4 +115,84 @@ func fuzzStatus(beta, n int, data, over []byte) *diffusion.StatusMatrix {
 		}
 	}
 	return m
+}
+
+// FuzzSparseFilteredBuild checks the filtered sparse build that inference
+// runs against the full sparse build and the dense engine. The input's
+// first bytes set β ≤ 96 (small enough that single-cascade pairs can clear
+// τ), the node count n ≤ 41, the worker count, the IMI variant and a floor
+// pick; the rest shapes a fuzzStatus matrix. At the inference floor
+// (keepFloor of the selected τ) and at a floor picked from the value pool,
+// including one above every value, the filtered build must keep exactly the
+// full engine's rows filtered at that floor, neighbors and value bits. Its
+// pool must equal the dense engine's and give the dense τ bit for bit.
+func FuzzSparseFilteredBuild(f *testing.F) {
+	f.Add([]byte{40, 20, 0, 3, 0x5a, 0xa5})
+	f.Add([]byte{7, 12, 1, 0, 0xff, 0x00, 0x0f})
+	f.Add([]byte{95, 40, 0x83, 9, 0x11, 0x22, 0x33, 0x44})
+	f.Add([]byte{63, 33, 2, 200})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		beta, n := 1+int(data[0])%96, 2+int(data[1])%40
+		workers, traditional := 1+int(data[2]&0x7f)%4, data[2]&0x80 != 0
+		sm := fuzzStatus(beta, n, data, data[4:])
+		ctx := context.Background()
+		opt := Options{TraditionalMI: traditional}.withDefaults()
+		dense := ComputeIMI(sm, traditional)
+		_, denseTau := selectThreshold(ctx, dense, beta, opt)
+		full, err := ComputeSparseIMIContext(ctx, sm, traditional, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(what string, selectFloor func(*SparseIMI) float64) {
+			filt, err := buildSparse(ctx, sm, traditional, workers, selectFloor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := keptRowsMatch(full, filt); d != "" {
+				t.Fatalf("β=%d n=%d trad=%v workers=%d, %s floor %v (n11 ≥ %d): %s",
+					beta, n, traditional, workers, what, filt.floor, filt.minKeptJoint(filt.floor), d)
+			}
+			if d := samePool(dense.valuePool(), filt.pool); d != "" {
+				t.Fatalf("β=%d n=%d trad=%v: %s build's pool vs dense: %s", beta, n, traditional, what, d)
+			}
+		}
+		var tau float64
+		check("inference", func(s *SparseIMI) float64 {
+			_, tau = selectThreshold(ctx, s, beta, opt)
+			return s.keepFloor(tau, false)
+		})
+		if math.Float64bits(tau) != math.Float64bits(denseTau) {
+			t.Fatalf("β=%d n=%d trad=%v: filtered build's τ %v, dense τ %v", beta, n, traditional, tau, denseTau)
+		}
+		pos := full.pool.pos
+		floor := full.pool.maxAll
+		if k := int(data[3]) % (len(pos) + 1); k < len(pos) {
+			floor = pos[k]
+		}
+		check("picked", func(*SparseIMI) float64 { return floor })
+	})
+}
+
+// keptRowsMatch reports the first row in which filt differs from full's
+// row filtered at filt's floor, or "" when every row matches.
+func keptRowsMatch(full, filt *SparseIMI) string {
+	for v := 0; v < full.n; v++ {
+		var nbr []int32
+		var val []float64
+		for k := full.rowStart[v]; k < full.rowStart[v+1]; k++ {
+			if full.val[k] > filt.floor {
+				nbr, val = append(nbr, full.nbr[k]), append(val, full.val[k])
+			}
+		}
+		lo, hi := filt.rowStart[v], filt.rowStart[v+1]
+		if !slices.Equal(nbr, filt.nbr[lo:hi]) || !slices.EqualFunc(val, filt.val[lo:hi], func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b)
+		}) {
+			return fmt.Sprintf("row %d: kept %v %v, want %v %v", v, filt.nbr[lo:hi], filt.val[lo:hi], nbr, val)
+		}
+	}
+	return ""
 }

@@ -39,14 +39,27 @@ import (
 // pairs whose value clears it (see buildSparse), so its memory grows with
 // the search candidates rather than with the co-pairs.
 //
+// Most co-pairs at scale share exactly one cascade (99.6% at n = 10⁵,
+// β = 1024), and their key (1, ni, nj) varies within a row only with nj.
+// So walk 1 counts a row's single-cascade pairs per marginal count and
+// looks each such key up once per row. Walk 2 resets, without a lookup,
+// every pair whose n11 is below the smallest joint count at which any
+// class pair's value clears the floor (minKeptJoint), and skips the rows
+// whose own marginal count is below it.
+//
 // Every materialized or derived value goes through the same pairValue
 // arithmetic as the dense engine, so a full SparseIMI's At is bit-identical
 // to IMIMatrix.At for every pair, and the threshold selectors (which
 // consume the shared valuePool form) return bit-identical τ. The pairwise
-// stage costs O(n·β/64 + Σ_c |infected(c)|²) for the walks, O(coPairs·log
-// k) to merge a full row's k ascending cascade runs, and O(V log V + C²)
-// for the pool, with V distinct positive values and C count classes;
-// memory beyond the stored rows is O(n + β + V) per worker.
+// stage costs O(n·β/64 + Σ_c |infected(c)|²) for the walks. Of those
+// steps only a few pay a cache lookup (a hash and a probe): in walk 1 the
+// pairs that share two or more cascades and one single-cascade key per row
+// and marginal count; in walk 2 every stored entry of a full build, and
+// only the pairs whose n11 can clear the floor of a filtered one. The
+// build adds O(coPairs·log k) to merge a full row's k ascending cascade
+// runs, O(V log V + C²) for the pool and at most Σ lo over the C(C+1)/2
+// class pairs for minKeptJoint, with V distinct positive values and C
+// count classes; memory beyond the stored rows is O(n + β + V) per worker.
 type SparseIMI struct {
 	n, beta     int
 	traditional bool
@@ -229,7 +242,12 @@ func buildSparse(ctx context.Context, sm *diffusion.StatusMatrix, traditional bo
 		return nil, err
 	}
 
+	var lookups int64
+	for _, sc := range scs {
+		lookups += sc.lookups
+	}
 	rec.Counter("core/sparse/rows").Add(int64(n))
+	rec.Counter("core/sparse/lookups").Add(lookups)
 	rec.Counter("core/sparse/pairs").Add(s.coPairs)
 	rec.Counter("core/sparse/pairs_skipped").Add(s.TotalPairs() - s.coPairs)
 	rec.Counter("core/sparse/kept").Add(s.kept())
@@ -281,13 +299,18 @@ func parallelNodes(ctx context.Context, n int, scs []*sparseScratch, body func(v
 
 // sparseScratch is the per-worker state of the build walks.
 type sparseScratch struct {
-	cnt   []int32 // per-node joint infected count, all zero between rows
-	row   []int32 // the walked row
-	runs  []int   // offsets of a row's ascending runs
-	buf   []int32 // mergeRuns' second buffer
-	kept  []keptPair
-	cache [1 << valueCacheBits]cachedValue
-	tally valueTally
+	cnt  []int32 // per-node joint infected count, all zero between rows
+	row  []int32 // the walked row
+	runs []int   // offsets of a row's ascending runs
+	buf  []int32 // mergeRuns' second buffer
+	kept []keptPair
+	// single[c] counts a row's single-cascade pairs whose other end has
+	// marginal count c; touched lists the counts set, in first-hit order.
+	single  []int32
+	touched []int32
+	lookups int64 // value-cache lookups, for core/sparse/lookups
+	cache   [1 << valueCacheBits]cachedValue
+	tally   valueTally
 	// classPairs counts the co-pairs per pair of marginal counts, keyed by
 	// classPairKey.
 	classPairs countTable
@@ -305,8 +328,16 @@ type keptPair struct {
 // into the worker's tallies.
 func (s *SparseIMI) lookup(sc *sparseScratch, v int, u int32) *cachedValue {
 	ni, nu := s.ones[v], s.ones[u]
-	key := pairKey{sc.cnt[u], min(ni, nu), max(ni, nu)}
+	n11 := sc.cnt[u]
 	sc.cnt[u] = 0
+	return s.cached(sc, pairKey{n11, min(ni, nu), max(ni, nu)})
+}
+
+// cached returns the worker's cache entry for key. On a miss it computes
+// the value and first moves the evicted key's upper-triangle count into the
+// worker's tallies.
+func (s *SparseIMI) cached(sc *sparseScratch, key pairKey) *cachedValue {
+	sc.lookups++
 	e := &sc.cache[key.hash()>>(64-valueCacheBits)]
 	if e.key != key {
 		sc.flush(e)
@@ -333,15 +364,39 @@ func classPairKey(lo, hi int32) uint64 { return uint64(uint32(lo))<<32 | uint64(
 // leaves each one's n11 in sc.cnt. tally counts the pairs with u > v into
 // the workers' caches, records len(row) in deg when deg is non-nil, and
 // then assembles the classes, marginal runs and value pool.
+//
+// A pair that shares one cascade has key (1, ni, nu), so its value depends
+// on nu alone within the row: such pairs are counted per marginal count nu
+// and enter the cache once per distinct nu at the end of the row. At scale
+// almost every co-pair is one of them. The pairs with u < v are only reset;
+// their lower end counts them.
 func (s *SparseIMI) tally(ctx context.Context, scs []*sparseScratch, deg []int64, gather func(v int, sc *sparseScratch, row []int32) []int32) error {
+	for _, sc := range scs {
+		sc.single = make([]int32, s.beta+1)
+	}
 	parallelNodes(ctx, s.n, scs, func(v int, sc *sparseScratch) {
 		sc.row = gather(v, sc, sc.row[:0])
 		for _, u := range sc.row {
-			e := s.lookup(sc, v, u)
-			if int(u) > v {
-				e.n++
+			switch {
+			case int(u) < v:
+				sc.cnt[u] = 0
+			case sc.cnt[u] == 1:
+				sc.cnt[u] = 0
+				nu := s.ones[u]
+				if sc.single[nu] == 0 {
+					sc.touched = append(sc.touched, nu)
+				}
+				sc.single[nu]++
+			default:
+				s.lookup(sc, v, u).n++
 			}
 		}
+		ni := s.ones[v]
+		for _, nu := range sc.touched {
+			s.cached(sc, pairKey{1, min(ni, nu), max(ni, nu)}).n += int64(sc.single[nu])
+			sc.single[nu] = 0
+		}
+		sc.touched = sc.touched[:0]
 		if deg != nil {
 			deg[v] = int64(len(sc.row))
 		}
@@ -407,16 +462,27 @@ func (s *SparseIMI) fillRows(ctx context.Context, scs []*sparseScratch, count bo
 
 // keepRows is the filtered walk 2: gather appends the nodes u > v that
 // co-occur with v, and only the pairs whose value exceeds floor are kept.
+// A pair whose n11 is below minKeptJoint(floor) cannot be kept, so it is
+// reset without a lookup, and a row whose own marginal count is below it
+// is not walked at all.
 // Each worker keeps its pairs in node order, sorted by u within a node;
 // scattering them in ascending v then leaves every row ascending, because
 // row v receives its lower neighbors (from earlier nodes) before its own
 // upper ones.
 func (s *SparseIMI) keepRows(ctx context.Context, scs []*sparseScratch, floor float64, gather func(v int, sc *sparseScratch, row []int32) []int32) error {
 	s.floor = floor
+	need := s.minKeptJoint(floor)
 	parallelNodes(ctx, s.n, scs, func(v int, sc *sparseScratch) {
+		if s.ones[v] < need {
+			return
+		}
 		sc.row = gather(v, sc, sc.row[:0])
 		start := len(sc.kept)
 		for _, u := range sc.row {
+			if sc.cnt[u] < need {
+				sc.cnt[u] = 0
+				continue
+			}
 			if val := s.lookup(sc, v, u).v; val > floor {
 				sc.kept = append(sc.kept, keptPair{int32(v), u, val})
 			}
@@ -456,6 +522,26 @@ func (s *SparseIMI) keepRows(ctx context.Context, scs []*sparseScratch, floor fl
 		sc.kept = nil
 	}
 	return nil
+}
+
+// minKeptJoint returns the smallest joint count n11 at which some pair of
+// count classes has a value above floor, math.MaxInt32 when none has. Every
+// co-occurring pair's key (n11, lo, hi) is one of the cells scanned, so no
+// pair with a smaller n11 clears floor, whether or not values grow with
+// n11. Cost is at most Σ lo over the C(C+1)/2 class pairs, and far less
+// once a small n11 clears.
+func (s *SparseIMI) minKeptJoint(floor float64) int32 {
+	need := int32(math.MaxInt32)
+	for a, lo := range s.classVals {
+		for _, hi := range s.classVals[a:] {
+			for n11 := max(1, lo+hi-int32(s.beta)); n11 <= lo && n11 < need; n11++ {
+				if pairValue(s.mt, s.traditional, s.beta, int(n11), int(lo), int(hi)) > floor {
+					need = n11
+				}
+			}
+		}
+	}
+	return need
 }
 
 // mergeRuns sorts row in place, given that it is the concatenation of
@@ -512,11 +598,13 @@ func (k pairKey) hash() uint64 {
 
 // valueCacheBits sizes each worker's direct-mapped cache of pair values,
 // which also counts the upper-triangle pairs of each cached key until the
-// key is evicted into the worker's tallies. 1024 entries hold the few
-// hundred keys that cover almost every pair at scale; when most pairs have
-// keys of their own, as in small dense inputs, the tallies' compact tables
-// hold them instead. The zero key marks an empty entry, since a
-// co-occurring pair has n11 ≥ 1.
+// key is evicted into the worker's tallies. At scale the walks look up only
+// the few hundred keys of the pairs sharing two or more cascades, plus one
+// single-cascade key per row and marginal count, and 1024 entries hold
+// them all (176 keys at n = 10⁵, β = 1024); when most pairs have keys of
+// their own, as in small dense inputs, the tallies' compact tables hold
+// them instead. The zero key marks an empty entry, since a co-occurring
+// pair has n11 ≥ 1.
 const valueCacheBits = 10
 
 type cachedValue struct {

@@ -11,6 +11,7 @@ import (
 
 	"tends/internal/diffusion"
 	"tends/internal/graph"
+	"tends/internal/lfr"
 	"tends/internal/obs"
 )
 
@@ -349,6 +350,58 @@ func TestSparseObsCounters(t *testing.T) {
 	}
 	if sp.CoPairs() != want {
 		t.Fatalf("CoPairs = %d, want %d", sp.CoPairs(), want)
+	}
+
+	// core/sparse/lookups, the build walks' value-cache lookups, is pinned
+	// on the sparse diffusions of TestPairCountersPinned at β = 200, where
+	// no single-cascade pair clears τ. Walk 1 looks up each row's
+	// single-cascade pairs once per distinct marginal count and every other
+	// upper-triangle pair once; walk 2 looks up only the pairs whose joint
+	// count can clear τ. Looking every co-pair up in either walk breaks the
+	// pin.
+	const wantLookups = 4167
+	net, err := lfr.GenerateBenchmark(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm = simulateOn(t, net.Graph, 0.2, 0.01, 200, 11)
+	for _, workers := range []int{1, 4} {
+		rec := obs.New()
+		var need int32
+		if _, err := buildSparse(obs.With(context.Background(), rec), sm, false, workers, func(s *SparseIMI) float64 {
+			_, tau := selectThreshold(context.Background(), s, sm.Beta(), Options{}.withDefaults())
+			floor := s.keepFloor(tau, false)
+			need = s.minKeptJoint(floor)
+			return floor
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if need < 2 {
+			t.Fatalf("workers=%d: minKeptJoint = %d, want ≥ 2", workers, need)
+		}
+		if got := rec.Snapshot().Counters["core/sparse/lookups"]; got != wantLookups {
+			t.Fatalf("workers=%d: core/sparse/lookups = %d, want %d", workers, got, wantLookups)
+		}
+		// The pin, counted pair by pair.
+		var counted int64
+		for i := 0; i < sm.N(); i++ {
+			singles := map[int]bool{}
+			for j := i + 1; j < sm.N(); j++ {
+				switch n11 := sm.JointCounts(i, j)[1][1]; {
+				case n11 == 1:
+					singles[sm.CountInfected(j)] = true
+				case n11 >= 2:
+					counted++
+					if n11 >= int(need) {
+						counted++
+					}
+				}
+			}
+			counted += int64(len(singles))
+		}
+		if counted != wantLookups {
+			t.Fatalf("workers=%d: the pairs give %d lookups, pinned %d", workers, counted, wantLookups)
+		}
 	}
 }
 

@@ -252,6 +252,8 @@ type simScratch struct {
 	state    []uint8   // S/I/R compartments; allocated only for SIR/SIS runs
 	thresh   []float64 // LT node thresholds, redrawn every process; LT only
 	accum    []float64 // LT accumulated in-weights, cleared per process; LT only
+	ltFrom   []int32   // LT last frontier parent per node this round, −1 between rounds; LT only
+	touched  []int     // LT nodes whose accumulator grew this round; LT only
 }
 
 func newSimScratch(src *stream, n, numSeeds int) *simScratch {

@@ -250,11 +250,14 @@ func simulateStream(ctx context.Context, ep *EdgeProbs, cfg Config, sc Scenario,
 		Cascades: make([]Cascade, cfg.Beta),
 	}
 	st := newSimScratch(s, n, numSeeds)
-	var ltWeights []map[int]float64
+	var ltWeights []float64
 	switch sc.Model {
 	case ModelLT:
 		ltWeights = ltInWeights(ep)
-		st.thresh, st.accum = make([]float64, n), make([]float64, n)
+		st.thresh, st.accum, st.ltFrom = make([]float64, n), make([]float64, n), make([]int32, n)
+		for v := range st.ltFrom {
+			st.ltFrom[v] = -1
+		}
 	case ModelSIR, ModelSIS:
 		st.state = make([]uint8, n)
 	}
@@ -265,7 +268,7 @@ func simulateStream(ctx context.Context, ep *EdgeProbs, cfg Config, sc Scenario,
 		case ModelIC:
 			cascade = runProcess(ep, delay, st)
 		case ModelLT:
-			cascade = runLTProcess(ltWeights, delay, st)
+			cascade = runLTProcess(ep, ltWeights, delay, st)
 		default:
 			cascade = runSIRProcess(ep, sc, sc.Model == ModelSIS, delay, st, &reinf)
 		}

@@ -1,56 +1,48 @@
 package diffusion
 
-import "sort"
+import "slices"
 
 // The Linear Threshold model (ModelLT) runs through SimulateScenario. TENDS's
 // derivation assumes nothing about the diffusion mechanism beyond
 // "infections are caused by parents", so LT observations exercise its
 // robustness to model mismatch (Fig. 14).
 
-// ltInWeights computes each node's normalized in-weights: the propagation
-// probabilities of ep scaled per node so in-weights sum to at most 1 (the
-// standard LT normalization). Built once per simulation, shared read-only
-// across its β processes.
-func ltInWeights(ep *EdgeProbs) []map[int]float64 {
-	g := ep.Graph()
-	n := g.NumNodes()
-	weights := make([]map[int]float64, n)
-	for v := 0; v < n; v++ {
-		parents := g.Parents(v)
-		if len(parents) == 0 {
-			continue
-		}
-		var sum float64
-		for _, u := range parents {
-			sum += ep.Prob(u, v)
-		}
+// ltInWeights computes every edge's normalized weight, aligned with ep's
+// CSR children: the propagation probabilities scaled per child so its
+// in-weights sum to at most 1 (the standard LT normalization). The CSR
+// lists parents in ascending order for every child, so each child's sum
+// adds its parents' probabilities in that order. Built once per
+// simulation, shared read-only across its β processes.
+func ltInWeights(ep *EdgeProbs) []float64 {
+	sum := make([]float64, len(ep.off)-1)
+	for k, v := range ep.children {
+		sum[v] += ep.probs[k]
+	}
+	weights := make([]float64, len(ep.children))
+	for k, v := range ep.children {
 		scale := 1.0
-		if sum > 1 {
-			scale = 1 / sum
+		if sum[v] > 1 {
+			scale = 1 / sum[v]
 		}
-		w := make(map[int]float64, len(parents))
-		for _, u := range parents {
-			w[u] = ep.Prob(u, v) * scale
-		}
-		weights[v] = w
+		weights[k] = ep.probs[k] * scale
 	}
 	return weights
 }
 
 // runLTProcess executes one Linear Threshold process in st, drawing the n
-// thresholds before the seed permutation. The thresholds are overwritten and
-// the infected marks and accumulators cleared every process, so st carries
-// nothing from one process to the next.
-func runLTProcess(weights []map[int]float64, delay DelaySampler, st *simScratch) Cascade {
-	n, rng := len(st.infected), st.rng
-	thresholds, infected, accum, times := st.thresh, st.infected, st.accum, st.times
+// thresholds before the seed permutation. The thresholds are overwritten,
+// the infected marks and accumulators cleared every process and the parent
+// marks every round, so st carries nothing from one process to the next.
+func runLTProcess(ep *EdgeProbs, weights []float64, delay DelaySampler, st *simScratch) Cascade {
+	rng := st.rng
+	thresholds, infected, accum, times, from := st.thresh, st.infected, st.accum, st.times, st.ltFrom
 	for v := range thresholds {
 		thresholds[v] = rng.Float64()
 	}
 	var cascade Cascade
 	seeds := st.seeds()
 	cascade.Seeds = append([]int(nil), seeds...)
-	frontier := make([]int, 0, len(seeds))
+	frontier, next, touched := st.frontier[:0], st.next[:0], st.touched
 	for _, s := range seeds {
 		infected[s] = true
 		times[s] = 0
@@ -61,31 +53,30 @@ func runLTProcess(weights []map[int]float64, delay DelaySampler, st *simScratch)
 	for len(frontier) > 0 {
 		round++
 		// Fold the newly infected nodes' weights into their uninfected
-		// children and fire the ones whose accumulated weight crosses the
-		// threshold.
-		touched := make(map[int]int) // child -> one infecting parent this round
-		for v := 0; v < n; v++ {
-			if infected[v] || weights[v] == nil {
-				continue
-			}
-			for _, u := range frontier {
-				if w, ok := weights[v][u]; ok && w > 0 {
+		// children, in frontier order, so every accumulator adds its terms
+		// in that order and from[v] ends as v's last frontier parent.
+		touched = touched[:0]
+		for _, u := range frontier {
+			for k, end := int(ep.off[u]), int(ep.off[u+1]); k < end; k++ {
+				v := ep.children[k]
+				if w := weights[k]; !infected[v] && w > 0 {
 					accum[v] += w
-					touched[v] = u
+					if from[v] < 0 {
+						touched = append(touched, int(v))
+					}
+					from[v] = int32(u)
 				}
 			}
 		}
-		// Fire in node order so RNG consumption and trace order stay
-		// deterministic (map iteration order must not leak into either).
-		candidates := make([]int, 0, len(touched))
-		for v := range touched {
-			candidates = append(candidates, v)
-		}
-		sort.Ints(candidates)
-		var next []int
-		for _, v := range candidates {
+		// Fire the children whose accumulated weight crosses the threshold
+		// in node order, so RNG consumption and trace order stay
+		// deterministic.
+		slices.Sort(touched)
+		next = next[:0]
+		for _, v := range touched {
+			u := int(from[v])
+			from[v] = -1
 			if accum[v] >= thresholds[v] {
-				u := touched[v]
 				infected[v] = true
 				t := times[u] + delay.Sample(rng)
 				times[v] = t
@@ -93,11 +84,12 @@ func runLTProcess(weights []map[int]float64, delay DelaySampler, st *simScratch)
 				next = append(next, v)
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
 	for _, inf := range cascade.Infections {
 		infected[inf.Node] = false
 	}
 	clear(accum)
+	st.frontier, st.next, st.touched = frontier, next, touched
 	return cascade
 }
