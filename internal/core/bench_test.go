@@ -27,7 +27,7 @@ func BenchmarkComputeIMI300Serial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ComputeIMIWorkers(m, false, 1)
+		ComputeIMIContext(context.Background(), m, false, 1)
 	}
 }
 
@@ -36,7 +36,7 @@ func BenchmarkComputeIMI300Parallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ComputeIMIWorkers(m, false, runtime.GOMAXPROCS(0))
+		ComputeIMIContext(context.Background(), m, false, runtime.GOMAXPROCS(0))
 	}
 }
 

@@ -147,7 +147,7 @@ func FuzzSparseFilteredBuild(f *testing.F) {
 			t.Fatal(err)
 		}
 		check := func(what string, selectFloor func(*SparseIMI) float64) {
-			filt, err := buildSparse(ctx, sm, traditional, workers, selectFloor)
+			filt, err := buildSparse(ctx, NewScorer(sm), traditional, workers, selectFloor)
 			if err != nil {
 				t.Fatal(err)
 			}

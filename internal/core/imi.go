@@ -71,19 +71,11 @@ func (m *IMIMatrix) nodePool(i int) *valuePool {
 
 // ComputeIMI builds the pairwise infection-MI matrix from observations. If
 // traditional is true it computes plain mutual information instead, the
-// ablation of Figs. 10–11. It uses every CPU; ComputeIMIWorkers takes an
+// ablation of Figs. 10–11. It uses every CPU; ComputeIMIContext takes an
 // explicit worker count.
 func ComputeIMI(sm *diffusion.StatusMatrix, traditional bool) *IMIMatrix {
-	return ComputeIMIWorkers(sm, traditional, 0)
-}
-
-// ComputeIMIWorkers is ComputeIMI with an explicit concurrency knob,
-// mirroring Options.Workers: 0 means GOMAXPROCS, 1 forces serial
-// execution. Every (i, j) slot is computed independently from the same
-// inputs, so the matrix is bit-identical for any worker count.
-func ComputeIMIWorkers(sm *diffusion.StatusMatrix, traditional bool, workers int) *IMIMatrix {
 	// Background context never cancels, so the error can be ignored.
-	m, _ := ComputeIMIContext(context.Background(), sm, traditional, workers)
+	m, _ := ComputeIMIContext(context.Background(), sm, traditional, 0)
 	return m
 }
 
@@ -97,12 +89,20 @@ const imiTallyReserve = 1 << 15
 // columns fit comfortably in L1 alongside the probe.
 const imiRowBlock = 8
 
-// ComputeIMIContext is ComputeIMIWorkers with cooperative cancellation: the
-// O(n²) pairwise stage checks ctx between row blocks and abandons the
-// computation — returning ctx's error and no matrix — once the context is
-// done. It is the hook the experiment harness uses to impose per-cell
-// deadlines on TENDS runs.
+// ComputeIMIContext is ComputeIMI with an explicit concurrency knob,
+// mirroring Options.Workers (0 means GOMAXPROCS, 1 forces serial
+// execution), and cooperative cancellation: the O(n²) pairwise stage checks
+// ctx between row blocks and abandons the computation — returning ctx's
+// error and no matrix — once the context is done. Every (i, j) slot is
+// computed independently from the same inputs, so the matrix is
+// bit-identical for any worker count.
 func ComputeIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditional bool, workers int) (*IMIMatrix, error) {
+	return computeIMI(ctx, NewScorer(sm), traditional, workers)
+}
+
+// computeIMI is the dense engine over the scorer's view of the
+// observations: its packed columns and per-node infected counts.
+func computeIMI(ctx context.Context, s *Scorer, traditional bool, workers int) (*IMIMatrix, error) {
 	// Telemetry handles are resolved once up front; on a recorder-less
 	// context they are nil and every update below is an allocation-free
 	// no-op, so the pairwise hot loop pays nothing.
@@ -111,23 +111,13 @@ func ComputeIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditio
 	rowsC := rec.Counter("core/imi/rows")
 	pairsC := rec.Counter("core/imi/pairs")
 	tilesC := rec.Counter("core/kernel/tiles")
-	n := sm.N()
+	n := s.n
 	m := &IMIMatrix{n: n, vals: make([]float64, n*(n-1)/2)}
 	if n < 2 {
 		m.pool = (&valueTally{}).finish()
 		return m, ctx.Err()
 	}
-	beta := sm.Beta()
-	words := sm.Words()
-	data := sm.ColumnData()
-	// Per-node infected counts, computed once up front: building each
-	// pair's contingency table through JointCounts would rescan both full
-	// columns per pair — O(n²) popcount passes — when only the n11 AND
-	// count actually depends on the pair.
-	ones := make([]int, n)
-	for i := 0; i < n; i++ {
-		ones[i] = sm.CountInfected(i)
-	}
+	beta, words, data := s.beta, s.words, s.data
 	mt := cachedMITable(beta)
 	// Rows are processed in blocks of imiRowBlock contiguous base columns;
 	// each probe column j is ANDed against the whole tile in one kernel
@@ -152,10 +142,10 @@ func ComputeIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditio
 			probe := data[j*words : (j+1)*words]
 			kernel.BlockAndCounts(cnt[:nb], bases[:nb*words], probe, words)
 			tilesC.Inc()
-			nj := ones[j]
+			nj := s.ones(j)
 			for r := 0; r < nb; r++ {
 				i := i0 + r
-				v := pairValue(mt, traditional, beta, cnt[r], ones[i], nj)
+				v := pairValue(mt, traditional, beta, cnt[r], s.ones(i), nj)
 				m.vals[i*(2*n-i-1)/2+j-i-1] = v
 				t.add(v, 1)
 			}

@@ -1,12 +1,25 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"tends/internal/diffusion"
 	"tends/internal/stats"
 )
+
+// denseIMI and sparseIMI build the two pairwise engines on a context that
+// never ends, so neither build can fail.
+func denseIMI(sm *diffusion.StatusMatrix, traditional bool, workers int) *IMIMatrix {
+	m, _ := ComputeIMIContext(context.Background(), sm, traditional, workers)
+	return m
+}
+
+func sparseIMI(sm *diffusion.StatusMatrix, traditional bool, workers int) *SparseIMI {
+	s, _ := ComputeSparseIMIContext(context.Background(), sm, traditional, workers)
+	return s
+}
 
 func TestTriIndex(t *testing.T) {
 	n := 5

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"tends/internal/diffusion"
 	"tends/internal/obs"
@@ -18,9 +17,9 @@ import (
 // O(s²) work for a cascade with s infected nodes, with no rescan of earlier
 // observations. Source then assembles the counts into the same sparse
 // pairwise engine the batch path builds, so the values, thresholds, and
-// inferred topologies are bit-identical to a from-scratch ComputeIMI /
-// ComputeSparseIMI over the concatenated status matrix — the property the
-// streaming service's crash recovery relies on.
+// inferred topologies are bit-identical to a from-scratch
+// ComputeIMIContext / ComputeSparseIMIContext over the concatenated status
+// matrix — the property the streaming service's crash recovery relies on.
 //
 // IncrementalCounts is not safe for concurrent use; callers serialize
 // appends against Source (the streaming service folds under its state lock).
@@ -110,7 +109,7 @@ func (c *IncrementalCounts) AppendRow(infected []int) error {
 }
 
 // Source assembles the counts into a SparseIMI — the same engine
-// ComputeSparseIMI builds from a status matrix. Every field is a
+// ComputeSparseIMIContext builds from a status matrix. Every field is a
 // deterministic function of (β, ones, co-occurrence counts), and those are
 // integer-exact here, so the assembled engine is indistinguishable from the
 // batch-built one: identical At values, candidate sets, value pools, and
@@ -155,44 +154,16 @@ func (c *IncrementalCounts) ActiveNodes() []int {
 	return out
 }
 
-// Neighbors returns node v's co-occurring partners, ascending. The slice is
-// freshly allocated.
-func (c *IncrementalCounts) Neighbors(v int) []int {
-	if v < 0 || v >= c.n {
-		panic(fmt.Sprintf("core: node %d out of range [0,%d)", v, c.n))
-	}
-	out := make([]int, 0, len(c.nbr[v]))
-	for j := range c.nbr[v] {
-		out = append(out, int(j))
-	}
-	sort.Ints(out)
-	return out
-}
-
-// InferFromCounts reconstructs the topology from incrementally maintained
-// counts plus the status matrix of the same observations (the scorer of
-// Eq. 13 needs the full columns; the pairwise stage does not rescan them).
-// The result is bit-identical to InferContext over the same matrix at any
-// worker count — the counts replace only the pairwise scan, the threshold
-// and search stages are shared code. sm and counts must describe the same
-// stream: equal n and β, and row r of sm must be the r-th appended row.
-func InferFromCounts(ctx context.Context, sm *diffusion.StatusMatrix, counts *IncrementalCounts, opt Options) (*Result, error) {
-	if counts.n != sm.N() || counts.beta != sm.Beta() {
-		return nil, fmt.Errorf("core: counts describe %d nodes × %d rows, matrix is %d × %d",
-			counts.n, counts.beta, sm.N(), sm.Beta())
-	}
-	rec := obs.From(ctx)
-	span := rec.StartSpan("core/imi")
-	imi := counts.Source()
-	span.End()
-	return InferFromSource(ctx, sm, imi, opt)
-}
-
-// InferFromSource is the lowest-level incremental entry point: it runs the
-// threshold and parent-search stages over an already-assembled sparse
-// engine. The streaming service assembles the source under its state lock
-// (cheap) and then searches outside it (expensive) — the source and matrix
-// are immutable snapshots, so concurrent folds cannot race the search.
+// InferFromSource is the incremental entry point: it runs the threshold and
+// parent-search stages over an already-assembled sparse engine, scoring
+// from the status matrix of the same observations (the scorer of Eq. 13
+// needs the full columns; the pairwise stage does not rescan them). The
+// result is bit-identical to InferContext over the same matrix at any
+// worker count. sm and src must describe the same stream: equal n and β,
+// and row r of sm must be the r-th appended row. The streaming service
+// assembles the source under its state lock (cheap) and then searches
+// outside it (expensive) — the source and matrix are immutable snapshots,
+// so concurrent folds cannot race the search.
 func InferFromSource(ctx context.Context, sm *diffusion.StatusMatrix, src *SparseIMI, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	if err := validateOptions(sm, opt); err != nil {
@@ -215,5 +186,5 @@ func InferFromSource(ctx context.Context, sm *diffusion.StatusMatrix, src *Spars
 		return nil, fmt.Errorf("core: IMI stage: %w", err)
 	}
 	autoTau, tau := selectThreshold(ctx, src, sm.Beta(), opt)
-	return inferStages(ctx, sm, src, opt, autoTau, tau)
+	return inferStages(ctx, NewScorer(sm), src, opt, autoTau, tau)
 }

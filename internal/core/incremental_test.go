@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tends/internal/diffusion"
@@ -48,12 +49,12 @@ func matrixFromRows(t *testing.T, rows [][]int, n int) *diffusion.StatusMatrix {
 
 // TestIncrementalCountsBitIdentical is the streaming-fold correctness
 // guard: appending cascades one at a time must yield bit-identical IMI pair
-// values — and bit-identical inferred topologies — to a from-scratch
-// ComputeIMI / ComputeSparseIMI over the concatenated status matrix, across
-// dense and sparse engines at Workers 1 and 4. Any drift between the
-// streaming fold and the batch path breaks the service's crash-recovery
-// byte-identity, so every comparison here is exact (float bits, not
-// tolerances).
+// values — and bit-identical inferred topologies — to from-scratch
+// ComputeIMIContext / ComputeSparseIMIContext builds over the concatenated
+// status matrix, across dense and sparse engines at Workers 1 and 4. Any
+// drift between the streaming fold and the batch path breaks the service's
+// crash-recovery byte-identity, so every comparison here is exact (float
+// bits, not tolerances).
 func TestIncrementalCountsBitIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -82,7 +83,7 @@ func TestIncrementalCountsBitIdentical(t *testing.T) {
 				sm := matrixFromRows(t, rows[:r+1], tc.n)
 				src := inc.Source()
 				for _, workers := range []int{1, 4} {
-					dense := ComputeIMIWorkers(sm, tc.traditional, workers)
+					dense := denseIMI(sm, tc.traditional, workers)
 					sparse, err := ComputeSparseIMIContext(context.Background(), sm, tc.traditional, workers)
 					if err != nil {
 						t.Fatalf("sparse build: %v", err)
@@ -112,7 +113,7 @@ func TestIncrementalCountsBitIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatalf("batch infer (sparse=%v): %v", sparse, err)
 					}
-					incRes, err := InferFromCounts(context.Background(), sm, inc, opt)
+					incRes, err := InferFromSource(context.Background(), sm, inc.Source(), opt)
 					if err != nil {
 						t.Fatalf("incremental infer: %v", err)
 					}
@@ -156,8 +157,8 @@ func TestIncrementalCountsRejectsDirtyRows(t *testing.T) {
 	if nodes := inc.ActiveNodes(); len(nodes) != 2 || nodes[0] != 0 || nodes[1] != 2 {
 		t.Fatalf("active nodes = %v, want [0 2]", nodes)
 	}
-	if nb := inc.Neighbors(0); len(nb) != 1 || nb[0] != 2 {
-		t.Fatalf("neighbors(0) = %v, want [2]", nb)
+	if src := inc.Source(); !slices.Equal(src.nbr[src.rowStart[0]:src.rowStart[1]], []int32{2}) {
+		t.Fatalf("neighbors(0) = %v, want [2]", src.nbr[src.rowStart[0]:src.rowStart[1]])
 	}
 }
 
@@ -168,17 +169,17 @@ func TestInferFromCountsValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// β mismatch: counts hold one row, the matrix two.
-	if _, err := InferFromCounts(context.Background(), sm, inc, Options{}); err == nil {
+	if _, err := InferFromSource(context.Background(), sm, inc.Source(), Options{}); err == nil {
 		t.Fatal("beta mismatch accepted")
 	}
 	if err := inc.AppendRow([]int{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := InferFromCounts(context.Background(), sm, inc, Options{}); err != nil {
+	if _, err := InferFromSource(context.Background(), sm, inc.Source(), Options{}); err != nil {
 		t.Fatalf("matched counts rejected: %v", err)
 	}
 	// MI-mode mismatch between the counts and the options.
-	if _, err := InferFromCounts(context.Background(), sm, inc, Options{TraditionalMI: true}); err == nil {
+	if _, err := InferFromSource(context.Background(), sm, inc.Source(), Options{TraditionalMI: true}); err == nil {
 		t.Fatal("traditional-MI mismatch accepted")
 	}
 }

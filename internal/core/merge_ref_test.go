@@ -226,7 +226,7 @@ func TestMergeMatchesReference(t *testing.T) {
 			opt := tc.opt.withDefaults()
 			opt.Workers = 1
 			ctx := context.Background()
-			imi := ComputeIMIWorkers(tc.sm, opt.TraditionalMI, 1)
+			imi := denseIMI(tc.sm, opt.TraditionalMI, 1)
 			_, tau := selectThreshold(ctx, imi, tc.sm.Beta(), opt)
 			s := NewScorer(tc.sm)
 			sc := s.newScratch()

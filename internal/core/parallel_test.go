@@ -50,9 +50,9 @@ func TestComputeIMIWorkersDeterministic(t *testing.T) {
 	}
 	sm := simulateOn(t, res.Graph, 0.3, 0.15, 150, 17)
 	for _, traditional := range []bool{false, true} {
-		serial := ComputeIMIWorkers(sm, traditional, 1)
+		serial := denseIMI(sm, traditional, 1)
 		for _, workers := range []int{0, 2, 4, 16} {
-			par := ComputeIMIWorkers(sm, traditional, workers)
+			par := denseIMI(sm, traditional, workers)
 			if par.N() != serial.N() {
 				t.Fatalf("workers=%d: n=%d, want %d", workers, par.N(), serial.N())
 			}

@@ -12,13 +12,12 @@ import (
 // LocalScoreParts calls that arrive without one. Once its buffers have grown
 // to the workload, neither enumeration nor a merge probe allocates.
 type scratch struct {
-	mask   []uint64      // packedCombos' working mask, one column long
-	keys   []uint64      // key<<1|childBit entries folded by foldRuns
-	levels *comboScratch // enumeration mask tree, sized on first use
-	combos []combo       // the node's enumerated combinations
-	nodes  []int         // arena backing the combinations' node lists
-	cur    []int         // enumeration DFS stack
-	hits   []int         // |cands[k] ∧ child| per candidate position k
+	mask   []uint64 // packedCombos' working mask, one column long
+	keys   []uint64 // key<<1|childBit entries folded by foldRuns
+	combos []combo  // the node's enumerated combinations
+	nodes  []int    // arena backing the combinations' node lists
+	cur    []int    // enumeration DFS stack
+	hits   []int    // |cands[k] ∧ child| per candidate position k
 	heap   comboHeap
 	merge  mergeState
 	part   partition
@@ -27,15 +26,6 @@ type scratch struct {
 
 func (s *Scorer) newScratch() *scratch {
 	return &scratch{mask: make([]uint64, s.words)}
-}
-
-// comboLevels returns the scratch's enumeration mask tree, rebuilt only when
-// a search needs deeper packed levels than any before it.
-func (sc *scratch) comboLevels(s *Scorer, maxSize int) *comboScratch {
-	if sc.levels == nil || sc.levels.packedLimit() < s.packedDepth(maxSize) {
-		sc.levels = s.newComboScratch(maxSize)
-	}
-	return sc.levels
 }
 
 // foldRuns folds sorted key<<1|childBit entries into f, one combination
@@ -462,13 +452,13 @@ func (pt *partition) joint(s *Scorer, add []int) (j, d []int32) {
 		a, b = b, a
 	}
 	if s.ones(a) < 8*s.words {
-		col := s.cols[b]
+		col := s.col(b)
 		for _, p := range s.infected(a) {
 			j[slot[p]] += int32(col[p>>6] >> uint(p&63) & 1)
 		}
 		return j, d
 	}
-	ca, cb := s.cols[a], s.cols[b]
+	ca, cb := s.col(a), s.col(b)
 	for w := range ca {
 		for word := ca[w] & cb[w]; word != 0; word &= word - 1 {
 			j[slot[w<<6|bits.TrailingZeros64(word)]]++

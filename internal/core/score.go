@@ -17,7 +17,7 @@ import (
 )
 
 // Scorer evaluates local scores g(v_i, F_i) against a fixed observation
-// matrix. Columns are kept bit-packed, and a score evaluation takes one of
+// matrix. Columns are read bit-packed, and a score evaluation takes one of
 // two exact paths, chosen by parent-set size k:
 //
 //   - packed: while 2^k masks of one column each cost no more than one pass
@@ -40,10 +40,10 @@ import (
 // is read off its merge partition (see partition.sortedScore).
 type Scorer struct {
 	beta, n int
-	words   int        // 64-bit words per column
-	cols    [][]uint64 // packed status per node
-	tail    uint64     // mask of valid bits in the last word
-	deltas  []float64  // Theorem-2 δ_i per node
+	words   int       // 64-bit words per column
+	data    []uint64  // the status matrix's columns, aliased (see col)
+	tail    uint64    // mask of valid bits in the last word
+	deltas  []float64 // Theorem-2 δ_i per node
 	// infOff and inf list each node's infected processes as one CSR:
 	// node v's ascend in inf[infOff[v]:infOff[v+1]], so its N₂ is
 	// infOff[v+1] − infOff[v].
@@ -78,10 +78,16 @@ const (
 // evaluations. The default is PenaltyPaper.
 func (s *Scorer) SetPenaltyMode(m PenaltyMode) { s.penalty = m }
 
-// NewScorer prepares a scorer for the given status matrix.
+// NewScorer prepares a scorer for the given status matrix. It is core's one
+// view of the observations: it reads the matrix's columns in place, without
+// a copy, and is the only code in core that counts or lists their set bits
+// (see ones and infected); both pairwise engines and the parent search read
+// them from it. The aliasing relies on two facts. StatusMatrix.Set is the
+// only writer of the columns, and it cannot set a bit at or past β, so every
+// column's tail bits are zero. And the caller must not modify m while the
+// scorer is in use.
 func NewScorer(m *diffusion.StatusMatrix) *Scorer {
 	beta, n := m.Beta(), m.N()
-	words := (beta + 63) / 64
 	tail := ^uint64(0)
 	if r := beta % 64; r != 0 {
 		tail = (uint64(1) << r) - 1
@@ -89,8 +95,8 @@ func NewScorer(m *diffusion.StatusMatrix) *Scorer {
 	s := &Scorer{
 		beta:   beta,
 		n:      n,
-		words:  words,
-		cols:   make([][]uint64, n),
+		words:  m.Words(),
+		data:   m.ColumnData(),
 		tail:   tail,
 		deltas: make([]float64, n),
 		infOff: make([]int, n+1),
@@ -101,23 +107,17 @@ func NewScorer(m *diffusion.StatusMatrix) *Scorer {
 	}
 	s.scratchPool.New = func() any { return s.newScratch() }
 	for v := 0; v < n; v++ {
-		col := make([]uint64, words)
-		copy(col, m.Column(v))
-		if words > 0 {
-			col[words-1] &= tail
-		}
-		s.cols[v] = col
 		ones := 0
-		for _, word := range col {
+		for _, word := range s.col(v) {
 			ones += bits.OnesCount64(word)
 		}
 		s.infOff[v+1] = s.infOff[v] + ones
 		s.deltas[v] = delta(beta, ones)
 	}
 	s.inf = make([]int32, s.infOff[n])
-	for v, col := range s.cols {
+	for v := 0; v < n; v++ {
 		at := s.infOff[v]
-		for w, word := range col {
+		for w, word := range s.col(v) {
 			for ; word != 0; word &= word - 1 {
 				s.inf[at] = int32(w<<6 | bits.TrailingZeros64(word))
 				at++
@@ -125,6 +125,11 @@ func NewScorer(m *diffusion.StatusMatrix) *Scorer {
 		}
 	}
 	return s
+}
+
+// col returns node v's packed status column.
+func (s *Scorer) col(v int) []uint64 {
+	return s.data[v*s.words : (v+1)*s.words : (v+1)*s.words]
 }
 
 // infected returns the processes node v is infected in, ascending.
@@ -202,12 +207,12 @@ type fold struct {
 // fold adds one combination's (N_ij1, N_ij2) to f with the scorer's log
 // table: all counts are integers in [0, β], so k·log₂(k/n) collapses to
 // k·(logs[k] − logs[n]) and the penalty's log₂(n+1) to a lookup. The Log2
-// calls this replaces dominate combination enumeration once masks are
-// shared; the identity changes rounding order only (~1 ulp vs
-// ScoreParts.addCombo). The fold has no branch on the counts: logs[0] = 0,
-// so a count of 0 adds a ±0 term and an empty combination adds ½·log₂ 1 = 0
-// to the penalty, and neither changes a sum — the log-likelihood is a sum of
-// non-positive terms that starts at +0, so it is never −0.
+// calls this replaces would dominate combination enumeration; the identity
+// changes rounding order only (~1 ulp vs ScoreParts.addCombo). The fold has
+// no branch on the counts: logs[0] = 0, so a count of 0 adds a ±0 term and
+// an empty combination adds ½·log₂ 1 = 0 to the penalty, and neither changes
+// a sum — the log-likelihood is a sum of non-positive terms that starts at
+// +0, so it is never −0.
 func (s *Scorer) fold(f fold, k0, k1 int) fold {
 	nij := k0 + k1
 	ln := s.logs[nij]
@@ -256,16 +261,6 @@ func (s *Scorer) packedWorthwhile(k int) bool {
 	return k <= 2 || (1<<uint(k))*s.words <= s.beta
 }
 
-// packedDepth returns the largest parent-set size up to maxSize that the
-// packed path scores.
-func (s *Scorer) packedDepth(maxSize int) int {
-	lim := 0
-	for lim < maxSize && s.packedWorthwhile(lim+1) {
-		lim++
-	}
-	return lim
-}
-
 // finishParts fills the derived fields of a score evaluation: φ_F and the
 // penalty-mode override. Parent sets have at most 63 nodes, so 2^|F| is an
 // exact shift, the value math.Exp2 returns for it.
@@ -282,7 +277,7 @@ func (s *Scorer) finishParts(k int, parts *ScoreParts) {
 // packedCombos enumerates all 2^k parent-status combinations as bit masks.
 func (s *Scorer) packedCombos(child int, parents []int, sc *scratch) fold {
 	k := len(parents)
-	childCol := s.cols[child]
+	childCol := s.col(child)
 	if k == 0 {
 		n1 := s.beta - s.ones(child)
 		return s.fold(fold{}, n1, s.ones(child))
@@ -295,7 +290,7 @@ func (s *Scorer) packedCombos(child int, parents []int, sc *scratch) fold {
 		}
 		mask[s.words-1] = s.tail
 		for bi, p := range parents {
-			col := s.cols[p]
+			col := s.col(p)
 			if combo&(1<<uint(bi)) != 0 {
 				for w := 0; w < s.words; w++ {
 					mask[w] &= col[w]
@@ -322,20 +317,20 @@ func (s *Scorer) packedCombos(child int, parents []int, sc *scratch) fold {
 // processes of the parent columns are gathered as key<<1|childBit, sorted,
 // and folded run by run after it — ascending key order, as packedCombos.
 func (s *Scorer) genericCombos(child int, parents []int, sc *scratch) fold {
-	childCol := s.cols[child]
+	childCol := s.col(child)
 	keys := sc.keys[:0]
 	hit := 0 // child infections among the gathered processes
 	for w := 0; w < s.words; w++ {
 		var u uint64
 		for _, p := range parents {
-			u |= s.cols[p][w]
+			u |= s.data[p*s.words+w]
 		}
 		for u != 0 {
 			b := uint(bits.TrailingZeros64(u))
 			u &= u - 1
 			var key uint64
 			for i, p := range parents {
-				key |= (s.cols[p][w] >> b & 1) << uint(i)
+				key |= (s.data[p*s.words+w] >> b & 1) << uint(i)
 			}
 			cb := childCol[w] >> b & 1
 			hit += int(cb)
@@ -357,7 +352,7 @@ func (s *Scorer) common(a, b, child int) (ab, abc int) {
 	if s.ones(b) < s.ones(a) {
 		a, b = b, a
 	}
-	cb, cc := s.cols[b], s.cols[child]
+	cb, cc := s.col(b), s.col(child)
 	if s.ones(a) < s.words {
 		for _, p := range s.infected(a) {
 			w, sh := p>>6, uint(p&63)
@@ -367,7 +362,7 @@ func (s *Scorer) common(a, b, child int) (ab, abc int) {
 		}
 		return ab, abc
 	}
-	for w, word := range s.cols[a] {
+	for w, word := range s.col(a) {
 		x := word & cb[w]
 		ab += bits.OnesCount64(x)
 		abc += bits.OnesCount64(x & cc[w])
@@ -398,81 +393,6 @@ func (s *Scorer) pairParts(child, a, b, aHit, bHit int) ScoreParts {
 	f = s.fold(f, nb-ab-(bHit-abc), bHit-abc)
 	f = s.fold(f, ab-abc, abc)
 	return s.parts(f, 2)
-}
-
-// comboScratch is the reusable mask tree of a combination-enumeration
-// DFS. Level d stores the 2^d parent-status masks of the current depth-d
-// combination, flat and combo-major, so extending the DFS by one candidate
-// derives level d from level d-1 with a single AND/ANDNOT per mask instead
-// of rebuilding every mask from all d columns per combination.
-type comboScratch struct {
-	levels [][]uint64
-}
-
-// newComboScratch sizes a scratch for combinations of up to maxSize
-// parents. Depths past the packed/partition crossover are never
-// materialized — the enumeration scores those via the partition path,
-// which needs no masks — so the total footprint stays bounded by
-// O(maxSize·β) bits.
-func (s *Scorer) newComboScratch(maxSize int) *comboScratch {
-	lim := s.packedDepth(maxSize)
-	sc := &comboScratch{levels: make([][]uint64, lim+1)}
-	for d := 0; d <= lim; d++ {
-		sc.levels[d] = make([]uint64, (1<<uint(d))*s.words)
-	}
-	// Level 0: the single all-processes mask.
-	lvl0 := sc.levels[0]
-	for w := range lvl0 {
-		lvl0[w] = ^uint64(0)
-	}
-	if s.words > 0 {
-		lvl0[s.words-1] = s.tail
-	}
-	return sc
-}
-
-// packedLimit returns the deepest level the scratch materializes.
-func (sc *comboScratch) packedLimit() int { return len(sc.levels) - 1 }
-
-// extend derives level d's masks from level d-1 by splitting every mask on
-// the status column of the newly added parent. The new parent occupies the
-// high combo-index bit (clear half first, set half second), which is
-// exactly packedCombos' combo numbering — so scores folded from a level
-// match packedCombos bit for bit, float summation order included.
-func (sc *comboScratch) extend(s *Scorer, d, parent int) {
-	src := sc.levels[d-1]
-	dst := sc.levels[d]
-	col := s.cols[parent]
-	words := s.words
-	half := (1 << uint(d-1)) * words
-	for i := 0; i < 1<<uint(d-1); i++ {
-		sm := src[i*words : (i+1)*words]
-		d0 := dst[i*words : (i+1)*words]
-		d1 := dst[half+i*words : half+(i+1)*words]
-		for w := 0; w < words; w++ {
-			d0[w] = sm[w] &^ col[w]
-			d1[w] = sm[w] & col[w]
-		}
-	}
-}
-
-// scoreLevel folds the 2^k masks of a scratch level into the score parts
-// for child, equivalent to LocalScoreParts on the parent set the level
-// encodes but without rebuilding any mask.
-func (s *Scorer) scoreLevel(child int, level []uint64, k int) ScoreParts {
-	var f fold
-	childCol := s.cols[child]
-	words := s.words
-	for c := 0; c < 1<<uint(k); c++ {
-		mask := level[c*words : (c+1)*words : (c+1)*words]
-		nij, k1 := 0, 0
-		for w := 0; w < words; w++ {
-			nij += bits.OnesCount64(mask[w])
-			k1 += bits.OnesCount64(mask[w] & childCol[w])
-		}
-		f = s.fold(f, nij-k1, k1)
-	}
-	return s.parts(f, k)
 }
 
 // LocalScore is Eq. (13): g(v_i, F_i).

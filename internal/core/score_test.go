@@ -113,6 +113,27 @@ func TestDeltaFormula(t *testing.T) {
 	}
 }
 
+// NewScorer reads the matrix's columns in place: a column is the matrix's
+// own storage, and building a scorer over four times the nodes costs no
+// more allocations, so no per-node copy is made.
+func TestNewScorerAliasesMatrix(t *testing.T) {
+	const beta = 150
+	m := randomStatus(beta, 64, 1)
+	s := NewScorer(m)
+	for v := 0; v < m.N(); v++ {
+		if &s.col(v)[0] != &m.Column(v)[0] {
+			t.Fatalf("column %d is a copy, not the matrix's storage", v)
+		}
+	}
+	allocs := func(n int) float64 {
+		m := randomStatus(beta, n, 2)
+		return testing.AllocsPerRun(10, func() { NewScorer(m) })
+	}
+	if small, large := allocs(64), allocs(1024); small != large {
+		t.Fatalf("NewScorer allocates %v times at n=64 but %v at n=1024, want the same", small, large)
+	}
+}
+
 // naiveScoreParts recomputes the local score components directly from the
 // definition, bucketing processes by parent-status combination.
 func naiveScoreParts(m *diffusion.StatusMatrix, child int, parents []int) ScoreParts {
@@ -191,12 +212,12 @@ func tableAddCombo(s *Scorer, parts *ScoreParts, k0, k1 int) {
 // oracle the exact paths are held to bit for bit.
 func referenceCombos(s *Scorer, child int, parents []int, parts *ScoreParts) {
 	counts := make(map[uint64][2]int)
-	childCol := s.cols[child]
+	childCol := s.col(child)
 	for p := 0; p < s.beta; p++ {
 		w, b := p/64, uint(p%64)
 		var key uint64
 		for i, par := range parents {
-			if s.cols[par][w]&(1<<b) != 0 {
+			if s.col(par)[w]&(1<<b) != 0 {
 				key |= 1 << uint(i)
 			}
 		}
@@ -505,7 +526,7 @@ func rebuiltPartition(s *Scorer, child int, f []int) ([]class, []int32) {
 	for p, key := range keys {
 		c, _ := slices.BinarySearch(distinct, key)
 		classes[c].key = key
-		bit := int32(s.cols[child][p/64] >> uint(p%64) & 1)
+		bit := int32(s.col(child)[p/64] >> uint(p%64) & 1)
 		if bit != 0 {
 			classes[c].k1++
 		} else {

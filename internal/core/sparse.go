@@ -19,10 +19,11 @@ import (
 // SparseIMI is the sparse pairwise engine: instead of materializing the
 // dense n(n−1)/2 triangle, it stores per-node CSR rows holding only
 // neighbors each node co-occurs with in at least one diffusion process,
-// found through an inverted index over the bit-packed status columns
-// (cascade → infected-node list). Walking a node's cascade lists visits
-// each co-occurring neighbor once per shared cascade, so the walk itself
-// counts the pair's joint infections n11; no column is read again. A pair
+// found through an inverted index (cascade → infected-node list), the
+// transpose of the Scorer's per-node lists of infected processes. Walking a
+// node's cascade lists visits each co-occurring neighbor once per shared
+// cascade, so the walk itself counts the pair's joint infections n11; no
+// column is read again. A pair
 // that never co-occurs has n11 = 0, so its value depends only on the two
 // marginal infected counts — a closed-form function of at most (β+1)²
 // count-class pairs, which enter the value pool as run-length "marginal
@@ -51,10 +52,11 @@ import (
 // arithmetic as the dense engine, so a full SparseIMI's At is bit-identical
 // to IMIMatrix.At for every pair, and the threshold selectors (which
 // consume the shared valuePool form) return bit-identical τ. The pairwise
-// stage costs O(n·β/64 + Σ_c |infected(c)|²) for the walks. Of those
-// steps only a few pay a cache lookup (a hash and a probe): in walk 1 the
-// pairs that share two or more cascades and one single-cascade key per row
-// and marginal count; in walk 2 every stored entry of a full build, and
+// stage costs O(n + β + Σ_c |infected(c)|²) for the index and the walks,
+// past the Scorer's O(n·β/64) pass over the columns. Of those steps only
+// a few pay a cache lookup (a hash and a probe): in walk 1 the pairs that
+// share two or more cascades and one single-cascade key per row and
+// marginal count; in walk 2 every stored entry of a full build, and
 // only the pairs whose n11 can clear the floor of a filtered one. The
 // build adds O(coPairs·log k) to merge a full row's k ascending cascade
 // runs, O(V log V + C²) for the pool and at most Σ lo over the C(C+1)/2
@@ -101,65 +103,50 @@ func newSparseIMI(n, beta int, traditional bool, ones []int32) *SparseIMI {
 	}
 }
 
-// ComputeSparseIMI builds the sparse pairwise engine from observations,
-// using every CPU. It is the sparse counterpart of ComputeIMI.
-func ComputeSparseIMI(sm *diffusion.StatusMatrix, traditional bool) *SparseIMI {
-	s, _ := ComputeSparseIMIContext(context.Background(), sm, traditional, 0)
-	return s
-}
-
-// ComputeSparseIMIContext is ComputeSparseIMI with an explicit worker count
-// and cooperative cancellation (checked between node chunks). Like the
+// ComputeSparseIMIContext builds the sparse pairwise engine from
+// observations, the sparse counterpart of ComputeIMIContext: 0 workers means
+// GOMAXPROCS, and cancellation is checked between node chunks. Like the
 // dense engine, every row is computed independently from the same inputs,
 // so the result is bit-identical for any worker count. The engine stores
 // every co-occurring pair.
 func ComputeSparseIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditional bool, workers int) (*SparseIMI, error) {
-	return buildSparse(ctx, sm, traditional, workers, nil)
+	return buildSparse(ctx, NewScorer(sm), traditional, workers, nil)
 }
 
-// buildSparse runs the batch build. With selectFloor nil it builds a full
-// engine. Otherwise selectFloor is called between the walks, when the
-// value pool and the marginal maxima are known, and walk 2 keeps only the
-// pairs whose value exceeds the floor it returns.
-func buildSparse(ctx context.Context, sm *diffusion.StatusMatrix, traditional bool, workers int, selectFloor func(*SparseIMI) float64) (*SparseIMI, error) {
+// buildSparse runs the batch build over the scorer's view of the
+// observations. With selectFloor nil it builds a full engine. Otherwise
+// selectFloor is called between the walks, when the value pool and the
+// marginal maxima are known, and walk 2 keeps only the pairs whose value
+// exceeds the floor it returns.
+func buildSparse(ctx context.Context, view *Scorer, traditional bool, workers int, selectFloor func(*SparseIMI) float64) (*SparseIMI, error) {
 	rec := obs.From(ctx)
 	span := rec.StartSpan("core/imi")
 	defer func() { span.End() }()
-	n, beta := sm.N(), sm.Beta()
+	n, beta := view.n, view.beta
 	ones := make([]int32, n)
 	for v := range ones {
-		ones[v] = int32(sm.CountInfected(v))
+		ones[v] = int32(view.ones(v))
 	}
 	s := newSparseIMI(n, beta, traditional, ones)
 
-	// Inverted index: cascade → infected-node list, one counting pass and
-	// one fill pass over the bit columns. Filling in ascending node order
-	// leaves every cascade list sorted.
-	words, data := sm.Words(), sm.ColumnData()
-	cascCnt := make([]int64, beta)
-	forEachSetBit := func(v int, f func(p int)) {
-		col := data[v*words : (v+1)*words]
-		for w, word := range col {
-			for word != 0 {
-				f(w*64 + bits.TrailingZeros64(word))
-				word &= word - 1
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		forEachSetBit(v, func(p int) { cascCnt[p]++ })
-	}
+	// Inverted index: cascade → infected-node list, the transpose of the
+	// scorer's node → infected-process lists by one counting pass and one
+	// fill pass. Filling in ascending node order leaves every cascade list
+	// sorted.
 	cascOff := make([]int64, beta+1)
+	for _, p := range view.inf {
+		cascOff[p+1]++
+	}
 	for p := 0; p < beta; p++ {
-		cascOff[p+1] = cascOff[p] + cascCnt[p]
+		cascOff[p+1] += cascOff[p]
 	}
 	cascNodes := make([]int32, cascOff[beta])
-	cursor := append([]int64(nil), cascOff[:beta]...)
+	cursor := slices.Clone(cascOff[:beta])
 	for v := 0; v < n; v++ {
-		forEachSetBit(v, func(p int) {
+		for _, p := range view.infected(v) {
 			cascNodes[cursor[p]] = int32(v)
 			cursor[p]++
-		})
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -172,7 +159,7 @@ func buildSparse(ctx context.Context, sm *diffusion.StatusMatrix, traditional bo
 	// entries of row once read.
 	coOccur := func(v int, sc *sparseScratch, row []int32) []int32 {
 		sc.runs = sc.runs[:0]
-		forEachSetBit(v, func(p int) {
+		for _, p := range view.infected(v) {
 			start := len(row)
 			for _, u := range cascNodes[cascOff[p]:cascOff[p+1]] {
 				if int(u) == v {
@@ -186,14 +173,14 @@ func buildSparse(ctx context.Context, sm *diffusion.StatusMatrix, traditional bo
 			if len(row) > start {
 				sc.runs = append(sc.runs, start)
 			}
-		})
+		}
 		return row
 	}
 	// upper is coOccur restricted to the nodes u > v, unordered and without
 	// runs: it reads each cascade list from its end down to v, so every
 	// co-occurring pair is met from its lower end only.
 	upper := func(v int, sc *sparseScratch, row []int32) []int32 {
-		forEachSetBit(v, func(p int) {
+		for _, p := range view.infected(v) {
 			list := cascNodes[cascOff[p]:cascOff[p+1]]
 			for k := len(list) - 1; k >= 0 && int(list[k]) > v; k-- {
 				u := list[k]
@@ -202,7 +189,7 @@ func buildSparse(ctx context.Context, sm *diffusion.StatusMatrix, traditional bo
 				}
 				sc.cnt[u]++
 			}
-		})
+		}
 		return row
 	}
 	scs := newScratches(n, workers)

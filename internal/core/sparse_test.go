@@ -50,7 +50,7 @@ func TestSparseDenseValuesBitIdentical(t *testing.T) {
 		for _, traditional := range []bool{false, true} {
 			for _, workers := range []int{1, 4} {
 				sm := sparseRandomStatus(tc.n, tc.beta, tc.density, int64(100+ci))
-				dense := ComputeIMIWorkers(sm, traditional, workers)
+				dense := denseIMI(sm, traditional, workers)
 				sp, err := ComputeSparseIMIContext(context.Background(), sm, traditional, workers)
 				if err != nil {
 					t.Fatal(err)
@@ -108,8 +108,8 @@ func TestSparseDenseCandidatesAndPools(t *testing.T) {
 	} {
 		for _, traditional := range []bool{false, true} {
 			sm := sparseRandomStatus(tc.n, tc.beta, tc.density, int64(200+ci))
-			dense := ComputeIMIWorkers(sm, traditional, 2)
-			sp := ComputeSparseIMI(sm, traditional)
+			dense := denseIMI(sm, traditional, 2)
+			sp := sparseIMI(sm, traditional, 0)
 
 			dp, spp := dense.valuePool(), sp.valuePool()
 			if dp.total != spp.total || dp.zeros != spp.zeros || dp.maxAll != spp.maxAll {
@@ -332,7 +332,7 @@ func TestSparseFixedAndScaledThresholds(t *testing.T) {
 // TestSparseObsCounters checks the engine's savings are observable.
 func TestSparseObsCounters(t *testing.T) {
 	sm := sparseRandomStatus(20, 30, 0.1, 3)
-	sp := ComputeSparseIMI(sm, false)
+	sp := sparseIMI(sm, false, 0)
 	if sp.TotalPairs() != 20*19/2 {
 		t.Fatalf("TotalPairs = %d", sp.TotalPairs())
 	}
@@ -368,7 +368,7 @@ func TestSparseObsCounters(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		rec := obs.New()
 		var need int32
-		if _, err := buildSparse(obs.With(context.Background(), rec), sm, false, workers, func(s *SparseIMI) float64 {
+		if _, err := buildSparse(obs.With(context.Background(), rec), NewScorer(sm), false, workers, func(s *SparseIMI) float64 {
 			_, tau := selectThreshold(context.Background(), s, sm.Beta(), Options{}.withDefaults())
 			floor := s.keepFloor(tau, false)
 			need = s.minKeptJoint(floor)
@@ -407,16 +407,16 @@ func TestSparseObsCounters(t *testing.T) {
 
 // TestSparseEmptyAndDegenerate covers n=0/1 and all-zero observations.
 func TestSparseEmptyAndDegenerate(t *testing.T) {
-	if sp := ComputeSparseIMI(diffusion.NewStatusMatrix(4, 0), false); sp.N() != 0 {
+	if sp := sparseIMI(diffusion.NewStatusMatrix(4, 0), false, 0); sp.N() != 0 {
 		t.Fatal("n=0")
 	}
-	sp := ComputeSparseIMI(diffusion.NewStatusMatrix(4, 1), false)
+	sp := sparseIMI(diffusion.NewStatusMatrix(4, 1), false, 0)
 	if sp.Candidates(0, 0) != nil {
 		t.Fatal("single node should have no candidates")
 	}
 	// All-zero statuses: every value is 0, nothing co-occurs.
 	sm := diffusion.NewStatusMatrix(5, 6)
-	sp = ComputeSparseIMI(sm, false)
+	sp = sparseIMI(sm, false, 0)
 	dense := ComputeIMI(sm, false)
 	for i := 0; i < 6; i++ {
 		for j := i + 1; j < 6; j++ {
@@ -571,7 +571,7 @@ func TestPoolsAgreeDenseSparseIncremental(t *testing.T) {
 					counts = incTrad
 				}
 				for _, workers := range []int{1, 4} {
-					dense := ComputeIMIWorkers(sm, traditional, workers).valuePool()
+					dense := denseIMI(sm, traditional, workers).valuePool()
 					sp, err := ComputeSparseIMIContext(context.Background(), sm, traditional, workers)
 					if err != nil {
 						t.Fatal(err)
@@ -586,7 +586,7 @@ func TestPoolsAgreeDenseSparseIncremental(t *testing.T) {
 					}
 					// The same rows scattered from the upper-triangle walks
 					// that inference runs, at a floor that drops nothing.
-					up, err := buildSparse(context.Background(), sm, traditional, workers, func(*SparseIMI) float64 { return math.Inf(-1) })
+					up, err := buildSparse(context.Background(), NewScorer(sm), traditional, workers, func(*SparseIMI) float64 { return math.Inf(-1) })
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -718,9 +718,9 @@ func mustPanic(t *testing.T, what string, f func()) {
 func TestFilteredEngineGuards(t *testing.T) {
 	ctx := context.Background()
 	sm := evictingStatus(t)
-	full := ComputeSparseIMI(sm, false)
+	full := sparseIMI(sm, false, 0)
 	_, tau := selectThreshold(ctx, full, sm.Beta(), Options{}.withDefaults())
-	filt, err := buildSparse(ctx, sm, false, 2, func(s *SparseIMI) float64 { return s.keepFloor(tau, false) })
+	filt, err := buildSparse(ctx, NewScorer(sm), false, 2, func(s *SparseIMI) float64 { return s.keepFloor(tau, false) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -754,7 +754,7 @@ func TestFilteredEngineGuards(t *testing.T) {
 	mustPanic(t, "nodePool", func() { filt.nodePool(0) })
 	mustPanic(t, "PairValues", func() { filt.PairValues() })
 
-	all, err := buildSparse(ctx, sm, false, 2, func(*SparseIMI) float64 { return math.Inf(-1) })
+	all, err := buildSparse(ctx, NewScorer(sm), false, 2, func(*SparseIMI) float64 { return math.Inf(-1) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -779,7 +779,7 @@ func TestSparseInferAllocsBounded(t *testing.T) {
 	}
 	const n, beta = 20000, 64
 	sm := sparseRandomStatus(n, beta, 0.01, 5)
-	csr := 12 * 2 * ComputeSparseIMI(sm, false).CoPairs()
+	csr := 12 * 2 * sparseIMI(sm, false, 0).CoPairs()
 	for _, workers := range []int{1, 4} {
 		runtime.GC()
 		var m0, m1 runtime.MemStats

@@ -308,6 +308,10 @@ func InferContext(ctx context.Context, sm *diffusion.StatusMatrix, opt Options) 
 	rec := obs.From(ctx)
 	defer rec.StartSpan("core/infer").End()
 
+	// One Scorer reads the observations for every stage: both pairwise
+	// engines take their counts and lists from it, and the search scores
+	// with it.
+	scorer := NewScorer(sm)
 	var (
 		imi          pairSource
 		autoTau, tau float64
@@ -315,7 +319,7 @@ func InferContext(ctx context.Context, sm *diffusion.StatusMatrix, opt Options) 
 	if opt.Sparse {
 		// τ is selected between the build's two walks, so the second keeps
 		// only the pairs the search can use.
-		sp, serr := buildSparse(ctx, sm, opt.TraditionalMI, opt.Workers, func(s *SparseIMI) float64 {
+		sp, serr := buildSparse(ctx, scorer, opt.TraditionalMI, opt.Workers, func(s *SparseIMI) float64 {
 			autoTau, tau = selectThreshold(ctx, s, sm.Beta(), opt)
 			return s.keepFloor(tau, opt.perNode())
 		})
@@ -324,14 +328,14 @@ func InferContext(ctx context.Context, sm *diffusion.StatusMatrix, opt Options) 
 		}
 		imi = sp
 	} else {
-		dense, derr := ComputeIMIContext(ctx, sm, opt.TraditionalMI, opt.Workers)
+		dense, derr := computeIMI(ctx, scorer, opt.TraditionalMI, opt.Workers)
 		if derr != nil {
 			return nil, fmt.Errorf("core: IMI stage: %w", derr)
 		}
 		imi = dense
 		autoTau, tau = selectThreshold(ctx, dense, sm.Beta(), opt)
 	}
-	return inferStages(ctx, sm, imi, opt, autoTau, tau)
+	return inferStages(ctx, scorer, imi, opt, autoTau, tau)
 }
 
 // validateOptions rejects inconsistent inference inputs; it is shared by
@@ -403,11 +407,11 @@ func selectThreshold(ctx context.Context, imi interface{ valuePool() *valuePool 
 
 // inferStages runs everything after the global threshold stage — per-node
 // thresholds, the per-node parent search, degradation reporting, and
-// scoring — over any pairwise source, pruning at tau (autoTau is reported
-// as Result.AutoTau). The dense, sparse, and incremental-count engines all
+// scoring with scorer — over any pairwise source, pruning at tau (autoTau
+// is reported as Result.AutoTau). The dense, sparse, and incremental-count engines all
 // produce bit-identical sources, so the stages (and therefore the inferred
 // topology) are engine-independent.
-func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource, opt Options, autoTau, tau float64) (*Result, error) {
+func inferStages(ctx context.Context, scorer *Scorer, imi pairSource, opt Options, autoTau, tau float64) (*Result, error) {
 	rec := obs.From(ctx)
 	tel := coreTel{
 		combos:    rec.Counter("core/search/combos"),
@@ -417,9 +421,8 @@ func inferStages(ctx context.Context, sm *diffusion.StatusMatrix, imi pairSource
 		tallies:   rec.Counter("core/search/tallies"),
 	}
 
-	scorer := NewScorer(sm)
 	scorer.SetPenaltyMode(opt.Penalty)
-	n := sm.N()
+	n := scorer.N()
 	res := &Result{
 		Graph:     graph.New(n),
 		Threshold: tau,
@@ -688,14 +691,10 @@ type combo struct {
 // that satisfies the Theorem-2 size condition |W| ≤ log₂(φ_W + δ_i)
 // (Algorithm 1 line 13), along with its local score.
 //
-// Scoring shares work along the DFS. A single {a} is scored from column
-// totals and |a ∧ child|, counted once per candidate, and a pair {a, b}
-// from those and one pass for |a ∧ b| and |a ∧ b ∧ child| (see pairParts).
-// When MaxComboSize allows three or more nodes, then up to the packed depth
-// (see Scorer) the 2^d status masks of the current combination are derived
-// from its (d-1)-prefix's masks in a comboScratch, one AND/ANDNOT per mask,
-// instead of rebuilding every mask from all d columns per combination.
-// Deeper combinations are scored from scratch by the partition path.
+// A single {a} is scored from column totals and |a ∧ child|, counted once
+// per candidate, and a pair {a, b} from those and one pass for |a ∧ b| and
+// |a ∧ b ∧ child| (see pairParts). A combination of three or more nodes is
+// scored from scratch (see Scorer.scoreParts).
 //
 // The combinations and their node lists live in sc and stay valid until
 // the next enumeration over it.
@@ -714,10 +713,7 @@ func enumerateCombos(ctx context.Context, s *Scorer, child int, cands []int, opt
 	e := enumerator{
 		ctx: ctx, s: s, sc: sc,
 		child: child, cands: cands, opt: opt, deadline: deadline,
-		maxSize: maxSize, packedLim: s.packedDepth(maxSize), maskable: len(cands) <= 64,
-	}
-	if e.packedLim > 2 {
-		e.levels = sc.comboLevels(s, maxSize)
+		maxSize: maxSize, maskable: len(cands) <= 64,
 	}
 	sc.hits = resize(sc.hits, len(cands))
 	for k, v := range cands {
@@ -738,20 +734,18 @@ func enumerateCombos(ctx context.Context, s *Scorer, child int, cands []int, opt
 
 // enumerator is the state of one node's combination DFS.
 type enumerator struct {
-	ctx       context.Context
-	s         *Scorer
-	sc        *scratch
-	levels    *comboScratch // nil unless packedLim > 2
-	child     int
-	cands     []int
-	opt       Options
-	deadline  time.Time
-	maxSize   int
-	packedLim int
-	maskable  bool
-	curMask   uint64
-	at        [2]int // the candidate positions of the first two nodes of cur
-	reason    DegradeReason
+	ctx      context.Context
+	s        *Scorer
+	sc       *scratch
+	child    int
+	cands    []int
+	opt      Options
+	deadline time.Time
+	maxSize  int
+	maskable bool
+	curMask  uint64
+	at       [2]int // the candidate positions of the first two nodes of cur
+	reason   DegradeReason
 }
 
 func (e *enumerator) rec(start int) {
@@ -763,8 +757,6 @@ func (e *enumerator) rec(start int) {
 			parts = e.s.singleParts(e.child, sc.cur[0], hits[e.at[0]])
 		case d == 2:
 			parts = e.s.pairParts(e.child, sc.cur[0], sc.cur[1], hits[e.at[0]], hits[e.at[1]])
-		case d <= e.packedLim:
-			parts = e.s.scoreLevel(e.child, e.levels.levels[d], d)
 		default:
 			parts = e.s.scoreParts(e.child, sc.cur, sc)
 		}
@@ -804,9 +796,6 @@ func (e *enumerator) rec(start int) {
 		d := len(sc.cur)
 		if d <= 2 {
 			e.at[d-1] = k
-		}
-		if e.levels != nil && d <= e.packedLim {
-			e.levels.extend(e.s, d, e.cands[k])
 		}
 		e.rec(k + 1)
 		sc.cur = sc.cur[:len(sc.cur)-1]

@@ -124,8 +124,8 @@ func TestInferRejectsBadThresholds(t *testing.T) {
 					t.Fatalf("Infer (sparse=%v) accepted %+v", sparse, tc.opt)
 				}
 			}
-			if _, err := InferFromCounts(context.Background(), sm, inc, tc.opt); err == nil {
-				t.Fatalf("InferFromCounts accepted %+v", tc.opt)
+			if _, err := InferFromSource(context.Background(), sm, inc.Source(), tc.opt); err == nil {
+				t.Fatalf("InferFromSource accepted %+v", tc.opt)
 			}
 		})
 	}

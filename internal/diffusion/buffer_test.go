@@ -5,6 +5,22 @@ import (
 	"testing"
 )
 
+// checkTailBits fails t unless every column's bits at or past β are zero.
+// Readers of Column and ColumnData count whole words without masking the
+// last one, so no bit past the last process may ever be set.
+func checkTailBits(t *testing.T, m *StatusMatrix) {
+	t.Helper()
+	r := m.Beta() % 64
+	if r == 0 {
+		return // no column has bits past β
+	}
+	for v := 0; v < m.N(); v++ {
+		if col := m.Column(v); col[len(col)-1]>>r != 0 {
+			t.Fatalf("column %d has bits set at or past β=%d: last word %#x", v, m.Beta(), col[len(col)-1])
+		}
+	}
+}
+
 func TestStatusBufferMatchesMatrix(t *testing.T) {
 	const n, beta = 23, 40
 	rng := rand.New(rand.NewSource(11))
@@ -35,6 +51,7 @@ func TestStatusBufferMatchesMatrix(t *testing.T) {
 			}
 		}
 	}
+	checkTailBits(t, got)
 }
 
 func TestStatusBufferRejectsDirtyRows(t *testing.T) {

@@ -22,6 +22,7 @@ func FuzzReadStatus(f *testing.F) {
 		if err != nil {
 			return
 		}
+		checkTailBits(t, m)
 		var buf bytes.Buffer
 		if err := m.WriteStatus(&buf); err != nil {
 			t.Fatalf("accepted matrix failed to serialize: %v", err)

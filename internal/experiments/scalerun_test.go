@@ -43,8 +43,8 @@ func TestSparseIMIBeatsDenseAtScale(t *testing.T) {
 		return err
 	})
 	dense := best(func() error {
-		core.ComputeIMIWorkers(sm, false, 0)
-		return nil
+		_, err := core.ComputeIMIContext(ctx, sm, false, 0)
+		return err
 	})
 	speedup := float64(dense) / float64(sparse)
 	t.Logf("n=10000 β=256: co-pairs %d of %d, sparse %v, dense %v, speedup %.1f×", coPairs, totalPairs, sparse, dense, speedup)
