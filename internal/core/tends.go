@@ -424,7 +424,6 @@ func inferStages(ctx context.Context, scorer *Scorer, imi pairSource, opt Option
 	scorer.SetPenaltyMode(opt.Penalty)
 	n := scorer.N()
 	res := &Result{
-		Graph:     graph.New(n),
 		Threshold: tau,
 		AutoTau:   autoTau,
 		Parents:   make([][]int, n),
@@ -566,11 +565,7 @@ func inferStages(ctx context.Context, scorer *Scorer, imi pairSource, opt Option
 			cancelC.Inc()
 		}
 	}
-	for i, parents := range res.Parents {
-		for _, p := range parents {
-			res.Graph.AddEdge(p, i)
-		}
-	}
+	res.Graph = graph.FromParents(n, res.Parents)
 	for _, g := range scores {
 		res.Score += g
 	}

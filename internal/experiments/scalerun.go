@@ -237,11 +237,11 @@ func RunScale(ctx context.Context, cfg ScaleConfig) (*ScaleResult, error) {
 	// Fold the resumed nodes' recorded parents back into the result, so the
 	// continuation's in-memory topology equals what a fresh full shard run
 	// would have produced.
-	for node, parents := range cfg.ResumeNodes {
-		inf.Parents[node] = parents
-		for _, p := range parents {
-			inf.Graph.AddEdge(p, node)
+	if len(cfg.ResumeNodes) > 0 {
+		for node, parents := range cfg.ResumeNodes {
+			inf.Parents[node] = parents
 		}
+		inf.Graph = graph.FromParents(inf.Graph.NumNodes(), inf.Parents)
 	}
 	res.Inference = inf
 	res.InferDur = time.Since(t1)
@@ -354,12 +354,7 @@ func scoreMergedShards(ctx context.Context, cfg ScaleConfig, ref *ShardHeader, p
 		return nil, fmt.Errorf("merge: journals describe run (n=%d β=%d seed=%d), config says (n=%d β=%d seed=%d)",
 			ref.N, ref.Beta, ref.Seed, cfg.N, cfg.Beta, cfg.Seed)
 	}
-	g := graph.New(cfg.N)
-	for child, ps := range parents {
-		for _, p := range ps {
-			g.AddEdge(p, child)
-		}
-	}
+	g := graph.FromParents(cfg.N, parents)
 	truth, _, err := BuildScaleWorkload(ctx, cfg)
 	if err != nil {
 		return nil, err

@@ -146,6 +146,85 @@ func FuzzGraphOps(f *testing.F) {
 	})
 }
 
+// FuzzFromParents checks the bulk constructor against the AddEdge build
+// of the same parent lists: n ≤ 64 nodes, lists that may be unsorted,
+// repeat entries, name their own node, or stop short of n. Both graphs
+// must agree on Equal, NumEdges and every Children and Parents list, each
+// list must have no capacity beyond its length, and the input must be left
+// as it was. Then the same AddEdge/RemoveEdge sequence runs on both; the
+// bulk graph's lists share two backing arrays, so a write that spilled
+// into a neighbouring list would break Equal.
+func FuzzFromParents(f *testing.F) {
+	f.Add(uint8(4), uint8(4), []byte{1, 0, 1, 0, 1, 1, 0, 3, 0, 2}, []byte{0, 3, 1, 1, 0, 1, 0, 2, 3})
+	f.Add(uint8(2), uint8(1), []byte{0, 1, 0, 0}, []byte{1, 1, 0})
+	f.Add(uint8(63), uint8(40), []byte{39, 63, 39, 0, 39, 63, 5, 9, 9, 5}, []byte{0, 9, 5, 1, 5, 9, 0, 0, 63})
+	f.Fuzz(func(t *testing.T, size, lists uint8, entries, ops []byte) {
+		n := 1 + int(size%64)
+		parents := make([][]int, int(lists)%(n+1))
+		for i := 0; i+1 < len(entries) && len(parents) > 0; i += 2 {
+			v := int(entries[i]) % len(parents)
+			parents[v] = append(parents[v], int(entries[i+1])%n)
+		}
+		want := New(n)
+		narrow := make([][]int32, len(parents))
+		input := make([][]int, len(parents))
+		for v, ps := range parents {
+			input[v] = slices.Clone(ps)
+			for _, p := range ps {
+				want.AddEdge(p, v)
+				narrow[v] = append(narrow[v], int32(p))
+			}
+		}
+		g := FromParents(n, parents)
+		for v := range parents {
+			if !slices.Equal(parents[v], input[v]) {
+				t.Fatalf("parents[%d] = %v after the build, was %v", v, parents[v], input[v])
+			}
+		}
+		sameGraph(t, g, want)
+		if !FromParents(n, narrow).Equal(want) {
+			t.Fatal("the int32 lists built a different graph")
+		}
+		for u := 0; u < n; u++ {
+			if c, p := g.Children(u), g.Parents(u); cap(c) != len(c) || cap(p) != len(p) {
+				t.Fatalf("node %d: children len %d cap %d, parents len %d cap %d", u, len(c), cap(c), len(p), cap(p))
+			}
+		}
+
+		for i := 0; i+2 < len(ops); i += 3 {
+			from, to := int(ops[i+1])%n, int(ops[i+2])%n
+			if ops[i]%2 == 0 {
+				if got, w := g.AddEdge(from, to), want.AddEdge(from, to); got != w {
+					t.Fatalf("step %d: AddEdge(%d, %d) = %v, want %v", i/3, from, to, got, w)
+				}
+			} else if got, w := g.RemoveEdge(from, to), want.RemoveEdge(from, to); got != w {
+				t.Fatalf("step %d: RemoveEdge(%d, %d) = %v, want %v", i/3, from, to, got, w)
+			}
+			sameGraph(t, g, want)
+		}
+	})
+}
+
+// sameGraph checks that g and want agree on Equal, NumEdges, and every
+// Children and Parents list.
+func sameGraph(t *testing.T, g, want *Directed) {
+	t.Helper()
+	if !g.Equal(want) || !want.Equal(g) {
+		t.Fatalf("graph %v not Equal to %v", g.Edges(), want.Edges())
+	}
+	if g.NumEdges() != want.NumEdges() {
+		t.Fatalf("NumEdges = %d, want %d", g.NumEdges(), want.NumEdges())
+	}
+	for u := 0; u < g.NumNodes(); u++ {
+		if !slices.Equal(g.Children(u), want.Children(u)) {
+			t.Fatalf("Children(%d) = %v, want %v", u, g.Children(u), want.Children(u))
+		}
+		if !slices.Equal(g.Parents(u), want.Parents(u)) {
+			t.Fatalf("Parents(%d) = %v, want %v", u, g.Parents(u), want.Parents(u))
+		}
+	}
+}
+
 // checkAgainstModel compares every edge view of g with the model edge set.
 func checkAgainstModel(t *testing.T, g *Directed, model map[Edge]bool) {
 	t.Helper()

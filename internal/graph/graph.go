@@ -9,6 +9,12 @@
 // (which reasons about parents) are equally cheap. The two sorted adjacency
 // lists are the only edge store: membership is a binary search, so an edge
 // costs two ints and no index beside them.
+//
+// A graph known up front — a generated network, an inferred topology, a
+// parsed file — is built in one counting pass by FromParents: all parent
+// lists are carved from one backing array and all child lists from another,
+// each with capacity equal to its length. AddEdge then reallocates only the
+// list it grows, and RemoveEdge's in-place delete stays inside its own list.
 package graph
 
 import (
@@ -41,6 +47,66 @@ func New(n int) *Directed {
 		panic(fmt.Sprintf("graph: negative node count %d", n))
 	}
 	return &Directed{n: n, out: make([][]int, n), in: make([][]int, n)}
+}
+
+// FromParents returns the graph on nodes 0..n-1 with the edge (p, v) for
+// every p in parents[v]: the graph that AddEdge(p, v) over all entries
+// builds, without a sorted insert per edge. The lists may be unsorted and
+// may repeat a node or name v itself; duplicates and self-loops are
+// dropped. Nodes at or past len(parents) get no parents. The input is
+// neither modified nor retained. It panics when len(parents) exceeds n or,
+// as AddEdge does, when an entry is out of range.
+func FromParents[T ~int | ~int32](n int, parents [][]T) *Directed {
+	g := New(n)
+	if len(parents) > n {
+		panic(fmt.Sprintf("graph: %d parent lists for %d nodes", len(parents), n))
+	}
+	total := 0
+	for _, ps := range parents {
+		total += len(ps)
+	}
+	// Each list is copied in behind the ones already kept, then sorted and
+	// compacted where it lies; the backing array keeps one slot per dropped
+	// entry at its end.
+	in := make([]int, total)
+	children := make([]int32, n)
+	m := 0
+	for v, ps := range parents {
+		seg := in[m : m+len(ps)]
+		for i, p := range ps {
+			g.check(int(p))
+			seg[i] = int(p)
+		}
+		slices.Sort(seg)
+		k := 0
+		for _, u := range seg {
+			if u != v && (k == 0 || seg[k-1] != u) {
+				seg[k] = u
+				k++
+				children[u]++
+			}
+		}
+		if k > 0 {
+			g.in[v] = seg[:k:k]
+		}
+		m += k
+	}
+	// Carve each child list with room for exactly its children, then deal
+	// every edge into its source's list. Targets come in ascending order,
+	// so every child list comes out sorted.
+	out := make([]int, m)
+	for u, c := range children {
+		if c > 0 {
+			g.out[u], out = out[:0:c], out[c:]
+		}
+	}
+	for v, ps := range g.in {
+		for _, u := range ps {
+			g.out[u] = append(g.out[u], v)
+		}
+	}
+	g.numEdges = m
+	return g
 }
 
 // NumNodes returns the number of nodes.

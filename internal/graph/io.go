@@ -37,11 +37,12 @@ func Write(w io.Writer, g *Directed) error {
 	return bw.Flush()
 }
 
-// Read parses a graph in the text format produced by Write.
+// Read parses a graph in the text format produced by Write. The edges are
+// collected as parent lists and the graph is built once, by FromParents.
 func Read(r io.Reader) (*Directed, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var g *Directed
+	var parents [][]int
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -49,7 +50,7 @@ func Read(r io.Reader) (*Directed, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		if g == nil {
+		if parents == nil {
 			fields := strings.Fields(line)
 			if len(fields) != 2 || fields[0] != "nodes" {
 				return nil, fmt.Errorf("graph: line %d: expected header %q, got %q", lineNo, "nodes <n>", line)
@@ -64,7 +65,7 @@ func Read(r io.Reader) (*Directed, error) {
 			if n > MaxNodes {
 				return nil, fmt.Errorf("graph: line %d: node count %d exceeds the %d limit", lineNo, n, MaxNodes)
 			}
-			g = New(n)
+			parents = make([][]int, n)
 			continue
 		}
 		fields := strings.Fields(line)
@@ -79,16 +80,16 @@ func Read(r io.Reader) (*Directed, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: bad to-node: %v", lineNo, err)
 		}
-		if from < 0 || from >= g.NumNodes() || to < 0 || to >= g.NumNodes() {
-			return nil, fmt.Errorf("graph: line %d: edge (%d,%d) out of range [0,%d)", lineNo, from, to, g.NumNodes())
+		if from < 0 || from >= len(parents) || to < 0 || to >= len(parents) {
+			return nil, fmt.Errorf("graph: line %d: edge (%d,%d) out of range [0,%d)", lineNo, from, to, len(parents))
 		}
-		g.AddEdge(from, to)
+		parents[to] = append(parents[to], from)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if g == nil {
+	if parents == nil {
 		return nil, fmt.Errorf("graph: empty input, missing %q header", "nodes <n>")
 	}
-	return g, nil
+	return FromParents(len(parents), parents), nil
 }

@@ -35,3 +35,30 @@ func TestGraphBytesPerEdge(t *testing.T) {
 		t.Fatalf("graph holds %.1f live heap bytes per edge, want ≤ 40", perEdge)
 	}
 }
+
+// TestFromParentsBytesPerEdge bounds the resident cost of an edge in a
+// bulk-built graph. Its lists are carved from two exact-size arrays, so an
+// edge is two ints with no growth slack, plus each node's two slice
+// headers spread over its edges: 16 + 48·n/m = 20.8 bytes here, against
+// TestGraphBytesPerEdge's 26 for the same graph grown by AddEdge.
+func TestFromParentsBytesPerEdge(t *testing.T) {
+	const n, m = 10_000, 100_000
+	build := func() *Directed {
+		rng := rand.New(rand.NewSource(1))
+		parents := make([][]int32, n)
+		for i := 0; i < m; i++ {
+			v := rng.Intn(n)
+			parents[v] = append(parents[v], int32(rng.Intn(n)))
+		}
+		return FromParents(n, parents)
+	}
+	before := liveHeap()
+	g := build()
+	after := liveHeap()
+	runtime.KeepAlive(g)
+	perEdge := float64(after-before) / float64(g.NumEdges())
+	t.Logf("%.1f live heap bytes per edge (%d edges)", perEdge, g.NumEdges())
+	if perEdge > 22 {
+		t.Fatalf("bulk-built graph holds %.1f live heap bytes per edge, want ≤ 22", perEdge)
+	}
+}

@@ -19,6 +19,7 @@ package lfr
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"tends/internal/graph"
@@ -225,32 +226,59 @@ func Generate(p Params, rng *rand.Rand) (*Result, error) {
 		extStubs[v] = d - id
 	}
 
-	// The undirected edges accumulate as (lo, hi) pairs in a graph, whose
-	// sorted adjacency lists answer the wiring loops' duplicate checks.
-	und := graph.New(p.N)
+	// Each undirected edge is recorded in both endpoints' neighbour lists,
+	// carved from one array by the stub counts: every edge takes one stub
+	// from each end, so no list outgrows its share.
+	stubs := 0
+	for _, d := range degrees {
+		stubs += d
+	}
+	nbr := make([][]int32, p.N)
+	backing := make([]int32, stubs)
+	for v, d := range degrees {
+		nbr[v], backing = backing[:0:d], backing[d:]
+	}
 	// Wire internal edges per community via configuration model.
 	for c := 0; c < nc; c++ {
-		wireStubs(und, communities[c], func(v int) int { return intStubs[v] }, rng)
+		wireStubs(nbr, communities[c], func(v int) int { return intStubs[v] }, rng)
 	}
 	// Wire external edges across the whole graph, rejecting intra-community
 	// pairs when possible.
-	wireExternal(und, membership, extStubs, rng)
+	wireExternal(nbr, membership, extStubs, rng)
 
-	g := und
+	// A node's neighbours are its parents in the symmetrized digraph.
 	if p.Directed {
-		// Edges() is sorted, so the orientation draws follow a fixed order.
-		g = graph.New(p.N)
-		for _, e := range und.Edges() {
+		orient(nbr, rng)
+	}
+	g := graph.FromParents(p.N, nbr)
+	return &Result{Graph: g, Communities: communities, Membership: membership}, nil
+}
+
+// orient keeps in each neighbour list only the neighbours that point at
+// its node. Every undirected edge {lo, hi} gets one draw, in ascending
+// (lo, hi) order: 0 orients it lo → hi, 1 hi → lo. The lists are sorted and
+// compacted in place, visiting nodes in ascending order. When lo is
+// visited, the entries of its list below lo were all decided by earlier
+// nodes, which wrote the kept ones to its front; the rest are stale and
+// also below lo, and every write lands at or before the entry being read.
+func orient(nbr [][]int32, rng *rand.Rand) {
+	for _, ns := range nbr {
+		slices.Sort(ns)
+	}
+	kept := make([]int32, len(nbr))
+	for lo, ns := range nbr {
+		i := sort.Search(len(ns), func(j int) bool { return ns[j] > int32(lo) })
+		for _, hi := range ns[i:] {
 			if rng.Intn(2) == 0 {
-				g.AddEdge(e.From, e.To)
+				nbr[hi][kept[hi]] = int32(lo)
+				kept[hi]++
 			} else {
-				g.AddEdge(e.To, e.From)
+				ns[kept[lo]] = hi
+				kept[lo]++
 			}
 		}
-	} else {
-		g.Symmetrize()
+		nbr[lo] = ns[:kept[lo]]
 	}
-	return &Result{Graph: g, Communities: communities, Membership: membership}, nil
 }
 
 func internalDegree(d int, mixing float64) int {
@@ -261,19 +289,30 @@ func internalDegree(d int, mixing float64) int {
 	return id
 }
 
-// addUndirected records the undirected edge {a, b} as (lo, hi) in und and
-// reports whether it was new; self-loops and duplicates are rejected.
-func addUndirected(und *graph.Directed, a, b int) bool {
-	if a > b {
-		a, b = b, a
+// addUndirected records the undirected edge {a, b} in both neighbour lists
+// and reports whether it was new; self-loops and duplicates are rejected.
+// Degrees are small (LFR's default cutoff is 30), so a scan of the shorter
+// list answers the duplicate check.
+func addUndirected(nbr [][]int32, a, b int) bool {
+	if a == b {
+		return false
 	}
-	return und.AddEdge(a, b)
+	short, other := nbr[a], int32(b)
+	if len(nbr[b]) < len(short) {
+		short, other = nbr[b], int32(a)
+	}
+	if slices.Contains(short, other) {
+		return false
+	}
+	nbr[a] = append(nbr[a], int32(b))
+	nbr[b] = append(nbr[b], int32(a))
+	return true
 }
 
 // wireStubs pairs stubs among the given nodes configuration-model style.
 // Duplicate/self pairs are retried a bounded number of times and then
 // dropped; LFR tolerates slight degree-sequence deviations.
-func wireStubs(und *graph.Directed, nodes []int, stubCount func(int) int, rng *rand.Rand) {
+func wireStubs(nbr [][]int32, nodes []int, stubCount func(int) int, rng *rand.Rand) {
 	total := 0
 	for _, v := range nodes {
 		total += stubCount(v)
@@ -290,7 +329,7 @@ func wireStubs(und *graph.Directed, nodes []int, stubCount func(int) int, rng *r
 	}
 	for i := 0; i+1 < len(stubs); i += 2 {
 		a, b := stubs[i], stubs[i+1]
-		if addUndirected(und, a, b) {
+		if addUndirected(nbr, a, b) {
 			continue
 		}
 		// Retry with random later partners (bounded rewiring repair).
@@ -302,7 +341,7 @@ func wireStubs(und *graph.Directed, nodes []int, stubCount func(int) int, rng *r
 			// Swap b with a later stub and try again.
 			stubs[i+1], stubs[j] = stubs[j], stubs[i+1]
 			b = stubs[i+1]
-			if addUndirected(und, a, b) {
+			if addUndirected(nbr, a, b) {
 				break
 			}
 		}
@@ -312,7 +351,7 @@ func wireStubs(und *graph.Directed, nodes []int, stubCount func(int) int, rng *r
 // wireExternal pairs inter-community stubs, preferring partners from other
 // communities; after bounded retries it accepts any legal pair so that the
 // target edge count is approached even for extreme mixing values.
-func wireExternal(und *graph.Directed, membership []int, extStubs []int, rng *rand.Rand) {
+func wireExternal(nbr [][]int32, membership []int, extStubs []int, rng *rand.Rand) {
 	total := 0
 	for _, c := range extStubs {
 		total += c
@@ -329,7 +368,7 @@ func wireExternal(und *graph.Directed, membership []int, extStubs []int, rng *ra
 	}
 	for i := 0; i+1 < len(stubs); i += 2 {
 		a, b := stubs[i], stubs[i+1]
-		if membership[a] != membership[b] && addUndirected(und, a, b) {
+		if membership[a] != membership[b] && addUndirected(nbr, a, b) {
 			continue
 		}
 		ok := false
@@ -340,11 +379,11 @@ func wireExternal(und *graph.Directed, membership []int, extStubs []int, rng *ra
 			}
 			stubs[i+1], stubs[j] = stubs[j], stubs[i+1]
 			b = stubs[i+1]
-			ok = membership[a] != membership[b] && addUndirected(und, a, b)
+			ok = membership[a] != membership[b] && addUndirected(nbr, a, b)
 		}
 		if !ok {
 			// Last resort: allow an intra-community external edge.
-			addUndirected(und, a, b)
+			addUndirected(nbr, a, b)
 		}
 	}
 }

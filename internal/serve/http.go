@@ -194,12 +194,7 @@ func (s *Server) topoSnapshot() topoView {
 func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	view := s.topoSnapshot()
 	if r.URL.Query().Get("format") == "text" {
-		g := graph.New(s.cfg.N)
-		for v, ps := range view.Parents {
-			for _, p := range ps {
-				g.AddEdge(p, v)
-			}
-		}
+		g := graph.FromParents(s.cfg.N, view.Parents)
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if err := graph.Write(w, g); err != nil {
 			s.cfg.Logf("serve: write topology: %v", err)
