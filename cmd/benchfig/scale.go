@@ -57,7 +57,7 @@ func registerScaleFlags(s *scaleOpts) {
 	flag.Float64Var(&s.mixing, "scale-mixing", 0.1, "scale study: LFR mixing parameter")
 	flag.IntVar(&s.seeds, "scale-seeds", 10, "scale study: seed infections per diffusion process")
 	flag.Float64Var(&s.mu, "scale-mu", 0.08, "scale study: mean per-edge propagation probability (subcritical keeps co-pairs sparse)")
-	flag.BoolVar(&s.sparse, "sparse", false, "use the sparse candidate engine (bit-identical results, sub-quadratic pairwise stage)")
+	flag.BoolVar(&s.sparse, "sparse", false, "count joint infections by walking the cascades instead of by popcount (bit-identical results, sub-quadratic pairwise stage)")
 	flag.StringVar(&s.shardSpec, "shard", "", `run one shard of the scale study, e.g. "0/4"; requires -checkpoint for the shard journal`)
 	flag.StringVar(&s.mergeSpec, "merge", "", `comma-separated shard journals (globs allowed, e.g. 'shards/*.journal') to merge into the final topology`)
 	flag.BoolVar(&s.shardResume, "shard-resume", false, "shard: continue the partial journal at -checkpoint (torn tails truncated; corrupt journals restart fresh)")

@@ -10,8 +10,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 
@@ -90,31 +92,52 @@ func profileStatus(w *os.File, path string) error {
 	}
 	fmt.Fprintf(w, "constant-status nodes: %d / %d\n", constant, n)
 
-	// IMI distribution and thresholds.
-	imi := core.ComputeIMI(m, false)
-	vals := imi.PairValues()
-	var pos []float64
-	for _, v := range vals {
-		if v > 0 {
-			pos = append(pos, v)
-		}
+	// IMI distribution and thresholds, read from the pairwise engine's rows
+	// and value pool: no O(n²) triangle is built.
+	imi, err := core.ComputeSparseIMIContext(context.Background(), m, false, 0)
+	if err != nil {
+		return err
 	}
-	sort.Float64s(pos)
 	kmeans := core.SelectThreshold(imi)
 	fdr := core.SelectThresholdFDR(imi, beta, 0.2)
 	tau := kmeans
 	if fdr > tau {
 		tau = fdr
 	}
-	above := sort.SearchFloat64s(pos, tau)
-	fmt.Fprintf(w, "pairwise IMI: %d positive of %d pairs", len(pos), len(vals))
-	if len(pos) > 0 {
-		fmt.Fprintf(w, ", max=%.4f", pos[len(pos)-1])
+	// Pairs at or above τ are counted: τ can be a pair's own value.
+	positive, above := countPairs(imi, 0), countPairs(imi, math.Nextafter(tau, math.Inf(-1)))
+	fmt.Fprintf(w, "pairwise IMI: %d positive of %d pairs", positive, imi.TotalPairs())
+	if positive > 0 {
+		fmt.Fprintf(w, ", max=%.4f", maxValue(imi))
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "thresholds: kmeans=%.4f fdr=%.4f auto=%.4f\n", kmeans, fdr, tau)
-	fmt.Fprintf(w, "candidate pairs above auto threshold: %d (%.1f per node)\n", len(pos)-above, 2*float64(len(pos)-above)/float64(n))
+	fmt.Fprintf(w, "candidate pairs above auto threshold: %d (%.1f per node)\n", above, 2*float64(above)/float64(n))
 	return nil
+}
+
+// countPairs returns the number of unordered pairs whose value exceeds tau.
+func countPairs(imi *core.SparseIMI, tau float64) int {
+	count := 0
+	for i := 0; i < imi.N(); i++ {
+		for _, j := range imi.Candidates(i, tau) {
+			if j > i {
+				count++
+			}
+		}
+	}
+	return count
+}
+
+// maxValue returns the largest positive pairwise value; there must be one.
+func maxValue(imi *core.SparseIMI) float64 {
+	best := 0.0
+	for i := 0; i < imi.N(); i++ {
+		for _, j := range imi.Candidates(i, 0) {
+			best = max(best, imi.At(i, j))
+		}
+	}
+	return best
 }
 
 func profileGraph(w *os.File, path string) error {

@@ -43,6 +43,8 @@ func writeFixtures(t *testing.T) (statusPath, graphPath string) {
 	return statusPath, graphPath
 }
 
+// TestProfileStatus pins the whole profile of the chain fixture, byte for
+// byte.
 func TestProfileStatus(t *testing.T) {
 	statusPath, _ := writeFixtures(t)
 	out, err := os.CreateTemp(t.TempDir(), "out")
@@ -57,10 +59,14 @@ func TestProfileStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"observations: 60 processes x 15 nodes", "prevalence", "thresholds"} {
-		if !containsStr(string(data), want) {
-			t.Fatalf("output missing %q:\n%s", want, data)
-		}
+	const want = "observations: 60 processes x 15 nodes\n" +
+		"prevalence per process: min=0.13 median=0.27 max=0.67\n" +
+		"constant-status nodes: 0 / 15\n" +
+		"pairwise IMI: 45 positive of 105 pairs, max=0.2925\n" +
+		"thresholds: kmeans=0.0998 fdr=0.0569 auto=0.0998\n" +
+		"candidate pairs above auto threshold: 13 (1.7 per node)\n"
+	if string(data) != want {
+		t.Fatalf("profile:\n%s\nwant:\n%s", data, want)
 	}
 }
 

@@ -6,10 +6,11 @@
 //	tends -in statuses.txt [-out graph.txt] [-combo 2] [-scale 1.0]
 //	      [-threshold t] [-mi] [-sparse] [-workers n] [-verbose]
 //
-// -sparse switches the pairwise stage to the sparse candidate engine: only
-// node pairs that co-occur in at least one cascade are enumerated, which is
-// sub-quadratic on sparse diffusion data. The inferred topology is
-// bit-identical to the dense engine's. With -verbose it also reports how
+// -sparse makes the pairwise stage count each pair's joint infections by
+// walking the cascades instead of by popcount over every pair's status
+// columns: only node pairs that co-occur in at least one cascade cost
+// anything, which is sub-quadratic on sparse diffusion data. The inferred
+// topology is bit-identical either way. With -verbose it also reports how
 // many pairs co-occur and how many of them the engine kept above the
 // pruning threshold.
 //
@@ -59,7 +60,7 @@ func main() {
 		scale     = flag.Float64("scale", 0, "threshold scale relative to auto tau (default 1)")
 		threshold = flag.Float64("threshold", -1, "absolute IMI threshold; overrides -scale when >= 0 (NaN is an error)")
 		useMI     = flag.Bool("mi", false, "use traditional MI instead of infection MI")
-		sparse    = flag.Bool("sparse", false, "use the sparse candidate engine (identical output, sub-quadratic pairwise stage)")
+		sparse    = flag.Bool("sparse", false, "count joint infections by walking the cascades instead of by popcount (identical output, sub-quadratic pairwise stage)")
 		probsPath = flag.String("probs", "", "also estimate per-edge propagation probabilities into this file")
 		workers   = flag.Int("workers", 0, "parallel search workers (0 = all CPUs)")
 		verbose   = flag.Bool("verbose", false, "print threshold and score diagnostics to stderr")

@@ -17,7 +17,7 @@ func BenchmarkComputeIMI(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ComputeIMI(m, false)
+		ComputeIMIContext(context.Background(), m, false, 0)
 	}
 }
 
@@ -64,7 +64,7 @@ func BenchmarkEnumerateCombos(b *testing.B) {
 
 func BenchmarkSelectThresholdKMeans(b *testing.B) {
 	m := randomStatus(150, 200, 42)
-	imi := ComputeIMI(m, false)
+	imi := denseIMI(m, false, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -74,7 +74,7 @@ func BenchmarkSelectThresholdKMeans(b *testing.B) {
 
 func BenchmarkSelectThresholdFDR(b *testing.B) {
 	m := randomStatus(150, 200, 42)
-	imi := ComputeIMI(m, false)
+	imi := denseIMI(m, false, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -29,9 +29,9 @@ func TestComputeIMIContextCancelled(t *testing.T) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
 	}
-	// The Background wrappers must be unaffected.
-	if imi := ComputeIMI(m, false); imi == nil {
-		t.Fatal("ComputeIMI returned nil")
+	// A live context must be unaffected.
+	if imi, err := ComputeIMIContext(context.Background(), m, false, 0); imi == nil || err != nil {
+		t.Fatalf("ComputeIMIContext: %v", err)
 	}
 	if _, err := Infer(m, Options{}); err != nil {
 		t.Fatalf("Infer: %v", err)

@@ -45,7 +45,7 @@ func TestChiSquared1Tail(t *testing.T) {
 
 func TestSelectThresholdFDRSeparates(t *testing.T) {
 	m := buildStructured(200, 4, 12, 1)
-	imi := ComputeIMI(m, false)
+	imi := denseIMI(m, false, 0)
 	tau := SelectThresholdFDR(imi, 200, 0.2)
 	// All 4 coupled pairs must survive, i.e. sit above tau.
 	for k := 0; k < 4; k++ {
@@ -63,7 +63,7 @@ func TestSelectThresholdFDRNoSignal(t *testing.T) {
 	// Pure noise at small beta: nothing should be significant, so the
 	// threshold lands above the maximum value and prunes everything.
 	m := randomStatus(30, 10, 2)
-	imi := ComputeIMI(m, false)
+	imi := denseIMI(m, false, 0)
 	tau := SelectThresholdFDR(imi, 30, 0.01)
 	for i := 0; i < 10; i++ {
 		for j := i + 1; j < 10; j++ {
@@ -77,7 +77,7 @@ func TestSelectThresholdFDRNoSignal(t *testing.T) {
 func TestSelectThresholdFDRAlphaMonotone(t *testing.T) {
 	// A looser FDR level can only lower (or keep) the threshold.
 	m := buildStructured(150, 3, 10, 3)
-	imi := ComputeIMI(m, false)
+	imi := denseIMI(m, false, 0)
 	strict := SelectThresholdFDR(imi, 150, 0.01)
 	loose := SelectThresholdFDR(imi, 150, 0.4)
 	if loose > strict {
@@ -87,7 +87,7 @@ func TestSelectThresholdFDRAlphaMonotone(t *testing.T) {
 
 func TestSelectThresholdFDRPanicsOnBadAlpha(t *testing.T) {
 	m := randomStatus(10, 3, 1)
-	imi := ComputeIMI(m, false)
+	imi := denseIMI(m, false, 0)
 	for _, alpha := range []float64{0, 1, -0.5} {
 		func() {
 			defer func() {

@@ -117,15 +117,18 @@ func fuzzStatus(beta, n int, data, over []byte) *diffusion.StatusMatrix {
 	return m
 }
 
-// FuzzSparseFilteredBuild checks the filtered sparse build that inference
-// runs against the full sparse build and the dense engine. The input's
-// first bytes set β ≤ 96 (small enough that single-cascade pairs can clear
-// τ), the node count n ≤ 41, the worker count, the IMI variant and a floor
-// pick; the rest shapes a fuzzStatus matrix. At the inference floor
+// FuzzSparseFilteredBuild checks the filtered builds that inference runs
+// against the full builds, and the two counting steps against each other.
+// The input's first bytes set β ≤ 96 (small enough that single-cascade
+// pairs can clear τ), the node count n ≤ 41, the worker count, the IMI
+// variant and a floor pick; the rest shapes a fuzzStatus matrix. The full
+// builds by popcount and by the cascade walk must store the same rows,
+// neighbors and value bits, and the same pool. At the inference floor
 // (keepFloor of the selected τ) and at a floor picked from the value pool,
-// including one above every value, the filtered build must keep exactly the
-// full engine's rows filtered at that floor, neighbors and value bits. Its
-// pool must equal the dense engine's and give the dense τ bit for bit.
+// including one above every value, the filtered build by either step must
+// keep exactly the full engine's rows filtered at that floor, neighbors
+// and value bits. Every build's pool must equal the full walk's, and both
+// filtered builds must select its τ bit for bit.
 func FuzzSparseFilteredBuild(f *testing.F) {
 	f.Add([]byte{40, 20, 0, 3, 0x5a, 0xa5})
 	f.Add([]byte{7, 12, 1, 0, 0xff, 0x00, 0x0f})
@@ -140,32 +143,47 @@ func FuzzSparseFilteredBuild(f *testing.F) {
 		sm := fuzzStatus(beta, n, data, data[4:])
 		ctx := context.Background()
 		opt := Options{TraditionalMI: traditional}.withDefaults()
-		dense := ComputeIMI(sm, traditional)
-		_, denseTau := selectThreshold(ctx, dense, beta, opt)
+		name := fmt.Sprintf("β=%d n=%d trad=%v workers=%d", beta, n, traditional, workers)
 		full, err := ComputeSparseIMIContext(ctx, sm, traditional, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
+		_, fullTau := selectThreshold(ctx, full, beta, opt)
+		popped, err := ComputeIMIContext(ctx, sm, traditional, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := sameRows(full, popped); d != "" {
+			t.Fatalf("%s: full builds, walk vs popcount: %s", name, d)
+		}
+		if d := samePool(full.pool, popped.pool); d != "" {
+			t.Fatalf("%s: full builds' pools, walk vs popcount: %s", name, d)
+		}
 		check := func(what string, selectFloor func(*SparseIMI) float64) {
-			filt, err := buildSparse(ctx, NewScorer(sm), traditional, workers, selectFloor)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := keptRowsMatch(full, filt); d != "" {
-				t.Fatalf("β=%d n=%d trad=%v workers=%d, %s floor %v (n11 ≥ %d): %s",
-					beta, n, traditional, workers, what, filt.floor, filt.minKeptJoint(filt.floor), d)
-			}
-			if d := samePool(dense.valuePool(), filt.pool); d != "" {
-				t.Fatalf("β=%d n=%d trad=%v: %s build's pool vs dense: %s", beta, n, traditional, what, d)
+			for _, popcount := range []bool{false, true} {
+				filt, err := buildSparse(ctx, NewScorer(sm), traditional, workers, popcount, selectFloor)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := keptRowsMatch(full, filt); d != "" {
+					t.Fatalf("%s popcount=%v, %s floor %v (n11 ≥ %d): %s",
+						name, popcount, what, filt.floor, filt.minKeptJoint(filt.floor), d)
+				}
+				if d := samePool(full.pool, filt.pool); d != "" {
+					t.Fatalf("%s popcount=%v: %s build's pool vs the full walk's: %s", name, popcount, what, d)
+				}
 			}
 		}
-		var tau float64
+		var taus []float64
 		check("inference", func(s *SparseIMI) float64 {
-			_, tau = selectThreshold(ctx, s, beta, opt)
+			_, tau := selectThreshold(ctx, s, beta, opt)
+			taus = append(taus, tau)
 			return s.keepFloor(tau, false)
 		})
-		if math.Float64bits(tau) != math.Float64bits(denseTau) {
-			t.Fatalf("β=%d n=%d trad=%v: filtered build's τ %v, dense τ %v", beta, n, traditional, tau, denseTau)
+		for _, tau := range taus {
+			if math.Float64bits(tau) != math.Float64bits(fullTau) {
+				t.Fatalf("%s: filtered builds' τ %v, full walk's τ %v", name, taus, fullTau)
+			}
 		}
 		pos := full.pool.pos
 		floor := full.pool.maxAll
@@ -195,4 +213,44 @@ func keptRowsMatch(full, filt *SparseIMI) string {
 		}
 	}
 	return ""
+}
+
+// TestPopcountReplaySaturates runs the filtered popcount build where joint
+// counts pass the 255 its walk-2 bytes hold, at β = 700: over columns from
+// empty to full, whose joint counts run from 0 to 700, and over dense
+// columns, whose joint counts all pass 255. At every floor picked from the
+// full walk's value pool, which together need joint counts on both sides
+// of 255, the filtered build must keep exactly the full build's rows cut
+// at that floor, under IMI and traditional MI, at 1 and 3 workers.
+func TestPopcountReplaySaturates(t *testing.T) {
+	const beta = 700
+	ctx := context.Background()
+	for _, traditional := range []bool{false, true} {
+		var below, above bool
+		for _, sm := range []*diffusion.StatusMatrix{
+			fuzzStatus(beta, 15, []byte{7, 0, 255}, nil),
+			sparseRandomStatus(12, beta, 0.85, 9),
+		} {
+			full, err := ComputeSparseIMIContext(ctx, sm, traditional, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 3} {
+				for _, floor := range full.pool.pos {
+					filt, err := buildSparse(ctx, NewScorer(sm), traditional, workers, true, func(*SparseIMI) float64 { return floor })
+					if err != nil {
+						t.Fatal(err)
+					}
+					need := filt.minKeptJoint(floor)
+					if d := keptRowsMatch(full, filt); d != "" {
+						t.Fatalf("trad=%v workers=%d floor %v (n11 ≥ %d): %s", traditional, workers, floor, need, d)
+					}
+					below, above = below || need <= 255, above || (need > 255 && need < math.MaxInt32)
+				}
+			}
+		}
+		if !below || !above {
+			t.Fatalf("trad=%v: floors needed joint counts ≤ 255: %v, > 255: %v; the test needs both", traditional, below, above)
+		}
+	}
 }

@@ -3,219 +3,104 @@ package core
 import (
 	"context"
 	"math"
-	"runtime"
-	"sync"
+	"math/bits"
 	"sync/atomic"
 
 	"tends/internal/diffusion"
-	"tends/internal/kernel"
-	"tends/internal/obs"
 )
 
-// IMIMatrix holds the pairwise infection mutual information (Eq. 25) — or,
-// in the traditional-MI ablation mode, plain mutual information — between
-// every pair of nodes. Both measures are symmetric, so only the upper
-// triangle is stored.
-type IMIMatrix struct {
-	n    int
-	vals []float64 // upper triangle, row-major: (i,j) with i<j
-	pool *valuePool
+// ComputeIMIContext builds the pairwise engine from observations, counting
+// each pair's joint infections by popcount over the packed status columns:
+// 0 workers means GOMAXPROCS, 1 forces serial execution, and cancellation
+// is checked between node chunks, returning ctx's error and no engine. The
+// engine stores every co-occurring pair, and every row is computed
+// independently from the same inputs, so it is bit-identical for any
+// worker count, and to ComputeSparseIMIContext's.
+func ComputeIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditional bool, workers int) (*SparseIMI, error) {
+	return buildSparse(ctx, NewScorer(sm), traditional, workers, true, nil)
 }
 
-func triIndex(n, i, j int) int {
-	if i > j {
-		i, j = j, i
+// popcountGather returns the popcount step's gather (see gatherFunc). It
+// scans the nodes u > v in ascending order, and each pair's n11 is
+// popcount(col(v) & col(u)) over the scorer's packed columns, read in
+// place. With replay set, the first gather of a row also keeps every
+// pair's n11 in a byte (255 standing for any count from 255 up), and a
+// second gather of the row — walk 2's — reads the bytes instead of
+// popcounting the row again, recounts only the saturated ones, and leaves
+// out the pairs below sc.need. One byte per pair of the triangle costs
+// less memory than the pairs' nodes and counts would, 8 bytes per co-pair.
+func popcountGather(view *Scorer, replay bool) gatherFunc {
+	n, words, data := view.n, view.words, view.data
+	var joint [][]uint8
+	if replay {
+		joint = make([][]uint8, n)
 	}
-	// Row i starts after rows 0..i-1, which hold (n-1)+(n-2)+...+(n-i) entries.
-	return i*(2*n-i-1)/2 + (j - i - 1)
-}
-
-// At returns the stored value for the pair (i, j), i != j.
-func (m *IMIMatrix) At(i, j int) float64 {
-	if i == j {
-		panic("core: IMI is undefined for a node with itself")
-	}
-	return m.vals[triIndex(m.n, i, j)]
-}
-
-// N returns the number of nodes.
-func (m *IMIMatrix) N() int { return m.n }
-
-// PairValues returns every pairwise value once (each unordered pair).
-func (m *IMIMatrix) PairValues() []float64 {
-	out := make([]float64, len(m.vals))
-	copy(out, m.vals)
-	return out
-}
-
-// valuePool returns the pool of the triangle's values. ComputeIMIContext's
-// workers tally the values of their row blocks by their bits as they fill
-// them, and only the distinct ones are sorted: the values are functions of
-// β-bounded counts, so a few tens of thousands of distinct values cover the
-// n(n−1)/2 pairs. The sparse build's walk 1 feeds the same valueTally and
-// merges its workers' tallies the same way, so both engines reach the pool
-// through one canonicalization.
-func (m *IMIMatrix) valuePool() *valuePool { return m.pool }
-
-// nodePool summarizes the values involving node i for the per-node
-// threshold selector.
-func (m *IMIMatrix) nodePool(i int) *valuePool {
-	var t valueTally
-	for j := 0; j < m.n; j++ {
-		if j != i {
-			t.add(m.vals[triIndex(m.n, i, j)], 1)
-		}
-	}
-	return t.finish()
-}
-
-// ComputeIMI builds the pairwise infection-MI matrix from observations. If
-// traditional is true it computes plain mutual information instead, the
-// ablation of Figs. 10–11. It uses every CPU; ComputeIMIContext takes an
-// explicit worker count.
-func ComputeIMI(sm *diffusion.StatusMatrix, traditional bool) *IMIMatrix {
-	// Background context never cancels, so the error can be ignored.
-	m, _ := ComputeIMIContext(context.Background(), sm, traditional, 0)
-	return m
-}
-
-// imiTallyReserve caps the distinct values a dense worker's tally is sized
-// for up front: ~3.8·10⁴ distinct values cover all 499,500 pairs at n=1000,
-// β=1024, and a larger input grows the table past it.
-const imiTallyReserve = 1 << 15
-
-// imiRowBlock is the dense kernel's tile height: the number of contiguous
-// base columns held hot while a probe column streams past. Eight 8-word
-// columns fit comfortably in L1 alongside the probe.
-const imiRowBlock = 8
-
-// ComputeIMIContext is ComputeIMI with an explicit concurrency knob,
-// mirroring Options.Workers (0 means GOMAXPROCS, 1 forces serial
-// execution), and cooperative cancellation: the O(n²) pairwise stage checks
-// ctx between row blocks and abandons the computation — returning ctx's
-// error and no matrix — once the context is done. Every (i, j) slot is
-// computed independently from the same inputs, so the matrix is
-// bit-identical for any worker count.
-func ComputeIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditional bool, workers int) (*IMIMatrix, error) {
-	return computeIMI(ctx, NewScorer(sm), traditional, workers)
-}
-
-// computeIMI is the dense engine over the scorer's view of the
-// observations: its packed columns and per-node infected counts.
-func computeIMI(ctx context.Context, s *Scorer, traditional bool, workers int) (*IMIMatrix, error) {
-	// Telemetry handles are resolved once up front; on a recorder-less
-	// context they are nil and every update below is an allocation-free
-	// no-op, so the pairwise hot loop pays nothing.
-	rec := obs.From(ctx)
-	defer rec.StartSpan("core/imi").End()
-	rowsC := rec.Counter("core/imi/rows")
-	pairsC := rec.Counter("core/imi/pairs")
-	tilesC := rec.Counter("core/kernel/tiles")
-	n := s.n
-	m := &IMIMatrix{n: n, vals: make([]float64, n*(n-1)/2)}
-	if n < 2 {
-		m.pool = (&valueTally{}).finish()
-		return m, ctx.Err()
-	}
-	beta, words, data := s.beta, s.words, s.data
-	mt := cachedMITable(beta)
-	// Rows are processed in blocks of imiRowBlock contiguous base columns;
-	// each probe column j is ANDed against the whole tile in one kernel
-	// call, so the probe's words are read once per tile instead of once per
-	// pair. Values are bit-identical to the per-pair walk: n11 is an exact
-	// integer either way and the cell arithmetic is unchanged.
-	nBlocks := (n - 1 + imiRowBlock - 1) / imiRowBlock
-	fillBlock := func(b int, cnt *[imiRowBlock]int, t *valueTally) {
-		i0 := b * imiRowBlock
-		i1 := i0 + imiRowBlock
-		if i1 > n-1 {
-			i1 = n - 1
-		}
-		bases := data[i0*words : i1*words]
-		var pairs int64
-		for j := i0 + 1; j < n; j++ {
-			lim := i1
-			if j < lim {
-				lim = j
-			}
-			nb := lim - i0
-			probe := data[j*words : (j+1)*words]
-			kernel.BlockAndCounts(cnt[:nb], bases[:nb*words], probe, words)
-			tilesC.Inc()
-			nj := s.ones(j)
-			for r := 0; r < nb; r++ {
-				i := i0 + r
-				v := pairValue(mt, traditional, beta, cnt[r], s.ones(i), nj)
-				m.vals[i*(2*n-i-1)/2+j-i-1] = v
-				t.add(v, 1)
-			}
-			pairs += int64(nb)
-		}
-		rowsC.Add(int64(i1 - i0))
-		pairsC.Add(pairs)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nBlocks {
-		workers = nBlocks
-	}
-	tallies := make([]valueTally, workers)
-	for i := range tallies {
-		// A worker can see as many distinct values as there are pairs;
-		// sizing its tally for them, up to imiTallyReserve, spares it the
-		// rehashes of growing there.
-		tallies[i].counts.reserve(min(len(m.vals), imiTallyReserve))
-	}
-	if workers <= 1 {
-		var cnt [imiRowBlock]int
-		for b := 0; b < nBlocks; b++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			fillBlock(b, &cnt, &tallies[0])
-		}
-	} else {
-		// Workers claim row blocks off a shared counter; blocks shrink as i
-		// grows, so dynamic claiming balances the triangular workload
-		// better than fixed partitions. Each worker writes disjoint slots
-		// of m.vals and tallies them into its own share of the pool.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(t *valueTally) {
-				defer wg.Done()
-				var cnt [imiRowBlock]int
-				for ctx.Err() == nil {
-					b := int(next.Add(1)) - 1
-					if b >= nBlocks {
-						return
-					}
-					fillBlock(b, &cnt, t)
+	return func(v int, sc *sparseScratch, row []int32) []int32 {
+		col := view.col(v)
+		if joint != nil && joint[v] != nil {
+			for k, b := range joint[v] {
+				if int32(b) < min(sc.need, math.MaxUint8) {
+					continue
 				}
-			}(&tallies[w])
+				u, c := v+1+k, int32(b)
+				if b == math.MaxUint8 {
+					c = int32(andCount(col, data[u*words:(u+1)*words]))
+				}
+				if c >= sc.need {
+					row = append(row, int32(u))
+					sc.cnt[u] = c
+				}
+			}
+			return row
 		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		var bytes []uint8
+		if joint != nil {
+			bytes = make([]uint8, n-1-v)
+			joint[v] = bytes
+		}
+		for u, at := v+1, (v+1)*words; u < n; u, at = u+1, at+words {
+			c := int32(andCount(col, data[at:at+words]))
+			if bytes != nil {
+				bytes[u-v-1] = uint8(min(c, math.MaxUint8))
+			}
+			if c > 0 {
+				row = append(row, int32(u))
+				sc.cnt[u] = c
+			}
+		}
+		return row
+	}
+}
+
+// andCount returns popcount(a & b) over len(a) words; b must be at least as
+// long as a. This is the n11 cell of a pair's 2×2 contingency table when a
+// and b are two nodes' packed status columns.
+func andCount(a, b []uint64) int {
+	n := 0
+	w := 0
+	if len(a) >= 4 {
+		_ = b[len(a)-1] // hoist the bounds check out of the unrolled loop
+		for ; w+4 <= len(a); w += 4 {
+			n += bits.OnesCount64(a[w]&b[w]) +
+				bits.OnesCount64(a[w+1]&b[w+1]) +
+				bits.OnesCount64(a[w+2]&b[w+2]) +
+				bits.OnesCount64(a[w+3]&b[w+3])
 		}
 	}
-	for i := 1; i < len(tallies); i++ {
-		tallies[0].merge(&tallies[i])
+	for ; w < len(a); w++ {
+		n += bits.OnesCount64(a[w] & b[w])
 	}
-	m.pool = tallies[0].finish()
-	return m, nil
+	return n
 }
 
 // pairValue computes one pair's value — infection MI (Eq. 25) or, in the
-// ablation mode, plain MI — from its contingency counts. Both the dense and
-// sparse engines route every value through this single expression, so their
-// floating-point results are identical by construction. The marginals are
-// canonicalized to ni ≤ nj first: float subtraction order makes the raw
-// expression orientation-sensitive at the ulp level, and callers reach the
-// same unordered pair from either side (dense row-major, sparse
-// neighbor-row, marginal count-class runs).
+// ablation mode, plain MI — from its contingency counts. Every value the
+// engine stores, tallies or derives goes through this single expression,
+// so its floating-point results do not depend on how n11 was counted. The
+// marginals are canonicalized to ni ≤ nj first: float subtraction order
+// makes the raw expression orientation-sensitive at the ulp level, and
+// callers reach the same unordered pair from either side (either end's
+// row, marginal count-class runs).
 func pairValue(mt *miTable, traditional bool, beta, n11, ni, nj int) float64 {
 	if ni > nj {
 		ni, nj = nj, ni
@@ -236,20 +121,10 @@ const twoMeansMaxIter = 100
 
 // SelectThreshold runs the modified K-means of Section IV-B over the
 // non-negative pairwise values and returns the pruning threshold τ. The
-// values are consumed as a run-length pool (see valuePool), not a second
+// values are consumed as a run-length pool (see valuePool), not a
 // materialized triangle.
-func SelectThreshold(m *IMIMatrix) float64 {
+func SelectThreshold(m *SparseIMI) float64 {
 	return m.valuePool().twoMeansTau()
-}
-
-// SelectNodeThreshold runs the same modified K-means over only the values
-// involving node i, yielding a per-node pruning threshold τ_i. On large
-// networks the global value pool is dominated by the huge mass of weakly
-// correlated pairs, which drags the K-means boundary into the noise
-// shoulder; the per-node pool keeps the near-zero and significant clusters
-// separable, at the cost of n small K-means runs instead of one big one.
-func SelectNodeThreshold(m *IMIMatrix, i int) float64 {
-	return m.nodePool(i).twoMeansTau()
 }
 
 // SelectThresholdFDR picks the pruning threshold by false-discovery-rate
@@ -270,7 +145,7 @@ func SelectNodeThreshold(m *IMIMatrix, i int) float64 {
 // fraction of all pairs, the admission bar automatically rises. It is the
 // library default; the paper's K-means selection remains available via
 // Options.ThresholdMethod.
-func SelectThresholdFDR(m *IMIMatrix, beta int, alpha float64) float64 {
+func SelectThresholdFDR(m *SparseIMI, beta int, alpha float64) float64 {
 	return m.valuePool().fdrTau(beta, alpha)
 }
 
@@ -334,43 +209,4 @@ func chiSquared1Tail(t float64) float64 {
 		return 1
 	}
 	return math.Erfc(math.Sqrt(t / 2))
-}
-
-// Candidates returns, for node i, every node j with value(i,j) > tau — the
-// candidate parent set P_i of Algorithm 1. The result is counted first and
-// allocated exactly once, instead of growing through append's doubling.
-// Node i's values are column i of the upper triangle (pairs j < i, one per
-// row, at a stride that shrinks by one per row) followed by row i (pairs
-// j > i, contiguous), so both passes walk them without a triIndex per pair.
-func (m *IMIMatrix) Candidates(i int, tau float64) []int {
-	n, vals := m.n, m.vals
-	row := vals[i*(2*n-i-1)/2:][:n-1-i]
-	count := 0
-	for j, k := 0, i-1; j < i; j++ {
-		if vals[k] > tau {
-			count++
-		}
-		k += n - j - 2
-	}
-	for _, v := range row {
-		if v > tau {
-			count++
-		}
-	}
-	if count == 0 {
-		return nil
-	}
-	out := make([]int, 0, count)
-	for j, k := 0, i-1; j < i; j++ {
-		if vals[k] > tau {
-			out = append(out, j)
-		}
-		k += n - j - 2
-	}
-	for r, v := range row {
-		if v > tau {
-			out = append(out, i+1+r)
-		}
-	}
-	return out
 }

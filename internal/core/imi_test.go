@@ -3,15 +3,17 @@ package core
 import (
 	"context"
 	"math"
+	"math/bits"
+	"math/rand"
 	"testing"
 
 	"tends/internal/diffusion"
 	"tends/internal/stats"
 )
 
-// denseIMI and sparseIMI build the two pairwise engines on a context that
-// never ends, so neither build can fail.
-func denseIMI(sm *diffusion.StatusMatrix, traditional bool, workers int) *IMIMatrix {
+// denseIMI and sparseIMI build the pairwise engine by popcount and by the
+// cascade walk, on a context that never ends, so neither build can fail.
+func denseIMI(sm *diffusion.StatusMatrix, traditional bool, workers int) *SparseIMI {
 	m, _ := ComputeIMIContext(context.Background(), sm, traditional, workers)
 	return m
 }
@@ -21,33 +23,10 @@ func sparseIMI(sm *diffusion.StatusMatrix, traditional bool, workers int) *Spars
 	return s
 }
 
-func TestTriIndex(t *testing.T) {
-	n := 5
-	seen := make(map[int]bool)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			idx := triIndex(n, i, j)
-			if idx < 0 || idx >= n*(n-1)/2 {
-				t.Fatalf("triIndex(%d,%d) = %d out of range", i, j, idx)
-			}
-			if seen[idx] {
-				t.Fatalf("triIndex collision at (%d,%d)", i, j)
-			}
-			seen[idx] = true
-			if triIndex(n, j, i) != idx {
-				t.Fatalf("triIndex not symmetric at (%d,%d)", i, j)
-			}
-		}
-	}
-	if len(seen) != n*(n-1)/2 {
-		t.Fatalf("covered %d indices, want %d", len(seen), n*(n-1)/2)
-	}
-}
-
 func TestComputeIMIMatchesStats(t *testing.T) {
 	m := randomStatus(50, 6, 21)
-	imi := ComputeIMI(m, false)
-	mi := ComputeIMI(m, true)
+	imi := denseIMI(m, false, 0)
+	mi := denseIMI(m, true, 0)
 	for i := 0; i < 6; i++ {
 		for j := i + 1; j < 6; j++ {
 			var c stats.Contingency2x2
@@ -63,7 +42,7 @@ func TestComputeIMIMatchesStats(t *testing.T) {
 }
 
 func TestIMIAtPanicsOnDiagonal(t *testing.T) {
-	imi := ComputeIMI(randomStatus(10, 3, 1), false)
+	imi := denseIMI(randomStatus(10, 3, 1), false, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for At(i,i)")
@@ -81,7 +60,7 @@ func TestCandidates(t *testing.T) {
 		m.Set(p, 1, v)
 		m.Set(p, 2, p%3 == 0)
 	}
-	imi := ComputeIMI(m, false)
+	imi := denseIMI(m, false, 0)
 	cands := imi.Candidates(0, 0.1)
 	if len(cands) != 1 || cands[0] != 1 {
 		t.Fatalf("Candidates(0) = %v, want [1]", cands)
@@ -110,7 +89,7 @@ func TestSelectThresholdSeparates(t *testing.T) {
 		m.Set(p, 6, rng.Intn(2) == 0)
 		m.Set(p, 7, rng.Intn(2) == 0)
 	}
-	imi := ComputeIMI(m, false)
+	imi := denseIMI(m, false, 0)
 	tau := SelectThreshold(imi)
 	for pair := 0; pair < 3; pair++ {
 		if v := imi.At(2*pair, 2*pair+1); v <= tau {
@@ -121,3 +100,60 @@ func TestSelectThresholdSeparates(t *testing.T) {
 		t.Fatalf("noise IMI %v above threshold %v", v, tau)
 	}
 }
+
+// naiveAndCount is the obvious reference implementation of andCount.
+func naiveAndCount(a, b []uint64) int {
+	n := 0
+	for w := range a {
+		n += bits.OnesCount64(a[w] & b[w])
+	}
+	return n
+}
+
+func randWords(rng *rand.Rand, n int) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = rng.Uint64()
+	}
+	return out
+}
+
+func TestAndCountMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, words := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 33} {
+		for trial := 0; trial < 20; trial++ {
+			a := randWords(rng, words)
+			b := randWords(rng, words)
+			if got, want := andCount(a, b), naiveAndCount(a, b); got != want {
+				t.Fatalf("andCount(words=%d) = %d, want %d", words, got, want)
+			}
+		}
+	}
+}
+
+func TestAndCountEdgeCases(t *testing.T) {
+	if andCount(nil, nil) != 0 {
+		t.Fatal("andCount(nil, nil) != 0")
+	}
+	a := []uint64{^uint64(0), ^uint64(0)}
+	if got := andCount(a, a); got != 128 {
+		t.Fatalf("all-ones andCount = %d, want 128", got)
+	}
+	// b longer than a: only len(a) words count.
+	b := []uint64{^uint64(0), ^uint64(0), ^uint64(0)}
+	if got := andCount(a[:1], b); got != 64 {
+		t.Fatalf("prefix andCount = %d, want 64", got)
+	}
+}
+
+func BenchmarkAndCount8Words(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	x := randWords(rng, 8)
+	y := randWords(rng, 8)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		andCountSink += andCount(x, y)
+	}
+}
+
+var andCountSink int

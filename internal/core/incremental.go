@@ -130,10 +130,11 @@ func (c *IncrementalCounts) source(workers int) *SparseIMI {
 	// The row stage fails only on cancellation, and this context never ends.
 	_ = s.fillRows(context.TODO(), scs, true, func(v int, sc *sparseScratch, row []int32) []int32 {
 		for j, n11 := range c.nbr[v] {
-			row = append(row, j)
-			sc.cnt[j] = n11
+			if int(j) > v {
+				row = append(row, j)
+				sc.cnt[j] = n11
+			}
 		}
-		slices.Sort(row)
 		return row
 	})
 	s.finishTally(scs)

@@ -51,7 +51,7 @@ func matrixFromRows(t *testing.T, rows [][]int, n int) *diffusion.StatusMatrix {
 // guard: appending cascades one at a time must yield bit-identical IMI pair
 // values — and bit-identical inferred topologies — to from-scratch
 // ComputeIMIContext / ComputeSparseIMIContext builds over the concatenated
-// status matrix, across dense and sparse engines at Workers 1 and 4. Any
+// status matrix, by popcount and by the cascade walk at Workers 1 and 4. Any
 // drift between the streaming fold and the batch path breaks the service's
 // crash-recovery byte-identity, so every comparison here is exact (float
 // bits, not tolerances).

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"math"
-	"math/bits"
 	"slices"
 	"testing"
 	"time"
@@ -23,20 +22,11 @@ type probeRecord struct {
 	parts ScoreParts
 }
 
-// refMergeState is the memo-free merge state: F as a mask or a map.
+// refMergeState is the memo-free merge state: F as a mask.
 type refMergeState struct {
 	mask    uint64
-	inF     map[int]bool
 	parents []int
 	buf     []int
-}
-
-func newRefMergeState(combos []combo) *refMergeState {
-	st := &refMergeState{}
-	if len(combos) > 0 && combos[0].mask == 0 {
-		st.inF = make(map[int]bool)
-	}
-	return st
 }
 
 func (st *refMergeState) result() []int {
@@ -49,45 +39,26 @@ func (st *refMergeState) result() []int {
 }
 
 func (st *refMergeState) probeUnion(c *combo) []int {
-	if st.inF == nil {
-		um := st.mask | c.mask
-		if um == st.mask || bits.OnesCount64(um) > 63 {
-			return nil
-		}
-		st.buf = append(st.buf[:0], st.parents...)
-		rem := c.mask
-		newBits := c.mask &^ st.mask
-		for _, v := range c.nodes {
-			bit := rem & (-rem)
-			rem &^= bit
-			if newBits&bit != 0 {
-				st.buf = append(st.buf, v)
-			}
-		}
-		return st.buf
-	}
-	union := append(st.buf[:0], st.parents...)
-	for _, v := range c.nodes {
-		if !st.inF[v] {
-			union = append(union, v)
-		}
-	}
-	st.buf = union
-	if len(union) == len(st.parents) || len(union) > 63 {
+	um := st.mask | c.mask
+	if um == st.mask {
 		return nil
 	}
-	return union
+	st.buf = append(st.buf[:0], st.parents...)
+	rem := c.mask
+	newBits := c.mask &^ st.mask
+	for _, v := range c.nodes {
+		bit := rem & (-rem)
+		rem &^= bit
+		if newBits&bit != 0 {
+			st.buf = append(st.buf, v)
+		}
+	}
+	return st.buf
 }
 
 func (st *refMergeState) accept(c *combo, union []int) {
 	st.parents = append(st.parents, union[len(st.parents):]...)
-	if st.inF == nil {
-		st.mask |= c.mask
-	} else {
-		for _, v := range st.parents {
-			st.inF[v] = true
-		}
-	}
+	st.mask |= c.mask
 }
 
 // refProbe scores a union on the partition and records it.
@@ -98,7 +69,7 @@ func refProbe(s *Scorer, pt *partition, st *refMergeState, union []int, log *[]p
 }
 
 func refAdaptiveMerge(s *Scorer, child int, combos []combo, opt Options, log *[]probeRecord) []int {
-	st, pt := newRefMergeState(combos), &partition{}
+	st, pt := &refMergeState{}, &partition{}
 	pt.reset(s, child)
 	curScore := pt.score(s).Score()
 	emptyScore := curScore
@@ -149,7 +120,7 @@ func refAdaptiveMerge(s *Scorer, child int, combos []combo, opt Options, log *[]
 
 func refStaticMerge(s *Scorer, child int, combos []combo, opt Options, log *[]probeRecord) []int {
 	slices.SortStableFunc(combos, func(a, b combo) int { return cmp.Compare(b.score, a.score) })
-	st, pt := newRefMergeState(combos), &partition{}
+	st, pt := &refMergeState{}, &partition{}
 	pt.reset(s, child)
 	for i := range combos {
 		c := &combos[i]
@@ -190,11 +161,9 @@ func refSearchParents(s *Scorer, child int, cands []int, opt Options, log *[]pro
 }
 
 // TestMergeMatchesReference runs every node's search against the reference
-// merges on LFR diffusions and a dense random matrix, across the options
-// that change what the merge sees: both membership paths (a candidate mask
-// up to 64 candidates, a map beyond), StaticGreedy, BackwardPrune, per-node
-// thresholds, a ComboBudget cut, three-node combinations, DisableBound and
-// β off a multiple of 64. Parents, degrade reasons, the probe sequence
+// merges on LFR diffusions, across the options that change what the merge
+// sees: StaticGreedy, BackwardPrune, per-node thresholds, a ComboBudget
+// cut, three-node combinations, DisableBound and β off a multiple of 64. Parents, degrade reasons, the probe sequence
 // (memo hits included) and each probe's score bits must match, each probe
 // must score as LocalScoreParts does from scratch, and Infer's Result.Score
 // must equal the reference topology's.
@@ -204,23 +173,19 @@ func TestMergeMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	lfrStatus := func(beta int) *diffusion.StatusMatrix { return simulateOn(t, net.Graph, 0.3, 0.15, beta, int64(beta)) }
-	all := math.Inf(-1) // every other node is a candidate
 	for _, tc := range []struct {
 		name string
 		sm   *diffusion.StatusMatrix
 		opt  Options
-		// mapPath marks the cases whose searches must use map membership.
-		mapPath bool
 	}{
-		{"default β=256", lfrStatus(256), Options{}, false},
-		{"default β=333", lfrStatus(333), Options{}, false},
-		{"StaticGreedy", lfrStatus(333), Options{StaticGreedy: true}, false},
-		{"StaticGreedy DisableBound", lfrStatus(200), Options{StaticGreedy: true, DisableBound: true}, false},
-		{"BackwardPrune", lfrStatus(333), Options{BackwardPrune: true}, false},
-		{"ThresholdKMeansPerNode", lfrStatus(333), Options{ThresholdMethod: ThresholdKMeansPerNode}, false},
-		{"ComboBudget", lfrStatus(333), Options{ComboBudget: 4}, false},
-		{"MaxComboSize 3", lfrStatus(200), Options{MaxComboSize: 3}, false},
-		{"map membership", densityStatus(97, 70, newTestRand(4)), Options{MaxCandidates: -1, FixedThreshold: &all}, true},
+		{"default β=256", lfrStatus(256), Options{}},
+		{"default β=333", lfrStatus(333), Options{}},
+		{"StaticGreedy", lfrStatus(333), Options{StaticGreedy: true}},
+		{"StaticGreedy DisableBound", lfrStatus(200), Options{StaticGreedy: true, DisableBound: true}},
+		{"BackwardPrune", lfrStatus(333), Options{BackwardPrune: true}},
+		{"ThresholdKMeansPerNode", lfrStatus(333), Options{ThresholdMethod: ThresholdKMeansPerNode}},
+		{"ComboBudget", lfrStatus(333), Options{ComboBudget: 4}},
+		{"MaxComboSize 3", lfrStatus(200), Options{MaxComboSize: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := tc.opt.withDefaults()
@@ -235,16 +200,13 @@ func TestMergeMatchesReference(t *testing.T) {
 				got = append(got, probeRecord{union: slices.Clone(union), parts: parts})
 			}
 			refParents := make([][]int, tc.sm.N())
-			var probes, hits, degraded, mapped int
+			var probes, hits, degraded int
 			for i := 0; i < tc.sm.N(); i++ {
 				nodeTau := tau
 				if opt.perNode() {
 					nodeTau = imi.nodePool(i).twoMeansTau() * opt.ThresholdScale
 				}
-				cands := nodeCandidates(imi, i, nodeTau, opt)
-				if len(cands) > 64 {
-					mapped++
-				}
+				cands := nodeCandidates(imi, i, nodeTau)
 				var want []probeRecord
 				wantParents, wantReason := refSearchParents(s, i, cands, opt, &want)
 				got = got[:0]
@@ -275,16 +237,12 @@ func TestMergeMatchesReference(t *testing.T) {
 				refParents[i] = wantParents
 			}
 			switch {
-			case tc.mapPath && (mapped == 0 || hits != 0):
-				t.Fatalf("map path: %d nodes past 64 candidates, %d memo hits; want some and none", mapped, hits)
-			case !tc.mapPath && mapped != 0:
-				t.Fatalf("%d nodes past 64 candidates; the case means the mask path", mapped)
 			case opt.ComboBudget > 0 && degraded == 0:
 				t.Fatal("no node hit the combination budget")
 			case probes == 0:
 				t.Fatal("no probes computed")
 			}
-			t.Logf("probes=%d memo hits=%d degraded=%d past-64=%d", probes, hits, degraded, mapped)
+			t.Logf("probes=%d memo hits=%d degraded=%d", probes, hits, degraded)
 
 			res, err := Infer(tc.sm, tc.opt)
 			if err != nil {

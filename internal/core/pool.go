@@ -13,9 +13,10 @@ import (
 // both selectors need only their count. Negative values contribute to total
 // and maxAll alone.
 //
-// Both the dense and sparse engines reduce to this same canonical form, so
-// thresholds — and therefore candidate sets and inferred topologies — are
-// bit-identical between the two paths by construction.
+// Every build of the pairwise engine — by either counting step or from
+// incremental counts — reduces to this same canonical form, so thresholds
+// — and therefore candidate sets and inferred topologies — are
+// bit-identical between the paths by construction.
 type valuePool struct {
 	pos    []float64 // ascending, distinct, strictly positive values
 	posCnt []int64   // parallel multiplicities
@@ -29,8 +30,8 @@ type valuePool struct {
 // value has all-zero bits), zero and negative values only counted, because
 // the pool keeps nothing else of them. At scale a few hundred distinct
 // values cover millions of pairs. finish canonicalizes the tally into a
-// valuePool that depends only on the value multiset, so the engines' and
-// their workers' shares, merged in any order, give the same pool.
+// valuePool that depends only on the value multiset, so the workers'
+// shares, added in any order, give the same pool.
 type valueTally struct {
 	counts     countTable
 	zeros, neg int64

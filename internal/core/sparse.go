@@ -16,52 +16,48 @@ import (
 	"tends/internal/obs"
 )
 
-// SparseIMI is the sparse pairwise engine: instead of materializing the
-// dense n(n−1)/2 triangle, it stores per-node CSR rows holding only
-// neighbors each node co-occurs with in at least one diffusion process,
-// found through an inverted index (cascade → infected-node list), the
-// transpose of the Scorer's per-node lists of infected processes. Walking a
-// node's cascade lists visits each co-occurring neighbor once per shared
-// cascade, so the walk itself counts the pair's joint infections n11; no
-// column is read again. A pair
-// that never co-occurs has n11 = 0, so its value depends only on the two
-// marginal infected counts — a closed-form function of at most (β+1)²
-// count-class pairs, which enter the value pool as run-length "marginal
-// runs" and are otherwise computed on demand, never stored per pair.
+// SparseIMI is the pairwise engine of Algorithm 1's pruning stage: the
+// pool of every pair's value (Eq. 25, or plain mutual information in the
+// ablation mode), from which τ is selected, and per-node CSR rows holding
+// pairs that co-occur in at least one diffusion process, from which each
+// node's candidates are read. A pair that never co-occurs has n11 = 0, so
+// its value depends only on the two marginal infected counts — a
+// closed-form function of at most (β+1)² count-class pairs, which enter
+// the value pool as run-length "marginal runs" and are otherwise computed
+// on demand, never stored per pair.
 //
-// The build walks the index twice. Walk 1 only tallies: a pair's value is a
-// function of its key (n11, ni, nj) alone, so each worker caches values by
-// key and counts the upper-triangle pairs of each cached key, which move
-// into two compact tallies when the key leaves the cache — the values by
-// their exact bits (the value pool's multiset, with no entry per pair) and
-// the co-pairs per pair of marginal counts (which the marginal runs need).
-// Walk 2 fills the CSR. A full engine stores every co-occurring pair;
-// inference, which knows its threshold τ between the walks, keeps only the
-// pairs whose value clears it (see buildSparse), so its memory grows with
-// the search candidates rather than with the co-pairs.
+// The build gathers each row's co-pairs u > v with their joint infected
+// counts n11 in one of two ways, and everything past the gather is shared.
+// The walk reads an inverted index (cascade → infected nodes): walking a
+// node's cascade lists meets each co-occurring node once per shared
+// cascade, so it counts n11 and never meets a pair that does not co-occur
+// (Options.Sparse; the step for sparse diffusions at scale). The popcount
+// step computes popcount(col(v) & col(u)) for every pair over the Scorer's
+// packed columns, cheaper when most pairs co-occur (see popcountGather).
 //
-// Most co-pairs at scale share exactly one cascade (99.6% at n = 10⁵,
-// β = 1024), and their key (1, ni, nj) varies within a row only with nj.
-// So walk 1 counts a row's single-cascade pairs per marginal count and
-// looks each such key up once per row. Walk 2 resets, without a lookup,
-// every pair whose n11 is below the smallest joint count at which any
-// class pair's value clears the floor (minKeptJoint), and skips the rows
-// whose own marginal count is below it.
+// The build walks the rows twice. Walk 1 only tallies: a pair's value is a
+// function of its key (n11, ni, nj) alone, so the pairs are counted by key
+// (see tally) into two compact tallies — the values by their exact bits
+// (the value pool's multiset, with no entry per pair) and the co-pairs per
+// pair of marginal counts (which the marginal runs need). Walk 2 fills the
+// CSR. A full engine stores every co-occurring pair; inference, which knows
+// its threshold τ between the walks, keeps only the pairs whose value
+// clears it (see buildSparse), so its memory grows with the search
+// candidates rather than with the co-pairs. Walk 2 skips, without
+// computing a value, every pair whose n11 is below the smallest joint count
+// at which any class pair's value clears the floor (minKeptJoint), and the
+// rows whose own marginal count is below it.
 //
-// Every materialized or derived value goes through the same pairValue
-// arithmetic as the dense engine, so a full SparseIMI's At is bit-identical
-// to IMIMatrix.At for every pair, and the threshold selectors (which
-// consume the shared valuePool form) return bit-identical τ. The pairwise
-// stage costs O(n + β + Σ_c |infected(c)|²) for the index and the walks,
-// past the Scorer's O(n·β/64) pass over the columns. Of those steps only
-// a few pay a cache lookup (a hash and a probe): in walk 1 the pairs that
-// share two or more cascades and one single-cascade key per row and
-// marginal count; in walk 2 every stored entry of a full build, and
-// only the pairs whose n11 can clear the floor of a filtered one. The
-// build adds O(coPairs·log k) to merge a full row's k ascending cascade
-// runs, O(V log V + C²) for the pool and at most Σ lo over the C(C+1)/2
-// class pairs for minKeptJoint, with V distinct positive values and C
-// count classes; memory beyond the stored rows is O(n + β + V) per worker.
+// Every value goes through the same pairValue arithmetic, so At, the value
+// pool and the thresholds are bit-identical whichever step gathered the
+// rows and at any worker count. The walk costs O(n + β + Σ_c
+// |infected(c)|²), the popcount step O(n²·β/64), past the Scorer's O(n·β/64)
+// pass over the columns; the build adds O(coPairs·log) to sort a full
+// engine's rows, O(V log V + C²) for the pool and at most Σ lo over the
+// C(C+1)/2 class pairs for minKeptJoint, with V distinct positive values
+// and C count classes. Memory beyond the stored rows is O(n + β) per
+// worker, and a byte per pair while the popcount step builds for
+// inference (see popcountGather).
 type SparseIMI struct {
 	n, beta     int
 	traditional bool
@@ -82,6 +78,7 @@ type SparseIMI struct {
 	classOf    []int32
 	classSize  []int64
 	classNodes [][]int32
+	byClass    []int32 // the class lists back to back: nodes by count, then id
 
 	// maxMarginal[a] is the largest value of a never-co-occurring pair
 	// with one end in class a (-Inf when there is none).
@@ -92,47 +89,129 @@ type SparseIMI struct {
 }
 
 // newSparseIMI returns a full engine over the given marginal counts with
-// no rows yet.
+// its count classes and no rows yet.
 func newSparseIMI(n, beta int, traditional bool, ones []int32) *SparseIMI {
-	return &SparseIMI{
+	s := &SparseIMI{
 		n: n, beta: beta, traditional: traditional,
 		mt:       cachedMITable(beta),
 		ones:     ones,
 		floor:    math.Inf(-1),
 		rowStart: make([]int64, n+1),
 	}
+	s.classify()
+	return s
 }
 
-// ComputeSparseIMIContext builds the sparse pairwise engine from
-// observations, the sparse counterpart of ComputeIMIContext: 0 workers means
-// GOMAXPROCS, and cancellation is checked between node chunks. Like the
-// dense engine, every row is computed independently from the same inputs,
-// so the result is bit-identical for any worker count. The engine stores
-// every co-occurring pair.
+// ComputeSparseIMIContext builds the pairwise engine from observations,
+// counting joint infections by the cascade walk: 0 workers means
+// GOMAXPROCS, and cancellation is checked between node chunks. Every row is
+// computed independently from the same inputs, so the result is
+// bit-identical for any worker count, and to ComputeIMIContext's. The
+// engine stores every co-occurring pair.
 func ComputeSparseIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditional bool, workers int) (*SparseIMI, error) {
-	return buildSparse(ctx, NewScorer(sm), traditional, workers, nil)
+	return buildSparse(ctx, NewScorer(sm), traditional, workers, false, nil)
 }
+
+// gatherFunc appends to row the nodes u > v that co-occur with v and
+// leaves each one's joint infected count n11 in sc.cnt. sc.cnt must be all
+// zero on entry; the caller resets the entries of row once read.
+type gatherFunc func(v int, sc *sparseScratch, row []int32) []int32
 
 // buildSparse runs the batch build over the scorer's view of the
-// observations. With selectFloor nil it builds a full engine. Otherwise
-// selectFloor is called between the walks, when the value pool and the
-// marginal maxima are known, and walk 2 keeps only the pairs whose value
-// exceeds the floor it returns.
-func buildSparse(ctx context.Context, view *Scorer, traditional bool, workers int, selectFloor func(*SparseIMI) float64) (*SparseIMI, error) {
+// observations, counting n11 by popcount or by the cascade walk. With
+// selectFloor nil it builds a full engine. Otherwise selectFloor is called
+// between the walks, when the value pool and the marginal maxima are known,
+// and walk 2 keeps only the pairs whose value exceeds the floor it returns.
+func buildSparse(ctx context.Context, view *Scorer, traditional bool, workers int, popcount bool, selectFloor func(*SparseIMI) float64) (*SparseIMI, error) {
 	rec := obs.From(ctx)
 	span := rec.StartSpan("core/imi")
 	defer func() { span.End() }()
-	n, beta := view.n, view.beta
+	n := view.n
 	ones := make([]int32, n)
 	for v := range ones {
 		ones[v] = int32(view.ones(v))
 	}
-	s := newSparseIMI(n, beta, traditional, ones)
+	s := newSparseIMI(n, view.beta, traditional, ones)
+	scs := newScratches(n, workers)
+	var gather gatherFunc
+	if popcount {
+		gather = popcountGather(view, selectFloor != nil)
+		// Popcount rows hold up to n−1 nodes, and a worker meets up to one
+		// value per pair: sizing the row and the tallies for them, up to
+		// popcountReserve, spares walk 1 their regrowth.
+		keys := int(min(s.TotalPairs(), popcountReserve))
+		nc := len(s.classVals)
+		for _, sc := range scs {
+			sc.row = make([]int32, 0, n)
+			sc.tally.counts.reserve(keys)
+			sc.classPairs.reserve(min(keys, nc*(nc+1)/2))
+		}
+	} else {
+		gather = cascadeGather(view)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
-	// Inverted index: cascade → infected-node list, the transpose of the
-	// scorer's node → infected-process lists by one counting pass and one
-	// fill pass. Filling in ascending node order leaves every cascade list
-	// sorted.
+	// Walk 1. A full engine also counts each row's length, to size the CSR.
+	if selectFloor == nil {
+		for _, sc := range scs {
+			sc.deg = make([]int32, n)
+		}
+	}
+	if err := s.tally(ctx, scs, popcount, gather); err != nil {
+		return nil, err
+	}
+	if popcount {
+		// Walk 1 popcounted every pair of the triangle, row by row.
+		rec.Counter("core/imi/rows").Add(int64(max(n-1, 0)))
+		rec.Counter("core/imi/pairs").Add(s.TotalPairs())
+	}
+
+	// Walk 2: fill every row, or keep the pairs above the floor.
+	var err error
+	if selectFloor == nil {
+		for v := range n {
+			s.rowStart[v+1] = s.rowStart[v]
+			for _, sc := range scs {
+				s.rowStart[v+1] += int64(sc.deg[v])
+			}
+		}
+		err = s.fillRows(ctx, scs, false, gather)
+	} else {
+		// The floor's selection is timed under its own spans, not core/imi.
+		span.End()
+		floor := selectFloor(s)
+		span = rec.StartSpan("core/imi")
+		err = s.keepRows(ctx, scs, floor, gather)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if popcount {
+		return s, nil
+	}
+
+	var lookups int64
+	for _, sc := range scs {
+		lookups += sc.lookups
+	}
+	rec.Counter("core/sparse/rows").Add(int64(n))
+	rec.Counter("core/sparse/lookups").Add(lookups)
+	rec.Counter("core/sparse/pairs").Add(s.coPairs)
+	rec.Counter("core/sparse/pairs_skipped").Add(s.TotalPairs() - s.coPairs)
+	rec.Counter("core/sparse/kept").Add(s.kept())
+	return s, nil
+}
+
+// cascadeGather returns the walk's gather over an inverted index
+// (cascade → infected-node list), the transpose of the scorer's node →
+// infected-process lists by one counting pass and one fill pass. Filling in
+// ascending node order leaves every cascade list sorted, so the gather
+// reads each list from its end down to v and meets every co-occurring pair
+// from its lower end only; it appends the nodes unordered.
+func cascadeGather(view *Scorer) gatherFunc {
+	n, beta := view.n, view.beta
 	cascOff := make([]int64, beta+1)
 	for _, p := range view.inf {
 		cascOff[p+1]++
@@ -148,38 +227,7 @@ func buildSparse(ctx context.Context, view *Scorer, traditional bool, workers in
 			cursor[p]++
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// coOccur appends to row every node that shares a cascade with v, in
-	// first-hit order, and leaves each one's joint infected count n11 in
-	// sc.cnt. The nodes each cascade list hits first form an ascending run
-	// (the lists are ascending); sc.runs receives the offsets of the
-	// non-empty runs. sc.cnt must be all zero on entry; the caller resets the
-	// entries of row once read.
-	coOccur := func(v int, sc *sparseScratch, row []int32) []int32 {
-		sc.runs = sc.runs[:0]
-		for _, p := range view.infected(v) {
-			start := len(row)
-			for _, u := range cascNodes[cascOff[p]:cascOff[p+1]] {
-				if int(u) == v {
-					continue
-				}
-				if sc.cnt[u] == 0 {
-					row = append(row, u)
-				}
-				sc.cnt[u]++
-			}
-			if len(row) > start {
-				sc.runs = append(sc.runs, start)
-			}
-		}
-		return row
-	}
-	// upper is coOccur restricted to the nodes u > v, unordered and without
-	// runs: it reads each cascade list from its end down to v, so every
-	// co-occurring pair is met from its lower end only.
-	upper := func(v int, sc *sparseScratch, row []int32) []int32 {
+	return func(v int, sc *sparseScratch, row []int32) []int32 {
 		for _, p := range view.infected(v) {
 			list := cascNodes[cascOff[p]:cascOff[p+1]]
 			for k := len(list) - 1; k >= 0 && int(list[k]) > v; k-- {
@@ -192,53 +240,6 @@ func buildSparse(ctx context.Context, view *Scorer, traditional bool, workers in
 		}
 		return row
 	}
-	scs := newScratches(n, workers)
-
-	// Walk 1. A full engine also needs each row's length to size the CSR,
-	// so it walks whole rows; inference walks only the upper triangle.
-	var deg []int64
-	gather1 := upper
-	if selectFloor == nil {
-		deg = make([]int64, n)
-		gather1 = coOccur
-	}
-	if err := s.tally(ctx, scs, deg, gather1); err != nil {
-		return nil, err
-	}
-
-	// Walk 2: merge each full row's ascending runs pairwise, or keep the
-	// pairs above the floor.
-	var err error
-	if selectFloor == nil {
-		for v, d := range deg {
-			s.rowStart[v+1] = s.rowStart[v] + d
-		}
-		err = s.fillRows(ctx, scs, false, func(v int, sc *sparseScratch, row []int32) []int32 {
-			row = coOccur(v, sc, row)
-			sc.buf = mergeRuns(row, sc.buf, sc.runs)
-			return row
-		})
-	} else {
-		// The floor's selection is timed under its own spans, not core/imi.
-		span.End()
-		floor := selectFloor(s)
-		span = rec.StartSpan("core/imi")
-		err = s.keepRows(ctx, scs, floor, upper)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	var lookups int64
-	for _, sc := range scs {
-		lookups += sc.lookups
-	}
-	rec.Counter("core/sparse/rows").Add(int64(n))
-	rec.Counter("core/sparse/lookups").Add(lookups)
-	rec.Counter("core/sparse/pairs").Add(s.coPairs)
-	rec.Counter("core/sparse/pairs_skipped").Add(s.TotalPairs() - s.coPairs)
-	rec.Counter("core/sparse/kept").Add(s.kept())
-	return s, nil
 }
 
 // newScratches returns one build scratch per worker (0 workers means
@@ -288,16 +289,23 @@ func parallelNodes(ctx context.Context, n int, scs []*sparseScratch, body func(v
 type sparseScratch struct {
 	cnt  []int32 // per-node joint infected count, all zero between rows
 	row  []int32 // the walked row
-	runs []int   // offsets of a row's ascending runs
-	buf  []int32 // mergeRuns' second buffer
+	deg  []int32 // the co-pairs walk 1 met per node, when a full build sizes its rows
 	kept []keptPair
-	// single[c] counts a row's single-cascade pairs whose other end has
-	// marginal count c; touched lists the counts set, in first-hit order.
-	single  []int32
-	touched []int32
-	lookups int64 // value-cache lookups, for core/sparse/lookups
-	cache   [1 << valueCacheBits]cachedValue
-	tally   valueTally
+	// need is the smallest joint count walk 2 can keep; its gather may
+	// leave out the pairs below it.
+	need int32
+	// small and touched count pairs of small joint count per key part, the
+	// set entries in first-hit order (see countRows and countRuns):
+	// small[nu] for a walked row's single-cascade pairs whose other end has
+	// marginal count nu, or small[(n11−1)·C + c] for a popcount run's pairs
+	// of joint count n11 whose other end is in class c, the run's rows
+	// being of class runClass; touched holds nu, or (n11, c).
+	small    []int32
+	touched  []int32
+	runClass int32
+	lookups  int64 // value-cache lookups, for core/sparse/lookups
+	cache    [1 << valueCacheBits]cachedValue
+	tally    valueTally
 	// classPairs counts the co-pairs per pair of marginal counts, keyed by
 	// classPairKey.
 	classPairs countTable
@@ -310,9 +318,7 @@ type keptPair struct {
 }
 
 // lookup returns the worker's cache entry for the pair of v and u, whose
-// joint infected count it reads from sc.cnt and resets. On a miss it
-// computes the value and first moves the evicted key's upper-triangle count
-// into the worker's tallies.
+// joint infected count it reads from sc.cnt and resets.
 func (s *SparseIMI) lookup(sc *sparseScratch, v int, u int32) *cachedValue {
 	ni, nu := s.ones[v], s.ones[u]
 	n11 := sc.cnt[u]
@@ -327,67 +333,40 @@ func (s *SparseIMI) cached(sc *sparseScratch, key pairKey) *cachedValue {
 	sc.lookups++
 	e := &sc.cache[key.hash()>>(64-valueCacheBits)]
 	if e.key != key {
-		sc.flush(e)
-		*e = cachedValue{key: key, v: pairValue(s.mt, s.traditional, s.beta, int(key.n11), int(key.lo), int(key.hi))}
+		sc.count(e.key, e.v, e.n)
+		*e = cachedValue{key: key, v: s.value(key)}
 	}
 	return e
 }
 
-// flush moves e's count of upper-triangle pairs into the worker's tallies.
-func (sc *sparseScratch) flush(e *cachedValue) {
-	if e.n == 0 {
-		return
+// value returns the value of a pair with key.
+func (s *SparseIMI) value(key pairKey) float64 {
+	return pairValue(s.mt, s.traditional, s.beta, int(key.n11), int(key.lo), int(key.hi))
+}
+
+// count adds c upper-triangle pairs of key, whose value is v, to the
+// worker's tallies: the value by its bits and the co-pairs of the key's
+// marginal counts.
+func (sc *sparseScratch) count(key pairKey, v float64, c int64) {
+	if c > 0 {
+		sc.tally.add(v, c)
+		sc.classPairs.add(classPairKey(key.lo, key.hi), c)
 	}
-	sc.tally.add(e.v, e.n)
-	sc.classPairs.add(classPairKey(e.key.lo, e.key.hi), e.n)
-	e.n = 0
 }
 
 // classPairKey packs a pair of marginal counts lo ≤ hi. lo ≥ 1 for a
 // co-occurring pair, so the key is never 0.
 func classPairKey(lo, hi int32) uint64 { return uint64(uint32(lo))<<32 | uint64(uint32(hi)) }
 
-// tally is walk 1: gather appends nodes that co-occur with v to row and
-// leaves each one's n11 in sc.cnt. tally counts the pairs with u > v into
-// the workers' caches, records len(row) in deg when deg is non-nil, and
-// then assembles the classes, marginal runs and value pool.
-//
-// A pair that shares one cascade has key (1, ni, nu), so its value depends
-// on nu alone within the row: such pairs are counted per marginal count nu
-// and enter the cache once per distinct nu at the end of the row. At scale
-// almost every co-pair is one of them. The pairs with u < v are only reset;
-// their lower end counts them.
-func (s *SparseIMI) tally(ctx context.Context, scs []*sparseScratch, deg []int64, gather func(v int, sc *sparseScratch, row []int32) []int32) error {
-	for _, sc := range scs {
-		sc.single = make([]int32, s.beta+1)
+// tally is walk 1: it counts every co-occurring pair, gathered from its
+// lower end, into the workers' tallies (and into sc.deg at both ends when
+// that is set), and then assembles the marginal runs and value pool.
+func (s *SparseIMI) tally(ctx context.Context, scs []*sparseScratch, popcount bool, gather gatherFunc) error {
+	if popcount {
+		s.countRuns(ctx, scs, gather)
+	} else {
+		s.countRows(ctx, scs, gather)
 	}
-	parallelNodes(ctx, s.n, scs, func(v int, sc *sparseScratch) {
-		sc.row = gather(v, sc, sc.row[:0])
-		for _, u := range sc.row {
-			switch {
-			case int(u) < v:
-				sc.cnt[u] = 0
-			case sc.cnt[u] == 1:
-				sc.cnt[u] = 0
-				nu := s.ones[u]
-				if sc.single[nu] == 0 {
-					sc.touched = append(sc.touched, nu)
-				}
-				sc.single[nu]++
-			default:
-				s.lookup(sc, v, u).n++
-			}
-		}
-		ni := s.ones[v]
-		for _, nu := range sc.touched {
-			s.cached(sc, pairKey{1, min(ni, nu), max(ni, nu)}).n += int64(sc.single[nu])
-			sc.single[nu] = 0
-		}
-		sc.touched = sc.touched[:0]
-		if deg != nil {
-			deg[v] = int64(len(sc.row))
-		}
-	})
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -395,56 +374,174 @@ func (s *SparseIMI) tally(ctx context.Context, scs []*sparseScratch, deg []int64
 	return nil
 }
 
+// countRows counts the walk's rows, in node order. A pair that shares one
+// cascade has key (1, ni, nu), so its value depends on nu alone within the
+// row: such pairs are counted per marginal count nu and enter the cache
+// once per distinct nu at the end of the row. At scale almost every
+// co-pair is one of them. The other pairs are counted through the cache,
+// which holds the few hundred keys of the pairs that share more.
+func (s *SparseIMI) countRows(ctx context.Context, scs []*sparseScratch, gather gatherFunc) {
+	for _, sc := range scs {
+		// At least 256 bytes, so that no two workers' counters share a
+		// cache line.
+		sc.small = make([]int32, max(s.beta+1, 64))
+	}
+	parallelNodes(ctx, s.n, scs, func(v int, sc *sparseScratch) {
+		sc.row = gather(v, sc, sc.row[:0])
+		for _, u := range sc.row {
+			if sc.deg != nil {
+				sc.deg[u]++
+			}
+			if sc.cnt[u] != 1 {
+				s.lookup(sc, v, u).n++
+				continue
+			}
+			sc.cnt[u] = 0
+			nu := s.ones[u]
+			if sc.small[nu] == 0 {
+				sc.touched = append(sc.touched, nu)
+			}
+			sc.small[nu]++
+		}
+		ni := s.ones[v]
+		for _, nu := range sc.touched {
+			s.cached(sc, pairKey{1, min(ni, nu), max(ni, nu)}).n += int64(sc.small[nu])
+			sc.small[nu] = 0
+		}
+		sc.touched = sc.touched[:0]
+		if sc.deg != nil {
+			sc.deg[v] += int32(len(sc.row))
+		}
+	})
+}
+
+// countRuns counts the popcount step's rows, in class order. Within a run
+// of rows of one count class a pair's key (n11, ni, nu) depends only on n11
+// and the class of u, so a pair whose n11 is at most a bound is counted per
+// (n11, class of u) in an array, whose entries are counted by key when the
+// class of the rows changes. The step meets a key per few pairs, more than
+// a cache holds, so the keys and the pairs past the bound are counted
+// straight into the tallies.
+func (s *SparseIMI) countRuns(ctx context.Context, scs []*sparseScratch, gather gatherFunc) {
+	nc := int32(len(s.classVals))
+	small := int32(min(s.beta, max(1, popcountRunCells/len(s.classVals))))
+	for _, sc := range scs {
+		size := max(small*nc, 64) // no two workers' counters share a cache line
+		sc.small, sc.touched, sc.runClass = make([]int32, size), make([]int32, 0, 2*size), -1
+	}
+	count := func(sc *sparseScratch, key pairKey, c int64) {
+		sc.lookups++
+		sc.count(key, s.value(key), c)
+	}
+	flush := func(sc *sparseScratch) {
+		for k := 0; k < len(sc.touched); k += 2 {
+			n11, c := sc.touched[k], sc.touched[k+1]
+			i := (n11-1)*nc + c
+			va, vc := s.classVals[sc.runClass], s.classVals[c]
+			count(sc, pairKey{n11, min(va, vc), max(va, vc)}, int64(sc.small[i]))
+			sc.small[i] = 0
+		}
+		sc.touched = sc.touched[:0]
+	}
+	parallelNodes(ctx, s.n, scs, func(k int, sc *sparseScratch) {
+		v := int(s.byClass[k])
+		if a := s.classOf[v]; a != sc.runClass {
+			flush(sc)
+			sc.runClass = a
+		}
+		sc.row = gather(v, sc, sc.row[:0])
+		ni := s.ones[v]
+		for _, u := range sc.row {
+			n11 := sc.cnt[u]
+			sc.cnt[u] = 0
+			if sc.deg != nil {
+				sc.deg[u]++
+			}
+			if n11 > small {
+				nu := s.ones[u]
+				count(sc, pairKey{n11, min(ni, nu), max(ni, nu)}, 1)
+				continue
+			}
+			c := s.classOf[u]
+			i := (n11-1)*nc + c
+			if sc.small[i] == 0 {
+				sc.touched = append(sc.touched, n11, c)
+			}
+			sc.small[i]++
+		}
+		if sc.deg != nil {
+			sc.deg[v] += int32(len(sc.row))
+		}
+	})
+	for _, sc := range scs {
+		flush(sc)
+	}
+}
+
 // finishTally flushes the workers' caches, merges their tallies, and
-// assembles the classes, marginal runs and value pool from them.
+// assembles the marginal runs and value pool from them.
 func (s *SparseIMI) finishTally(scs []*sparseScratch) {
-	classPairs := &scs[0].classPairs
+	t, classPairs := &scs[0].tally, &scs[0].classPairs
 	for w, sc := range scs {
 		for i := range sc.cache {
-			sc.flush(&sc.cache[i])
+			e := &sc.cache[i]
+			sc.count(e.key, e.v, e.n)
+			e.n = 0
 		}
 		if w > 0 {
+			t.merge(&sc.tally)
 			for _, e := range sc.classPairs.slots {
 				if e.key != 0 {
 					classPairs.add(e.key, e.n)
 				}
 			}
-			sc.classPairs = countTable{}
+			sc.tally, sc.classPairs = valueTally{}, countTable{}
 		}
 	}
 	for _, e := range classPairs.slots {
 		s.coPairs += e.n
 	}
-	t := &scs[0].tally
-	for _, sc := range scs[1:] {
-		t.merge(&sc.tally)
-		sc.tally = valueTally{}
-	}
 	s.assemble(t, classPairs)
 	*t, *classPairs = valueTally{}, countTable{}
 }
 
-// fillRows fills the full CSR rows whose extents s.rowStart holds. gather
-// appends node v's co-occurring neighbors, ascending, to row and leaves
-// each one's n11 in sc.cnt; fillRows reads and resets the counts and
-// derives the values through the workers' caches. With count set it also
-// counts the pairs with u > v there, as tally does, for a finishTally to
+// fillRows fills the full CSR rows whose extents s.rowStart holds: each
+// row's co-pairs gathered from it, sorted, into its tail, with their
+// values through the workers' caches, and then, by one pass in ascending v,
+// every pair mirrored into the head of its upper end's row, so that every
+// row ascends. The rows are taken in class order, so that a run of rows of
+// one marginal count reuses its cache entries. With count set it also
+// counts the pairs into the caches, as tally does, for a finishTally to
 // follow; IncrementalCounts.Source fills and tallies in this one pass.
-func (s *SparseIMI) fillRows(ctx context.Context, scs []*sparseScratch, count bool, gather func(v int, sc *sparseScratch, row []int32) []int32) error {
+func (s *SparseIMI) fillRows(ctx context.Context, scs []*sparseScratch, count bool, gather gatherFunc) error {
 	s.nbr = make([]int32, s.rowStart[s.n])
 	s.val = make([]float64, s.rowStart[s.n])
-	parallelNodes(ctx, s.n, scs, func(v int, sc *sparseScratch) {
-		lo := s.rowStart[v]
-		row := gather(v, sc, s.nbr[lo:lo:s.rowStart[v+1]])
-		for k, u := range row {
+	parallelNodes(ctx, s.n, scs, func(i int, sc *sparseScratch) {
+		v := int(s.byClass[i])
+		sc.row = gather(v, sc, sc.row[:0])
+		slices.Sort(sc.row)
+		at := s.rowStart[v+1] - int64(len(sc.row))
+		for k, u := range sc.row {
 			e := s.lookup(sc, v, u)
-			s.val[lo+int64(k)] = e.v
-			if count && int(u) > v {
+			s.nbr[at+int64(k)], s.val[at+int64(k)] = u, e.v
+			if count {
 				e.n++
 			}
 		}
 	})
-	return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	// Row v's head is full once every lower row has been mirrored.
+	cursor := slices.Clone(s.rowStart[:s.n])
+	for v := range s.n {
+		for k := cursor[v]; k < s.rowStart[v+1]; k++ {
+			u := s.nbr[k]
+			s.nbr[cursor[u]], s.val[cursor[u]] = int32(v), s.val[k]
+			cursor[u]++
+		}
+	}
+	return nil
 }
 
 // keepRows is the filtered walk 2: gather appends the nodes u > v that
@@ -456,9 +553,12 @@ func (s *SparseIMI) fillRows(ctx context.Context, scs []*sparseScratch, count bo
 // scattering them in ascending v then leaves every row ascending, because
 // row v receives its lower neighbors (from earlier nodes) before its own
 // upper ones.
-func (s *SparseIMI) keepRows(ctx context.Context, scs []*sparseScratch, floor float64, gather func(v int, sc *sparseScratch, row []int32) []int32) error {
+func (s *SparseIMI) keepRows(ctx context.Context, scs []*sparseScratch, floor float64, gather gatherFunc) error {
 	s.floor = floor
 	need := s.minKeptJoint(floor)
+	for _, sc := range scs {
+		sc.need = need
+	}
 	parallelNodes(ctx, s.n, scs, func(v int, sc *sparseScratch) {
 		if s.ones[v] < need {
 			return
@@ -531,47 +631,6 @@ func (s *SparseIMI) minKeptJoint(floor float64) int32 {
 	return need
 }
 
-// mergeRuns sorts row in place, given that it is the concatenation of
-// ascending runs of distinct values starting at the offsets in runs
-// (runs[0] == 0), by merging neighboring runs pairwise through buf. It
-// returns buf, grown as needed, for reuse.
-func mergeRuns(row, buf []int32, runs []int) []int32 {
-	if len(runs) < 2 {
-		return buf
-	}
-	buf = slices.Grow(buf[:0], len(row))[:len(row)]
-	src, dst := row, buf
-	for len(runs) > 1 {
-		merged := runs[:0] // overwrites only entries already read
-		for i := 0; i < len(runs); i += 2 {
-			lo, mid, hi := runs[i], len(src), len(src)
-			if i+1 < len(runs) {
-				mid = runs[i+1]
-			}
-			if i+2 < len(runs) {
-				hi = runs[i+2]
-			}
-			a, b, out := src[lo:mid], src[mid:hi], dst[lo:hi]
-			for len(a) > 0 && len(b) > 0 {
-				if a[0] < b[0] {
-					out[0], a = a[0], a[1:]
-				} else {
-					out[0], b = b[0], b[1:]
-				}
-				out = out[1:]
-			}
-			copy(out[copy(out, a):], b)
-			merged = append(merged, lo)
-		}
-		runs = merged
-		src, dst = dst, src
-	}
-	if &src[0] != &row[0] {
-		copy(row, src)
-	}
-	return buf
-}
-
 // pairKey is everything pairValue reads from a pair besides β: its joint
 // infected count and its two marginal counts, canonicalized lo ≤ hi. Pairs
 // with equal keys have bit-identical values. The fields are full int32s
@@ -585,7 +644,7 @@ func (k pairKey) hash() uint64 {
 
 // valueCacheBits sizes each worker's direct-mapped cache of pair values,
 // which also counts the upper-triangle pairs of each cached key until the
-// key is evicted into the worker's tallies. At scale the walks look up only
+// key is evicted into the worker's tallies. At scale the walk looks up only
 // the few hundred keys of the pairs sharing two or more cascades, plus one
 // single-cascade key per row and marginal count, and 1024 entries hold
 // them all (176 keys at n = 10⁵, β = 1024); when most pairs have keys of
@@ -599,6 +658,17 @@ type cachedValue struct {
 	n   int64
 	v   float64
 }
+
+// popcountRunCells bounds the (joint count, class) entries in which the
+// popcount step counts a run of rows, so that with C classes the joint
+// counts up to 2¹⁴/C (at most β) are counted there: 148 on an LFR input of
+// n = 1000, β = 1024 with 110 classes, above every pair's joint count.
+const popcountRunCells = 1 << 14
+
+// popcountReserve caps the values a popcount build sizes each worker's
+// tallies for up front, a little under the ~3.8·10⁴ of n = 1000,
+// β = 1024; a larger input grows them past it.
+const popcountReserve = 1 << 15
 
 // countTable counts by nonzero 64-bit keys in an open-addressed table
 // (linear probing, power-of-two size, at most three quarters full).
@@ -669,23 +739,25 @@ func (t *countTable) get(key uint64) int64 {
 	}
 }
 
-// assemble derives everything that depends only on the marginal counts
-// s.ones and the co-pair counts per pair of marginal counts: the count
-// classes, the marginal runs of the never-co-occurring pairs, which it adds
-// to the co-occurring values already in t, and the value pool. It reads no
-// CSR row. Cost is O(n + β + C²) for C count classes.
-func (s *SparseIMI) assemble(t *valueTally, classPairs *countTable) {
+// classify derives the count classes from the marginal counts s.ones: the
+// distinct counts, ascending, each node's class and each class's nodes,
+// carved from one array. Cost is O(n + β).
+func (s *SparseIMI) classify() {
 	classIdx := make([]int32, s.beta+1)
+	nClasses := 0
 	for _, c := range s.ones {
-		classIdx[c] = 1
+		if classIdx[c] == 0 {
+			classIdx[c] = 1
+			nClasses++
+		}
 	}
+	s.classVals = make([]int32, 0, nClasses)
 	for c := range classIdx {
 		if classIdx[c] != 0 {
 			classIdx[c] = int32(len(s.classVals) + 1)
 			s.classVals = append(s.classVals, int32(c))
 		}
 	}
-	nClasses := len(s.classVals)
 	s.classOf = make([]int32, s.n)
 	s.classSize = make([]int64, nClasses)
 	for v, c := range s.ones {
@@ -694,13 +766,23 @@ func (s *SparseIMI) assemble(t *valueTally, classPairs *countTable) {
 		s.classSize[k]++
 	}
 	s.classNodes = make([][]int32, nClasses)
-	for k := range s.classNodes {
-		s.classNodes[k] = make([]int32, 0, s.classSize[k])
+	s.byClass = make([]int32, s.n)
+	nodes := s.byClass
+	for k, size := range s.classSize {
+		s.classNodes[k], nodes = nodes[:0:size], nodes[size:]
 	}
 	for v, k := range s.classOf {
 		s.classNodes[k] = append(s.classNodes[k], int32(v))
 	}
+}
 
+// assemble derives everything that depends only on the count classes and
+// the co-pair counts per pair of marginal counts: the marginal runs of the
+// never-co-occurring pairs, which it adds to the co-occurring values
+// already in t, and the value pool. It reads no CSR row. Cost is O(C²) for
+// C count classes.
+func (s *SparseIMI) assemble(t *valueTally, classPairs *countTable) {
+	nClasses := len(s.classVals)
 	// Marginal runs: for every unordered class pair, the pairs that never
 	// co-occur share one closed-form value (n11 = 0). A class pair whose
 	// counts sum past β cannot have a zero pair (pigeonhole), and indeed
@@ -773,8 +855,7 @@ func (s *SparseIMI) find(i int, j int32) (int64, bool) {
 	return 0, false
 }
 
-// At returns the pairwise value for (i, j), i != j — bit-identical to the
-// dense IMIMatrix.At for the same observations. A filtered engine knows
+// At returns the pairwise value for (i, j), i != j. A filtered engine knows
 // only the values above its floor and panics on any other pair.
 func (s *SparseIMI) At(i, j int) float64 {
 	if i == j {
@@ -793,7 +874,7 @@ func (s *SparseIMI) At(i, j int) float64 {
 }
 
 // Candidates returns, for node i, every node j with value(i,j) > tau,
-// ascending — the same contract as IMIMatrix.Candidates. The fast path
+// ascending — the candidate parent set P_i of Algorithm 1. The fast path
 // (marginal values all ≤ tau, the normal IMI regime, where a
 // never-co-occurring pair's value is provably ≤ 0 ≤ τ) touches only node
 // i's CSR row; the general path additionally scans the count classes whose
@@ -858,8 +939,7 @@ func (s *SparseIMI) valuePool() *valuePool { return s.pool }
 // nodePool summarizes the values involving node i for the per-node
 // threshold selector: row values individually plus one marginal run per
 // count class, weighted by how many of that class's nodes never co-occur
-// with i. Bit-identical to the dense nodePool (same value multiset). It
-// needs the full row, so a filtered engine panics.
+// with i. It needs the full row, so a filtered engine panics.
 func (s *SparseIMI) nodePool(i int) *valuePool {
 	if s.filtered() {
 		panic("core: per-node pool of a filtered engine")
@@ -885,32 +965,4 @@ func (s *SparseIMI) nodePool(i int) *valuePool {
 		t.add(pairValue(s.mt, s.traditional, s.beta, 0, int(s.ones[i]), int(s.classVals[c])), rem)
 	}
 	return t.finish()
-}
-
-// PairValues materializes the full dense triangle, row-major like
-// IMIMatrix.PairValues. Compatibility/debug surface for small n: it
-// allocates the O(n²) slice the sparse engine otherwise avoids. A filtered
-// engine panics.
-func (s *SparseIMI) PairValues() []float64 {
-	if s.filtered() {
-		panic("core: PairValues of a filtered engine")
-	}
-	out := make([]float64, int64(s.n)*int64(s.n-1)/2)
-	for i := 0; i < s.n; i++ {
-		base := i * (2*s.n - i - 1) / 2
-		k := s.rowStart[i]
-		end := s.rowStart[i+1]
-		for k < end && int(s.nbr[k]) <= i {
-			k++
-		}
-		for j := i + 1; j < s.n; j++ {
-			if k < end && int(s.nbr[k]) == j {
-				out[base+j-i-1] = s.val[k]
-				k++
-			} else {
-				out[base+j-i-1] = pairValue(s.mt, s.traditional, s.beta, 0, int(s.ones[i]), int(s.ones[j]))
-			}
-		}
-	}
-	return out
 }

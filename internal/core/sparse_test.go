@@ -31,9 +31,10 @@ func sparseRandomStatus(n, beta int, density float64, seed int64) *diffusion.Sta
 	return sm
 }
 
-// TestSparseDenseValuesBitIdentical checks At agreement on EVERY pair (not
-// just co-occurring ones) across random shapes, densities, both MI modes,
-// and worker counts — the tentpole's bit-identity contract.
+// TestSparseDenseValuesBitIdentical checks that the popcount and walk
+// builds agree in At on EVERY pair (not just co-occurring ones) across
+// random shapes, densities, both MI modes, and worker counts — the
+// engine's bit-identity contract.
 func TestSparseDenseValuesBitIdentical(t *testing.T) {
 	cases := []struct {
 		n, beta int
@@ -66,15 +67,6 @@ func TestSparseDenseValuesBitIdentical(t *testing.T) {
 								ci, traditional, workers, i, j, dv, sv)
 						}
 					}
-				}
-				if got, want := sp.PairValues(), dense.PairValues(); len(got) == len(want) {
-					for k := range got {
-						if got[k] != want[k] {
-							t.Fatalf("case %d: PairValues[%d] sparse=%v dense=%v", ci, k, got[k], want[k])
-						}
-					}
-				} else {
-					t.Fatalf("case %d: PairValues lengths %d vs %d", ci, len(got), len(want))
 				}
 			}
 		}
@@ -152,9 +144,9 @@ func TestSparseDenseCandidatesAndPools(t *testing.T) {
 }
 
 // evictingStatus simulates cascades over a random 400-node network: its
-// co-pairs carry about 2000 distinct (n11, ni, nj) keys, twice the slots of
-// a worker's value cache, so the build evicts entries into its tallies
-// mid-walk, and every threshold method selects a τ that keeps edges.
+// co-pairs carry about 2000 distinct (n11, ni, nj) keys, so a worker's
+// value table grows several times mid-walk, and every threshold method
+// selects a τ that keeps edges.
 func evictingStatus(t *testing.T) *diffusion.StatusMatrix {
 	return simulateOn(t, graph.GNM(400, 800, newTestRand(3)), 0.3, 0.02, 256, 4)
 }
@@ -162,7 +154,7 @@ func evictingStatus(t *testing.T) *diffusion.StatusMatrix {
 // TestSparseDenseInferIdentical runs the full pipeline both ways across
 // threshold methods, scales, worker counts and shards and requires
 // identical graphs, thresholds, and scores. The second input has enough
-// distinct pair keys to evict the build's value-cache entries; on it the
+// distinct pair keys to grow the build's value tables; on it the
 // global methods must run the filtered build (fewer pairs kept than
 // co-occur), while the per-node method keeps every pair.
 func TestSparseDenseInferIdentical(t *testing.T) {
@@ -289,8 +281,8 @@ func TestShardOptionsValidation(t *testing.T) {
 }
 
 // TestSparseFixedAndScaledThresholds covers the fixed/scaled threshold
-// paths through the sparse engine, on a small input and on one with enough
-// distinct pair keys to evict the build's value-cache entries.
+// paths through the walk, on a small input and on one with enough distinct
+// pair keys to grow the build's value tables.
 func TestSparseFixedAndScaledThresholds(t *testing.T) {
 	for si, sm := range []*diffusion.StatusMatrix{
 		sparseRandomStatus(18, 40, 0.2, 11),
@@ -298,15 +290,15 @@ func TestSparseFixedAndScaledThresholds(t *testing.T) {
 	} {
 		fixed := 0.01
 		// Negative fixed threshold: every pair (including never-co-occurring
-		// ones, whose IMI is ≤ 0) can become a candidate; the sparse engine
-		// must fall back to its marginal-class enumeration.
+		// ones, whose IMI is ≤ 0) can become a candidate, up to the fixed
+		// cap; the engine must fall back to its marginal-class enumeration.
 		neg := -10.0
 		for _, opt := range []Options{
 			{FixedThreshold: &fixed},
 			{ThresholdScale: 2},
 			{ThresholdScale: 0.5},
 			{TraditionalMI: true},
-			{FixedThreshold: &neg, MaxCandidates: 4},
+			{FixedThreshold: &neg},
 		} {
 			sparse := opt
 			sparse.Sparse = true
@@ -352,7 +344,7 @@ func TestSparseObsCounters(t *testing.T) {
 		t.Fatalf("CoPairs = %d, want %d", sp.CoPairs(), want)
 	}
 
-	// core/sparse/lookups, the build walks' value-cache lookups, is pinned
+	// core/sparse/lookups, the build walks' value-table lookups, is pinned
 	// on the sparse diffusions of TestPairCountersPinned at β = 200, where
 	// no single-cascade pair clears τ. Walk 1 looks up each row's
 	// single-cascade pairs once per distinct marginal count and every other
@@ -368,7 +360,7 @@ func TestSparseObsCounters(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		rec := obs.New()
 		var need int32
-		if _, err := buildSparse(obs.With(context.Background(), rec), NewScorer(sm), false, workers, func(s *SparseIMI) float64 {
+		if _, err := buildSparse(obs.With(context.Background(), rec), NewScorer(sm), false, workers, false, func(s *SparseIMI) float64 {
 			_, tau := selectThreshold(context.Background(), s, sm.Beta(), Options{}.withDefaults())
 			floor := s.keepFloor(tau, false)
 			need = s.minKeptJoint(floor)
@@ -417,7 +409,7 @@ func TestSparseEmptyAndDegenerate(t *testing.T) {
 	// All-zero statuses: every value is 0, nothing co-occurs.
 	sm := diffusion.NewStatusMatrix(5, 6)
 	sp = sparseIMI(sm, false, 0)
-	dense := ComputeIMI(sm, false)
+	dense := denseIMI(sm, false, 0)
 	for i := 0; i < 6; i++ {
 		for j := i + 1; j < 6; j++ {
 			if sp.At(i, j) != dense.At(i, j) {
@@ -430,11 +422,10 @@ func TestSparseEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
-// TestSparseRecordsTelemetry checks the sparse engine's observability
-// contract: row/pair/skip counters that account for the full triangle. The
-// sparse build counts n11 during its index walk and runs no popcount
-// kernel, so it records no kernel tiles (the dense engine's tests require
-// them).
+// TestSparseRecordsTelemetry checks the walk's observability contract:
+// row/pair/skip counters that account for the full triangle. The walk
+// counts n11 during its index walk and popcounts no pair, so it records no
+// popcount-step pairs (the popcount step's tests require them).
 func TestSparseRecordsTelemetry(t *testing.T) {
 	sm := sparseRandomStatus(24, 40, 0.1, 8)
 	rec := obs.New()
@@ -457,8 +448,8 @@ func TestSparseRecordsTelemetry(t *testing.T) {
 	if got := s.Counters["core/sparse/kept"]; got != pairs {
 		t.Fatalf("core/sparse/kept = %d on the full build, want every co-pair (%d)", got, pairs)
 	}
-	if got := s.Counters["core/kernel/tiles"]; got != 0 {
-		t.Fatalf("core/kernel/tiles = %d on the sparse path, want 0", got)
+	if got := s.Counters["core/imi/pairs"]; got != 0 {
+		t.Fatalf("core/imi/pairs = %d on the walk, want 0", got)
 	}
 }
 
@@ -537,12 +528,12 @@ func sameRows(a, b *SparseIMI) string {
 	return ""
 }
 
-// TestPoolsAgreeDenseSparseIncremental checks that the three pairwise
-// engines reduce to the same value pool: the dense triangle folded value by
-// value, the batch sparse build's value tally, and IncrementalCounts.Source
-// over the same rows appended one at a time. Each sparse engine's pool and
-// marginal maxima, which come from its walk-1 tallies, must also equal the
-// ones its own rows give, and the upper-triangle walks inference runs must
+// TestPoolsAgreeDenseSparseIncremental checks that the three builds of the
+// pairwise engine reduce to the same value pool: the popcount build, the
+// cascade walk, and IncrementalCounts.Source over the same rows appended
+// one at a time. Each engine's pool and marginal maxima, which come from
+// its walk-1 tallies, must also equal the ones its own rows give, and the
+// filtered walk 2 that inference runs, at a floor that drops nothing, must
 // scatter the full build's rows exactly.
 func TestPoolsAgreeDenseSparseIncremental(t *testing.T) {
 	for _, beta := range []int{1, 63, 64, 65, 130} {
@@ -586,7 +577,7 @@ func TestPoolsAgreeDenseSparseIncremental(t *testing.T) {
 					}
 					// The same rows scattered from the upper-triangle walks
 					// that inference runs, at a floor that drops nothing.
-					up, err := buildSparse(context.Background(), NewScorer(sm), traditional, workers, func(*SparseIMI) float64 { return math.Inf(-1) })
+					up, err := buildSparse(context.Background(), NewScorer(sm), traditional, workers, false, func(*SparseIMI) float64 { return math.Inf(-1) })
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -633,11 +624,9 @@ func TestValueCacheKeysExact(t *testing.T) {
 	}
 	s := newSparseIMI(n, beta, false, ones)
 	gather := func(v int, sc *sparseScratch, row []int32) []int32 {
-		for j := 0; j < n; j++ {
-			if j != v {
-				row = append(row, int32(j))
-				sc.cnt[j] = n11(v, j)
-			}
+		for j := v + 1; j < n; j++ {
+			row = append(row, int32(j))
+			sc.cnt[j] = n11(v, j)
 		}
 		return row
 	}
@@ -714,13 +703,13 @@ func mustPanic(t *testing.T, what string, f func()) {
 // pairs above τ refuses every question it can no longer answer — the value
 // of a dropped pair, candidates below its floor, a per-node pool — and
 // answers the rest like the full engine, while an engine built at a floor
-// of −Inf still agrees with the dense one on every pair.
+// of −Inf still agrees with the popcount build on every pair.
 func TestFilteredEngineGuards(t *testing.T) {
 	ctx := context.Background()
 	sm := evictingStatus(t)
 	full := sparseIMI(sm, false, 0)
 	_, tau := selectThreshold(ctx, full, sm.Beta(), Options{}.withDefaults())
-	filt, err := buildSparse(ctx, NewScorer(sm), false, 2, func(s *SparseIMI) float64 { return s.keepFloor(tau, false) })
+	filt, err := buildSparse(ctx, NewScorer(sm), false, 2, false, func(s *SparseIMI) float64 { return s.keepFloor(tau, false) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -752,13 +741,12 @@ func TestFilteredEngineGuards(t *testing.T) {
 	}
 	mustPanic(t, "Candidates below the floor", func() { filt.Candidates(0, math.Nextafter(tau, math.Inf(-1))) })
 	mustPanic(t, "nodePool", func() { filt.nodePool(0) })
-	mustPanic(t, "PairValues", func() { filt.PairValues() })
 
-	all, err := buildSparse(ctx, NewScorer(sm), false, 2, func(*SparseIMI) float64 { return math.Inf(-1) })
+	all, err := buildSparse(ctx, NewScorer(sm), false, 2, false, func(*SparseIMI) float64 { return math.Inf(-1) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense := ComputeIMI(sm, false)
+	dense := denseIMI(sm, false, 0)
 	for i := 0; i < sm.N(); i++ {
 		for j := 0; j < sm.N(); j++ {
 			if i != j && math.Float64bits(all.At(i, j)) != math.Float64bits(dense.At(i, j)) {

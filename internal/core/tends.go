@@ -19,17 +19,6 @@ import (
 	"tends/internal/obs"
 )
 
-// pairSource is the read surface the inference pipeline needs from a
-// pairwise engine; both the dense IMIMatrix and the SparseIMI satisfy it
-// with bit-identical values, thresholds, and candidate sets.
-type pairSource interface {
-	N() int
-	At(i, j int) float64
-	Candidates(i int, tau float64) []int
-	valuePool() *valuePool
-	nodePool(i int) *valuePool
-}
-
 // Options tunes the TENDS algorithm. The zero value reproduces the paper's
 // configuration.
 type Options struct {
@@ -52,15 +41,6 @@ type Options struct {
 	// TraditionalMI replaces infection MI with plain mutual information in
 	// the pruning stage (the ablation of Figs. 10–11).
 	TraditionalMI bool
-
-	// MaxCandidates keeps only the top-k candidates per node by IMI value
-	// after thresholding. Saturated diffusions (large α·n, high μ) can
-	// leave a hundred-plus weakly correlated candidates per node, which
-	// the paper's κ ≪ n assumption does not anticipate; the cap bounds
-	// the combination enumeration there. True parents carry the largest
-	// IMI values, so the cap rarely costs recall. 0 means the default of
-	// 32; negative means unlimited (the literal paper configuration).
-	MaxCandidates int
 
 	// ThresholdMethod selects how the pruning threshold τ is derived from
 	// the pairwise values; see the constants for the trade-offs.
@@ -121,12 +101,13 @@ type Options struct {
 	// one subtree. 0 disables it.
 	ComboBudget int
 
-	// Sparse routes the pairwise stage through the co-occurrence sparse
-	// engine (see SparseIMI) instead of materializing the dense n(n−1)/2
-	// triangle. The inferred topology, thresholds, and scores are
-	// bit-identical to the dense path at any worker count; only the cost
-	// model changes — O(Σ_c |infected(c)|²) instead of O(n²·β/64) — which
-	// is what makes n ≥ 10⁵ inference tractable.
+	// Sparse chooses only how the pairwise stage counts each pair's joint
+	// infections (see SparseIMI): by walking the cascades each node is
+	// infected in, instead of by popcount over every pair's status
+	// columns. The inferred topology, thresholds, and scores are
+	// bit-identical either way at any worker count; only the cost model
+	// changes — O(Σ_c |infected(c)|²) instead of O(n²·β/64) — which is
+	// what makes n ≥ 10⁵ inference tractable.
 	Sparse bool
 
 	// SkipNodes marks nodes whose parent-set search is skipped entirely:
@@ -246,9 +227,6 @@ func (o Options) withDefaults() Options {
 	if o.ThresholdScale == 0 {
 		o.ThresholdScale = 1
 	}
-	if o.MaxCandidates == 0 {
-		o.MaxCandidates = 32
-	}
 	if o.FDRAlpha == 0 {
 		o.FDRAlpha = 0.2
 	}
@@ -308,32 +286,18 @@ func InferContext(ctx context.Context, sm *diffusion.StatusMatrix, opt Options) 
 	rec := obs.From(ctx)
 	defer rec.StartSpan("core/infer").End()
 
-	// One Scorer reads the observations for every stage: both pairwise
-	// engines take their counts and lists from it, and the search scores
-	// with it.
+	// One Scorer reads the observations for every stage: the pairwise
+	// build takes its counts and columns or lists from it, and the search
+	// scores with it. τ is selected between the build's two walks, so the
+	// second keeps only the pairs the search can use.
 	scorer := NewScorer(sm)
-	var (
-		imi          pairSource
-		autoTau, tau float64
-	)
-	if opt.Sparse {
-		// τ is selected between the build's two walks, so the second keeps
-		// only the pairs the search can use.
-		sp, serr := buildSparse(ctx, scorer, opt.TraditionalMI, opt.Workers, func(s *SparseIMI) float64 {
-			autoTau, tau = selectThreshold(ctx, s, sm.Beta(), opt)
-			return s.keepFloor(tau, opt.perNode())
-		})
-		if serr != nil {
-			return nil, fmt.Errorf("core: IMI stage: %w", serr)
-		}
-		imi = sp
-	} else {
-		dense, derr := computeIMI(ctx, scorer, opt.TraditionalMI, opt.Workers)
-		if derr != nil {
-			return nil, fmt.Errorf("core: IMI stage: %w", derr)
-		}
-		imi = dense
-		autoTau, tau = selectThreshold(ctx, dense, sm.Beta(), opt)
+	var autoTau, tau float64
+	imi, err := buildSparse(ctx, scorer, opt.TraditionalMI, opt.Workers, !opt.Sparse, func(s *SparseIMI) float64 {
+		autoTau, tau = selectThreshold(ctx, s, sm.Beta(), opt)
+		return s.keepFloor(tau, opt.perNode())
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: IMI stage: %w", err)
 	}
 	return inferStages(ctx, scorer, imi, opt, autoTau, tau)
 }
@@ -385,7 +349,7 @@ func (o Options) perNode() bool {
 // threshold the search prunes with after scaling or a fixed override. The
 // automatic τ is selected even when a fixed threshold overrides it, so
 // Result.AutoTau always reports it.
-func selectThreshold(ctx context.Context, imi interface{ valuePool() *valuePool }, beta int, opt Options) (autoTau, tau float64) {
+func selectThreshold(ctx context.Context, imi *SparseIMI, beta int, opt Options) (autoTau, tau float64) {
 	defer obs.From(ctx).StartSpan("core/threshold").End()
 	// Every selector consumes the same run-length value pool; no second
 	// O(n²) triangle is materialized.
@@ -407,11 +371,12 @@ func selectThreshold(ctx context.Context, imi interface{ valuePool() *valuePool 
 
 // inferStages runs everything after the global threshold stage — per-node
 // thresholds, the per-node parent search, degradation reporting, and
-// scoring with scorer — over any pairwise source, pruning at tau (autoTau
-// is reported as Result.AutoTau). The dense, sparse, and incremental-count engines all
-// produce bit-identical sources, so the stages (and therefore the inferred
-// topology) are engine-independent.
-func inferStages(ctx context.Context, scorer *Scorer, imi pairSource, opt Options, autoTau, tau float64) (*Result, error) {
+// scoring with scorer — over the pairwise engine, pruning at tau (autoTau
+// is reported as Result.AutoTau). The batch build, by either counting
+// step, and the incremental counts all produce bit-identical engines, so
+// the stages (and therefore the inferred topology) do not depend on how
+// the engine was built.
+func inferStages(ctx context.Context, scorer *Scorer, imi *SparseIMI, opt Options, autoTau, tau float64) (*Result, error) {
 	rec := obs.From(ctx)
 	tel := coreTel{
 		combos:    rec.Counter("core/search/combos"),
@@ -472,7 +437,7 @@ func inferStages(ctx context.Context, scorer *Scorer, imi pairSource, opt Option
 		if perNode {
 			nodeTau = res.NodeThresholds[i]
 		}
-		cands := nodeCandidates(imi, i, nodeTau, opt)
+		cands := nodeCandidates(imi, i, nodeTau)
 		res.Parents[i], reasons[i] = searchParents(sctx, scorer, i, cands, opt, tel, sc)
 		// Only fully searched nodes reach the callback: a node cut short
 		// (degraded or cancelled) has a partial answer the journal must not
@@ -493,7 +458,7 @@ func inferStages(ctx context.Context, scorer *Scorer, imi pairSource, opt Option
 	}
 	// Workers claim one node at a time from a shared counter, so load
 	// balances node by node without a channel handoff per node. The
-	// per-node searches only read the scorer and IMI matrix; each worker
+	// per-node searches only read the scorer and the pairwise engine; each worker
 	// writes a disjoint slot of res.Parents, reasons and scores, so the
 	// output is identical for any worker count. The worker that settles a
 	// node's parents also scores them (Eq. 13), and g(T) is their sum in
@@ -572,14 +537,23 @@ func inferStages(ctx context.Context, scorer *Scorer, imi pairSource, opt Option
 	return res, nil
 }
 
+// maxCandidates caps each node's candidate parents. Saturated diffusions
+// (large α·n, high μ) can leave a hundred-plus weakly correlated
+// candidates per node, which the paper's κ ≪ n assumption does not
+// anticipate; the cap bounds the combination enumeration there, and keeps
+// every candidate pool within the 64 bits of a combination's mask. True
+// parents carry the largest pairwise values, so the cap rarely costs
+// recall.
+const maxCandidates = 32
+
 // nodeCandidates returns node i's candidate parents in ascending order: the
-// nodes whose pairwise value with i exceeds tau, cut to the MaxCandidates
-// largest values when a cap is set.
-func nodeCandidates(imi pairSource, i int, tau float64, opt Options) []int {
+// nodes whose pairwise value with i exceeds tau, cut to the maxCandidates
+// largest values.
+func nodeCandidates(imi *SparseIMI, i int, tau float64) []int {
 	cands := imi.Candidates(i, tau)
-	if opt.MaxCandidates > 0 && len(cands) > opt.MaxCandidates {
+	if len(cands) > maxCandidates {
 		sort.Slice(cands, func(a, b int) bool { return imi.At(i, cands[a]) > imi.At(i, cands[b]) })
-		cands = cands[:opt.MaxCandidates]
+		cands = cands[:maxCandidates]
 		sort.Ints(cands)
 	}
 	return cands
@@ -672,10 +646,9 @@ func backwardPrune(s *Scorer, child int, parents []int) []int {
 }
 
 // combo is a candidate parent-node combination W with its standalone score
-// g(v_i, W). When the candidate pool fits in 64 bits, mask holds W's
-// membership as bits over the candidate indices (bit k ⇔ cands[k], in
-// ascending order matching nodes); 0 means no mask was assigned and the
-// merges fall back to map-based membership.
+// g(v_i, W). mask holds W's membership as bits over the candidate indices
+// (bit k ⇔ cands[k], in ascending order matching nodes); the candidate
+// pool never exceeds maxCandidates, so it fits.
 type combo struct {
 	nodes []int
 	score float64
@@ -708,7 +681,7 @@ func enumerateCombos(ctx context.Context, s *Scorer, child int, cands []int, opt
 	e := enumerator{
 		ctx: ctx, s: s, sc: sc,
 		child: child, cands: cands, opt: opt, deadline: deadline,
-		maxSize: maxSize, maskable: len(cands) <= 64,
+		maxSize: maxSize,
 	}
 	sc.hits = resize(sc.hits, len(cands))
 	for k, v := range cands {
@@ -737,7 +710,6 @@ type enumerator struct {
 	opt      Options
 	deadline time.Time
 	maxSize  int
-	maskable bool
 	curMask  uint64
 	at       [2]int // the candidate positions of the first two nodes of cur
 	reason   DegradeReason
@@ -785,18 +757,14 @@ func (e *enumerator) rec(start int) {
 			}
 		}
 		sc.cur = append(sc.cur, e.cands[k])
-		if e.maskable {
-			e.curMask |= 1 << uint(k)
-		}
+		e.curMask |= 1 << uint(k)
 		d := len(sc.cur)
 		if d <= 2 {
 			e.at[d-1] = k
 		}
 		e.rec(k + 1)
 		sc.cur = sc.cur[:len(sc.cur)-1]
-		if e.maskable {
-			e.curMask &^= 1 << uint(k)
-		}
+		e.curMask &^= 1 << uint(k)
 	}
 }
 
@@ -958,13 +926,10 @@ func staticMerge(s *Scorer, child int, combos []combo, opt Options, tel coreTel,
 
 // mergeState tracks the greedy merges' growing parent set F without
 // per-probe allocations. Membership is a uint64 bitmask over the candidate
-// indices assigned in enumerateCombos whenever the pool fits in 64 bits —
-// the common case, since MaxCandidates defaults to 32 — with a map fallback
-// for unbounded pools. Probe unions are built in a reusable buffer, so a
-// rejected probe allocates nothing at all.
+// indices assigned in enumerateCombos. Probe unions are built in a reusable
+// buffer, so a rejected probe allocates nothing at all.
 type mergeState struct {
 	mask    uint64
-	inF     map[int]bool // non-nil only when the combos carry no masks
 	parents []int
 	buf     []int
 	probes  int // score evaluations computed since the last reset
@@ -979,31 +944,22 @@ func (sc *scratch) resetMerge(s *Scorer, child int, combos []combo) {
 	st := &sc.merge
 	st.mask, st.parents = 0, st.parents[:0]
 	st.probes, st.hits = 0, 0
-	switch {
-	case len(combos) == 0 || combos[0].mask != 0:
-		st.inF = nil
-		sc.memo.reset(len(combos))
-	case st.inF == nil:
-		st.inF = make(map[int]bool)
-	default:
-		clear(st.inF)
-	}
+	sc.memo.reset(len(combos))
 	sc.part.reset(s, child)
 }
 
 // probe returns the size and score parts of F ∪ W for the merge's current
-// F, with ok = false when W adds nothing to F or the union would exceed 63
-// parents. The parts are a pure function of F and W's new nodes, which
-// probeUnion puts in a fixed order, so under masked membership a probe of
-// new nodes already scored against this F is answered from the memo; the
-// map path probes every time. Under masked membership a probe adding one or
-// two nodes is scored from the round tallies of the new nodes, indexed by
-// their candidate positions (see partition.probeTallied).
+// F, with ok = false when W adds nothing to F. The parts are a pure
+// function of F and W's new nodes, which probeUnion puts in a fixed order,
+// so a probe of new nodes already scored against this F is answered from
+// the memo. A probe adding one or two nodes is scored from the round
+// tallies of the new nodes, indexed by their candidate positions (see
+// partition.probeTallied).
 func (sc *scratch) probe(s *Scorer, c *combo) (size int, parts ScoreParts, ok bool) {
 	st := &sc.merge
 	var slot *memoSlot
 	key := c.mask &^ st.mask
-	if st.inF == nil && key != 0 {
+	if key != 0 {
 		var hit bool
 		if slot, hit = sc.memo.lookup(key); hit {
 			st.hits++
@@ -1017,7 +973,7 @@ func (sc *scratch) probe(s *Scorer, c *combo) (size int, parts ScoreParts, ok bo
 	if union == nil {
 		return 0, ScoreParts{}, false
 	}
-	if added := union[len(st.parents):]; st.inF == nil && len(added) <= 2 {
+	if added := union[len(st.parents):]; len(added) <= 2 {
 		parts = sc.part.probeTallied(s, key, added)
 	} else {
 		parts = sc.part.probe(s, added)
@@ -1033,8 +989,8 @@ func (sc *scratch) probe(s *Scorer, c *combo) (size int, parts ScoreParts, ok bo
 }
 
 // accept commits F ← F ∪ W, reporting false (and changing nothing) when the
-// union is empty or too large. It starts a new memo generation: every probe
-// before it scored against the old F.
+// union adds nothing. It starts a new memo generation: every probe before it
+// scored against the old F.
 func (sc *scratch) accept(s *Scorer, c *combo) bool {
 	st := &sc.merge
 	union := st.probeUnion(c)
@@ -1043,14 +999,8 @@ func (sc *scratch) accept(s *Scorer, c *combo) bool {
 	}
 	added := union[len(st.parents):]
 	sc.part.accept(s, added)
-	if st.inF == nil {
-		st.mask |= c.mask
-		sc.memo.invalidate()
-	} else {
-		for _, v := range added {
-			st.inF[v] = true
-		}
-	}
+	st.mask |= c.mask
+	sc.memo.invalidate()
 	st.parents = append(st.parents, added...)
 	return true
 }
@@ -1077,41 +1027,27 @@ func (st *mergeState) result() []int {
 }
 
 // probeUnion returns F ∪ W in scoring order — the current parents followed
-// by W's new nodes in W order — or nil when the union adds nothing or would
-// exceed 63 parents. The returned slice aliases the reusable buffer and is
-// valid only until the next probe.
+// by W's new nodes in W order — or nil when the union adds nothing. The
+// returned slice aliases the reusable buffer and is valid only until the
+// next probe.
 func (st *mergeState) probeUnion(c *combo) []int {
-	if st.inF == nil {
-		um := st.mask | c.mask
-		if um == st.mask || bits.OnesCount64(um) > 63 {
-			return nil
-		}
-		st.buf = append(st.buf[:0], st.parents...)
-		// The i-th lowest set bit of c.mask corresponds to c.nodes[i]
-		// (both ascend through the candidate pool), so walk them in step
-		// to pick out the nodes not yet in F.
-		rem := c.mask
-		newBits := c.mask &^ st.mask
-		for _, v := range c.nodes {
-			bit := rem & (-rem)
-			rem &^= bit
-			if newBits&bit != 0 {
-				st.buf = append(st.buf, v)
-			}
-		}
-		return st.buf
-	}
-	union := append(st.buf[:0], st.parents...)
-	for _, v := range c.nodes {
-		if !st.inF[v] {
-			union = append(union, v)
-		}
-	}
-	st.buf = union
-	if len(union) == len(st.parents) || len(union) > 63 {
+	newBits := c.mask &^ st.mask
+	if newBits == 0 {
 		return nil
 	}
-	return union
+	st.buf = append(st.buf[:0], st.parents...)
+	// The i-th lowest set bit of c.mask corresponds to c.nodes[i] (both
+	// ascend through the candidate pool), so walk them in step to pick out
+	// the nodes not yet in F.
+	rem := c.mask
+	for _, v := range c.nodes {
+		bit := rem & (-rem)
+		rem &^= bit
+		if newBits&bit != 0 {
+			st.buf = append(st.buf, v)
+		}
+	}
+	return st.buf
 }
 
 // probeMemo caches one greedy round's probe results, keyed by the probed

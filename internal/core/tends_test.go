@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tends/internal/diffusion"
@@ -86,8 +87,8 @@ func TestInferErrors(t *testing.T) {
 // TestInferRejectsBadThresholds pins the threshold-option validation shared
 // by every inference entry point: an FDRAlpha outside (0,1) used to panic
 // inside the FDR selector, a NaN FDRAlpha or a NaN/+Inf ThresholdScale
-// silently pruned every edge, and a NaN FixedThreshold pruned every edge on
-// the dense engine and none on the sparse one.
+// silently pruned every edge, and a NaN FixedThreshold pruned every edge
+// through the dense triangle and none through the sparse engine.
 func TestInferRejectsBadThresholds(t *testing.T) {
 	sm := randomStatus(20, 6, 1)
 	inc := NewIncrementalCounts(sm.N(), false)
@@ -132,8 +133,8 @@ func TestInferRejectsBadThresholds(t *testing.T) {
 }
 
 // TestFixedThresholdInfEnginesAgree: ±Inf stay legal fixed thresholds, and
-// the dense and sparse engines infer the same parents under them (+Inf
-// keeps no candidate, -Inf every one, up to MaxCandidates).
+// the popcount step and the cascade walk infer the same parents under them (+Inf
+// keeps no candidate, -Inf every one, up to the candidate cap).
 func TestFixedThresholdInfEnginesAgree(t *testing.T) {
 	net, err := lfr.GenerateBenchmark(1, 5)
 	if err != nil {
@@ -237,17 +238,44 @@ func TestInferTraditionalMIStillWorks(t *testing.T) {
 	}
 }
 
+// TestInferMaxCandidatesCap: at FixedThreshold −Inf every other node of a
+// 48-node input clears the threshold, so each node must keep as candidates,
+// ascending, the maxCandidates nodes with the largest pairwise values, and
+// inference must choose every node's parents among them.
 func TestInferMaxCandidatesCap(t *testing.T) {
-	g := graph.Star(10)
-	g.Symmetrize()
-	sm := simulateOn(t, g, 0.4, 0.1, 1000, 5)
-	res, err := Infer(sm, Options{MaxCandidates: 2})
+	sm := simulateOn(t, graph.GNM(48, 120, newTestRand(5)), 0.4, 0.1, 400, 5)
+	imi := denseIMI(sm, false, 1)
+	all := math.Inf(-1)
+	cands := make([][]int, sm.N())
+	for i := range cands {
+		cands[i] = nodeCandidates(imi, i, all)
+		if len(cands[i]) != maxCandidates || !slices.IsSorted(cands[i]) {
+			t.Fatalf("node %d: candidates %v, want %d ascending", i, cands[i], maxCandidates)
+		}
+		minKept, maxDropped := math.Inf(1), math.Inf(-1)
+		for j := 0; j < sm.N(); j++ {
+			if j == i {
+				continue
+			}
+			if v := imi.At(i, j); slices.Contains(cands[i], j) {
+				minKept = min(minKept, v)
+			} else {
+				maxDropped = max(maxDropped, v)
+			}
+		}
+		if minKept < maxDropped {
+			t.Fatalf("node %d: kept a candidate at %v and dropped one at %v", i, minKept, maxDropped)
+		}
+	}
+	res, err := Infer(sm, Options{FixedThreshold: &all})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, parents := range res.Parents {
-		if len(parents) > 2 {
-			t.Fatalf("node %d has %d parents despite cap 2", i, len(parents))
+		for _, p := range parents {
+			if !slices.Contains(cands[i], p) {
+				t.Fatalf("node %d: parent %d is not among its candidates %v", i, p, cands[i])
+			}
 		}
 	}
 }

@@ -8,12 +8,12 @@ import (
 	"tends/internal/core"
 )
 
-// TestSparseIMIBeatsDenseAtScale times the sparse candidate engine against
-// the dense pairwise IMI on the n=10⁴, β=256 scale workload (seed 1), best
-// of three runs each. Only 2.8% of the 5·10⁷ pairs co-occur there, so the
-// sparse build must be at least 5× faster (9–11× on a 2-vCPU VM). The
-// dense side takes about a second per run, so -short and the race detector
-// skip the test.
+// TestSparseIMIBeatsDenseAtScale times the pairwise build that counts joint
+// infections by the cascade walk against the one that counts them by
+// popcount, on the n=10⁴, β=256 scale workload (seed 1), best of three runs
+// each. Only 2.8% of the 5·10⁷ pairs co-occur there, so the walk must be at
+// least 5× faster (7–9× on a 2-vCPU VM). The popcount side takes about
+// half a second per run, so -short and the race detector skip the test.
 func TestSparseIMIBeatsDenseAtScale(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("wall-clock comparison at n=10⁴")
