@@ -30,13 +30,14 @@
 //	benchfig -fig 12 -csv miss.csv                  # F vs missing-rate family
 //	benchfig -fig 8 -missing 0.2 -uncertain 0.1     # dirty observations
 //
-// Scale-study mode (large-n LFR, sparse engine, optional sharding):
+// Scale-study mode (large-n LFR, optional sharding; the pairwise stage
+// counts joint infections by the cascade walk wherever cascades are sparse):
 //
-//	benchfig -scale -scale-n 100000 -sparse           # one big run end to end
-//	benchfig -scale -scale-n 100000 -sparse -shard 0/4 -checkpoint shard-0.journal
-//	benchfig -scale -scale-n 100000 -sparse -shard 1/4 -checkpoint shard-1.journal  # ... one process per shard
-//	benchfig -scale -scale-n 100000 -sparse -merge 'shards/*.journal'   # globs allowed
-//	benchfig -scale -scale-n 100000 -sparse -merge 'shards/*.journal' -merge-degraded  # partial set OK
+//	benchfig -scale -scale-n 100000           # one big run end to end
+//	benchfig -scale -scale-n 100000 -shard 0/4 -checkpoint shard-0.journal
+//	benchfig -scale -scale-n 100000 -shard 1/4 -checkpoint shard-1.journal  # ... one process per shard
+//	benchfig -scale -scale-n 100000 -merge 'shards/*.journal'   # globs allowed
+//	benchfig -scale -scale-n 100000 -merge 'shards/*.journal' -merge-degraded  # partial set OK
 //
 // Every shard regenerates the identical workload from -seed and computes the
 // identical global threshold, so the merged topology is byte-identical to an
@@ -49,7 +50,7 @@
 // and -shard-resume: the journal's intact node records are kept (a torn tail
 // is truncated first) and only the remaining nodes are searched.
 //
-//	benchfig -scale -scale-n 100000 -sparse -shard 1/4 -checkpoint shard-1.journal -shard-resume
+//	benchfig -scale -scale-n 100000 -shard 1/4 -checkpoint shard-1.journal -shard-resume
 //
 // The scale modes take -seed, -workers, -obs-json, -chaos and the journal
 // flags their mode names; a figure flag (-fig, -all, -study, -csv, -repeats,

@@ -251,7 +251,7 @@ func TestMergeRefusesFlippedShardJournal(t *testing.T) {
 // two.
 func smallScaleRun() (runOpts, scaleOpts) {
 	return runOpts{seed: 4, workers: 2, quiet: true},
-		scaleOpts{run: true, n: 60, beta: 32, deg: 10, exp: 2, mixing: 0.1, seeds: 4, mu: 0.08, sparse: true}
+		scaleOpts{run: true, n: 60, beta: 32, deg: 10, exp: 2, mixing: 0.1, seeds: 4, mu: 0.08}
 }
 
 // runShards runs both shards of a 2-way split through the -shard mode,
@@ -351,6 +351,76 @@ func TestShardResumeAndGappedMerge(t *testing.T) {
 	merge.mergeDegraded = true
 	if code, err := runScale(ctx, o, merge); err != nil || code != exitFailedCells {
 		t.Fatalf("degraded merge of a gapped set: exit %d, %v; want %d", code, err, exitFailedCells)
+	}
+}
+
+// TestOldShardHeaderRefused: shard journals written before the pairwise
+// stage chose its counting step itself carry a "sparse" field in their
+// header, which the header no longer has. Such a journal is corrupt: the
+// strict -merge refuses it, and -shard-resume restarts the shard fresh, so
+// the merge of the restarted journal equals the clean one.
+func TestOldShardHeaderRefused(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	o, s := smallScaleRun()
+	paths := runShards(t, dir, o, s)
+	clean := mergeShards(t, o, s, paths)
+
+	// Rewrite shard 1's journal with the old header: its records, with
+	// "sparse":true added to the first.
+	data, err := os.ReadFile(paths[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs [][]byte
+	if _, _, err := journal.Scan(data, "shard", func(rec []byte) error {
+		recs = append(recs, rec)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	recs[0] = append([]byte(`{"sparse":true,`), recs[0][1:]...)
+	w, err := journal.Create(paths[1], "shard")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	merge := s
+	merge.mergeSpec = strings.Join(paths, ",")
+	if code, err := runScale(ctx, o, merge); code != exitErr || !errors.Is(err, experiments.ErrJournalCorrupt) ||
+		!strings.Contains(err.Error(), `unknown field "sparse"`) {
+		t.Fatalf("merge of an old-format journal: exit %d, err %v; want exit %d refusing the \"sparse\" field", code, err, exitErr)
+	}
+
+	resume, so := o, s
+	resume.checkpoint, resume.obsJSON = paths[1], filepath.Join(dir, "resume.json")
+	so.shardSpec, so.shardResume = "1/2", true
+	if code, err := runScale(ctx, resume, so); err != nil || code != exitOK {
+		t.Fatalf("resumed shard: exit %d, %v", code, err)
+	}
+	f, err := os.Open(resume.obsJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := obs.ReadSnapshot(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := snap.Counters; c["scale/resume/corrupt_restart"] != 1 || c["scale/resume/continued"] != 0 {
+		t.Fatalf("resume counters %v: the rerun did not restart the old-format journal", c)
+	}
+	got := mergeShards(t, o, s, paths)
+	if got.Threshold != clean.Threshold || got.Score != clean.Score || !reflect.DeepEqual(got.Parents, clean.Parents) {
+		t.Fatalf("restarted merge τ=%v %+v, clean merge τ=%v %+v", got.Threshold, got.Score, clean.Threshold, clean.Score)
 	}
 }
 

@@ -30,7 +30,6 @@ type scaleOpts struct {
 	mixing    float64
 	seeds     int
 	mu        float64
-	sparse    bool
 	shardSpec string
 	mergeSpec string
 
@@ -57,7 +56,6 @@ func registerScaleFlags(s *scaleOpts) {
 	flag.Float64Var(&s.mixing, "scale-mixing", 0.1, "scale study: LFR mixing parameter")
 	flag.IntVar(&s.seeds, "scale-seeds", 10, "scale study: seed infections per diffusion process")
 	flag.Float64Var(&s.mu, "scale-mu", 0.08, "scale study: mean per-edge propagation probability (subcritical keeps co-pairs sparse)")
-	flag.BoolVar(&s.sparse, "sparse", false, "count joint infections by walking the cascades instead of by popcount (bit-identical results, sub-quadratic pairwise stage)")
 	flag.StringVar(&s.shardSpec, "shard", "", `run one shard of the scale study, e.g. "0/4"; requires -checkpoint for the shard journal`)
 	flag.StringVar(&s.mergeSpec, "merge", "", `comma-separated shard journals (globs allowed, e.g. 'shards/*.journal') to merge into the final topology`)
 	flag.BoolVar(&s.shardResume, "shard-resume", false, "shard: continue the partial journal at -checkpoint (torn tails truncated; corrupt journals restart fresh)")
@@ -87,7 +85,6 @@ func (s *scaleOpts) config(o runOpts) experiments.ScaleConfig {
 		EdgeProb:  s.mu,
 		Seed:      o.seed,
 		Workers:   o.workers,
-		Sparse:    s.sparse,
 	}
 }
 
@@ -268,8 +265,8 @@ func runScale(ctx context.Context, o runOpts, s scaleOpts) (int, error) {
 		if err != nil {
 			return exitErr, err
 		}
-		fmt.Printf("scale shard %d/%d: n=%d sparse=%v threshold=%.6g workload=%v infer=%v journal=%s\n",
-			idx, count, cfg.N, cfg.Sparse, res.Inference.Threshold,
+		fmt.Printf("scale shard %d/%d: n=%d threshold=%.6g workload=%v infer=%v journal=%s\n",
+			idx, count, cfg.N, res.Inference.Threshold,
 			res.WorkloadDur.Round(time.Millisecond), res.InferDur.Round(time.Millisecond), o.checkpoint)
 		return exitOK, writeObs()
 
@@ -278,8 +275,8 @@ func runScale(ctx context.Context, o runOpts, s scaleOpts) (int, error) {
 		if err != nil {
 			return exitErr, err
 		}
-		fmt.Printf("scale run: n=%d beta=%d sparse=%v threshold=%.6g edges=%d\n",
-			cfg.N, cfg.Beta, cfg.Sparse, res.Inference.Threshold, res.Inference.Graph.NumEdges())
+		fmt.Printf("scale run: n=%d beta=%d threshold=%.6g edges=%d\n",
+			cfg.N, cfg.Beta, res.Inference.Threshold, res.Inference.Graph.NumEdges())
 		fmt.Printf("P=%.4f R=%.4f F=%.4f workload=%v infer=%v\n",
 			res.Score.Precision, res.Score.Recall, res.Score.F,
 			res.WorkloadDur.Round(time.Millisecond), res.InferDur.Round(time.Millisecond))

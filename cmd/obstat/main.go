@@ -94,7 +94,7 @@ func profileStatus(w *os.File, path string) error {
 
 	// IMI distribution and thresholds, read from the pairwise engine's rows
 	// and value pool: no O(n²) triangle is built.
-	imi, err := core.ComputeSparseIMIContext(context.Background(), m, false, 0)
+	imi, err := core.ComputeIMIContext(context.Background(), m, false, 0)
 	if err != nil {
 		return err
 	}

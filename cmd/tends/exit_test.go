@@ -121,37 +121,47 @@ func TestMainProbsWriteError(t *testing.T) {
 	}
 }
 
-// TestMainVerboseReportsSearch reads -verbose's search line: it is printed
-// with or without -sparse, and since both engines hand the search the same
-// candidates, its counts agree between them.
+// TestMainVerboseReportsSearch reads -verbose's pairwise and search lines.
+// The pairwise line names the counting step that ran, the pairs it counted
+// and the pairs kept above τ: popcount counts all ten pairs of the
+// five-node follower input, and the walk the ten pairs that co-occur on a
+// 400-node input whose process p infects only nodes 2(p mod 10) and
+// 2(p mod 10)+1.
 func TestMainVerboseReportsSearch(t *testing.T) {
 	dir := t.TempDir()
-	// Node 1 follows node 0 and node 3 follows node 2, each with a little
-	// noise, so the search has parents to find.
-	in := writeFollowerStatus(t, dir)
-	var lines []string
-	for _, extra := range [][]string{nil, {"-sparse"}} {
-		args := append([]string{"-in", in, "-out", filepath.Join(dir, "g.txt"), "-verbose"}, extra...)
-		code, stderr := runMain(t, args...)
+	for _, tc := range []struct {
+		in, step string
+		pairs    int
+	}{
+		// Node 1 follows node 0 and node 3 follows node 2, each with a
+		// little noise, so the search has parents to find.
+		{writeFollowerStatus(t, t.TempDir()), "popcount", 10},
+		{writeStatusFile(t, t.TempDir(), 40, 400, func(p, v int) bool { return v/2 == p%10 }), "walk", 10},
+	} {
+		code, stderr := runMain(t, "-in", tc.in, "-out", filepath.Join(dir, "g.txt"), "-verbose")
 		if code != 0 {
-			t.Fatalf("%v: exit %d (stderr %q)", extra, code, stderr)
+			t.Fatalf("%s: exit %d (stderr %q)", tc.step, code, stderr)
 		}
-		var line string
+		lines := map[string]string{}
 		for _, l := range strings.Split(stderr, "\n") {
-			if strings.HasPrefix(l, "search: ") {
-				line = l
+			if k, _, ok := strings.Cut(l, ": "); ok {
+				lines[k] = l
 			}
 		}
+		var step string
+		var pairs, kept int
+		if _, err := fmt.Sscanf(lines["pairwise"], "pairwise: step=%s pairs=%d kept=%d", &step, &pairs, &kept); err != nil {
+			t.Fatalf("%s: no pairwise line in stderr %q: %v", tc.step, stderr, err)
+		}
+		if step != tc.step || pairs != tc.pairs || kept < 1 || kept > pairs {
+			t.Fatalf("pairwise line %q, want step=%s pairs=%d and 1 to %d kept", lines["pairwise"], tc.step, tc.pairs, tc.pairs)
+		}
 		var combos, merges, probes, hits int
-		if _, err := fmt.Sscanf(line, "search: combos=%d merges=%d probes=%d probe_hits=%d", &combos, &merges, &probes, &hits); err != nil {
-			t.Fatalf("%v: no search line in stderr %q: %v", extra, stderr, err)
+		if _, err := fmt.Sscanf(lines["search"], "search: combos=%d merges=%d probes=%d probe_hits=%d", &combos, &merges, &probes, &hits); err != nil {
+			t.Fatalf("%s: no search line in stderr %q: %v", tc.step, stderr, err)
 		}
 		if combos == 0 || merges == 0 || probes == 0 {
-			t.Fatalf("%v: search line %q reports no work", extra, line)
+			t.Fatalf("%s: search line %q reports no work", tc.step, lines["search"])
 		}
-		lines = append(lines, line)
-	}
-	if lines[0] != lines[1] {
-		t.Fatalf("dense and sparse search lines differ: %q vs %q", lines[0], lines[1])
 	}
 }

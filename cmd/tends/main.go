@@ -4,19 +4,20 @@
 // Usage:
 //
 //	tends -in statuses.txt [-out graph.txt] [-combo 2] [-scale 1.0]
-//	      [-threshold t] [-mi] [-sparse] [-workers n] [-verbose]
+//	      [-threshold t] [-mi] [-workers n] [-verbose]
 //
-// -sparse makes the pairwise stage count each pair's joint infections by
-// walking the cascades instead of by popcount over every pair's status
-// columns: only node pairs that co-occur in at least one cascade cost
-// anything, which is sub-quadratic on sparse diffusion data. The inferred
-// topology is bit-identical either way. With -verbose it also reports how
-// many pairs co-occur and how many of them the engine kept above the
-// pruning threshold.
+// The pairwise stage counts each pair's joint infections by popcount over
+// every pair's status columns or, where cascades are small beside the
+// network, by walking the cascades, which costs only the node pairs that
+// co-occur in one; it picks the step from the observations, and the
+// inferred topology is bit-identical either way.
 //
-// -verbose prints the observation size, τ, the search's work (combinations
-// enumerated, merges accepted, probes scored and probes answered from the
-// greedy round's memo) and the inferred edge count and score.
+// -verbose prints the observation size, the counting step that ran with
+// the pairs it counted (every pair for popcount, the co-occurring ones for
+// the walk) and the pairs kept above the pruning threshold, τ, the
+// search's work (combinations enumerated, merges accepted, probes scored
+// and probes answered from the greedy round's memo) and the inferred edge
+// count and score.
 //
 // -workers bounds the goroutines used by the IMI stage and the per-node
 // parent-set searches (0 = all CPUs, 1 = serial); the inferred topology is
@@ -60,7 +61,6 @@ func main() {
 		scale     = flag.Float64("scale", 0, "threshold scale relative to auto tau (default 1)")
 		threshold = flag.Float64("threshold", -1, "absolute IMI threshold; overrides -scale when >= 0 (NaN is an error)")
 		useMI     = flag.Bool("mi", false, "use traditional MI instead of infection MI")
-		sparse    = flag.Bool("sparse", false, "count joint infections by walking the cascades instead of by popcount (identical output, sub-quadratic pairwise stage)")
 		probsPath = flag.String("probs", "", "also estimate per-edge propagation probabilities into this file")
 		workers   = flag.Int("workers", 0, "parallel search workers (0 = all CPUs)")
 		verbose   = flag.Bool("verbose", false, "print threshold and score diagnostics to stderr")
@@ -100,7 +100,7 @@ func main() {
 		rec = obs.New()
 		ctx = obs.With(ctx, rec)
 	}
-	err := run(ctx, *inPath, *outPath, *combo, *scale, *threshold, *useMI, *sparse, *verbose, *workers)
+	err := run(ctx, *inPath, *outPath, *combo, *scale, *threshold, *useMI, *verbose, *workers)
 	if *obsJSON != "" {
 		if oerr := writeObsJSON(*obsJSON, rec); oerr != nil {
 			fmt.Fprintf(os.Stderr, "tends: %v\n", oerr)
@@ -182,7 +182,7 @@ func estimateProbs(inPath, graphPath, probsPath string) error {
 	return err
 }
 
-func run(ctx context.Context, inPath, outPath string, combo int, scale, threshold float64, useMI, sparse, verbose bool, workers int) error {
+func run(ctx context.Context, inPath, outPath string, combo int, scale, threshold float64, useMI, verbose bool, workers int) error {
 	f, err := os.Open(inPath)
 	if err != nil {
 		return err
@@ -197,7 +197,6 @@ func run(ctx context.Context, inPath, outPath string, combo int, scale, threshol
 		MaxComboSize:   combo,
 		ThresholdScale: scale,
 		TraditionalMI:  useMI,
-		Sparse:         sparse,
 		Workers:        workers,
 	}
 	// A negative threshold selects τ automatically; anything else, NaN
@@ -205,8 +204,8 @@ func run(ctx context.Context, inPath, outPath string, combo int, scale, threshol
 	if !(threshold < 0) {
 		opt.FixedThreshold = &threshold
 	}
-	// -verbose reads the search's counters (and the sparse engine's pair
-	// counters), so it needs a recorder even without -obs-json.
+	// -verbose reads the pairwise stage's and the search's counters, so it
+	// needs a recorder even without -obs-json.
 	rec := obs.From(ctx)
 	if verbose && rec == nil {
 		rec = obs.New()
@@ -219,11 +218,14 @@ func run(ctx context.Context, inPath, outPath string, combo int, scale, threshol
 	if verbose {
 		c := rec.Snapshot().Counters
 		fmt.Fprintf(os.Stderr, "observations: beta=%d n=%d\n", sm.Beta(), sm.N())
-		if sparse {
-			coPairs, kept := c["core/sparse/pairs"], c["core/sparse/kept"]
-			fmt.Fprintf(os.Stderr, "sparse pairs: co-occurring=%d kept=%d kept/co-occurring=%.4g\n",
-				coPairs, kept, float64(kept)/float64(max(coPairs, 1)))
+		// Only the walk records core/sparse/rows, one per node.
+		step, pairs := "popcount", c["core/imi/pairs"]
+		if c["core/sparse/rows"] > 0 {
+			step, pairs = "walk", c["core/sparse/pairs"]
 		}
+		kept := c["core/sparse/kept"]
+		fmt.Fprintf(os.Stderr, "pairwise: step=%s pairs=%d kept=%d kept/pairs=%.4g\n",
+			step, pairs, kept, float64(kept)/float64(max(pairs, 1)))
 		fmt.Fprintf(os.Stderr, "auto tau=%.6f used threshold=%.6f\n", res.AutoTau, res.Threshold)
 		fmt.Fprintf(os.Stderr, "search: combos=%d merges=%d probes=%d probe_hits=%d tallies=%d\n",
 			c["core/search/combos"], c["core/search/merges"], c["core/search/probes"], c["core/search/probe_hits"],

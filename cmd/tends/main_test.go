@@ -45,7 +45,7 @@ func TestRunEndToEnd(t *testing.T) {
 		}
 	})
 	out := filepath.Join(dir, "graph.txt")
-	if err := run(context.Background(), in, out, 0, 0, -1, false, false, true, 0); err != nil {
+	if err := run(context.Background(), in, out, 0, 0, -1, false, true, 0); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	f, err := os.Open(out)
@@ -76,7 +76,7 @@ func TestRunFixedThresholdAndMI(t *testing.T) {
 	in := writeStatusFile(t, dir, 50, 2, func(p, v int) bool { return p%2 == 0 })
 	out := filepath.Join(dir, "g.txt")
 	// A fixed threshold above the binary-MI maximum of 1: no edges.
-	if err := run(context.Background(), in, out, 1, 0, 1.5, false, false, false, 0); err != nil {
+	if err := run(context.Background(), in, out, 1, 0, 1.5, false, false, 0); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	data, err := os.ReadFile(out)
@@ -87,7 +87,7 @@ func TestRunFixedThresholdAndMI(t *testing.T) {
 		t.Fatalf("expected empty graph, got %q", data)
 	}
 	// Traditional-MI mode must also run cleanly.
-	if err := run(context.Background(), in, out, 1, 1, -1, true, false, false, 0); err != nil {
+	if err := run(context.Background(), in, out, 1, 1, -1, true, false, 0); err != nil {
 		t.Fatalf("run with -mi: %v", err)
 	}
 }
@@ -101,7 +101,7 @@ func TestEstimateProbs(t *testing.T) {
 		return p%2 == 0 && p%5 != 0 // node 1 follows node 0 at ~0.8
 	})
 	out := filepath.Join(dir, "g.txt")
-	if err := run(context.Background(), in, out, 0, 0, -1, false, false, false, 0); err != nil {
+	if err := run(context.Background(), in, out, 0, 0, -1, false, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	probs := filepath.Join(dir, "p.txt")
@@ -128,47 +128,21 @@ func TestEstimateProbs(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(context.Background(), filepath.Join(dir, "missing.txt"), "", 0, 0, -1, false, false, false, 0); err == nil {
+	if err := run(context.Background(), filepath.Join(dir, "missing.txt"), "", 0, 0, -1, false, false, 0); err == nil {
 		t.Fatal("missing input should fail")
 	}
 	bad := filepath.Join(dir, "bad.txt")
 	if err := os.WriteFile(bad, []byte("not a status file\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), bad, "", 0, 0, -1, false, false, false, 0); err == nil {
+	if err := run(context.Background(), bad, "", 0, 0, -1, false, false, 0); err == nil {
 		t.Fatal("malformed input should fail")
 	}
 	good := writeStatusFile(t, dir, 10, 2, func(p, v int) bool { return false })
-	if err := run(context.Background(), good, "", -5, 0, -1, false, false, false, 0); err == nil {
+	if err := run(context.Background(), good, "", -5, 0, -1, false, false, 0); err == nil {
 		t.Fatal("invalid combo size should fail")
 	}
-	if err := run(context.Background(), good, filepath.Join(dir, "nodir", "x.txt"), 0, 0, -1, false, false, false, 0); err == nil {
+	if err := run(context.Background(), good, filepath.Join(dir, "nodir", "x.txt"), 0, 0, -1, false, false, 0); err == nil {
 		t.Fatal("unwritable output should fail")
-	}
-}
-
-func TestRunSparseMatchesDense(t *testing.T) {
-	dir := t.TempDir()
-	in := writeStatusFile(t, dir, 120, 8, func(p, v int) bool {
-		return (p+v)%3 == 0 || (v > 0 && p%2 == 0 && v%2 == 1)
-	})
-	denseOut := filepath.Join(dir, "dense.txt")
-	sparseOut := filepath.Join(dir, "sparse.txt")
-	if err := run(context.Background(), in, denseOut, 0, 0, -1, false, false, false, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), in, sparseOut, 0, 0, -1, false, true, false, 0); err != nil {
-		t.Fatal(err)
-	}
-	d, err := os.ReadFile(denseOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := os.ReadFile(sparseOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(d) != string(s) {
-		t.Fatalf("-sparse output differs from dense:\n%s\nvs\n%s", d, s)
 	}
 }

@@ -583,7 +583,6 @@ func runLoadtest(args []string) error {
 		MaxComboSize:  cfg.Infer.MaxComboSize,
 		Workers:       cfg.Infer.Workers,
 		TraditionalMI: cfg.Infer.TraditionalMI,
-		Sparse:        true,
 	}
 	batchRes, err := core.Infer(dumped, batchOpt)
 	if err != nil {

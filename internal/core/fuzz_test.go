@@ -144,12 +144,12 @@ func FuzzSparseFilteredBuild(f *testing.F) {
 		ctx := context.Background()
 		opt := Options{TraditionalMI: traditional}.withDefaults()
 		name := fmt.Sprintf("β=%d n=%d trad=%v workers=%d", beta, n, traditional, workers)
-		full, err := ComputeSparseIMIContext(ctx, sm, traditional, workers)
+		full, err := buildSparse(ctx, NewScorer(sm), traditional, workers, walkStep, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, fullTau := selectThreshold(ctx, full, beta, opt)
-		popped, err := ComputeIMIContext(ctx, sm, traditional, workers)
+		popped, err := buildSparse(ctx, NewScorer(sm), traditional, workers, popcountStep, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,17 +160,17 @@ func FuzzSparseFilteredBuild(f *testing.F) {
 			t.Fatalf("%s: full builds' pools, walk vs popcount: %s", name, d)
 		}
 		check := func(what string, selectFloor func(*SparseIMI) float64) {
-			for _, popcount := range []bool{false, true} {
-				filt, err := buildSparse(ctx, NewScorer(sm), traditional, workers, popcount, selectFloor)
+			for _, step := range []countStep{walkStep, popcountStep} {
+				filt, err := buildSparse(ctx, NewScorer(sm), traditional, workers, step, selectFloor)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if d := keptRowsMatch(full, filt); d != "" {
-					t.Fatalf("%s popcount=%v, %s floor %v (n11 ≥ %d): %s",
-						name, popcount, what, filt.floor, filt.minKeptJoint(filt.floor), d)
+					t.Fatalf("%s %v, %s floor %v (n11 ≥ %d): %s",
+						name, step, what, filt.floor, filt.minKeptJoint(filt.floor), d)
 				}
 				if d := samePool(full.pool, filt.pool); d != "" {
-					t.Fatalf("%s popcount=%v: %s build's pool vs the full walk's: %s", name, popcount, what, d)
+					t.Fatalf("%s %v: %s build's pool vs the full walk's: %s", name, step, what, d)
 				}
 			}
 		}
@@ -231,13 +231,13 @@ func TestPopcountReplaySaturates(t *testing.T) {
 			fuzzStatus(beta, 15, []byte{7, 0, 255}, nil),
 			sparseRandomStatus(12, beta, 0.85, 9),
 		} {
-			full, err := ComputeSparseIMIContext(ctx, sm, traditional, 1)
+			full, err := buildSparse(ctx, NewScorer(sm), traditional, 1, walkStep, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 3} {
 				for _, floor := range full.pool.pos {
-					filt, err := buildSparse(ctx, NewScorer(sm), traditional, workers, true, func(*SparseIMI) float64 { return floor })
+					filt, err := buildSparse(ctx, NewScorer(sm), traditional, workers, popcountStep, func(*SparseIMI) float64 { return floor })
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -10,14 +10,15 @@ import (
 )
 
 // ComputeIMIContext builds the pairwise engine from observations, counting
-// each pair's joint infections by popcount over the packed status columns:
-// 0 workers means GOMAXPROCS, 1 forces serial execution, and cancellation
-// is checked between node chunks, returning ctx's error and no engine. The
-// engine stores every co-occurring pair, and every row is computed
-// independently from the same inputs, so it is bit-identical for any
-// worker count, and to ComputeSparseIMIContext's.
+// each pair's joint infections by popcount over the packed status columns
+// or by the cascade walk, whichever the observations make cheaper (see
+// chooseStep): 0 workers means GOMAXPROCS, 1 forces serial execution, and
+// cancellation is checked between node chunks, returning ctx's error and
+// no engine. The engine stores every co-occurring pair, and every row is
+// computed independently from the same inputs, so it is bit-identical for
+// any worker count and either step.
 func ComputeIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditional bool, workers int) (*SparseIMI, error) {
-	return buildSparse(ctx, NewScorer(sm), traditional, workers, true, nil)
+	return buildSparse(ctx, NewScorer(sm), traditional, workers, autoStep, nil)
 }
 
 // popcountGather returns the popcount step's gather (see gatherFunc). It

@@ -14,12 +14,12 @@ import (
 // denseIMI and sparseIMI build the pairwise engine by popcount and by the
 // cascade walk, on a context that never ends, so neither build can fail.
 func denseIMI(sm *diffusion.StatusMatrix, traditional bool, workers int) *SparseIMI {
-	m, _ := ComputeIMIContext(context.Background(), sm, traditional, workers)
+	m, _ := buildSparse(context.Background(), NewScorer(sm), traditional, workers, popcountStep, nil)
 	return m
 }
 
 func sparseIMI(sm *diffusion.StatusMatrix, traditional bool, workers int) *SparseIMI {
-	s, _ := ComputeSparseIMIContext(context.Background(), sm, traditional, workers)
+	s, _ := buildSparse(context.Background(), NewScorer(sm), traditional, workers, walkStep, nil)
 	return s
 }
 

@@ -17,9 +17,9 @@ import (
 // O(s²) work for a cascade with s infected nodes, with no rescan of earlier
 // observations. Source then assembles the counts into the same sparse
 // pairwise engine the batch path builds, so the values, thresholds, and
-// inferred topologies are bit-identical to a from-scratch
-// ComputeIMIContext / ComputeSparseIMIContext over the concatenated status
-// matrix — the property the streaming service's crash recovery relies on.
+// inferred topologies are bit-identical to a from-scratch ComputeIMIContext
+// over the concatenated status matrix, whichever counting step that build
+// chooses — the property the streaming service's crash recovery relies on.
 //
 // IncrementalCounts is not safe for concurrent use; callers serialize
 // appends against Source (the streaming service folds under its state lock).
@@ -109,7 +109,7 @@ func (c *IncrementalCounts) AppendRow(infected []int) error {
 }
 
 // Source assembles the counts into a SparseIMI — the same engine
-// ComputeSparseIMIContext builds from a status matrix. Every field is a
+// ComputeIMIContext builds from a status matrix. Every field is a
 // deterministic function of (β, ones, co-occurrence counts), and those are
 // integer-exact here, so the assembled engine is indistinguishable from the
 // batch-built one: identical At values, candidate sets, value pools, and

@@ -49,9 +49,9 @@ func matrixFromRows(t *testing.T, rows [][]int, n int) *diffusion.StatusMatrix {
 
 // TestIncrementalCountsBitIdentical is the streaming-fold correctness
 // guard: appending cascades one at a time must yield bit-identical IMI pair
-// values — and bit-identical inferred topologies — to from-scratch
-// ComputeIMIContext / ComputeSparseIMIContext builds over the concatenated
-// status matrix, by popcount and by the cascade walk at Workers 1 and 4. Any
+// values — and bit-identical inferred topologies — to from-scratch batch
+// builds over the concatenated status matrix, by popcount and by the
+// cascade walk at Workers 1 and 4. Any
 // drift between the streaming fold and the batch path breaks the service's
 // crash-recovery byte-identity, so every comparison here is exact (float
 // bits, not tolerances).
@@ -84,10 +84,7 @@ func TestIncrementalCountsBitIdentical(t *testing.T) {
 				src := inc.Source()
 				for _, workers := range []int{1, 4} {
 					dense := denseIMI(sm, tc.traditional, workers)
-					sparse, err := ComputeSparseIMIContext(context.Background(), sm, tc.traditional, workers)
-					if err != nil {
-						t.Fatalf("sparse build: %v", err)
-					}
+					sparse := sparseIMI(sm, tc.traditional, workers)
 					for i := 0; i < tc.n; i++ {
 						for j := i + 1; j < tc.n; j++ {
 							dv, sv, iv := dense.At(i, j), sparse.At(i, j), src.At(i, j)
@@ -107,24 +104,24 @@ func TestIncrementalCountsBitIdentical(t *testing.T) {
 			// against both batch engines.
 			sm := matrixFromRows(t, rows, tc.n)
 			for _, workers := range []int{1, 4} {
-				for _, sparse := range []bool{false, true} {
-					opt := Options{TraditionalMI: tc.traditional, Workers: workers, Sparse: sparse}
-					batch, err := Infer(sm, opt)
+				for _, step := range []countStep{popcountStep, walkStep} {
+					opt := Options{TraditionalMI: tc.traditional, Workers: workers}
+					batch, err := infer(context.Background(), sm, opt, step)
 					if err != nil {
-						t.Fatalf("batch infer (sparse=%v): %v", sparse, err)
+						t.Fatalf("batch infer (%v): %v", step, err)
 					}
 					incRes, err := InferFromSource(context.Background(), sm, inc.Source(), opt)
 					if err != nil {
 						t.Fatalf("incremental infer: %v", err)
 					}
 					if math.Float64bits(batch.Threshold) != math.Float64bits(incRes.Threshold) {
-						t.Fatalf("workers=%d sparse=%v: threshold %v != %v", workers, sparse, incRes.Threshold, batch.Threshold)
+						t.Fatalf("workers=%d %v: threshold %v != %v", workers, step, incRes.Threshold, batch.Threshold)
 					}
 					if math.Float64bits(batch.Score) != math.Float64bits(incRes.Score) {
-						t.Fatalf("workers=%d sparse=%v: score %v != %v", workers, sparse, incRes.Score, batch.Score)
+						t.Fatalf("workers=%d %v: score %v != %v", workers, step, incRes.Score, batch.Score)
 					}
 					if !batch.Graph.Equal(incRes.Graph) {
-						t.Fatalf("workers=%d sparse=%v: topology differs from batch", workers, sparse)
+						t.Fatalf("workers=%d %v: topology differs from batch", workers, step)
 					}
 				}
 			}

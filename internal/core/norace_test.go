@@ -1,7 +1,7 @@
-//go:build race
+//go:build !race
 
-package experiments
+package core
 
 // raceEnabled reports whether the test binary runs under the race detector,
 // whose slowdown makes wall-clock assertions meaningless.
-const raceEnabled = true
+const raceEnabled = false

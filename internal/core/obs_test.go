@@ -229,18 +229,18 @@ func TestPairCountersPinned(t *testing.T) {
 	}
 	dense := simulateOn(t, net.Graph, 0.3, 0.15, 1000, 11)
 	sparse := simulateOn(t, net.Graph, 0.2, 0.01, 100, 11)
-	counters := func(sm *diffusion.StatusMatrix, opt Options) map[string]int64 {
+	counters := func(sm *diffusion.StatusMatrix, opt Options, step countStep) map[string]int64 {
 		rec := obs.New()
-		if _, err := InferContext(obs.With(context.Background(), rec), sm, opt); err != nil {
+		if _, err := infer(obs.With(context.Background(), rec), sm, opt, step); err != nil {
 			t.Fatal(err)
 		}
 		return rec.Snapshot().Counters
 	}
 	for _, workers := range []int{1, 4} {
-		if pairs := counters(dense, Options{Workers: workers})["core/imi/pairs"]; pairs != wantDense {
+		if pairs := counters(dense, Options{Workers: workers}, popcountStep)["core/imi/pairs"]; pairs != wantDense {
 			t.Fatalf("workers=%d: core/imi/pairs=%d, want %d", workers, pairs, wantDense)
 		}
-		c := counters(sparse, Options{Workers: workers, Sparse: true})
+		c := counters(sparse, Options{Workers: workers}, walkStep)
 		if coPairs, kept := c["core/sparse/pairs"], c["core/sparse/kept"]; coPairs != wantCoPairs || kept != wantKept {
 			t.Fatalf("workers=%d: core/sparse/pairs=%d kept=%d, want %d and %d", workers, coPairs, kept, wantCoPairs, wantKept)
 		}

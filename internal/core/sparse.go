@@ -31,9 +31,10 @@ import (
 // The walk reads an inverted index (cascade → infected nodes): walking a
 // node's cascade lists meets each co-occurring node once per shared
 // cascade, so it counts n11 and never meets a pair that does not co-occur
-// (Options.Sparse; the step for sparse diffusions at scale). The popcount
-// step computes popcount(col(v) & col(u)) for every pair over the Scorer's
-// packed columns, cheaper when most pairs co-occur (see popcountGather).
+// (the step for sparse diffusions at scale). The popcount step computes
+// popcount(col(v) & col(u)) for every pair over the Scorer's packed
+// columns, cheaper when most pairs co-occur (see popcountGather). The build
+// picks one of them from the observations (see chooseStep).
 //
 // The build walks the rows twice. Walk 1 only tallies: a pair's value is a
 // function of its key (n11, ni, nj) alone, so the pairs are counted by key
@@ -57,7 +58,8 @@ import (
 // C(C+1)/2 class pairs for minKeptJoint, with V distinct positive values
 // and C count classes. Memory beyond the stored rows is O(n + β) per
 // worker, and a byte per pair while the popcount step builds for
-// inference (see popcountGather).
+// inference (see popcountGather), a step chooseStep takes only where the
+// cascades' pair meetings number at least ⌈β/64⌉/8 per pair.
 type SparseIMI struct {
 	n, beta     int
 	traditional bool
@@ -102,14 +104,64 @@ func newSparseIMI(n, beta int, traditional bool, ones []int32) *SparseIMI {
 	return s
 }
 
-// ComputeSparseIMIContext builds the pairwise engine from observations,
-// counting joint infections by the cascade walk: 0 workers means
-// GOMAXPROCS, and cancellation is checked between node chunks. Every row is
-// computed independently from the same inputs, so the result is
-// bit-identical for any worker count, and to ComputeIMIContext's. The
-// engine stores every co-occurring pair.
+// ComputeSparseIMIContext is ComputeIMIContext.
+//
+// Deprecated: the build chooses its counting step itself; call
+// ComputeIMIContext.
 func ComputeSparseIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, traditional bool, workers int) (*SparseIMI, error) {
-	return buildSparse(ctx, NewScorer(sm), traditional, workers, false, nil)
+	return ComputeIMIContext(ctx, sm, traditional, workers)
+}
+
+// countStep is how the build counts each pair's joint infections.
+type countStep uint8
+
+const (
+	autoStep     countStep = iota // chosen from the observations by chooseStep
+	popcountStep                  // popcount over every pair's status columns
+	walkStep                      // the cascade walk over the co-occurring pairs
+)
+
+func (c countStep) String() string { return [...]string{"auto", "popcount", "walk"}[c] }
+
+// walkCostFactor is K of chooseStep's rule: what one pair meeting of the
+// cascade walk costs, in popcounted words of one pair. The walk pays for
+// a meeting with a scattered count update, a row append and, per co-pair,
+// a sort and a mirror, against one AND and popcount of two adjacent
+// column words. Timed on a 2-vCPU VM (EXPERIMENTS.md "Choosing the
+// counting step"), popcount won below a ratio of about 5 and tied near 15,
+// and the walk won from 48 up; 8 keeps both benchmark batch inputs
+// (ratios 4.65 and 6,205) on their faster step, the nearer 1.7× from K.
+const walkCostFactor = 8
+
+// cascadeOffsets returns the inverted index's offsets: entry p+1 less
+// entry p is s_p, the number of nodes infected in process p, from one
+// counting pass over the scorer's infected lists.
+func cascadeOffsets(view *Scorer) []int64 {
+	cascOff := make([]int64, view.beta+1)
+	for _, p := range view.inf {
+		cascOff[p+1]++
+	}
+	for p := 0; p < view.beta; p++ {
+		cascOff[p+1] += cascOff[p]
+	}
+	return cascOff
+}
+
+// chooseStep returns the counting step with the smaller cost estimate: the
+// walk iff popcounting the n(n−1)/2 pairs' ⌈β/64⌉ words each exceeds
+// walkCostFactor times the walk's Σ_p s_p(s_p−1)/2 pair meetings. The
+// choice is one for the whole build, and it cannot change a result, since
+// both steps produce bit-identical engines.
+func chooseStep(view *Scorer, cascOff []int64) countStep {
+	var meetings float64
+	for p := range view.beta {
+		s := float64(cascOff[p+1] - cascOff[p])
+		meetings += s * (s - 1) / 2
+	}
+	if float64(view.n)*float64(view.n-1)/2*float64(view.words) > walkCostFactor*meetings {
+		return walkStep
+	}
+	return popcountStep
 }
 
 // gatherFunc appends to row the nodes u > v that co-occur with v and
@@ -118,11 +170,12 @@ func ComputeSparseIMIContext(ctx context.Context, sm *diffusion.StatusMatrix, tr
 type gatherFunc func(v int, sc *sparseScratch, row []int32) []int32
 
 // buildSparse runs the batch build over the scorer's view of the
-// observations, counting n11 by popcount or by the cascade walk. With
-// selectFloor nil it builds a full engine. Otherwise selectFloor is called
-// between the walks, when the value pool and the marginal maxima are known,
-// and walk 2 keeps only the pairs whose value exceeds the floor it returns.
-func buildSparse(ctx context.Context, view *Scorer, traditional bool, workers int, popcount bool, selectFloor func(*SparseIMI) float64) (*SparseIMI, error) {
+// observations, counting n11 by the given step, or by chooseStep's with
+// autoStep. With selectFloor nil it builds a full engine. Otherwise
+// selectFloor is called between the walks, when the value pool and the
+// marginal maxima are known, and walk 2 keeps only the pairs whose value
+// exceeds the floor it returns.
+func buildSparse(ctx context.Context, view *Scorer, traditional bool, workers int, step countStep, selectFloor func(*SparseIMI) float64) (*SparseIMI, error) {
 	rec := obs.From(ctx)
 	span := rec.StartSpan("core/imi")
 	defer func() { span.End() }()
@@ -133,6 +186,14 @@ func buildSparse(ctx context.Context, view *Scorer, traditional bool, workers in
 	}
 	s := newSparseIMI(n, view.beta, traditional, ones)
 	scs := newScratches(n, workers)
+	var cascOff []int64
+	if step != popcountStep {
+		cascOff = cascadeOffsets(view)
+	}
+	if step == autoStep {
+		step = chooseStep(view, cascOff)
+	}
+	popcount := step == popcountStep
 	var gather gatherFunc
 	if popcount {
 		gather = popcountGather(view, selectFloor != nil)
@@ -147,7 +208,7 @@ func buildSparse(ctx context.Context, view *Scorer, traditional bool, workers in
 			sc.classPairs.reserve(min(keys, nc*(nc+1)/2))
 		}
 	} else {
-		gather = cascadeGather(view)
+		gather = cascadeGather(view, cascOff)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -188,6 +249,8 @@ func buildSparse(ctx context.Context, view *Scorer, traditional bool, workers in
 	if err != nil {
 		return nil, err
 	}
+	// Either step keeps the pairs of one walk 2.
+	rec.Counter("core/sparse/kept").Add(s.kept())
 	if popcount {
 		return s, nil
 	}
@@ -200,25 +263,18 @@ func buildSparse(ctx context.Context, view *Scorer, traditional bool, workers in
 	rec.Counter("core/sparse/lookups").Add(lookups)
 	rec.Counter("core/sparse/pairs").Add(s.coPairs)
 	rec.Counter("core/sparse/pairs_skipped").Add(s.TotalPairs() - s.coPairs)
-	rec.Counter("core/sparse/kept").Add(s.kept())
 	return s, nil
 }
 
 // cascadeGather returns the walk's gather over an inverted index
 // (cascade → infected-node list), the transpose of the scorer's node →
-// infected-process lists by one counting pass and one fill pass. Filling in
-// ascending node order leaves every cascade list sorted, so the gather
-// reads each list from its end down to v and meets every co-occurring pair
-// from its lower end only; it appends the nodes unordered.
-func cascadeGather(view *Scorer) gatherFunc {
+// infected-process lists by the counting pass of cascOff (cascadeOffsets)
+// and one fill pass. Filling in ascending node order leaves every cascade
+// list sorted, so the gather reads each list from its end down to v and
+// meets every co-occurring pair from its lower end only; it appends the
+// nodes unordered.
+func cascadeGather(view *Scorer, cascOff []int64) gatherFunc {
 	n, beta := view.n, view.beta
-	cascOff := make([]int64, beta+1)
-	for _, p := range view.inf {
-		cascOff[p+1]++
-	}
-	for p := 0; p < beta; p++ {
-		cascOff[p+1] += cascOff[p]
-	}
 	cascNodes := make([]int32, cascOff[beta])
 	cursor := slices.Clone(cascOff[:beta])
 	for v := 0; v < n; v++ {

@@ -52,10 +52,7 @@ func TestSparseDenseValuesBitIdentical(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				sm := sparseRandomStatus(tc.n, tc.beta, tc.density, int64(100+ci))
 				dense := denseIMI(sm, traditional, workers)
-				sp, err := ComputeSparseIMIContext(context.Background(), sm, traditional, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
+				sp := sparseIMI(sm, traditional, workers)
 				for i := 0; i < tc.n; i++ {
 					for j := 0; j < tc.n; j++ {
 						if i == j {
@@ -168,15 +165,13 @@ func TestSparseDenseInferIdentical(t *testing.T) {
 			for _, scale := range []float64{0, 0.5} {
 				for _, workers := range []int{1, 4} {
 					base := Options{ThresholdMethod: method, ThresholdScale: scale, Workers: workers}
-					sparse := base
-					sparse.Sparse = true
 					name := fmt.Sprintf("input %d method=%d scale=%v workers=%d", si, method, scale, workers)
-					dr, err := Infer(sm, base)
+					dr, err := infer(context.Background(), sm, base, popcountStep)
 					if err != nil {
 						t.Fatalf("%s: dense: %v", name, err)
 					}
 					rec := obs.New()
-					sr, err := InferContext(obs.With(context.Background(), rec), sm, sparse)
+					sr, err := infer(obs.With(context.Background(), rec), sm, base, walkStep)
 					if err != nil {
 						t.Fatalf("%s: sparse: %v", name, err)
 					}
@@ -201,9 +196,9 @@ func TestSparseDenseInferIdentical(t *testing.T) {
 					for _, k := range []int{2, 4} {
 						merged := make([][]int, sm.N())
 						for shard := 0; shard < k; shard++ {
-							opt := sparse
+							opt := base
 							opt.ShardIndex, opt.ShardCount = shard, k
-							res, err := Infer(sm, opt)
+							res, err := infer(context.Background(), sm, opt, walkStep)
 							if err != nil {
 								t.Fatalf("%s shard %d/%d: %v", name, shard, k, err)
 							}
@@ -228,15 +223,15 @@ func TestSparseDenseInferIdentical(t *testing.T) {
 // k ∈ {1, 2, 4}, dense and sparse.
 func TestSparseShardMergeIdentical(t *testing.T) {
 	sm := sparseRandomStatus(26, 48, 0.15, 7)
-	for _, sparse := range []bool{false, true} {
-		full, err := Infer(sm, Options{Sparse: sparse})
+	for _, step := range []countStep{popcountStep, walkStep} {
+		full, err := infer(context.Background(), sm, Options{}, step)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range []int{1, 2, 4} {
 			merged := make([][]int, sm.N())
 			for shard := 0; shard < k; shard++ {
-				res, err := Infer(sm, Options{Sparse: sparse, ShardIndex: shard, ShardCount: k})
+				res, err := infer(context.Background(), sm, Options{ShardIndex: shard, ShardCount: k}, step)
 				if err != nil {
 					t.Fatalf("shard %d/%d: %v", shard, k, err)
 				}
@@ -255,7 +250,7 @@ func TestSparseShardMergeIdentical(t *testing.T) {
 			}
 			for i := range merged {
 				if !equalIntSlices(merged[i], full.Parents[i]) {
-					t.Fatalf("sparse=%v k=%d: node %d parents %v != %v", sparse, k, i, merged[i], full.Parents[i])
+					t.Fatalf("%v k=%d: node %d parents %v != %v", step, k, i, merged[i], full.Parents[i])
 				}
 			}
 		}
@@ -300,13 +295,11 @@ func TestSparseFixedAndScaledThresholds(t *testing.T) {
 			{TraditionalMI: true},
 			{FixedThreshold: &neg},
 		} {
-			sparse := opt
-			sparse.Sparse = true
-			dr, err := Infer(sm, opt)
+			dr, err := infer(context.Background(), sm, opt, popcountStep)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sr, err := Infer(sm, sparse)
+			sr, err := infer(context.Background(), sm, opt, walkStep)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -360,7 +353,7 @@ func TestSparseObsCounters(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		rec := obs.New()
 		var need int32
-		if _, err := buildSparse(obs.With(context.Background(), rec), NewScorer(sm), false, workers, false, func(s *SparseIMI) float64 {
+		if _, err := buildSparse(obs.With(context.Background(), rec), NewScorer(sm), false, workers, walkStep, func(s *SparseIMI) float64 {
 			_, tau := selectThreshold(context.Background(), s, sm.Beta(), Options{}.withDefaults())
 			floor := s.keepFloor(tau, false)
 			need = s.minKeptJoint(floor)
@@ -430,7 +423,7 @@ func TestSparseRecordsTelemetry(t *testing.T) {
 	sm := sparseRandomStatus(24, 40, 0.1, 8)
 	rec := obs.New()
 	ctx := obs.With(context.Background(), rec)
-	sp, err := ComputeSparseIMIContext(ctx, sm, false, 2)
+	sp, err := buildSparse(ctx, NewScorer(sm), false, 2, walkStep, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,10 +556,7 @@ func TestPoolsAgreeDenseSparseIncremental(t *testing.T) {
 				}
 				for _, workers := range []int{1, 4} {
 					dense := denseIMI(sm, traditional, workers).valuePool()
-					sp, err := ComputeSparseIMIContext(context.Background(), sm, traditional, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
+					sp := sparseIMI(sm, traditional, workers)
 					name := fmt.Sprintf("β=%d density=%v n=%d trad=%v workers=%d", beta, density, n, traditional, workers)
 					if d := samePool(dense, sp.pool); d != "" {
 						t.Fatalf("%s: dense vs sparse pool: %s", name, d)
@@ -577,7 +567,7 @@ func TestPoolsAgreeDenseSparseIncremental(t *testing.T) {
 					}
 					// The same rows scattered from the upper-triangle walks
 					// that inference runs, at a floor that drops nothing.
-					up, err := buildSparse(context.Background(), NewScorer(sm), traditional, workers, false, func(*SparseIMI) float64 { return math.Inf(-1) })
+					up, err := buildSparse(context.Background(), NewScorer(sm), traditional, workers, walkStep, func(*SparseIMI) float64 { return math.Inf(-1) })
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -672,7 +662,7 @@ func TestSparseBuildAllocsBounded(t *testing.T) {
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		sp, err := ComputeSparseIMIContext(context.Background(), sm, false, workers)
+		sp, err := buildSparse(context.Background(), NewScorer(sm), false, workers, walkStep, nil)
 		runtime.ReadMemStats(&m1)
 		if err != nil {
 			t.Fatal(err)
@@ -709,7 +699,7 @@ func TestFilteredEngineGuards(t *testing.T) {
 	sm := evictingStatus(t)
 	full := sparseIMI(sm, false, 0)
 	_, tau := selectThreshold(ctx, full, sm.Beta(), Options{}.withDefaults())
-	filt, err := buildSparse(ctx, NewScorer(sm), false, 2, false, func(s *SparseIMI) float64 { return s.keepFloor(tau, false) })
+	filt, err := buildSparse(ctx, NewScorer(sm), false, 2, walkStep, func(s *SparseIMI) float64 { return s.keepFloor(tau, false) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -742,7 +732,7 @@ func TestFilteredEngineGuards(t *testing.T) {
 	mustPanic(t, "Candidates below the floor", func() { filt.Candidates(0, math.Nextafter(tau, math.Inf(-1))) })
 	mustPanic(t, "nodePool", func() { filt.nodePool(0) })
 
-	all, err := buildSparse(ctx, NewScorer(sm), false, 2, false, func(*SparseIMI) float64 { return math.Inf(-1) })
+	all, err := buildSparse(ctx, NewScorer(sm), false, 2, walkStep, func(*SparseIMI) float64 { return math.Inf(-1) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -772,7 +762,7 @@ func TestSparseInferAllocsBounded(t *testing.T) {
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
-		res, err := InferContext(context.Background(), sm, Options{Sparse: true, Workers: workers})
+		res, err := infer(context.Background(), sm, Options{Workers: workers}, walkStep)
 		runtime.ReadMemStats(&m1)
 		if err != nil {
 			t.Fatal(err)

@@ -101,13 +101,10 @@ type Options struct {
 	// one subtree. 0 disables it.
 	ComboBudget int
 
-	// Sparse chooses only how the pairwise stage counts each pair's joint
-	// infections (see SparseIMI): by walking the cascades each node is
-	// infected in, instead of by popcount over every pair's status
-	// columns. The inferred topology, thresholds, and scores are
-	// bit-identical either way at any worker count; only the cost model
-	// changes — O(Σ_c |infected(c)|²) instead of O(n²·β/64) — which is
-	// what makes n ≥ 10⁵ inference tractable.
+	// Sparse is read by nothing: the pairwise stage chooses how it counts
+	// joint infections from the observations (see SparseIMI).
+	//
+	// Deprecated: setting it changes nothing.
 	Sparse bool
 
 	// SkipNodes marks nodes whose parent-set search is skipped entirely:
@@ -273,6 +270,12 @@ func Infer(sm *diffusion.StatusMatrix, opt Options) (*Result, error) {
 // search stage (during IMI or thresholding) still errors — there is no
 // partial topology to salvage there.
 func InferContext(ctx context.Context, sm *diffusion.StatusMatrix, opt Options) (*Result, error) {
+	return infer(ctx, sm, opt, autoStep)
+}
+
+// infer is InferContext with the pairwise stage counting joint infections
+// by step.
+func infer(ctx context.Context, sm *diffusion.StatusMatrix, opt Options, step countStep) (*Result, error) {
 	opt = opt.withDefaults()
 	if err := chaos.Maybe(ctx, chaos.SiteCoreInfer); err != nil {
 		return nil, err
@@ -292,7 +295,7 @@ func InferContext(ctx context.Context, sm *diffusion.StatusMatrix, opt Options) 
 	// second keeps only the pairs the search can use.
 	scorer := NewScorer(sm)
 	var autoTau, tau float64
-	imi, err := buildSparse(ctx, scorer, opt.TraditionalMI, opt.Workers, !opt.Sparse, func(s *SparseIMI) float64 {
+	imi, err := buildSparse(ctx, scorer, opt.TraditionalMI, opt.Workers, step, func(s *SparseIMI) float64 {
 		autoTau, tau = selectThreshold(ctx, s, sm.Beta(), opt)
 		return s.keepFloor(tau, opt.perNode())
 	})

@@ -118,11 +118,9 @@ func TestInferRejectsBadThresholds(t *testing.T) {
 		{"FixedThreshold NaN", Options{FixedThreshold: &nan}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, sparse := range []bool{false, true} {
-				opt := tc.opt
-				opt.Sparse = sparse
-				if _, err := Infer(sm, opt); err == nil {
-					t.Fatalf("Infer (sparse=%v) accepted %+v", sparse, tc.opt)
+			for _, step := range []countStep{popcountStep, walkStep} {
+				if _, err := infer(context.Background(), sm, tc.opt, step); err == nil {
+					t.Fatalf("infer (%v) accepted %+v", step, tc.opt)
 				}
 			}
 			if _, err := InferFromSource(context.Background(), sm, inc.Source(), tc.opt); err == nil {
@@ -142,11 +140,11 @@ func TestFixedThresholdInfEnginesAgree(t *testing.T) {
 	}
 	sm := simulateOn(t, net.Graph, 0.3, 0.15, 200, 13)
 	for _, tau := range []float64{math.Inf(1), math.Inf(-1)} {
-		dense, err := Infer(sm, Options{FixedThreshold: &tau})
+		dense, err := infer(context.Background(), sm, Options{FixedThreshold: &tau}, popcountStep)
 		if err != nil {
 			t.Fatalf("dense, threshold %v: %v", tau, err)
 		}
-		sparse, err := Infer(sm, Options{FixedThreshold: &tau, Sparse: true})
+		sparse, err := infer(context.Background(), sm, Options{FixedThreshold: &tau}, walkStep)
 		if err != nil {
 			t.Fatalf("sparse, threshold %v: %v", tau, err)
 		}

@@ -39,7 +39,6 @@ type ScaleConfig struct {
 	Seed     int64
 
 	Workers      int
-	Sparse       bool
 	ShardIndex   int // see core.Options
 	ShardCount   int
 	MaxComboSize int
@@ -139,7 +138,7 @@ type ScaleResult struct {
 }
 
 // RunScale executes one scale point end to end: workload generation,
-// inference (sparse or dense, optionally one shard of k), and — when
+// inference (optionally one shard of k), and — when
 // unsharded — scoring against the generated truth. With cfg.Journal set the
 // shard's header and node records stream out incrementally as the search
 // progresses; with cfg.ResumeHeader/ResumeNodes set, already-journaled
@@ -159,11 +158,11 @@ func RunScale(ctx context.Context, cfg ScaleConfig) (*ScaleResult, error) {
 		if count < 1 {
 			count = 1
 		}
-		if h.N != cfg.N || h.Beta != cfg.Beta || h.Seed != cfg.Seed || h.Sparse != cfg.Sparse ||
+		if h.N != cfg.N || h.Beta != cfg.Beta || h.Seed != cfg.Seed ||
 			h.ShardIndex != cfg.ShardIndex || h.ShardCount != count {
-			return nil, fmt.Errorf("scale: resume journal describes shard %d/%d of run (n=%d β=%d seed=%d sparse=%v), config says shard %d/%d of (n=%d β=%d seed=%d sparse=%v)",
-				h.ShardIndex, h.ShardCount, h.N, h.Beta, h.Seed, h.Sparse,
-				cfg.ShardIndex, count, cfg.N, cfg.Beta, cfg.Seed, cfg.Sparse)
+			return nil, fmt.Errorf("scale: resume journal describes shard %d/%d of run (n=%d β=%d seed=%d), config says shard %d/%d of (n=%d β=%d seed=%d)",
+				h.ShardIndex, h.ShardCount, h.N, h.Beta, h.Seed,
+				cfg.ShardIndex, count, cfg.N, cfg.Beta, cfg.Seed)
 		}
 	}
 	if cfg.Obs != nil {
@@ -182,7 +181,6 @@ func RunScale(ctx context.Context, cfg ScaleConfig) (*ScaleResult, error) {
 
 	opt := core.Options{
 		Workers:      cfg.Workers,
-		Sparse:       cfg.Sparse,
 		ShardIndex:   cfg.ShardIndex,
 		ShardCount:   cfg.ShardCount,
 		MaxComboSize: cfg.MaxComboSize,
@@ -217,7 +215,6 @@ func RunScale(ctx context.Context, cfg ScaleConfig) (*ScaleResult, error) {
 				N:          cfg.N,
 				Beta:       cfg.Beta,
 				Seed:       cfg.Seed,
-				Sparse:     cfg.Sparse,
 				Threshold:  tau,
 			})
 		}

@@ -20,7 +20,6 @@ type ShardHeader struct {
 	N          int     `json:"n"`
 	Beta       int     `json:"beta"`
 	Seed       int64   `json:"seed"`
-	Sparse     bool    `json:"sparse"`
 	Threshold  float64 `json:"threshold"`
 }
 
@@ -28,8 +27,7 @@ type ShardHeader struct {
 // identity fields that must match for their node records to compose.
 // Threshold is compared separately (bit-identical) by the merges.
 func (h ShardHeader) SameRun(o ShardHeader) bool {
-	return h.N == o.N && h.Beta == o.Beta && h.Seed == o.Seed &&
-		h.Sparse == o.Sparse && h.ShardCount == o.ShardCount
+	return h.N == o.N && h.Beta == o.Beta && h.Seed == o.Seed && h.ShardCount == o.ShardCount
 }
 
 // shardNode is one node's inferred parent set. Only nodes owned by the
@@ -191,7 +189,7 @@ func OpenShardResume(path string) (*ResumedShard, error) {
 
 // MergeShardJournals validates a set of parsed shard journals and composes
 // them into the full parent-set array. It requires: identical run identity
-// across headers (N, Beta, Seed, Sparse, ShardCount), bit-identical
+// across headers (N, Beta, Seed, ShardCount), bit-identical
 // thresholds (each shard computes the global τ independently — disagreement
 // means the shards did not run the same pairwise stage), exactly the shard
 // indices {0..k-1} with no duplicates, and a parent set for every node.

@@ -25,7 +25,7 @@ func writeShardJournal(t *testing.T, path string, cfg ScaleConfig, res *ScaleRes
 		t.Fatal(err)
 	}
 	if err := j.WriteHeader(ShardHeader{ShardIndex: cfg.ShardIndex, ShardCount: count, N: cfg.N,
-		Beta: cfg.Beta, Seed: cfg.Seed, Sparse: cfg.Sparse, Threshold: res.Inference.Threshold}); err != nil {
+		Beta: cfg.Beta, Seed: cfg.Seed, Threshold: res.Inference.Threshold}); err != nil {
 		t.Fatal(err)
 	}
 	for i, parents := range res.Inference.Parents {
@@ -107,54 +107,25 @@ func runShardedScale(t *testing.T, cfg ScaleConfig, k int) *MergedScaleResult {
 }
 
 // TestShardMergeDeterminism checks that k ∈ {1, 2, 4} sharded runs merge to
-// a byte-identical topology, equal to the unsharded inference, for both the
-// dense and sparse engines.
+// a byte-identical topology, equal to the unsharded inference.
 func TestShardMergeDeterminism(t *testing.T) {
-	base := ScaleConfig{N: 60, Beta: 48, Seeds: 3, Seed: 9, Workers: 2}
-	for _, sparse := range []bool{false, true} {
-		cfg := base
-		cfg.Sparse = sparse
-		full, err := RunScale(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantText := full.Inference.Graph.String()
-		for _, k := range []int{1, 2, 4} {
-			merged := runShardedScale(t, cfg, k)
-			if got := merged.Graph.String(); got != wantText {
-				t.Fatalf("sparse=%v k=%d: merged topology differs from unsharded", sparse, k)
-			}
-			if merged.Threshold != full.Inference.Threshold {
-				t.Fatalf("sparse=%v k=%d: threshold %v != %v", sparse, k, merged.Threshold, full.Inference.Threshold)
-			}
-			if merged.Score != full.Score {
-				t.Fatalf("sparse=%v k=%d: score %+v != %+v", sparse, k, merged.Score, full.Score)
-			}
-		}
-	}
-}
-
-// TestScaleSparseDenseIdentical checks the end-to-end scale runner produces
-// the same topology through both engines.
-func TestScaleSparseDenseIdentical(t *testing.T) {
-	cfg := ScaleConfig{N: 80, Beta: 64, Seeds: 4, Seed: 21}
-	dense, err := RunScale(context.Background(), cfg)
+	cfg := ScaleConfig{N: 60, Beta: 48, Seeds: 3, Seed: 9, Workers: 2}
+	full, err := RunScale(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Sparse = true
-	sparse, err := RunScale(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dense.Inference.Graph.Equal(sparse.Inference.Graph) {
-		t.Fatal("sparse and dense scale runs inferred different topologies")
-	}
-	if dense.Score != sparse.Score {
-		t.Fatalf("scores differ: %+v vs %+v", dense.Score, sparse.Score)
-	}
-	if dense.Score.F <= 0 {
-		t.Fatalf("degenerate workload: F = %v", dense.Score.F)
+	wantText := full.Inference.Graph.String()
+	for _, k := range []int{1, 2, 4} {
+		merged := runShardedScale(t, cfg, k)
+		if got := merged.Graph.String(); got != wantText {
+			t.Fatalf("k=%d: merged topology differs from unsharded", k)
+		}
+		if merged.Threshold != full.Inference.Threshold {
+			t.Fatalf("k=%d: threshold %v != %v", k, merged.Threshold, full.Inference.Threshold)
+		}
+		if merged.Score != full.Score {
+			t.Fatalf("k=%d: score %+v != %+v", k, merged.Score, full.Score)
+		}
 	}
 }
 
